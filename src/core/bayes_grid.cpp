@@ -10,10 +10,6 @@
 
 namespace cocoa::core {
 
-namespace {
-constexpr std::size_t kKernelCacheCapacity = 16;
-}  // namespace
-
 BayesGrid::BayesGrid(const GridConfig& config) : config_(config) {
     if (config_.cell_m <= 0.0) {
         throw std::invalid_argument("BayesGrid: cell size must be positive");
@@ -24,6 +20,7 @@ BayesGrid::BayesGrid(const GridConfig& config) : config_(config) {
     if (config_.floor_fraction < 0.0 || config_.floor_fraction >= 1.0) {
         throw std::invalid_argument("BayesGrid: floor_fraction must be in [0, 1)");
     }
+    if (config_.kernels == nullptr) config_.kernels = std::make_shared<KernelCache>();
     nx_ = static_cast<std::size_t>(std::ceil(config_.area.width() / config_.cell_m));
     ny_ = static_cast<std::size_t>(std::ceil(config_.area.height() / config_.cell_m));
     nx_ = std::max<std::size_t>(nx_, 1);
@@ -85,32 +82,8 @@ void BayesGrid::reset_uniform() {
     stats_spread_ = uniform_spread_;
 }
 
-const RadialKernel& BayesGrid::kernel_for(const phy::DistancePdf& pdf) {
-    ++kernel_cache_tick_;
-    for (KernelSlot& slot : kernel_cache_) {
-        if (slot.mean_m == pdf.mean_m && slot.sigma_m == pdf.sigma_m) {
-            slot.last_use = kernel_cache_tick_;
-            return *slot.kernel;
-        }
-    }
-    // Floor relative to the constraint's own peak, so the relative damping of
-    // off-ring cells is scale-free.
-    const double peak = 1.0 / (pdf.sigma_m * std::sqrt(2.0 * 3.14159265358979323846));
-    auto kernel =
-        std::make_unique<RadialKernel>(pdf.mean_m, pdf.sigma_m, config_.floor_fraction * peak);
-    KernelSlot* slot = nullptr;
-    if (kernel_cache_.size() < kKernelCacheCapacity) {
-        slot = &kernel_cache_.emplace_back();
-    } else {
-        slot = &*std::min_element(
-            kernel_cache_.begin(), kernel_cache_.end(),
-            [](const KernelSlot& a, const KernelSlot& b) { return a.last_use < b.last_use; });
-    }
-    slot->mean_m = pdf.mean_m;
-    slot->sigma_m = pdf.sigma_m;
-    slot->last_use = kernel_cache_tick_;
-    slot->kernel = std::move(kernel);
-    return *slot->kernel;
+const RadialKernel& BayesGrid::kernel_for(const phy::DistancePdf& pdf) const {
+    return config_.kernels->get(pdf, config_.floor_fraction);
 }
 
 void BayesGrid::finish_stats(const gridk::Moments& m) {

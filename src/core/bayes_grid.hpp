@@ -2,11 +2,11 @@
 
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/grid_kernels.hpp"
+#include "core/kernel_cache.hpp"
 #include "core/radial_kernel.hpp"
 #include "geom/rect.hpp"
 #include "geom/vec2.hpp"
@@ -23,6 +23,10 @@ struct GridConfig {
     /// posterior proper under conflicting/bad beacons (Eq. 2 would otherwise
     /// annihilate it).
     double floor_fraction = 0.01;
+    /// Where the grid gets its radial kernels. A scenario sets one cache on
+    /// every robot's grid so each distinct kernel is built once; null gives
+    /// the grid a private cache. Derived state: never checkpointed.
+    std::shared_ptr<KernelCache> kernels;
 };
 
 /// The grid-based Bayesian position estimator of §2.2 (after Sichitiu &
@@ -41,9 +45,9 @@ struct GridConfig {
 /// padded to a multiple of gridk::kBlock doubles (padding cells carry zero
 /// mass forever), per-column/per-row operands live in separate SoA arrays,
 /// and the constraint sweep and the fused normalize+moments pass both run
-/// whole blocks at a time. Kernels are cached per (mean, sigma) — the PDF
-/// table has a few dozen distinct bins, so after warmup every beacon hits
-/// the cache.
+/// whole blocks at a time. Kernels come from the config's KernelCache, shared
+/// by every grid of a scenario: the PDF table has a few dozen usable bins, so
+/// each kernel is built once per scenario, not once per grid.
 ///
 /// Posterior statistics (mean, spread) are recomputed eagerly inside every
 /// mutating call, fused into the normalization pass; mean()/spread() are
@@ -99,10 +103,11 @@ class BayesGrid {
 
     /// The cached kernel for this PDF (building it on a miss). Exposed so
     /// tests can check the certified table directly.
-    const RadialKernel& kernel_for(const phy::DistancePdf& pdf);
+    const RadialKernel& kernel_for(const phy::DistancePdf& pdf) const;
 
-    /// Number of kernels currently cached (bounded by the LRU capacity).
-    std::size_t kernel_cache_size() const { return kernel_cache_.size(); }
+    /// Number of kernels in this grid's cache — shared with every grid on
+    /// the same KernelCache, so it counts their kernels too.
+    std::size_t kernel_cache_size() const { return config_.kernels->size(); }
 
   private:
     void apply_kernel(const geom::Vec2& anchor_position, const RadialKernel& kernel);
@@ -138,18 +143,6 @@ class BayesGrid {
     std::vector<double> blk_qmin_;
     std::vector<double> blk_qmax_;
     std::vector<double> row_qy_;
-
-    /// Tiny LRU over recently used kernels, keyed on the exact (mean, sigma)
-    /// pair. PDF-table bins recur constantly, so 16 slots give a near-perfect
-    /// hit rate while bounding memory for adversarial inputs.
-    struct KernelSlot {
-        double mean_m = 0.0;
-        double sigma_m = 0.0;
-        std::uint64_t last_use = 0;
-        std::unique_ptr<RadialKernel> kernel;
-    };
-    std::vector<KernelSlot> kernel_cache_;
-    std::uint64_t kernel_cache_tick_ = 0;
 
     // Posterior statistics, refreshed eagerly by every mutating call (no
     // lazy mutable cache: const reads must stay race-free).

@@ -42,7 +42,8 @@ Scenario::Scenario(const ScenarioConfig& config,
                    std::shared_ptr<const phy::PdfTable> shared_table)
     : config_(config),
       sim_(config.seed),
-      channel_(config.channel) {
+      channel_(config.channel),
+      kernels_(std::make_shared<KernelCache>()) {
     config_.validate();
 
     // Offline calibration phase (§2.2): build the PDF Table once; every robot
@@ -78,6 +79,7 @@ Scenario::Scenario(const ScenarioConfig& config,
     grid.area = mobility_config.area;
     grid.cell_m = config_.cell_m;
     grid.floor_fraction = config_.floor_fraction;
+    grid.kernels = kernels_;
 
     if (config_.grid_update_threads != 0) {
         fix_pool_ = std::make_unique<sim::ThreadPool>(config_.grid_update_threads);

@@ -167,6 +167,10 @@ class Scenario {
     multicast::MulticastNode* multicast_node(net::NodeId id);
     const phy::PdfTable& pdf_table() const { return *table_; }
     std::shared_ptr<const phy::PdfTable> pdf_table_ptr() const { return table_; }
+    /// The radial kernels every robot's grid shares: one per distinct PDF
+    /// bin used so far (see GridConfig::kernels). Not checkpointed — a
+    /// restored scenario rebuilds its kernels as beacons arrive.
+    const KernelCache& kernel_cache() const { return *kernels_; }
 
     /// The observability context (counter registry + trace sink) shared by
     /// every subsystem of this scenario. Open obs().trace before running to
@@ -211,6 +215,7 @@ class Scenario {
     sim::Simulator sim_;
     phy::Channel channel_;
     std::shared_ptr<const phy::PdfTable> table_;
+    std::shared_ptr<KernelCache> kernels_;
     std::unique_ptr<net::World> world_;
     std::optional<multicast::MulticastFleet> mcast_;
     /// Declared before agents_: an agent's destructor may still be waiting

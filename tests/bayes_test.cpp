@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/bayes_grid.hpp"
 #include "core/grid_kernels.hpp"
+#include "core/kernel_cache.hpp"
 #include "sim/random.hpp"
 
 namespace cocoa::core {
@@ -294,19 +297,121 @@ TEST(BayesGridKernel, NearAnchorCellsExact) {
     }
 }
 
-TEST(BayesGridKernel, CacheIsBoundedAndHits) {
-    BayesGrid g(paper_grid());
+// Grids on one KernelCache share kernels: the second grid gets the very
+// object the first one built, and the cache holds one entry per PDF.
+TEST(BayesGridKernel, SharedCacheReturnsSameKernel) {
+    GridConfig cfg = paper_grid();
+    cfg.kernels = std::make_shared<KernelCache>();
+    const BayesGrid a(cfg);
+    const BayesGrid b(cfg);
     const phy::DistancePdf pdf = make_pdf(40.0, 3.0);
-    const RadialKernel* first = &g.kernel_for(pdf);
-    EXPECT_EQ(&g.kernel_for(pdf), first);  // same (mean, sigma) → same kernel
-    EXPECT_EQ(g.kernel_cache_size(), 1u);
-    for (int i = 0; i < 40; ++i) {
-        g.kernel_for(make_pdf(20.0 + i, 2.0 + 0.1 * i));
+    const RadialKernel* first = &a.kernel_for(pdf);
+    EXPECT_EQ(&b.kernel_for(pdf), first);
+    EXPECT_EQ(&a.kernel_for(pdf), first);
+    EXPECT_EQ(cfg.kernels->size(), 1u);
+    EXPECT_EQ(b.kernel_cache_size(), 1u);
+    // A grid without a cache in its config gets a private one.
+    const BayesGrid private_grid(paper_grid());
+    EXPECT_NE(&private_grid.kernel_for(pdf), first);
+    EXPECT_EQ(cfg.kernels->size(), 1u);
+}
+
+// floor_fraction is part of the kernel (it sets the baked-in floor), so
+// grids that differ only in it must not share a kernel.
+TEST(BayesGridKernel, FloorFractionSelectsItsOwnKernel) {
+    GridConfig cfg = paper_grid();
+    cfg.kernels = std::make_shared<KernelCache>();
+    const BayesGrid low(cfg);
+    cfg.floor_fraction = 0.05;
+    const BayesGrid high(cfg);
+    const phy::DistancePdf pdf = make_pdf(40.0, 3.0);
+    const RadialKernel& k_low = low.kernel_for(pdf);
+    const RadialKernel& k_high = high.kernel_for(pdf);
+    EXPECT_NE(&k_low, &k_high);
+    EXPECT_DOUBLE_EQ(k_high.floor(), 5.0 * k_low.floor());
+    EXPECT_EQ(cfg.kernels->size(), 2u);
+}
+
+void expect_bitwise_equal(const BayesGrid& got, const BayesGrid& want) {
+    for (std::size_t iy = 0; iy < want.ny(); ++iy) {
+        for (std::size_t ix = 0; ix < want.nx(); ++ix) {
+            ASSERT_EQ(got.mass_at(ix, iy), want.mass_at(ix, iy))
+                << "cell (" << ix << ", " << iy << ")";
+        }
     }
-    EXPECT_LE(g.kernel_cache_size(), 16u);  // LRU capacity
-    // Still correct after heavy eviction.
-    g.apply_constraint({100.0, 100.0}, pdf);
-    EXPECT_NEAR(g.total_mass(), 1.0, 1e-9);
+    EXPECT_EQ(got.mean().x, want.mean().x);
+    EXPECT_EQ(got.mean().y, want.mean().y);
+    EXPECT_EQ(got.spread(), want.spread());
+}
+
+// Sharing changes who builds a kernel, never what it holds: grids on one
+// shared cache and grids on private caches end bitwise-equal.
+TEST(BayesGridKernel, SharedAndPrivateCachesAgreeBitwise) {
+    GridConfig shared_cfg = paper_grid();
+    shared_cfg.kernels = std::make_shared<KernelCache>();
+    BayesGrid shared_a(shared_cfg);
+    BayesGrid shared_b(shared_cfg);
+    BayesGrid private_a(paper_grid());
+    BayesGrid private_b(paper_grid());
+    sim::RandomStream rng(31);
+    for (int c = 0; c < 12; ++c) {
+        // Each PDF goes to grid a first and to grid b next, so shared_b
+        // only ever applies kernels that shared_a built.
+        const int k = (c / 2) % 3;
+        const phy::DistancePdf pdf = make_pdf(10.0 + 15.0 * k, 2.0 + k);
+        const Vec2 anchor{rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)};
+        BayesGrid& shared = c % 2 == 0 ? shared_a : shared_b;
+        BayesGrid& priv = c % 2 == 0 ? private_a : private_b;
+        shared.apply_constraint(anchor, pdf);
+        priv.apply_constraint(anchor, pdf);
+    }
+    EXPECT_EQ(shared_cfg.kernels->size(), 3u);
+    expect_bitwise_equal(shared_a, private_a);
+    expect_bitwise_equal(shared_b, private_b);
+}
+
+/// Fix-pool workers build and read kernels concurrently: four threads, each
+/// with its own grid on one shared cache, cycle through a table's worth of
+/// bins from different starting points (so they race to build the same
+/// kernels) and must end bitwise-equal to the same sequences run serially.
+TEST(BayesGridKernel, SharedCacheConcurrentAppliesMatchSerial) {
+    constexpr int kThreads = 4;
+    constexpr int kBins = 24;
+    constexpr int kSteps = 2 * kBins;
+    GridConfig cfg;
+    cfg.area = Rect::square(200.0);
+    cfg.cell_m = 5.0;
+    std::vector<phy::DistancePdf> bins;
+    for (int i = 0; i < kBins; ++i) bins.push_back(make_pdf(2.0 + 3.0 * i, 1.0 + 0.4 * i));
+    const auto run = [&](BayesGrid& grid, int t) {
+        for (int s = 0; s < kSteps; ++s) {
+            const Vec2 anchor{7.0 * s + 13.0 * t, 200.0 - 5.0 * s};
+            grid.apply_constraint(anchor, bins[static_cast<std::size_t>((s + 5 * t) % kBins)]);
+            if (s % 4 == 3) grid.reset_uniform();
+        }
+    };
+
+    std::vector<BayesGrid> serial;
+    for (int t = 0; t < kThreads; ++t) {
+        serial.emplace_back(cfg);
+        run(serial.back(), t);
+    }
+
+    GridConfig shared_cfg = cfg;
+    shared_cfg.kernels = std::make_shared<KernelCache>();
+    std::vector<BayesGrid> concurrent(kThreads, BayesGrid(shared_cfg));
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] { run(concurrent[static_cast<std::size_t>(t)], t); });
+    }
+    for (std::thread& w : workers) w.join();
+
+    EXPECT_EQ(shared_cfg.kernels->size(), static_cast<std::size_t>(kBins));
+    for (int t = 0; t < kThreads; ++t) {
+        SCOPED_TRACE(t);
+        expect_bitwise_equal(concurrent[static_cast<std::size_t>(t)],
+                             serial[static_cast<std::size_t>(t)]);
+    }
 }
 
 // The compensated/pairwise summations keep the mass budget honest on a

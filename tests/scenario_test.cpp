@@ -118,6 +118,20 @@ TEST(Scenario, BatchedRfOnlyMatchesInline) {
     EXPECT_EQ(batched.agent_totals.fixes, inline_fixes.agent_totals.fixes);
 }
 
+/// Every robot's grid draws its kernels from the scenario's one cache, so a
+/// fig7-shaped run (50 robots, T = 100 s) builds at most one kernel per
+/// usable PDF-table bin — not one per grid per eviction.
+TEST(Scenario, GridsShareOneKernelPerBin) {
+    ScenarioConfig c;
+    c.seed = 7;
+    c.duration = Duration::minutes(5);
+    Scenario scenario(c);
+    scenario.run();
+    ASSERT_GT(scenario.result().localizer_totals.fixes, 0u);
+    EXPECT_GT(scenario.kernel_cache().size(), 0u);
+    EXPECT_LE(scenario.kernel_cache().size(), scenario.pdf_table().usable_bin_count());
+}
+
 TEST(Scenario, DifferentSeedsDiffer) {
     auto cfg = quick(LocalizationMode::Combined);
     const auto a = run_scenario(cfg);

@@ -5,18 +5,24 @@ perf_compare is the CI perf gate; a crash in the gate script reads as a perf
 regression and blocks unrelated PRs, so its failure modes are pinned here:
 zero-valued baseline entries must be skipped with a note (not divide or
 KeyError), and a baseline with too few usable entries must exit with an
-actionable message instead of a traceback.
+actionable message instead of a traceback. The committed baseline itself is
+checked too: every entry must be in nanoseconds, whatever unit the bench
+prints in.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import unittest
 
-TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    "perf_compare.py")
+TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
+TOOL = os.path.join(TOOLS_DIR, "perf_compare.py")
+REPO = os.path.dirname(TOOLS_DIR)
+MICRO_CORE = os.path.join(REPO, "bench", "micro_core.cpp")
+BASELINE = os.path.join(REPO, "bench", "baseline", "BENCH_baseline.json")
 
 
 def doc(benchmarks, scenarios=()):
@@ -111,6 +117,33 @@ class PerfCompareTest(unittest.TestCase):
         result = self.run_tool(base, fresh)
         self.assertNotEqual(result.returncode, 0)
         self.assertIn("unexpected schema", result.stderr)
+
+
+class BaselineUnitsTest(unittest.TestCase):
+    """micro_core prints some benches in milliseconds (->Unit(kMillisecond))
+    but the artifact's ns_per_op must always be nanoseconds. A value stored
+    raw in the display unit lands 10^6x too small; for a bench slow enough to
+    be shown in ms (>= 0.1 ms per op) that puts it under 1e5 "ns"."""
+
+    MIN_NS = 1e5
+
+    def test_millisecond_benches_stored_in_ns(self):
+        with open(MICRO_CORE) as f:
+            source = f.read()
+        benches = re.findall(
+            r"BENCHMARK\((\w+)\)[^;]*->Unit\(benchmark::kMillisecond\)", source)
+        self.assertGreaterEqual(len(benches), 5)
+        with open(BASELINE) as f:
+            entries = json.load(f)["benchmarks"]
+        for bench in benches:
+            stored = [e for e in entries
+                      if e["name"] == bench or e["name"].startswith(bench + "/")]
+            self.assertTrue(stored, f"{bench} missing from {BASELINE}")
+            for e in stored:
+                self.assertGreaterEqual(
+                    e["ns_per_op"], self.MIN_NS,
+                    f"{e['name']}: {e['ns_per_op']} looks like milliseconds "
+                    f"stored as ns_per_op")
 
 
 if __name__ == "__main__":
