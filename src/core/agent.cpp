@@ -124,8 +124,7 @@ void CocoaAgent::tick() {
         // node moved, so the incremental per-radio path suffices (an O(1)
         // cell migration, vs the bulk note that forces a full sweep). Pure
         // rotation or a waypoint pause leaves the position untouched, so
-        // those increments don't warrant a note at all — under the flat
-        // oracle an unwarranted note rebuilds the entire hash.
+        // those increments don't warrant a note at all.
         node_.radio().medium().note_position_moved(node_.radio());
     }
     const bool runs_odometry = config_.mode != LocalizationMode::RfOnly &&

@@ -125,7 +125,6 @@ void save_medium(sim::ckpt::Writer& w, const mac::MediumConfig& c) {
     w.f64(c.capture_margin_db);
     w.dur(c.cca_delay);
     w.b(c.interference_culling);
-    w.u32(static_cast<std::uint32_t>(c.index));
     w.b(c.register_node_counters);
 }
 
@@ -134,7 +133,6 @@ mac::MediumConfig load_medium(sim::ckpt::Reader& r) {
     c.capture_margin_db = r.f64();
     c.cca_delay = r.dur();
     c.interference_culling = r.b();
-    c.index = static_cast<mac::MediumIndex>(r.u32());
     c.register_node_counters = r.b();
     return c;
 }
@@ -157,7 +155,7 @@ void save_multicast(sim::ckpt::Writer& w, const multicast::MulticastConfig& c) {
 
 multicast::MulticastConfig load_multicast(sim::ckpt::Reader& r) {
     multicast::MulticastConfig c;
-    c.variant = static_cast<multicast::Variant>(r.u32());
+    c.variant = r.enumerator(multicast::Variant::Mrmm);
     c.refresh_interval = r.dur();
     c.auto_refresh = r.b();
     c.fg_timeout = r.dur();
@@ -237,15 +235,15 @@ ScenarioConfig load_scenario_config(sim::ckpt::Reader& r) {
     c.min_speed = r.f64();
     c.max_speed = r.f64();
     c.duration = r.dur();
-    c.mode = static_cast<LocalizationMode>(r.u32());
-    c.sync = static_cast<SyncMode>(r.u32());
+    c.mode = r.enumerator(LocalizationMode::Ekf);
+    c.sync = r.enumerator(SyncMode::Mrmm);
     c.sleep_coordination = r.b();
     c.period = r.dur();
     c.window = r.dur();
     c.beacons_per_window = r.i32();
     c.min_beacons_for_fix = r.i32();
-    c.technique = static_cast<RfTechnique>(r.u32());
-    c.estimator = static_cast<est::Backend>(r.u32());
+    c.technique = r.enumerator(RfTechnique::LeastSquares);
+    c.estimator = r.enumerator(est::Backend::LinCvx);
     c.cell_m = r.f64();
     c.floor_fraction = r.f64();
     c.ekf_q_displacement_frac = r.f64();

@@ -177,7 +177,6 @@ SwarmResult Swarm::result() const {
     result.executed_events = sim_.executed_events();
     result.medium_stats = world_->medium().stats();
     result.index_stats = world_->medium().index_stats();
-    result.flat_index_stats = world_->medium().flat_index_stats();
     result.radius_cache_stats = world_->medium().radius_cache_stats();
     for (const auto& node : world_->nodes()) {
         result.frames_delivered += node->radio().stats().rx_delivered;

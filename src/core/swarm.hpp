@@ -62,7 +62,7 @@ struct SwarmConfig {
     /// resolution-point pattern as ScenarioConfig::grid_update_threads.
     int mobility_threads = 0;
     /// Record every node's final position in SwarmResult::final_positions
-    /// (identity tests compare them across thread counts and backends).
+    /// (identity tests compare them across thread counts and culling).
     bool collect_final_positions = false;
     /// Low-power swarm radios: -5 dBm tx keeps the influence radius ~127 m
     /// (~60 sense-range neighbours at fig7 density) instead of the paper
@@ -70,8 +70,8 @@ struct SwarmConfig {
     /// scales linearly in node count at constant density.
     phy::ChannelConfig channel{.tx_power_dbm = -5.0};
     /// register_node_counters is forced off by run_swarm (a 100k-node
-    /// registry would hold ~1M names); index backend and culling flow
-    /// through so tests can pit hierarchical against flat in-process.
+    /// registry would hold ~1M names); culling flows through so tests can
+    /// pit the culled fanout against the unculled sweep in-process.
     mac::MediumConfig medium;
     energy::PowerProfile power = energy::PowerProfile::wavelan();
 
@@ -87,7 +87,6 @@ struct SwarmResult {
     std::uint64_t executed_events = 0;
     mac::Medium::Stats medium_stats;
     mac::spatial::CellTreeStats index_stats;
-    mac::Medium::FlatIndexStats flat_index_stats;
     mac::spatial::RadiusCacheStats radius_cache_stats;
     std::uint64_t frames_delivered = 0;  ///< rx_delivered summed over nodes
     /// Filled only when SwarmConfig::collect_final_positions is set.
@@ -98,8 +97,8 @@ struct SwarmResult {
 /// piecemeal and checkpoint it mid-flight. Construction builds the world and
 /// schedules every node's duty cycle plus the global mobility tick; run()
 /// advances to the configured duration. Deterministic for a given config
-/// (byte-identical across medium backends, culling settings and
-/// mobility-thread counts, like every other scenario in the repo).
+/// (byte-identical across culling settings and mobility-thread counts, like
+/// every other scenario in the repo).
 class Swarm {
   public:
     explicit Swarm(const SwarmConfig& config);

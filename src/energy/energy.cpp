@@ -71,7 +71,7 @@ void EnergyMeter::save(sim::ckpt::Writer& w) const {
 }
 
 void EnergyMeter::load(sim::ckpt::Reader& r) {
-    state_ = static_cast<RadioState>(r.u8());
+    state_ = r.enumerator(RadioState::Tx);
     last_change_ = r.time();
     for (double& mj : state_mj_) mj = r.f64();
     for (sim::Duration& t : state_time_) t = r.dur();

@@ -38,7 +38,7 @@ fault::FaultPlan load_plan(sim::ckpt::Reader& r) {
     plan.events.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         fault::FaultEvent e;
-        e.kind = static_cast<fault::FaultKind>(r.u32());
+        e.kind = r.enumerator(fault::FaultKind::Battery);
         e.at = r.time();
         e.duration = r.dur();
         e.node = r.i32();

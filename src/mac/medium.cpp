@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -42,10 +41,7 @@ Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig co
       tree_((channel.max_influence_range_m() * (1.0 + 1e-9) + 1e-3) + kTruncateSlackM) {
     obs_.counters.add("medium.frames_sent", &stats_.frames_sent);
     obs_.counters.add("medium.missed_asleep", &stats_.missed_asleep);
-    // Kernel observability. The queue stats are maintained identically by
-    // both kernel implementations and the pool stats don't depend on the
-    // kernel at all, so a legacy-kernel build's --counters output diffs
-    // clean against the new kernel (CI's bit-identity gate relies on this).
+    // Kernel observability: event-queue stats and slab-pool recycling.
     const sim::KernelStats& ks = sim_.kernel_stats();
     obs_.counters.add("kernel.events.scheduled", &ks.scheduled);
     obs_.counters.add("kernel.events.cancelled", &ks.cancelled);
@@ -65,7 +61,6 @@ Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig co
     // solve_range can never put a should-be-visited radio on the culled side.
     cull_radius_m_ = channel_.max_influence_range_m() * (1.0 + 1e-9) + 1e-3;
     truncate_radius_m_ = cull_radius_m_ + kTruncateSlackM;
-    inv_hash_cell_ = 1.0 / cull_radius_m_;
     radius_cache_.configure(tree_.cell_side_m(), cull_radius_m_,
                             kRadiusCacheCapacity, kRadiusCacheDensePopulation);
     // Steady-state scratch: sized once here so paper-scale neighbourhoods
@@ -78,9 +73,7 @@ std::size_t Medium::attach(Radio& radio) {
     radios_.push_back(&radio);
     available_.push_back(1);
     note_stamp_.push_back(kNeverNoted);
-    if (hierarchical()) {
-        tree_.insert(static_cast<std::uint32_t>(index), radio.position());
-    }
+    tree_.insert(static_cast<std::uint32_t>(index), radio.position());
     return index;
 }
 
@@ -89,7 +82,6 @@ void Medium::set_radio_available(const Radio& radio, bool available) {
     assert(index < radios_.size() && radios_[index] == &radio);
     if ((available_[index] != 0) == available) return;
     available_[index] = available ? 1 : 0;
-    if (!hierarchical()) return;
     if (available) {
         // Re-enter the index at wherever the robot is *now* — it kept moving
         // while the radio was dark.
@@ -103,21 +95,14 @@ void Medium::note_position_moved(const Radio& radio) {
     // Coalesce duplicate notes within one timestamp: mobility advances a
     // radio's position at most once per simulation instant (a second
     // advance_to the same time is a no-op), so a second note at the same
-    // time can only repeat the first — but under the flat oracle it would
-    // invalidate the whole hash again, and under the tree it pays an
-    // in-cell update per duplicate caller.
+    // time can only repeat the first, and would pay an in-cell update per
+    // duplicate caller.
     const std::int64_t now_ns = sim_.now().to_nanos();
     if (note_stamp_[radio.attach_index()] == now_ns) return;
     note_stamp_[radio.attach_index()] = now_ns;
-    if (hierarchical()) {
-        // No-op for detached (off / in-outage) radios; they re-enter at
-        // their live position in set_radio_available.
-        tree_.update(static_cast<std::uint32_t>(radio.attach_index()), radio.position());
-    } else {
-        // The flat oracle has no incremental path: any movement invalidates
-        // the whole hash, exactly the pre-hierarchical behaviour.
-        ++position_epoch_;
-    }
+    // No-op for detached (off / in-outage) radios; they re-enter at their
+    // live position in set_radio_available.
+    tree_.update(static_cast<std::uint32_t>(radio.attach_index()), radio.position());
 }
 
 void Medium::sweep_expired() {
@@ -126,42 +111,6 @@ void Medium::sweep_expired() {
     // Compact the weak launch registry in the same stride: entries die once
     // the last lock / pending callback lets go of the frame.
     std::erase_if(launched_, [](const auto& e) { return e.second.expired(); });
-}
-
-std::uint64_t Medium::hash_cell_key(double x, double y) const {
-    const auto cx = static_cast<std::int64_t>(std::floor(x * inv_hash_cell_));
-    const auto cy = static_cast<std::int64_t>(std::floor(y * inv_hash_cell_));
-    return (static_cast<std::uint64_t>(cx) << 32) ^
-           (static_cast<std::uint64_t>(cy) & 0xffffffffull);
-}
-
-void Medium::rebuild_hash_if_stale() {
-    if (hash_valid_ && hash_epoch_ == position_epoch_ &&
-        hash_radio_count_ == radios_.size()) {
-#ifndef NDEBUG
-        for (std::size_t i = 0; i < radios_.size(); ++i) {
-            // A mismatch means something moved a radio without calling
-            // note_position[s]_moved() — the position contract.
-            assert(radios_[i]->position() == hash_positions_[i]);
-        }
-#endif
-        return;
-    }
-    hash_cells_.clear();
-#ifndef NDEBUG
-    hash_positions_.clear();
-#endif
-    for (std::size_t i = 0; i < radios_.size(); ++i) {
-        const geom::Vec2 pos = radios_[i]->position();
-        hash_cells_[hash_cell_key(pos.x, pos.y)].push_back(static_cast<std::uint32_t>(i));
-#ifndef NDEBUG
-        hash_positions_.push_back(pos);
-#endif
-    }
-    hash_valid_ = true;
-    hash_epoch_ = position_epoch_;
-    hash_radio_count_ = radios_.size();
-    ++flat_stats_.full_rebuilds;
 }
 
 void Medium::refresh_tree_if_stale() {
@@ -247,11 +196,10 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                 SensedCandidate{static_cast<std::uint32_t>(i), rssi});
         }
     };
-    // Scalar per-receiver evaluation (flat oracle, unculled sweep, and the
-    // Serial force path): live-position distance, then the draw tail. The
-    // channel terms here and in the kernels are the same out-of-line
-    // functions over the same IEEE distance, so both routes feed draw()
-    // identical inputs.
+    // Scalar per-receiver evaluation (unculled sweep and the Serial force
+    // path): live-position distance, then the draw tail. The channel terms
+    // here and in the kernels are the same out-of-line functions over the
+    // same IEEE distance, so both routes feed draw() identical inputs.
     const auto visit = [&](std::size_t i) {
         Radio* r = radios_[i];
         if (r == &sender) return;
@@ -263,77 +211,58 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
 
     if (config_.interference_culling) {
         const double r2 = cull_radius_m_ * cull_radius_m_;
-        if (hierarchical()) {
-            refresh_tree_if_stale();
-            if (fanout::force_path() == fanout::ForcePath::Serial) {
-                // Scalar twin of the batch path below, candidate for
-                // candidate: the benches' regression anchor, byte-identical
-                // by the shared-draw construction.
-                tree_.for_each_in_radius(
-                    tx_pos, cull_radius_m_, [&](std::uint32_t i, geom::Vec2 /*cached*/) {
-                        if (radios_[i] == &sender) return;
-                        // Exact test against the *live* position: the cached
-                        // one only bucketed the radio, and the cell window is
-                        // padded so every in-radius radio is a candidate.
-                        if (geom::distance_sq(radios_[i]->position(), tx_pos) > r2) return;
-                        visit(i);
-                    });
-            } else {
-                // Vectorized fanout: gather the window's candidates (cached
-                // slot positions — equal to the live ones under the
-                // note_position_moved contract the Debug sweep above just
-                // verified) into the SoA batch, run the blocked cull +
-                // channel-term kernel, then the scalar draw tail in ascending
-                // lane order. The radius cache prunes provably-out-of-disk
-                // window cells before the gather in dense neighbourhoods.
-                fanout_batch_.clear();
-                const auto sender_idx =
-                    static_cast<std::uint32_t>(sender.attach_index());
-                // The sender is gathered like any candidate (no per-candidate
-                // branch on the hot gather) and filtered below, where the
-                // check runs once per *kept* lane instead of once per lane.
-                tree_.for_each_in_radius(
-                    tx_pos, cull_radius_m_, &radius_cache_,
-                    [&](std::uint32_t i, geom::Vec2 cached) {
-                        fanout_batch_.push(i, cached.x, cached.y);
-                    });
-                fanout_batch_.seal();
-                const std::size_t kept = fanout::cull_and_prepare(
-                    fanout::make_plan(fanout_batch_, tx_pos, r2, channel_));
-                for (std::size_t k = 0; k < kept; ++k) {
-                    const std::size_t l = fanout_batch_.kept_lanes[k];
-                    if (fanout_batch_.idx[l] == sender_idx) continue;
-#ifndef NDEBUG
-                    // Decodability-threshold invariant: every kept lane lies
-                    // within the influence radius, where the mean plus the
-                    // maximum clamped shadowing boost reaches carrier sense
-                    // (the 1e-2 dB tolerance absorbs the radius inflation
-                    // sliver the cull radius adds over the influence range).
-                    assert(fanout_batch_.mean_dbm[l] +
-                               channel_.config().shadowing_clamp_sigmas *
-                                   fanout_batch_.sigma_db[l] >=
-                           channel_.config().carrier_sense_dbm - 1e-2);
-#endif
-                    draw(fanout_batch_.idx[l], fanout_batch_.mean_dbm[l],
-                         fanout_batch_.sigma_db[l], fanout_batch_.fade_db[l]);
-                }
-            }
+        refresh_tree_if_stale();
+        if (fanout::force_path() == fanout::ForcePath::Serial) {
+            // Scalar twin of the batch path below, candidate for
+            // candidate: the benches' regression anchor, byte-identical
+            // by the shared-draw construction.
+            tree_.for_each_in_radius(
+                tx_pos, cull_radius_m_, [&](std::uint32_t i, geom::Vec2 /*cached*/) {
+                    if (radios_[i] == &sender) return;
+                    // Exact test against the *live* position: the cached
+                    // one only bucketed the radio, and the cell window is
+                    // padded so every in-radius radio is a candidate.
+                    if (geom::distance_sq(radios_[i]->position(), tx_pos) > r2) return;
+                    visit(i);
+                });
         } else {
-            rebuild_hash_if_stale();
-            const auto tx_cx = static_cast<std::int64_t>(std::floor(tx_pos.x * inv_hash_cell_));
-            const auto tx_cy = static_cast<std::int64_t>(std::floor(tx_pos.y * inv_hash_cell_));
-            for (std::int64_t cy = tx_cy - 1; cy <= tx_cy + 1; ++cy) {
-                for (std::int64_t cx = tx_cx - 1; cx <= tx_cx + 1; ++cx) {
-                    const std::uint64_t key = (static_cast<std::uint64_t>(cx) << 32) ^
-                                              (static_cast<std::uint64_t>(cy) & 0xffffffffull);
-                    const auto it = hash_cells_.find(key);
-                    if (it == hash_cells_.end()) continue;
-                    for (const std::uint32_t i : it->second) {
-                        if (radios_[i] == &sender) continue;
-                        if (geom::distance_sq(radios_[i]->position(), tx_pos) > r2) continue;
-                        visit(i);
-                    }
-                }
+            // Vectorized fanout: gather the window's candidates (cached
+            // slot positions — equal to the live ones under the
+            // note_position_moved contract the Debug sweep above just
+            // verified) into the SoA batch, run the blocked cull +
+            // channel-term kernel, then the scalar draw tail in ascending
+            // lane order. The radius cache prunes provably-out-of-disk
+            // window cells before the gather in dense neighbourhoods.
+            fanout_batch_.clear();
+            const auto sender_idx =
+                static_cast<std::uint32_t>(sender.attach_index());
+            // The sender is gathered like any candidate (no per-candidate
+            // branch on the hot gather) and filtered below, where the
+            // check runs once per *kept* lane instead of once per lane.
+            tree_.for_each_in_radius(
+                tx_pos, cull_radius_m_, &radius_cache_,
+                [&](std::uint32_t i, geom::Vec2 cached) {
+                    fanout_batch_.push(i, cached.x, cached.y);
+                });
+            fanout_batch_.seal();
+            const std::size_t kept = fanout::cull_and_prepare(
+                fanout::make_plan(fanout_batch_, tx_pos, r2, channel_));
+            for (std::size_t k = 0; k < kept; ++k) {
+                const std::size_t l = fanout_batch_.kept_lanes[k];
+                if (fanout_batch_.idx[l] == sender_idx) continue;
+#ifndef NDEBUG
+                // Decodability-threshold invariant: every kept lane lies
+                // within the influence radius, where the mean plus the
+                // maximum clamped shadowing boost reaches carrier sense
+                // (the 1e-2 dB tolerance absorbs the radius inflation
+                // sliver the cull radius adds over the influence range).
+                assert(fanout_batch_.mean_dbm[l] +
+                           channel_.config().shadowing_clamp_sigmas *
+                               fanout_batch_.sigma_db[l] >=
+                       channel_.config().carrier_sense_dbm - 1e-2);
+#endif
+                draw(fanout_batch_.idx[l], fanout_batch_.mean_dbm[l],
+                     fanout_batch_.sigma_db[l], fanout_batch_.fade_db[l]);
             }
         }
         // The CCA callbacks below must fire in attach order — same-timestamp
@@ -406,55 +335,22 @@ void Medium::truncate_transmission(Radio& sender) {
         // Tell nearby radios the air went quiet early: carrier sense
         // shortens, and a receiver locked on this frame aborts its decode.
         // Radios beyond the (slack-padded) cull radius of the transmit
-        // position never sensed the frame, so notifying them is a no-op both
-        // structures skip identically.
+        // position never sensed the frame, so the tree query skips them.
         const double r2 = truncate_radius_m_ * truncate_radius_m_;
         const auto in_range = [&](std::uint32_t i) {
             return radios_[i] != &sender &&
                    geom::distance_sq(radios_[i]->position(), frame->sender_position) <= r2;
         };
         // Notifications restart CSMA (schedule events), so they must run in
-        // ascending attach order — the order the flat sweep produces, and the
-        // FIFO tie-break same-timestamp events rely on.
+        // ascending attach order — the FIFO tie-break same-timestamp events
+        // rely on.
         std::vector<std::uint32_t> targets;
-        if (hierarchical()) {
-            refresh_tree_if_stale();
-            tree_.for_each_in_radius(frame->sender_position, truncate_radius_m_,
-                                     [&](std::uint32_t i, geom::Vec2 /*cached*/) {
-                                         if (in_range(i)) targets.push_back(i);
-                                     });
-            std::sort(targets.begin(), targets.end());
-        } else {
-            // Window scan over the spatial hash instead of the old
-            // all-radios sweep: the truncation radius exceeds the hash cell
-            // side (cull radius) by the slack, so a 5x5 window bounds it.
-            rebuild_hash_if_stale();
-            const geom::Vec2 pos = frame->sender_position;
-            const auto tx_cx =
-                static_cast<std::int64_t>(std::floor(pos.x * inv_hash_cell_));
-            const auto tx_cy =
-                static_cast<std::int64_t>(std::floor(pos.y * inv_hash_cell_));
-            const auto reach = static_cast<std::int64_t>(
-                std::ceil(truncate_radius_m_ * inv_hash_cell_));
-            for (std::int64_t cy = tx_cy - reach; cy <= tx_cy + reach; ++cy) {
-                for (std::int64_t cx = tx_cx - reach; cx <= tx_cx + reach; ++cx) {
-                    const std::uint64_t key =
-                        (static_cast<std::uint64_t>(cx) << 32) ^
-                        (static_cast<std::uint64_t>(cy) & 0xffffffffull);
-                    const auto it = hash_cells_.find(key);
-                    if (it == hash_cells_.end()) continue;
-                    for (const std::uint32_t i : it->second) {
-                        // Unavailable radios mirror the tree's membership:
-                        // they rebuild carrier sense when they come back.
-                        if (available_[i] == 0) continue;
-                        if (in_range(i)) targets.push_back(i);
-                    }
-                }
-            }
-            // Hash cells iterate in map order; the notification contract
-            // below needs ascending attach order, like the tree path.
-            std::sort(targets.begin(), targets.end());
-        }
+        refresh_tree_if_stale();
+        tree_.for_each_in_radius(frame->sender_position, truncate_radius_m_,
+                                 [&](std::uint32_t i, geom::Vec2 /*cached*/) {
+                                     if (in_range(i)) targets.push_back(i);
+                                 });
+        std::sort(targets.begin(), targets.end());
         for (const std::uint32_t i : targets) radios_[i]->on_frame_truncated(frame);
     }
 }
@@ -499,7 +395,6 @@ void Medium::save_state(sim::ckpt::Writer& w, net::PacketSaveCtx& pkts) const {
     w.u64(stats_.radios_culled);
     w.u64(stats_.frames_truncated);
     w.u64(stats_.fault_rx_dropped);
-    w.u64(flat_stats_.full_rebuilds);
     // Index and radius-cache bookkeeping: unregistered, but surfaced through
     // the swarm table / swarm-json line, so a restored run must report the
     // straight run's values.
@@ -576,7 +471,6 @@ void Medium::load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts) {
     stats_.radios_culled = r.u64();
     stats_.frames_truncated = r.u64();
     stats_.fault_rx_dropped = r.u64();
-    flat_stats_.full_rebuilds = r.u64();
     spatial::CellTreeStats& ts = restore_tree_stats_;
     ts.inserts = r.u64();
     ts.removes = r.u64();
@@ -636,10 +530,10 @@ void Medium::load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts) {
     for (std::uint64_t i = 0; i < nactive; ++i) {
         active_.push_back(restored_frame(r.u64()));
     }
-    // Cached positions (tree or hash) refresh wholesale before the next
-    // query; membership itself is rebuilt by the radios' availability
-    // restore. The churn perturbs only unregistered index stats, which
-    // finish_restore() stamps back to the saved values once it is over.
+    // Cached tree positions refresh wholesale before the next query;
+    // membership itself is rebuilt by the radios' availability restore. The
+    // churn perturbs only unregistered index stats, which finish_restore()
+    // stamps back to the saved values once it is over.
     note_positions_moved();
 }
 
@@ -649,9 +543,7 @@ void Medium::finish_restore() {
     // the restore, then overwrite the bookkeeping with the snapshot values.
     // From here on the index counters advance exactly as the straight run's
     // would — a restored run's swarm table diffs clean.
-    if (hierarchical()) {
-        refresh_tree_if_stale();
-    }
+    refresh_tree_if_stale();
     tree_.set_stats(restore_tree_stats_);
     radius_cache_.set_stats(restore_cache_stats_);
 }

@@ -25,20 +25,6 @@ namespace cocoa::mac {
 
 class Radio;
 
-/// Which spatial structure the medium culls receivers with.
-///
-/// `Hierarchical` (the default) is the CellTree in mac/spatial.hpp:
-/// incremental cell migrations per moving radio, detached (off / in-outage)
-/// radios cost nothing, O(neighbors) per transmission. `FlatHash` is the
-/// previous lazily-rebuilt uniform hash, kept as the byte-identity oracle:
-/// configuring with -DCOCOA_FLAT_MEDIUM=ON flips the default so CI can diff
-/// whole-scenario output between the two structures, exactly like the
-/// COCOA_LEGACY_KERNEL gate does for the event queue.
-enum class MediumIndex {
-    Hierarchical,
-    FlatHash,
-};
-
 struct MediumConfig {
     /// An interfering frame within this margin (dB) of the locked frame's
     /// power corrupts the reception; weaker interference is captured over.
@@ -54,14 +40,6 @@ struct MediumConfig {
     /// shadowing tail bounds the radius conservatively, culling is exact:
     /// the simulation is bit-identical with it on or off.
     bool interference_culling = true;
-    /// Spatial structure behind the culling (see MediumIndex). Both
-    /// structures produce bit-identical simulations; this only selects the
-    /// data structure, and the COCOA_FLAT_MEDIUM build flips the default.
-#ifdef COCOA_FLAT_MEDIUM
-    MediumIndex index = MediumIndex::FlatHash;
-#else
-    MediumIndex index = MediumIndex::Hierarchical;
-#endif
     /// Register per-node "node.<id>.*" counters (MAC + energy) when radios
     /// attach. On by default; the 10k–100k-node swarm scenarios turn it off
     /// so the registry does not hold hundreds of thousands of string names.
@@ -97,13 +75,6 @@ class Medium {
         std::uint64_t fault_rx_dropped = 0;
     };
 
-    /// Flat-hash bookkeeping (oracle build only does real work here).
-    /// Unregistered for the same reason as radios_visited: the hierarchical
-    /// and flat builds must diff clean on `--counters`.
-    struct FlatIndexStats {
-        std::uint64_t full_rebuilds = 0;
-    };
-
     Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig config = {});
 
     Medium(const Medium&) = delete;
@@ -111,8 +82,8 @@ class Medium {
 
     /// Registers a radio and returns its attach index (dense, starting at
     /// 0); the pointer must outlive the medium's use. Radios are born
-    /// available (powered on) and, under the hierarchical index, enter the
-    /// cell tree at their current position.
+    /// available (powered on) and enter the cell tree at their current
+    /// position.
     std::size_t attach(Radio& radio);
 
     /// Starts propagating `packet` from `sender` for `airtime`. Called by
@@ -140,9 +111,8 @@ class Medium {
     sim::TimePoint sensed_until_for(const Radio& listener) const;
 
     /// One radio moved: the incremental path behind the position contract.
-    /// Under the hierarchical index this migrates just that radio's cell
-    /// tree entry (an integer compare when it stayed in its cell); under the
-    /// flat hash it invalidates the whole hash, exactly as before.
+    /// Migrates just that radio's cell-tree entry (an integer compare when it
+    /// stayed in its cell).
     /// CocoaAgent::tick calls this right after advancing its own mobility.
     /// Duplicate notes for the same radio within one simulation instant are
     /// coalesced (a position changes at most once per instant — callers that
@@ -151,19 +121,16 @@ class Medium {
 
     /// Coarse fallback: invalidates every cached position at once. Any code
     /// that moves positions visible through Radio::position() without saying
-    /// whose must call this; the next transmission then refreshes the whole
-    /// structure (a full flat-hash rebuild, or a full cell-tree sweep that
-    /// tests pin to zero in steady state). Prefer note_position_moved().
-    void note_positions_moved() {
-        ++position_epoch_;
-        bulk_stale_ = true;
-    }
+    /// whose must call this; the next transmission then runs a full
+    /// cell-tree sweep (tests pin those to zero in steady state). Prefer
+    /// note_position_moved().
+    void note_positions_moved() { bulk_stale_ = true; }
 
     /// Radio availability transitions, called by Radio's power state
     /// machine: an off / in-outage radio is invisible to propagation (no
-    /// RSSI draw, no sensed verdict, no missed_asleep accounting) and, under
-    /// the hierarchical index, leaves the cell tree entirely so dead robots
-    /// cost nothing per transmission. Idempotent.
+    /// RSSI draw, no sensed verdict, no missed_asleep accounting) and leaves
+    /// the cell tree entirely, so dead robots cost nothing per transmission.
+    /// Idempotent.
     void set_radio_available(const Radio& radio, bool available);
     bool radio_available(std::size_t attach_index) const {
         return available_[attach_index] != 0;
@@ -179,14 +146,11 @@ class Medium {
     const Stats& stats() const { return stats_; }
     sim::Simulator& simulator() { return sim_; }
 
-    /// Cell-tree traffic statistics (hierarchical index only; zeros under
-    /// the flat oracle). Unregistered — see CellTreeStats.
+    /// Cell-tree traffic statistics. Unregistered — see CellTreeStats.
     const spatial::CellTreeStats& index_stats() const { return tree_.stats(); }
-    const FlatIndexStats& flat_index_stats() const { return flat_stats_; }
 
-    /// The spatial.radius_cache.* family (hierarchical fanout only; zeros
-    /// under the flat oracle or the Serial force path). Unregistered — see
-    /// RadiusCacheStats.
+    /// The spatial.radius_cache.* family (zeros under the Serial force
+    /// path). Unregistered — see RadiusCacheStats.
     const spatial::RadiusCacheStats& radius_cache_stats() const {
         return radius_cache_.stats();
     }
@@ -251,10 +215,7 @@ class Medium {
     /// restored callback behaves identically to the one it replaces.
     void cca_fire(Radio* r, const std::shared_ptr<const AirFrame>& frame,
                   double rssi_dbm, bool decodable);
-    void rebuild_hash_if_stale();
     void refresh_tree_if_stale();
-    std::uint64_t hash_cell_key(double x, double y) const;
-    bool hierarchical() const { return config_.index == MediumIndex::Hierarchical; }
 
     sim::Simulator& sim_;
     phy::Channel channel_;
@@ -295,7 +256,6 @@ class Medium {
     std::uint64_t frame_seq_ = 0;
     phy::LossSchedule loss_;
     Stats stats_;
-    FlatIndexStats flat_stats_;
     obs::Obs obs_;
 
     /// Per-simulation slab pools. Steady-state beacon traffic recycles
@@ -308,7 +268,7 @@ class Medium {
     sim::ObjectPool<net::Packet> packet_pool_;
     std::shared_ptr<sim::SlabCore> sensed_core_ = std::make_shared<sim::SlabCore>();
 
-    // --- hierarchical index (primary) ---------------------------------------
+    // --- spatial index -------------------------------------------------------
     /// Cell side is the cull radius plus the truncation slack, so both the
     /// fan-out query (radius == cull radius) and the truncation fan-out
     /// (radius == cull radius + slack) stay within the tree's exact 3x3
@@ -327,27 +287,12 @@ class Medium {
     /// recycled across transmissions so steady-state fanout never allocates.
     fanout::Batch fanout_batch_;
 
-    // --- flat hash (oracle) -------------------------------------------------
-    // A lazily rebuilt uniform spatial hash over radio positions, cell side
-    // == cull radius so a 3x3 neighbourhood covers every in-radius receiver.
-    // Rebuilt from scratch whenever any position changes — the behaviour the
-    // hierarchical index replaced, kept for the byte-identity gate.
+    /// See cull_radius_m().
     double cull_radius_m_ = 0.0;
     /// Receivers farther than this from a truncated frame's transmit
     /// position cannot have sensed it (cull radius + slack for the distance
     /// a robot can travel during one frame's airtime).
     double truncate_radius_m_ = 0.0;
-    double inv_hash_cell_ = 0.0;
-    std::uint64_t position_epoch_ = 0;
-    bool hash_valid_ = false;
-    std::uint64_t hash_epoch_ = 0;
-    std::size_t hash_radio_count_ = 0;
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> hash_cells_;
-#ifndef NDEBUG
-    /// Positions at the last rebuild, to assert nobody moved a radio without
-    /// calling note_position[s]_moved() — the position contract.
-    std::vector<geom::Vec2> hash_positions_;
-#endif
 
     /// Per-transmission scratch, reused across frames: the sensed receivers
     /// (attach index + sampled RSSI) of the frame under construction. Sized

@@ -212,7 +212,7 @@ void Radio::save_state(sim::ckpt::Writer& w, net::PacketSaveCtx& pkts) const {
 
 void Radio::load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts) {
     r.expect(kMarkRadio);
-    state_ = static_cast<energy::RadioState>(r.u8());
+    state_ = r.enumerator(energy::RadioState::Tx);
     outage_ = r.b();
     csma_pending_ = r.b();
     sensed_until_ = r.time();

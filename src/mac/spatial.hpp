@@ -13,10 +13,10 @@
 namespace cocoa::mac::spatial {
 
 /// Mutation/traffic statistics for one CellTree. Deliberately not wired into
-/// the obs counter registry: the hierarchical and flat medium builds must
-/// produce byte-identical `--counters` output (the CI oracle gate diffs
-/// them), so index bookkeeping is only visible through Medium::index_stats()
-/// and tests/benches that read it directly.
+/// the obs counter registry: the index must be unobservable in `--counters`
+/// output (culled and unculled runs diff clean), so index bookkeeping is only
+/// visible through Medium::index_stats() and tests/benches that read it
+/// directly.
 struct CellTreeStats {
     std::uint64_t inserts = 0;
     std::uint64_t removes = 0;
@@ -35,9 +35,9 @@ struct CellTreeStats {
 };
 
 /// The `spatial.radius_cache.*` counter family for one RadiusCache. Like
-/// CellTreeStats, deliberately NOT registered in the obs counter registry
-/// (the hier/flat oracle builds must diff clean on `--counters`); surfaced
-/// through Medium::radius_cache_stats() and read directly by tests/benches.
+/// CellTreeStats, deliberately NOT registered in the obs counter registry;
+/// surfaced through Medium::radius_cache_stats() and read directly by
+/// tests/benches.
 struct RadiusCacheStats {
     std::uint64_t lookups = 0;        ///< window-mask lookups (dense queries)
     std::uint64_t hits = 0;           ///< masks served from the LRU
@@ -157,8 +157,7 @@ class RadiusCache {
 ///     removal is a swap-pop, never a scan;
 ///   - update(id, pos) compares the entry's cached cell and migrates only on
 ///     a boundary crossing — the steady-state mobility tick does one integer
-///     compare per moving entry, the incremental replacement for the flat
-///     medium's whole-hash rebuild.
+///     compare per moving entry.
 ///
 /// Queries visit each candidate exactly once and pass the *cached* position
 /// to the callback; callers that need the live position (the medium, whose

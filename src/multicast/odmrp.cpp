@@ -517,7 +517,7 @@ void MulticastNode::load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts) {
     for (std::uint64_t n = r.u64(); n > 0; --n) {
         const std::uint64_t id = r.u64();
         PendingTx tx;
-        tx.kind = static_cast<TxKind>(r.u8());
+        tx.kind = r.enumerator(TxKind::DataForward);
         tx.key.group = r.u32();
         tx.key.source = r.u32();
         tx.data_seq = r.u32();

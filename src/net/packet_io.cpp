@@ -159,7 +159,7 @@ Payload load_payload(ckpt::Reader& r, PacketLoadCtx& ctx) {
             p.ttl = r.u8();
             p.next_hop = r.u32();
             p.prev_hop = r.u32();
-            p.mode = static_cast<GeoMode>(r.u8());
+            p.mode = r.enumerator(GeoMode::Face);
             p.face_entry = load_vec2(r);
             p.app_tag = r.u64();
             return p;
@@ -194,7 +194,7 @@ void save_packet(sim::ckpt::Writer& w, const Packet& p, PacketSaveCtx& ctx) {
 Packet load_packet(sim::ckpt::Reader& r, PacketLoadCtx& ctx) {
     Packet p;
     p.src = r.u32();
-    p.port = static_cast<Port>(r.u8());
+    p.port = r.enumerator(Port::Test);
     p.payload_bytes = static_cast<std::size_t>(r.u64());
     p.payload = load_payload(r, ctx);
     return p;

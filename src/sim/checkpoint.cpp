@@ -32,6 +32,12 @@ void Reader::expect(std::uint32_t sentinel) {
     }
 }
 
+void Reader::bad_enumerator(std::uint32_t value, std::uint32_t max) {
+    throw std::runtime_error("checkpoint: enum value " + std::to_string(value) +
+                             " outside its valid range [0, " + std::to_string(max) +
+                             "] — corrupt blob");
+}
+
 void Reader::expect_end() const {
     if (!at_end()) {
         throw std::runtime_error("checkpoint: trailing bytes after restore — "

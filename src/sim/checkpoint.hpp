@@ -5,6 +5,7 @@
 #include <random>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -18,7 +19,7 @@ namespace cocoa::sim::ckpt {
 /// Version of the checkpoint blob layout. Bumped whenever any subsystem's
 /// save_state layout changes; Reader::read_header rejects mismatches instead
 /// of mis-parsing. See docs/checkpointing.md for the format contract.
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// What kind of run the blob captures; selects the restore orchestrator.
 enum class Flavor : std::uint32_t {
@@ -95,6 +96,20 @@ class Reader {
     }
     void expect(std::uint32_t sentinel);
 
+    /// Reads an enum saved as its underlying value: a u8 for enums with a
+    /// one-byte underlying type, a u32 otherwise. Throws std::runtime_error
+    /// naming the value when it lies outside [0, last], so a corrupt blob
+    /// can never hand a switch or an array index an enumerator the type
+    /// does not have.
+    template <typename E>
+    E enumerator(E last) {
+        static_assert(std::is_enum_v<E>);
+        const std::uint32_t v = sizeof(E) == 1 ? u8() : u32();
+        const auto max = static_cast<std::uint32_t>(last);
+        if (v > max) bad_enumerator(v, max);
+        return static_cast<E>(v);
+    }
+
     bool at_end() const { return p_ == end_; }
     /// Throws unless the whole blob was consumed (catches layout drift that
     /// happens to stay in-bounds).
@@ -102,6 +117,7 @@ class Reader {
 
   private:
     void need(std::uint64_t n) const;
+    [[noreturn]] static void bad_enumerator(std::uint32_t value, std::uint32_t max);
     const char* p_;
     const char* end_;
 };

@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
 namespace cocoa::sim {
-
-// ---------------------------------------------------------------------------
-// EventQueue (slot + generation, 4-ary heap)
-// ---------------------------------------------------------------------------
 
 EventId EventQueue::place(TimePoint t, std::uint64_t seq, Callback cb,
                           const EventTag& tag) {
@@ -147,77 +142,6 @@ void EventQueue::release_slot(std::uint32_t si) {
     ++slot.generation;
     slot.heap_index = kNoHeapIndex;
     free_slots_.push_back(si);
-}
-
-// ---------------------------------------------------------------------------
-// LegacyEventQueue (tombstone oracle)
-// ---------------------------------------------------------------------------
-
-EventId LegacyEventQueue::schedule(TimePoint t, Callback cb, const EventTag&) {
-    ++stats_.scheduled;
-    if (cb.on_heap()) ++stats_.sbo_misses;
-    const std::uint64_t seq = next_seq_++;
-    heap_.push(Entry{t, seq, std::move(cb)});
-    live_.insert(seq);
-    stats_.peak_pending = std::max<std::uint64_t>(stats_.peak_pending, live_.size());
-    return id_of(seq);
-}
-
-bool LegacyEventQueue::cancel(EventId id) {
-    if (!id.valid()) return false;
-    // Removal from `live_` is the cancellation; the heap entry becomes a
-    // tombstone that drop_dead() skips.
-    if (live_.erase(seq_of(id)) == 0) return false;
-    ++stats_.cancelled;
-    return true;
-}
-
-void LegacyEventQueue::drop_dead() const {
-    while (!heap_.empty() && !live_.contains(heap_.top().seq)) {
-        heap_.pop();
-    }
-}
-
-TimePoint LegacyEventQueue::next_time() const {
-    drop_dead();
-    if (heap_.empty()) return TimePoint::max();
-    return heap_.top().time;
-}
-
-LegacyEventQueue::Fired LegacyEventQueue::pop() {
-    drop_dead();
-    assert(!heap_.empty() && "pop() on empty LegacyEventQueue");
-    // priority_queue::top() is const&; the callback must be moved out, which
-    // is safe because we pop immediately after.
-    Entry& top = const_cast<Entry&>(heap_.top());
-    Fired fired{top.time, std::move(top.callback)};
-    live_.erase(top.seq);
-    heap_.pop();
-    return fired;
-}
-
-void LegacyEventQueue::clear() {
-    while (!heap_.empty()) heap_.pop();
-    live_.clear();
-}
-
-EventId LegacyEventQueue::schedule_with_seq(TimePoint, std::uint64_t, Callback,
-                                            const EventTag&) {
-    throw std::logic_error(
-        "checkpoint/restore requires the slot-generation kernel "
-        "(rebuild without -DCOCOA_LEGACY_KERNEL)");
-}
-
-void LegacyEventQueue::for_each_pending(const PendingVisitor&) const {
-    throw std::logic_error(
-        "checkpoint/restore requires the slot-generation kernel "
-        "(rebuild without -DCOCOA_LEGACY_KERNEL)");
-}
-
-std::uint64_t LegacyEventQueue::min_pending_seq() const {
-    throw std::logic_error(
-        "checkpoint/restore requires the slot-generation kernel "
-        "(rebuild without -DCOCOA_LEGACY_KERNEL)");
 }
 
 }  // namespace cocoa::sim

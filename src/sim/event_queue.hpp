@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -13,16 +11,13 @@
 namespace cocoa::sim {
 
 class EventQueue;
-class LegacyEventQueue;
 
 /// Handle to a scheduled event; lets the owner cancel it before it fires.
 ///
 /// Encodes {slot, generation} for the slot-indexed EventQueue. The slot's
 /// generation is bumped every time it is recycled, so a stale id (the event
 /// fired, was cancelled, or the queue was cleared) neither cancels nor
-/// reports pending — no tombstone bookkeeping required. LegacyEventQueue
-/// packs its monotone 64-bit sequence number into the same two words, so
-/// handles are interchangeable between kernels at the type level.
+/// reports pending — no tombstone bookkeeping required.
 class EventId {
   public:
     constexpr EventId() = default;
@@ -31,17 +26,14 @@ class EventId {
 
   private:
     friend class EventQueue;
-    friend class LegacyEventQueue;
     constexpr EventId(std::uint32_t slot, std::uint32_t gen)
         : slot_(slot), gen_(gen) {}
     std::uint32_t slot_ = 0;
     std::uint32_t gen_ = 0;  // {0,0} = invalid; live generations are never 0
 };
 
-/// Counters shared by both kernel implementations. The fields are stable
-/// uint64_t lvalues so Scenario can register them with obs::CounterRegistry;
-/// both queues maintain them identically, which is what lets CI diff the
-/// full --counters table of a legacy-kernel build against the new kernel.
+/// Event-kernel counters. The fields are stable uint64_t lvalues so the
+/// Medium can register them with obs::CounterRegistry (kernel.events.*).
 struct KernelStats {
     std::uint64_t scheduled = 0;     ///< total schedule() calls
     std::uint64_t cancelled = 0;     ///< successful cancel() calls
@@ -170,86 +162,6 @@ class EventQueue {
     std::vector<EventTag> tags_;
     std::vector<std::uint32_t> heap_;        ///< 4-ary min-heap of slot indices
     std::vector<std::uint32_t> free_slots_;  ///< recyclable slot indices (LIFO)
-    std::uint64_t next_seq_ = 1;
-    KernelStats stats_;
-};
-
-/// The pre-overhaul queue (std::priority_queue + tombstone set), kept
-/// compiled in as a bit-exact oracle: `-DCOCOA_LEGACY_KERNEL=ON` points the
-/// Simulator at it, and the randomized kernel stress test replays identical
-/// schedules against both implementations. It shares EventId, Callback and
-/// KernelStats with EventQueue so a legacy build's counter output diffs
-/// clean against the new kernel.
-///
-/// Known costs this class deliberately retains (they motivated the rewrite):
-/// cancel() leaves a tombstone that next_time()/pop() skip later (O(dead)
-/// work hidden behind a const method via a mutable heap), and pending() is a
-/// hash lookup.
-class LegacyEventQueue {
-  public:
-    using Callback = InplaceCallback;
-    using PendingVisitor = EventQueue::PendingVisitor;
-
-    EventId schedule(TimePoint t, Callback cb, const EventTag& tag = {});
-    /// Checkpointing requires the slot/generation kernel; these throw
-    /// std::logic_error so a legacy-oracle build fails loudly rather than
-    /// silently producing a bogus blob. (The oracle exists to validate
-    /// physics, not to be checkpointed.)
-    EventId schedule_with_seq(TimePoint t, std::uint64_t seq, Callback cb,
-                              const EventTag& tag);
-    void for_each_pending(const PendingVisitor& fn) const;
-    std::uint64_t min_pending_seq() const;
-    std::uint64_t next_seq() const { return next_seq_; }
-    void set_next_seq(std::uint64_t seq) { next_seq_ = seq; }
-    void set_stats(const KernelStats& stats) { stats_ = stats; }
-
-    bool cancel(EventId id);
-    bool pending(EventId id) const { return live_.contains(seq_of(id)); }
-
-    bool empty() const { return live_.empty(); }
-    std::size_t size() const { return live_.size(); }
-
-    TimePoint next_time() const;
-
-    struct Fired {
-        TimePoint time;
-        Callback callback;
-    };
-    Fired pop();
-
-    /// Drops all pending events. Like EventQueue::clear(), seq keeps
-    /// counting afterwards — the invariant predates the rewrite, it was just
-    /// undocumented.
-    void clear();
-
-    const KernelStats& stats() const { return stats_; }
-
-  private:
-    struct Entry {
-        TimePoint time;
-        std::uint64_t seq;
-        Callback callback;
-    };
-    struct Later {
-        bool operator()(const Entry& a, const Entry& b) const {
-            if (a.time != b.time) return a.time > b.time;
-            return a.seq > b.seq;
-        }
-    };
-
-    static constexpr std::uint64_t seq_of(EventId id) {
-        return static_cast<std::uint64_t>(id.slot_) |
-               (static_cast<std::uint64_t>(id.gen_) << 32);
-    }
-    static constexpr EventId id_of(std::uint64_t seq) {
-        return EventId{static_cast<std::uint32_t>(seq),
-                       static_cast<std::uint32_t>(seq >> 32)};
-    }
-
-    void drop_dead() const;
-
-    mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    std::unordered_set<std::uint64_t> live_;  ///< scheduled but not fired/cancelled
     std::uint64_t next_seq_ = 1;
     KernelStats stats_;
 };

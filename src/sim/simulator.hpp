@@ -16,16 +16,6 @@ class Reader;
 class CallbackRegistry;
 }  // namespace ckpt
 
-/// The queue implementation the Simulator runs on. The default is the
-/// slot-and-generation 4-ary heap; configuring with -DCOCOA_LEGACY_KERNEL=ON
-/// swaps in the tombstone-based oracle so whole-scenario output can be
-/// diffed between kernels (CI does exactly that on the fig7 scenario).
-#ifdef COCOA_LEGACY_KERNEL
-using KernelQueue = LegacyEventQueue;
-#else
-using KernelQueue = EventQueue;
-#endif
-
 /// The discrete-event simulation engine.
 ///
 /// Owns the clock, the event queue and the RNG manager. All model components
@@ -33,7 +23,7 @@ using KernelQueue = EventQueue;
 /// through schedule_at()/schedule_in()/now().
 class Simulator {
   public:
-    using Callback = KernelQueue::Callback;
+    using Callback = EventQueue::Callback;
 
     explicit Simulator(std::uint64_t master_seed = 1) : rng_(master_seed) {}
 
@@ -121,7 +111,7 @@ class Simulator {
 
   private:
     TimePoint now_ = TimePoint::origin();
-    KernelQueue queue_;
+    EventQueue queue_;
     RngManager rng_;
     bool stop_requested_ = false;
     std::uint64_t executed_ = 0;

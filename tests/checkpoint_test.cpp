@@ -1,4 +1,5 @@
-// Checkpoint/fork engine tests: RNG stream round-trips, randomized
+// Checkpoint/fork engine tests: RNG stream round-trips, rejection of blobs
+// from other format versions and of out-of-range enum fields, randomized
 // checkpoint-time fuzzing on the fig7 scenario and a 1k-node swarm
 // (snapshot mid-run, resume, diff full position traces + counters against
 // the straight run), blob file I/O, and the forked-sweep identity contract
@@ -7,6 +8,7 @@
 #include <cstdio>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 
 #include "core/scenario.hpp"
 #include "core/swarm.hpp"
+#include "energy/energy.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/replication.hpp"
 #include "fault/fault_injector.hpp"
@@ -23,6 +26,67 @@
 
 namespace cocoa {
 namespace {
+
+/// The message of the std::runtime_error `fn` throws ("" if none).
+template <typename Fn>
+std::string runtime_error_of(Fn&& fn) {
+    try {
+        fn();
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+// ----------------------------------------------------------- corrupt blobs
+
+/// A blob of any other format version (the previous layout, or a newer one)
+/// is rejected by its header, naming both versions, before any section is
+/// parsed.
+TEST(CheckpointFormat, ReadHeaderRejectsOtherVersions) {
+    sim::ckpt::Writer w;
+    sim::ckpt::write_header(w, sim::ckpt::Flavor::kScenario);
+    const std::string header = w.take();
+    sim::ckpt::Reader current(header);
+    EXPECT_EQ(sim::ckpt::read_header(current), sim::ckpt::Flavor::kScenario);
+
+    const std::string supported = std::to_string(sim::ckpt::kFormatVersion);
+    for (const std::uint32_t version : {1u, sim::ckpt::kFormatVersion + 1}) {
+        sim::ckpt::Writer v;
+        v.u32(version);
+        std::string blob = header;
+        blob.replace(8, 4, v.buffer());  // u64 magic | u32 version | u32 flavor
+        sim::ckpt::Reader r(blob);
+        EXPECT_EQ(runtime_error_of([&] { sim::ckpt::read_header(r); }),
+                  "checkpoint: format version " + std::to_string(version) +
+                      " != supported " + supported);
+    }
+}
+
+/// A radio-state byte outside RadioState is rejected at load, before the
+/// next accrue() could index the per-state energy table with it.
+TEST(CheckpointFormat, EnergyMeterRejectsOutOfRangeState) {
+    const energy::PowerProfile profile = energy::PowerProfile::wavelan();
+    energy::EnergyMeter saved(profile, sim::TimePoint::origin());
+    sim::ckpt::Writer w;
+    saved.save(w);
+    std::string blob = w.take();
+
+    blob[0] = 9;  // the state byte opens the meter's section
+    energy::EnergyMeter bad(profile, sim::TimePoint::origin());
+    sim::ckpt::Reader r(blob);
+    EXPECT_EQ(runtime_error_of([&] { bad.load(r); }),
+              "checkpoint: enum value 9 outside its valid range [0, 4] — corrupt blob");
+
+    // The last valid state still loads and accrues.
+    blob[0] = static_cast<char>(energy::RadioState::Tx);
+    energy::EnergyMeter good(profile, sim::TimePoint::origin());
+    sim::ckpt::Reader ok(blob);
+    good.load(ok);
+    EXPECT_TRUE(ok.at_end());
+    good.settle(sim::TimePoint::from_seconds(1.0));
+    EXPECT_GT(good.total_mj(), 0.0);
+}
 
 // ------------------------------------------------------------- RNG streams
 
@@ -223,7 +287,6 @@ std::string swarm_digest(const core::SwarmResult& r) {
        << r.radius_cache_stats.evictions << ","
        << r.radius_cache_stats.cells_pruned << ","
        << r.radius_cache_stats.sparse_bypass << "\n";
-    ss << "flat=" << r.flat_index_stats.full_rebuilds << "\n";
     ss << std::hexfloat;
     for (const geom::Vec2& p : r.final_positions) {
         ss << p.x << "," << p.y << "\n";

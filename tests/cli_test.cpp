@@ -178,10 +178,10 @@ TEST(ArgParser, ChoiceSuggestsNearMiss) {
 }
 
 TEST(ArgParser, ChoiceFarMissGetsNoSuggestion) {
-    std::string s = "flat";
+    std::string s = "chrome";
     ArgParser p("prog", "test");
-    p.add_option("medium", "", &s, {"flat", "hier"});
-    const auto r = run(p, {"--medium", "quadtree"});
+    p.add_option("trace-format", "", &s, {"chrome", "jsonl"});
+    const auto r = run(p, {"--trace-format", "protobuf"});
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.err.find("did you mean"), std::string::npos);
 }

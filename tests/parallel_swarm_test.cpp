@@ -210,27 +210,26 @@ TEST(ParallelSwarm, VectorizedFanoutMatchesScalarLoopOverWholeRuns) {
               simd.radius_cache_stats.lookups);
 }
 
-/// Tentpole (b+c) x flat oracle: the batch+cache path also matches the flat
-/// hash backend run for run (the in-process version of CI's cross-build
-/// diff), and the sharded tick composes with both backends.
+/// Tentpole (b+c) x brute force: the batch+cache path also matches the
+/// unculled sweep over every radio run for run, and the sharded tick
+/// composes with both.
 TEST(ParallelSwarm, BackendsStayIdenticalUnderShardingAndKernels) {
     core::SwarmConfig config = small_swarm();
     config.mobility_threads = 2;
-    config.medium.index = MediumIndex::Hierarchical;
-    const core::SwarmResult hier = core::run_swarm(config);
-    config.medium.index = MediumIndex::FlatHash;
-    const core::SwarmResult flat = core::run_swarm(config);
-    SCOPED_TRACE("hier vs flat @2 workers");
-    EXPECT_EQ(hier.executed_events, flat.executed_events);
-    EXPECT_EQ(hier.medium_stats.frames_sent, flat.medium_stats.frames_sent);
-    EXPECT_EQ(hier.medium_stats.radios_visited, flat.medium_stats.radios_visited);
-    EXPECT_EQ(hier.frames_delivered, flat.frames_delivered);
-    ASSERT_EQ(hier.final_positions.size(), flat.final_positions.size());
-    for (std::size_t i = 0; i < hier.final_positions.size(); ++i) {
-        ASSERT_EQ(hier.final_positions[i], flat.final_positions[i]) << "node " << i;
+    const core::SwarmResult tree = core::run_swarm(config);
+    config.medium.interference_culling = false;
+    const core::SwarmResult sweep = core::run_swarm(config);
+    SCOPED_TRACE("culled vs unculled @2 workers");
+    EXPECT_EQ(tree.executed_events, sweep.executed_events);
+    EXPECT_EQ(tree.medium_stats.frames_sent, sweep.medium_stats.frames_sent);
+    EXPECT_EQ(tree.medium_stats.missed_asleep, sweep.medium_stats.missed_asleep);
+    EXPECT_EQ(tree.frames_delivered, sweep.frames_delivered);
+    ASSERT_EQ(tree.final_positions.size(), sweep.final_positions.size());
+    for (std::size_t i = 0; i < tree.final_positions.size(); ++i) {
+        ASSERT_EQ(tree.final_positions[i], sweep.final_positions[i]) << "node " << i;
     }
-    // The flat oracle takes the scalar path: no cache traffic there either.
-    EXPECT_EQ(flat.radius_cache_stats.lookups, 0u);
+    // The sweep never queries the index: no cache traffic there.
+    EXPECT_EQ(sweep.radius_cache_stats.lookups, 0u);
 }
 
 // --- radius cache vs brute force ---------------------------------------------

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <memory>
 #include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -396,91 +398,94 @@ TEST(EventQueue, SteadyStateChurnRecyclesSlots) {
     EXPECT_LE(q.stats().peak_pending, 16u);
 }
 
-/// Randomized schedule/cancel/reschedule stress: the new kernel must fire
-/// the exact same events at the exact same times in the exact same order as
-/// the legacy oracle, and agree on every cancel/pending verdict along the way.
+/// Reference model of the event-queue contract, the semantics the original
+/// priority-queue-plus-tombstones kernel had: pending events as an ordered
+/// set of (time, seq), so pops come out in (time, FIFO) order, a cancel or
+/// pending verdict is a set lookup, and KernelStats count what the contract
+/// says they count.
+struct QueueModel {
+    std::set<std::pair<TimePoint, std::uint64_t>> pending;
+    std::uint64_t next_seq = 1;
+    KernelStats stats;
+
+    std::pair<TimePoint, std::uint64_t> schedule(TimePoint t) {
+        const auto key = *pending.emplace(t, next_seq++).first;
+        ++stats.scheduled;
+        stats.peak_pending = std::max<std::uint64_t>(stats.peak_pending, pending.size());
+        return key;
+    }
+    bool cancel(const std::pair<TimePoint, std::uint64_t>& key) {
+        if (pending.erase(key) == 0) return false;
+        ++stats.cancelled;
+        return true;
+    }
+    std::pair<TimePoint, std::uint64_t> pop() {
+        const auto key = *pending.begin();
+        pending.erase(pending.begin());
+        return key;
+    }
+};
+
+/// Randomized schedule/cancel/reschedule stress: the kernel must fire the
+/// exact events at the exact times in the exact order the reference model
+/// does, and agree with it on every cancel/pending verdict along the way.
 TEST(EventQueue, RandomizedStressMatchesLegacyOracle) {
-    EventQueue nq;
-    LegacyEventQueue lq;
+    EventQueue q;
+    QueueModel model;
     std::mt19937_64 rng(0xC0C0A5EEDull);
 
     struct LiveEvent {
-        EventId new_id;
-        EventId legacy_id;
-        int payload;
+        EventId id;
+        std::pair<TimePoint, std::uint64_t> key;
     };
     std::vector<LiveEvent> live;
-    std::vector<int> fired_new;
-    std::vector<int> fired_legacy;
+    std::vector<std::uint64_t> fired;  // seqs, in firing order
     TimePoint now = TimePoint::origin();
-    int next_payload = 0;
 
     const auto schedule_one = [&] {
         // Mix of distinct and colliding times to exercise FIFO tie-breaks.
         const std::int64_t offset_ns = static_cast<std::int64_t>(rng() % 5) * 500'000;
         const TimePoint t = now + Duration::nanos(1 + offset_ns);
-        const int payload = next_payload++;
-        live.push_back({nq.schedule(t, [&fired_new, payload] { fired_new.push_back(payload); }),
-                        lq.schedule(t, [&fired_legacy, payload] { fired_legacy.push_back(payload); }),
-                        payload});
+        const auto key = model.schedule(t);
+        live.push_back({q.schedule(t, [&fired, seq = key.second] { fired.push_back(seq); }),
+                        key});
+    };
+    const auto pop_one = [&] {
+        ASSERT_FALSE(model.pending.empty());
+        ASSERT_EQ(q.next_time(), model.pending.begin()->first);
+        const auto expected = model.pop();
+        auto f = q.pop();
+        ASSERT_EQ(f.time, expected.first);
+        now = f.time;
+        f.callback();
+        ASSERT_EQ(fired.back(), expected.second);
     };
 
     for (int op = 0; op < 20000; ++op) {
         const std::uint64_t dice = rng() % 10;
-        if (dice < 5 || nq.empty()) {
+        if (dice < 5 || q.empty()) {
             schedule_one();
         } else if (dice < 7 && !live.empty()) {
             const std::size_t pick = rng() % live.size();
-            const bool nc = nq.cancel(live[pick].new_id);
-            const bool lc = lq.cancel(live[pick].legacy_id);
-            ASSERT_EQ(nc, lc) << "cancel verdict diverged at op " << op;
+            ASSERT_EQ(q.cancel(live[pick].id), model.cancel(live[pick].key))
+                << "cancel verdict diverged at op " << op;
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
         } else if (dice < 8 && !live.empty()) {
             const std::size_t pick = rng() % live.size();
-            ASSERT_EQ(nq.pending(live[pick].new_id), lq.pending(live[pick].legacy_id));
+            ASSERT_EQ(q.pending(live[pick].id), model.pending.contains(live[pick].key));
         } else {
-            ASSERT_EQ(nq.empty(), lq.empty());
-            ASSERT_EQ(nq.next_time(), lq.next_time());
-            auto nf = nq.pop();
-            auto lf = lq.pop();
-            ASSERT_EQ(nf.time, lf.time);
-            now = nf.time;
-            nf.callback();
-            lf.callback();
-            ASSERT_EQ(fired_new.back(), fired_legacy.back());
+            ASSERT_NO_FATAL_FAILURE(pop_one());
         }
-        ASSERT_EQ(nq.size(), lq.size());
+        ASSERT_EQ(q.size(), model.pending.size());
     }
-    // Drain both queues completely and compare the full firing history.
-    while (!nq.empty()) {
-        ASSERT_FALSE(lq.empty());
-        ASSERT_EQ(nq.next_time(), lq.next_time());
-        nq.pop().callback();
-        lq.pop().callback();
-    }
-    EXPECT_TRUE(lq.empty());
-    EXPECT_EQ(fired_new, fired_legacy);
-    // Both kernels maintain the same stats contract.
-    EXPECT_EQ(nq.stats().scheduled, lq.stats().scheduled);
-    EXPECT_EQ(nq.stats().cancelled, lq.stats().cancelled);
-    EXPECT_EQ(nq.stats().sbo_misses, lq.stats().sbo_misses);
-    EXPECT_EQ(nq.stats().peak_pending, lq.stats().peak_pending);
-}
-
-TEST(LegacyEventQueue, BasicContractMatchesDocs) {
-    LegacyEventQueue q;
-    std::vector<int> order;
-    const TimePoint t = TimePoint::from_seconds(1.0);
-    q.schedule(t, [&] { order.push_back(0); });
-    const EventId id = q.schedule(t, [&] { order.push_back(1); });
-    q.schedule(t, [&] { order.push_back(2); });
-    EXPECT_TRUE(q.pending(id));
-    EXPECT_TRUE(q.cancel(id));
-    EXPECT_FALSE(q.pending(id));
-    while (!q.empty()) q.pop().callback();
-    EXPECT_EQ(order, (std::vector<int>{0, 2}));
-    EXPECT_EQ(q.stats().scheduled, 3u);
-    EXPECT_EQ(q.stats().cancelled, 1u);
+    // Drain the queue and check the full firing history.
+    while (!q.empty()) ASSERT_NO_FATAL_FAILURE(pop_one());
+    EXPECT_TRUE(model.pending.empty());
+    EXPECT_EQ(fired.size(), model.stats.scheduled - model.stats.cancelled);
+    EXPECT_EQ(q.stats().scheduled, model.stats.scheduled);
+    EXPECT_EQ(q.stats().cancelled, model.stats.cancelled);
+    EXPECT_EQ(q.stats().sbo_misses, 0u);  // every callback fits the SBO buffer
+    EXPECT_EQ(q.stats().peak_pending, model.stats.peak_pending);
 }
 
 TEST(SlabPool, RecyclesBlocksThroughFreeList) {

@@ -174,18 +174,11 @@ phy::Channel quiet_channel() {
     return phy::Channel{c};
 }
 
-/// A medium plus statically-placed radios, parameterizable by index backend.
+/// A medium plus statically-placed radios.
 class SpatialMediumFixture : public ::testing::Test {
   protected:
-    SpatialMediumFixture() : sim_(99), channel_(quiet_channel()) {}
-
-    Medium& medium(MediumIndex index) {
-        if (!medium_) {
-            MediumConfig mc;
-            mc.index = index;
-            medium_.emplace(sim_, channel_, mc);
-        }
-        return *medium_;
+    SpatialMediumFixture() : sim_(99), channel_(quiet_channel()) {
+        medium_.emplace(sim_, channel_);
     }
 
     Radio& add_radio(Vec2 position) {
@@ -204,14 +197,11 @@ class SpatialMediumFixture : public ::testing::Test {
 
 /// Powered-off and in-outage radios cost the fan-out nothing (they are not
 /// visited, draw no RSSI, and never count as missed_asleep), while ordinary
-/// sleepers stay visible to propagation — under both index backends.
-void check_detached_radios_invisible(MediumIndex index) {
-    SCOPED_TRACE(index == MediumIndex::Hierarchical ? "hier" : "flat");
+/// sleepers stay visible to propagation.
+TEST(SpatialMedium, DetachedRadiosAreInvisibleToPropagationHierarchical) {
     Simulator sim(99);
     const phy::Channel channel = quiet_channel();
-    MediumConfig mc;
-    mc.index = index;
-    Medium medium(sim, channel, mc);
+    Medium medium(sim, channel);
     std::vector<std::unique_ptr<Radio>> radios;
     const auto add = [&](Vec2 position) -> Radio& {
         const auto id = static_cast<net::NodeId>(radios.size());
@@ -246,18 +236,9 @@ void check_detached_radios_invisible(MediumIndex index) {
     EXPECT_EQ(off.stats().rx_delivered, 0u);
 }
 
-TEST(SpatialMedium, DetachedRadiosAreInvisibleToPropagationHierarchical) {
-    check_detached_radios_invisible(MediumIndex::Hierarchical);
-}
-
-TEST(SpatialMedium, DetachedRadiosAreInvisibleToPropagationFlat) {
-    check_detached_radios_invisible(MediumIndex::FlatHash);
-}
-
 /// A radio that comes back (power_on / end_outage) re-enters the index at
 /// its current position and receives again.
 TEST_F(SpatialMediumFixture, RevivedRadiosReenterTheIndex) {
-    medium(MediumIndex::Hierarchical);
     Radio& tx = add_radio({0.0, 0.0});
     Radio& rx = add_radio({15.0, 0.0});
     int delivered = 0;
@@ -283,7 +264,6 @@ TEST_F(SpatialMediumFixture, RevivedRadiosReenterTheIndex) {
 /// The bulk note_positions_moved() fallback still works under the cell tree:
 /// one full refresh, then correct delivery from the new position.
 TEST_F(SpatialMediumFixture, BulkInvalidationTriggersExactlyOneRefresh) {
-    medium(MediumIndex::Hierarchical);
     auto tx_pos = std::make_shared<Vec2>(Vec2{0.0, 0.0});
     const auto id = static_cast<net::NodeId>(radios_.size());
     radios_.push_back(std::make_unique<Radio>(
@@ -308,10 +288,8 @@ TEST_F(SpatialMediumFixture, BulkInvalidationTriggersExactlyOneRefresh) {
 /// Duplicate note_position_moved calls within one simulation instant are
 /// coalesced: a radio's position changes at most once per instant, so the
 /// index does that radio's update work at most once per timestamp (repeated
-/// per-tick notes used to pay an in-cell update each, and a whole hash
-/// invalidation under the flat oracle).
+/// per-tick notes used to pay an in-cell update each).
 TEST_F(SpatialMediumFixture, DuplicateSameInstantNotesCoalesce) {
-    medium(MediumIndex::Hierarchical);
     auto pos = std::make_shared<Vec2>(Vec2{0.0, 0.0});
     const auto id = static_cast<net::NodeId>(radios_.size());
     radios_.push_back(std::make_unique<Radio>(
@@ -352,17 +330,14 @@ core::SwarmConfig small_swarm() {
 }
 
 /// The bugfix contract: steady-state simulation traffic performs zero bulk
-/// index work — no cell-tree full refreshes and no flat-hash rebuilds —
-/// because mobility flows through the incremental note_position_moved path.
+/// index work — no cell-tree full refreshes — because mobility flows through
+/// the incremental note_position_moved path.
 TEST(SwarmScenario, SteadyStateDoesZeroFullRebuilds) {
-    core::SwarmConfig config = small_swarm();
-    config.medium.index = MediumIndex::Hierarchical;
-    const core::SwarmResult r = core::run_swarm(config);
+    const core::SwarmResult r = core::run_swarm(small_swarm());
     EXPECT_GT(r.medium_stats.frames_sent, 0u);
     EXPECT_GT(r.frames_delivered, 0u);
     EXPECT_GT(r.index_stats.in_cell_updates + r.index_stats.migrations, 0u);
     EXPECT_EQ(r.index_stats.full_refreshes, 0u);
-    EXPECT_EQ(r.flat_index_stats.full_rebuilds, 0u);
 }
 
 /// Resting robots cost no index traffic: waypoint pauses produce
@@ -371,7 +346,6 @@ TEST(SwarmScenario, SteadyStateDoesZeroFullRebuilds) {
 /// robots x ticks (the old behaviour's exact count).
 TEST(SwarmScenario, RestingRobotsCostNoIndexTraffic) {
     core::SwarmConfig config = small_swarm();
-    config.medium.index = MediumIndex::Hierarchical;
     config.min_speed = config.max_speed = 50.0;  // reach the waypoint fast...
     config.min_pause = config.max_pause = Duration::seconds(5.0);  // ...then rest
     const core::SwarmResult r = core::run_swarm(config);
@@ -383,29 +357,29 @@ TEST(SwarmScenario, RestingRobotsCostNoIndexTraffic) {
     EXPECT_EQ(r.index_stats.full_refreshes, 0u);
 }
 
-/// The whole swarm scenario is bit-identical across index backends.
+/// The whole swarm scenario is bit-identical between the cell-tree fanout
+/// and the brute-force reference, the unculled sweep over every radio.
 TEST(SwarmScenario, BackendsProduceIdenticalRuns) {
     core::SwarmConfig config = small_swarm();
-    config.medium.index = MediumIndex::Hierarchical;
-    const core::SwarmResult hier = core::run_swarm(config);
-    config.medium.index = MediumIndex::FlatHash;
-    const core::SwarmResult flat = core::run_swarm(config);
+    const core::SwarmResult tree = core::run_swarm(config);
+    config.medium.interference_culling = false;
+    const core::SwarmResult sweep = core::run_swarm(config);
 
-    EXPECT_EQ(hier.executed_events, flat.executed_events);
-    EXPECT_EQ(hier.medium_stats.frames_sent, flat.medium_stats.frames_sent);
-    EXPECT_EQ(hier.medium_stats.missed_asleep, flat.medium_stats.missed_asleep);
-    EXPECT_EQ(hier.medium_stats.radios_visited, flat.medium_stats.radios_visited);
-    EXPECT_EQ(hier.frames_delivered, flat.frames_delivered);
-    // And the backends really were different structures.
-    EXPECT_GT(hier.index_stats.in_cell_updates + hier.index_stats.migrations, 0u);
-    EXPECT_EQ(hier.flat_index_stats.full_rebuilds, 0u);
-    EXPECT_GT(flat.flat_index_stats.full_rebuilds, 0u);
-    EXPECT_EQ(flat.index_stats.queries, 0u);
+    EXPECT_EQ(tree.executed_events, sweep.executed_events);
+    EXPECT_EQ(tree.medium_stats.frames_sent, sweep.medium_stats.frames_sent);
+    EXPECT_EQ(tree.medium_stats.missed_asleep, sweep.medium_stats.missed_asleep);
+    EXPECT_EQ(tree.frames_delivered, sweep.frames_delivered);
+    // And the two really took different paths: the tree culled receivers
+    // the sweep visited, and only the tree answered radius queries.
+    EXPECT_GT(tree.medium_stats.radios_culled, 0u);
+    EXPECT_GT(sweep.medium_stats.radios_visited, tree.medium_stats.radios_visited);
+    EXPECT_GT(tree.index_stats.queries, 0u);
+    EXPECT_EQ(sweep.index_stats.queries, 0u);
 }
 
 /// fig7-shaped (scaled-down) CoCoA runs: every registered counter is
-/// identical between the hierarchical and flat mediums, at 1 and 4 worker
-/// threads — the in-process version of CI's whole-binary oracle gate.
+/// identical between the culled fanout and the unculled sweep, at 1 and 4
+/// worker threads.
 TEST(SwarmScenario, CocoaCountersIdenticalAcrossBackendsAndThreads) {
     core::ScenarioConfig config;
     config.seed = 7;
@@ -421,10 +395,10 @@ TEST(SwarmScenario, CocoaCountersIdenticalAcrossBackendsAndThreads) {
 
     std::map<std::string, std::uint64_t> reference;
     bool first = true;
-    for (MediumIndex index : {MediumIndex::Hierarchical, MediumIndex::FlatHash}) {
+    for (bool culling : {true, false}) {
         for (int threads : {1, 4}) {
             core::ScenarioConfig c = config;
-            c.medium.index = index;
+            c.medium.interference_culling = culling;
             opt.n_threads = threads;
             const exp::ReplicationSet set = exp::run_replications(c, opt);
             ASSERT_FALSE(set.counter_totals.empty());
@@ -432,11 +406,11 @@ TEST(SwarmScenario, CocoaCountersIdenticalAcrossBackendsAndThreads) {
                 reference = set.counter_totals;
                 first = false;
             } else {
-                // Identical name sets AND identical values: a backend that
+                // Identical name sets AND identical values: a path that
                 // registered extra counters would break CI's --counters diff.
                 EXPECT_EQ(set.counter_totals, reference)
-                    << (index == MediumIndex::Hierarchical ? "hier" : "flat")
-                    << " @" << threads << " threads";
+                    << (culling ? "culled" : "unculled") << " @" << threads
+                    << " threads";
             }
         }
     }

@@ -142,8 +142,6 @@ void print_swarm(const core::SwarmResult& r, double wall_s, bool quiet) {
             {"index in-cell updates", std::to_string(r.index_stats.in_cell_updates)});
         table.add_row(
             {"index full refreshes", std::to_string(r.index_stats.full_refreshes)});
-        table.add_row(
-            {"flat-hash rebuilds", std::to_string(r.flat_index_stats.full_rebuilds)});
         table.print(std::cout);
     }
     // Machine-readable line for tools/check_scaling.py and the CI
@@ -157,7 +155,6 @@ void print_swarm(const core::SwarmResult& r, double wall_s, bool quiet) {
               << ",\"frames_delivered\":" << r.frames_delivered
               << ",\"index_migrations\":" << r.index_stats.migrations
               << ",\"index_full_refreshes\":" << r.index_stats.full_refreshes
-              << ",\"flat_rebuilds\":" << r.flat_index_stats.full_rebuilds
               << "}\n";
 }
 
@@ -282,7 +279,6 @@ int main(int argc, char** argv) {
     int grid_threads = 0;
     int swarm_threads = 0;
     int swarm_nodes = 0;
-    std::string medium_backend;
     std::string fault_spec;
     std::string fault_file;
     double avail_threshold_m = 10.0;
@@ -367,15 +363,9 @@ int main(int argc, char** argv) {
                     "run the large-N swarm family instead of the CoCoA "
                     "scenario: N duty-cycled beaconing radios at fig7 density "
                     "on a sqrt(N)-sized area (honours --seed, --duration, "
-                    "--no-culling, --medium, --swarm-threads, --quiet; prints "
-                    "a 'swarm-json:' line for the CI scaling job)",
+                    "--no-culling, --swarm-threads, --quiet; prints a "
+                    "'swarm-json:' line for the CI scaling job)",
                     &swarm_nodes, 0, 1000000)
-        .add_option("medium",
-                    "override the medium's spatial-index backend (default: "
-                    "the build's — flat only with -DCOCOA_FLAT_MEDIUM=ON). "
-                    "Output is bit-identical either way; this exists for the "
-                    "CI oracle gate and perf comparison",
-                    &medium_backend, {"hier", "flat"})
         .add_option("fault",
                     "inject faults: ';'-separated specs like "
                     "'crash@300:node=3;loss@600+60:p=0.5' (see docs/faults.md)",
@@ -505,11 +495,6 @@ int main(int argc, char** argv) {
     config.blind_beaconing = blind_beaconing;
     config.grid_update_threads = grid_threads;
     config.medium.interference_culling = !no_culling;
-    if (!medium_backend.empty()) {
-        // Parser-validated choice: hier | flat.
-        config.medium.index = medium_backend == "hier" ? mac::MediumIndex::Hierarchical
-                                                       : mac::MediumIndex::FlatHash;
-    }
 
     if (swarm_nodes > 0) {
         core::SwarmConfig sc;

@@ -7,7 +7,7 @@ zero-valued baseline entries must be skipped with a note (not divide or
 KeyError), and a baseline with too few usable entries must exit with an
 actionable message instead of a traceback. The committed baseline itself is
 checked too: every entry must be in nanoseconds, whatever unit the bench
-prints in.
+prints in, and must name a benchmark micro_core still defines.
 """
 
 import json
@@ -144,6 +144,24 @@ class BaselineUnitsTest(unittest.TestCase):
                     e["ns_per_op"], self.MIN_NS,
                     f"{e['name']}: {e['ns_per_op']} looks like milliseconds "
                     f"stored as ns_per_op")
+
+
+class BaselineNamesTest(unittest.TestCase):
+    """Every committed baseline entry names a BENCHMARK(...) that
+    bench/micro_core.cpp still defines, so the entry of a deleted bench
+    cannot linger in the gate's median normalization."""
+
+    def test_every_entry_names_a_defined_bench(self):
+        with open(MICRO_CORE) as f:
+            defined = set(re.findall(r"^BENCHMARK\((\w+)\)", f.read(), re.M))
+        self.assertTrue(defined)
+        with open(BASELINE) as f:
+            entries = json.load(f)["benchmarks"]
+        # Parameterized runs are stored as "<bench>/<arg>[/<arg>...]".
+        stale = [e["name"] for e in entries
+                 if e["name"].split("/")[0] not in defined]
+        self.assertEqual(stale, [], f"{BASELINE} names benches {MICRO_CORE} "
+                         "no longer defines")
 
 
 if __name__ == "__main__":
