@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -94,10 +95,14 @@ bool ArgParser::assign(Target target, const std::string& value) {
         return ec == std::errc{} && ptr == value.data() + value.size();
     };
     if (auto* d = std::get_if<double*>(&target)) {
+        // std::stod accepts "nan" and "inf"; no option means either, and a
+        // NaN slips past every ordered range check downstream.
         try {
             std::size_t used = 0;
-            **d = std::stod(value, &used);
-            return used == value.size();
+            const double parsed = std::stod(value, &used);
+            if (used != value.size() || !std::isfinite(parsed)) return false;
+            **d = parsed;
+            return true;
         } catch (const std::exception&) {
             return false;
         }

@@ -1,5 +1,6 @@
 #include "core/scenario.hpp"
 
+#include <cmath>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -18,7 +19,10 @@ void ScenarioConfig::validate() const {
     if (mode != LocalizationMode::OdometryOnly && num_anchors < 1) {
         throw std::invalid_argument("ScenarioConfig: RF modes need at least one anchor");
     }
-    if (area_side_m <= 0.0) throw std::invalid_argument("ScenarioConfig: positive area");
+    // Negated comparisons reject NaN, which every ordered comparison lets by.
+    if (!(area_side_m > 0.0) || !std::isfinite(area_side_m)) {
+        throw std::invalid_argument("ScenarioConfig: positive finite area");
+    }
     if (window <= sim::Duration::zero() || window >= period) {
         throw std::invalid_argument("ScenarioConfig: need 0 < window < period");
     }
@@ -29,8 +33,9 @@ void ScenarioConfig::validate() const {
     if (beacons_per_window < 1 || min_beacons_for_fix < 1) {
         throw std::invalid_argument("ScenarioConfig: beacon counts >= 1");
     }
-    if (min_speed <= 0.0 || max_speed < min_speed) {
-        throw std::invalid_argument("ScenarioConfig: need 0 < min_speed <= max_speed");
+    if (!(min_speed > 0.0) || !(max_speed >= min_speed) || !std::isfinite(max_speed)) {
+        throw std::invalid_argument(
+            "ScenarioConfig: need 0 < min_speed <= max_speed, both finite");
     }
     if (estimator != est::Backend::Grid && mode != LocalizationMode::Combined) {
         throw std::invalid_argument(

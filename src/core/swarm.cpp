@@ -18,7 +18,10 @@ double SwarmConfig::area_side_m() const {
 
 void SwarmConfig::validate() const {
     if (nodes < 2) throw std::invalid_argument("SwarmConfig: nodes >= 2");
-    if (density_per_m2 <= 0.0) throw std::invalid_argument("SwarmConfig: positive density");
+    // Negated comparisons reject NaN, which every ordered comparison lets by.
+    if (!(density_per_m2 > 0.0) || !std::isfinite(density_per_m2)) {
+        throw std::invalid_argument("SwarmConfig: positive finite density");
+    }
     if (duration <= sim::Duration::zero() || beacon_period <= sim::Duration::zero() ||
         mobility_tick <= sim::Duration::zero()) {
         throw std::invalid_argument("SwarmConfig: positive durations");
@@ -26,8 +29,9 @@ void SwarmConfig::validate() const {
     if (awake_window <= sim::Duration::zero() || awake_window >= beacon_period) {
         throw std::invalid_argument("SwarmConfig: need 0 < awake_window < beacon_period");
     }
-    if (min_speed <= 0.0 || max_speed < min_speed) {
-        throw std::invalid_argument("SwarmConfig: need 0 < min_speed <= max_speed");
+    if (!(min_speed > 0.0) || !(max_speed >= min_speed) || !std::isfinite(max_speed)) {
+        throw std::invalid_argument(
+            "SwarmConfig: need 0 < min_speed <= max_speed, both finite");
     }
     if (min_pause.is_negative() || max_pause < min_pause) {
         throw std::invalid_argument("SwarmConfig: need 0 <= min_pause <= max_pause");

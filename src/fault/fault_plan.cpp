@@ -1,7 +1,9 @@
 #include "fault/fault_plan.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -22,7 +24,31 @@ double parse_number(const std::string& spec, const std::string& text) {
         bad_spec(spec, "not a number: '" + text + "'");
     }
     if (pos != text.size()) bad_spec(spec, "trailing junk in number: '" + text + "'");
+    // std::stod accepts "nan" and "inf"; a NaN slips past every ordered
+    // range check in validate_event.
+    if (!std::isfinite(value)) bad_spec(spec, "not a finite number: '" + text + "'");
     return value;
+}
+
+/// A strike time or duration in seconds, checked to fit sim::Duration
+/// before the float-to-integer conversion.
+double parse_seconds(const std::string& spec, const std::string& text) {
+    const double s = parse_number(spec, text);
+    if (!sim::Duration::fits_seconds(s)) {
+        bad_spec(spec, "time out of range: '" + text + "'");
+    }
+    return s;
+}
+
+/// A node id: an integer in [0, INT_MAX], checked before the cast to int.
+int parse_node(const std::string& spec, const std::string& text) {
+    const double v = parse_number(spec, text);
+    if (!(v >= 0.0 && v <= std::numeric_limits<int>::max()) || v != std::floor(v)) {
+        bad_spec(spec, "node id must be an integer in [0, " +
+                           std::to_string(std::numeric_limits<int>::max()) + "], got '" +
+                           text + "'");
+    }
+    return static_cast<int>(v);
 }
 
 FaultKind parse_kind(const std::string& spec, const std::string& name, bool& is_jam) {
@@ -63,20 +89,28 @@ void validate_event(const FaultEvent& e) {
     }
     switch (e.kind) {
         case FaultKind::Loss:
-            if (e.drop_prob < 0.0 || e.drop_prob > 1.0) fail("p must be in [0, 1]");
-            if (e.attenuation_db < 0.0) fail("db must be >= 0");
+            // Negated comparisons so NaN fails them (plans built in code skip
+            // parse_number's finiteness check).
+            if (!(e.drop_prob >= 0.0 && e.drop_prob <= 1.0)) fail("p must be in [0, 1]");
+            if (!(e.attenuation_db >= 0.0) || !std::isfinite(e.attenuation_db)) {
+                fail("db must be finite and >= 0");
+            }
             if (e.drop_prob == 0.0 && e.attenuation_db == 0.0) {
                 fail("needs p > 0 and/or db > 0");
             }
             break;
         case FaultKind::ClockDrift:
-            if (e.offset_s == 0.0) fail("needs s=<offset seconds> != 0");
+            if (e.offset_s == 0.0 || !std::isfinite(e.offset_s)) {
+                fail("needs a finite s=<offset seconds> != 0");
+            }
             break;
         case FaultKind::OdometryDegrade:
-            if (e.scale <= 0.0) fail("needs scale > 0");
+            if (!(e.scale > 0.0) || !std::isfinite(e.scale)) fail("needs scale > 0");
             break;
         case FaultKind::Battery:
-            if (e.budget_mj <= 0.0) fail("needs budget_mj > 0 (or budget_kj)");
+            if (!(e.budget_mj > 0.0) || !std::isfinite(e.budget_mj)) {
+                fail("needs budget_mj > 0 (or budget_kj)");
+            }
             break;
         default:
             break;
@@ -100,7 +134,7 @@ const char* to_string(FaultKind kind) {
 
 void FaultPlan::validate() const {
     for (const FaultEvent& e : events) validate_event(e);
-    if (avail_threshold_m <= 0.0) {
+    if (!(avail_threshold_m > 0.0)) {
         throw std::invalid_argument("FaultPlan: avail_threshold_m must be > 0");
     }
     if (battery_check <= sim::Duration::zero()) {
@@ -122,10 +156,10 @@ FaultEvent FaultPlan::parse_spec(const std::string& spec) {
         at_pos + 1, colon == std::string::npos ? std::string::npos : colon - at_pos - 1);
     if (const std::size_t plus = time_part.find('+'); plus != std::string::npos) {
         e.duration =
-            sim::Duration::seconds(parse_number(spec, time_part.substr(plus + 1)));
+            sim::Duration::seconds(parse_seconds(spec, time_part.substr(plus + 1)));
         time_part.resize(plus);
     }
-    e.at = sim::TimePoint::from_seconds(parse_number(spec, time_part));
+    e.at = sim::TimePoint::from_seconds(parse_seconds(spec, time_part));
 
     bool saw_db = false;
     if (colon != std::string::npos) {
@@ -139,15 +173,14 @@ FaultEvent FaultPlan::parse_spec(const std::string& spec) {
             const std::string key = kv.substr(0, eq);
             const std::string value = kv.substr(eq + 1);
             if (key == "node") {
-                e.node = static_cast<int>(parse_number(spec, value));
+                e.node = parse_node(spec, value);
             } else if (key == "nodes") {
                 const std::size_t dash = value.find('-');
                 if (dash == std::string::npos) {
                     bad_spec(spec, "nodes wants <a>-<b>, got '" + value + "'");
                 }
-                e.node = static_cast<int>(parse_number(spec, value.substr(0, dash)));
-                e.node_end =
-                    static_cast<int>(parse_number(spec, value.substr(dash + 1)));
+                e.node = parse_node(spec, value.substr(0, dash));
+                e.node_end = parse_node(spec, value.substr(dash + 1));
             } else if (key == "p") {
                 e.drop_prob = parse_number(spec, value);
             } else if (key == "db") {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -71,6 +72,7 @@ Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig co
 std::size_t Medium::attach(Radio& radio) {
     const std::size_t index = radios_.size();
     radios_.push_back(&radio);
+    ids_.push_back(radio.id());
     available_.push_back(1);
     note_stamp_.push_back(kNeverNoted);
     tree_.insert(static_cast<std::uint32_t>(index), radio.position());
@@ -165,23 +167,40 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
     // sensed verdict. Keeping the draws here (scalar, ascending candidate
     // order) is what makes the vectorized fanout bitwise-neutral — the
     // kernels only batch the deterministic prefix.
+    //
+    // Where the mean RSSI lies below carrier sense, the channel's quiet draw
+    // mostly settles the verdict from the gaussian's polar pair alone (no
+    // log, no sqrt, no fade). The receiver id comes from ids_, so a quiet
+    // lane never touches its Radio. A quiet receiver stays unsensed, which
+    // is all the full draw would have recorded for it.
     const auto draw = [&](std::size_t i, double mean_dbm, double sigma_db,
                           double fade_db) {
-        Radio* r = radios_[i];
         ++visited;
-        sim::SplitMix64 rng(sim::splitmix64_mix(
-            frame_key ^ sim::splitmix64_mix(static_cast<std::uint64_t>(r->id()) + 0x51ed2701)));
-        double rssi = channel_.sample_rssi_from(mean_dbm, sigma_db, fade_db, rng);
+        const auto id = static_cast<std::uint64_t>(ids_[i]);
+        const std::uint64_t key =
+            sim::splitmix64_mix(frame_key ^ sim::splitmix64_mix(id + 0x51ed2701));
+        sim::SplitMix64 rng(key);
+        std::optional<double> rssi =
+            channel_.sample_rssi_or_quiet(mean_dbm, sigma_db, fade_db, rng);
+#ifndef NDEBUG
+        if (!rssi) {
+            // Quiet-verdict invariant: the full draw from the same key stays
+            // below carrier sense (attenuation only lowers it further).
+            sim::SplitMix64 full(key);
+            assert(!channel_.sensed(
+                channel_.sample_rssi_from(mean_dbm, sigma_db, fade_db, full)));
+        }
+#endif
         if (loss_effect.active) {
-            rssi -= loss_effect.attenuation_db;
+            if (rssi) *rssi -= loss_effect.attenuation_db;
             if (loss_effect.drop_prob > 0.0) {
                 // Counter-based drop draw keyed like the RSSI draw (its own
                 // base seed): dropping receiver i is a pure function of
                 // (medium seed, frame number, receiver id), independent of
-                // culling and of every other receiver's draw.
+                // culling and of every other receiver's draw. Quiet lanes
+                // draw it too, so fault.rx_dropped counts every visited one.
                 sim::SplitMix64 drop_rng(sim::splitmix64_mix(
-                    loss_seed_base_ ^ frame_key ^
-                    sim::splitmix64_mix(static_cast<std::uint64_t>(r->id()) + 0x7b2ec997)));
+                    loss_seed_base_ ^ frame_key ^ sim::splitmix64_mix(id + 0x7b2ec997)));
                 const double u = static_cast<double>(drop_rng() >> 11) * 0x1.0p-53;
                 if (u < loss_effect.drop_prob) {
                     // The frame never exists for this receiver: not sensed,
@@ -191,9 +210,9 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                 }
             }
         }
-        if (channel_.sensed(rssi)) {
+        if (rssi && channel_.sensed(*rssi)) {
             sensed_scratch_.push_back(
-                SensedCandidate{static_cast<std::uint32_t>(i), rssi});
+                SensedCandidate{static_cast<std::uint32_t>(i), *rssi});
         }
     };
     // Scalar per-receiver evaluation (unculled sweep and the Serial force
@@ -463,7 +482,12 @@ void Medium::load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts) {
         b.end = r.time();
         b.drop_prob = r.f64();
         b.attenuation_db = r.f64();
-        loss_.add(b);
+        try {
+            loss_.add(b);
+        } catch (const std::invalid_argument& e) {
+            throw std::runtime_error("checkpoint: loss burst " + std::to_string(i) +
+                                     " rejected (" + e.what() + ") — corrupt blob");
+        }
     }
     stats_.frames_sent = r.u64();
     stats_.missed_asleep = r.u64();

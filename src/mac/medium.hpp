@@ -102,6 +102,8 @@ class Medium {
     /// frame is attenuated and/or dropped per receiver (counter-based draws,
     /// so determinism is unaffected). Fault path only — with no bursts the
     /// transmission path is byte-identical to a build without this feature.
+    /// Throws std::invalid_argument for a burst that could amplify or is
+    /// empty (see phy::LossSchedule::add).
     void add_loss_burst(const phy::LossBurst& burst) { loss_.add(burst); }
 
     /// Latest end time of any in-flight frame whose *sampled* power reached
@@ -221,6 +223,9 @@ class Medium {
     phy::Channel channel_;
     MediumConfig config_;
     std::vector<Radio*> radios_;
+    /// ids_[i] == radios_[i]->id(): the RSSI draw keys on the receiver id,
+    /// and reading it here keeps a quiet lane from touching its Radio.
+    std::vector<net::NodeId> ids_;
     /// available_[i] mirrors radios_[i]'s power availability (not off, not
     /// in outage); kept here so the medium can gate propagation and index
     /// membership without poking radio internals per receiver.

@@ -1,6 +1,7 @@
 #include "mobility/waypoint.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "sim/checkpoint.hpp"
@@ -14,13 +15,18 @@ constexpr double kMinLegLength = 0.01;  // metres; avoids degenerate zero legs
 WaypointMobility::WaypointMobility(const WaypointConfig& config, sim::RandomStream rng,
                                    std::optional<geom::Vec2> start)
     : config_(config), rng_(std::move(rng)) {
-    if (config_.min_speed <= 0.0 || config_.max_speed < config_.min_speed) {
-        throw std::invalid_argument("WaypointMobility: need 0 < min_speed <= max_speed");
+    // Negated comparisons reject NaN: a NaN speed turns leg durations into
+    // NaN-to-integer casts and advance_to would never reach the leg's end.
+    if (!(config_.min_speed > 0.0) || !(config_.max_speed >= config_.min_speed) ||
+        !std::isfinite(config_.max_speed)) {
+        throw std::invalid_argument(
+            "WaypointMobility: need 0 < min_speed <= max_speed, both finite");
     }
     if (config_.min_pause.is_negative() || config_.max_pause < config_.min_pause) {
         throw std::invalid_argument("WaypointMobility: need 0 <= min_pause <= max_pause");
     }
-    if (config_.area.width() <= 0.0 || config_.area.height() <= 0.0) {
+    if (!(config_.area.width() > 0.0) || !(config_.area.height() > 0.0) ||
+        !std::isfinite(config_.area.width()) || !std::isfinite(config_.area.height())) {
         throw std::invalid_argument("WaypointMobility: area must have positive extent");
     }
     if (start.has_value()) {

@@ -19,6 +19,12 @@ Channel::Channel(const ChannelConfig& config) : config_(config) {
     if (config_.shadowing_clamp_sigmas <= 0.0) {
         throw std::invalid_argument("Channel: shadowing_clamp_sigmas must be positive");
     }
+    // A negative sigma inverts the shadowing clamp (cap < -cap), which would
+    // break both the influence-radius bound and the quiet-draw proof.
+    if (!(config_.shadowing_sigma_near_db >= 0.0) ||
+        !(config_.shadowing_sigma_far_db >= 0.0)) {
+        throw std::invalid_argument("Channel: shadowing sigmas must be >= 0");
+    }
     max_range_m_ = solve_range(config_.rx_sensitivity_dbm);
     cs_range_m_ = solve_range(config_.carrier_sense_dbm);
     const double sigma_max =

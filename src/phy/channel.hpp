@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <optional>
 
 #include "sim/random.hpp"
 
@@ -64,14 +65,46 @@ class Channel {
     template <typename Rng>
     double sample_rssi_from(double mean_dbm, double sigma_db, double fade_db,
                             Rng& rng) const {
-        const double cap = config_.shadowing_clamp_sigmas * sigma_db;
-        const double shadow = std::clamp(rng.gaussian(0.0, sigma_db), -cap, cap);
-        double rssi = mean_dbm + shadow;
-        if (fade_db > 0.0) {
-            rssi -= rng.exponential(fade_db);  // deep fades only ever attenuate
-        }
-        return rssi;
+        return finish_rssi(mean_dbm, sigma_db, fade_db, rng.gaussian(0.0, sigma_db),
+                           rng);
     }
+
+    /// sample_rssi_from for the counter-based generators, stopping as soon as
+    /// the receiver provably cannot sense the frame. Returns std::nullopt
+    /// ("quiet") when the mean lies below carrier sense and either the polar
+    /// pair's y <= 0 (a non-positive deviate) or the log-free bound
+    /// z^2 <= 2 y^2 (1 - r2) / r2^2 (from ln r2 >= 1 - 1/r2) keeps
+    /// mean + sigma z at least kQuietMarginDb below the threshold. Fades and
+    /// loss bursts only attenuate, so a quiet verdict is final. Otherwise
+    /// returns exactly sample_rssi_from's value, having consumed the same
+    /// draws. See docs/performance.md, "Quiet receivers", for the proof.
+    std::optional<double> sample_rssi_or_quiet(double mean_dbm, double sigma_db,
+                                               double fade_db,
+                                               sim::SplitMix64& rng) const {
+        const bool below = mean_dbm < config_.carrier_sense_dbm;
+        // SplitMix64::gaussian returns the mean without drawing when sigma <= 0.
+        double shadow = 0.0;
+        if (sigma_db <= 0.0) {
+            if (below) return std::nullopt;
+        } else {
+            const sim::SplitMix64::Polar p = rng.polar();
+            if (below) {
+                if (p.y <= 0.0) return std::nullopt;
+                const double gap = config_.carrier_sense_dbm - kQuietMarginDb - mean_dbm;
+                if (gap > 0.0 && 2.0 * p.y * p.y * (1.0 - p.r2) * (sigma_db * sigma_db) <=
+                                     gap * gap * (p.r2 * p.r2)) {
+                    return std::nullopt;
+                }
+            }
+            shadow = p.sample(0.0, sigma_db);
+        }
+        return finish_rssi(mean_dbm, sigma_db, fade_db, shadow, rng);
+    }
+
+    /// Headroom (dB) a quiet verdict keeps below carrier sense: it absorbs the
+    /// rounding of the log, the sqrt and the additions the full draw would
+    /// perform, each a few ulps of values far below 1e3 dB.
+    static constexpr double kQuietMarginDb = 1e-9;
 
     /// One stochastic RSSI observation. Templated over the generator so the
     /// same draw logic serves both the long-lived mt19937_64 streams (PDF
@@ -102,6 +135,19 @@ class Channel {
     bool sensed(double rssi_dbm) const { return rssi_dbm >= config_.carrier_sense_dbm; }
 
   private:
+    /// The draw's tail once the shadowing deviate is known: clamp it, add it
+    /// to the mean, subtract a deep fade.
+    template <typename Rng>
+    double finish_rssi(double mean_dbm, double sigma_db, double fade_db,
+                       double shadow_db, Rng& rng) const {
+        const double cap = config_.shadowing_clamp_sigmas * sigma_db;
+        double rssi = mean_dbm + std::clamp(shadow_db, -cap, cap);
+        if (fade_db > 0.0) {
+            rssi -= rng.exponential(fade_db);  // deep fades only ever attenuate
+        }
+        return rssi;
+    }
+
     double solve_range(double threshold_dbm) const;
 
     ChannelConfig config_;

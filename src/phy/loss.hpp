@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -29,7 +32,26 @@ class LossSchedule {
         double attenuation_db = 0.0;
     };
 
-    void add(const LossBurst& burst) { bursts_.push_back(burst); }
+    /// Arms one burst. Throws std::invalid_argument unless drop_prob lies in
+    /// [0, 1], attenuation_db is finite and >= 0, and end > start: a burst
+    /// may only attenuate or drop, never amplify (the medium's quiet RSSI
+    /// draw relies on that).
+    void add(const LossBurst& burst) {
+        if (!(burst.drop_prob >= 0.0 && burst.drop_prob <= 1.0)) {
+            throw std::invalid_argument("LossSchedule: drop_prob " +
+                                        std::to_string(burst.drop_prob) +
+                                        " outside [0, 1]");
+        }
+        if (!(burst.attenuation_db >= 0.0) || !std::isfinite(burst.attenuation_db)) {
+            throw std::invalid_argument("LossSchedule: attenuation_db " +
+                                        std::to_string(burst.attenuation_db) +
+                                        " must be finite and >= 0");
+        }
+        if (burst.end <= burst.start) {
+            throw std::invalid_argument("LossSchedule: burst must end after it starts");
+        }
+        bursts_.push_back(burst);
+    }
     bool empty() const { return bursts_.empty(); }
     const std::vector<LossBurst>& bursts() const { return bursts_; }
 

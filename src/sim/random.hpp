@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -30,6 +31,14 @@ constexpr std::uint64_t splitmix64_mix(std::uint64_t x) {
 /// The output sequence depends only on the seed, never on how many draws any
 /// *other* generator made — which is what makes consumers order- and
 /// subset-independent.
+///
+/// gaussian() and exponential() are implemented here rather than through the
+/// std distributions, repeating libstdc++'s exact operation sequence
+/// (Marsaglia polar over generate_canonical<double, 53>, and -log(1 - u) /
+/// lambda), so every draw is bitwise what std::normal_distribution and
+/// std::exponential_distribution would return (pinned by phy_test). Owning
+/// the sequence exposes the accepted polar pair, which lets a caller bound a
+/// deviate before paying for its log and sqrt (phy::Channel's quiet draw).
 class SplitMix64 {
   public:
     using result_type = std::uint64_t;
@@ -47,15 +56,43 @@ class SplitMix64 {
         return x ^ (x >> 31);
     }
 
+    /// One accepted Marsaglia-polar pair: y and r2 = x^2 + y^2 in (0, 1].
+    /// The standard normal deviate it yields is y * sqrt(-2 ln(r2) / r2).
+    struct Polar {
+        double y;
+        double r2;
+
+        double sample(double mean, double stddev) const {
+            return y * std::sqrt(-2 * std::log(r2) / r2) * stddev + mean;
+        }
+    };
+
+    /// Uniform double in [0, 1): generate_canonical<double, 53> for a 64-bit
+    /// generator (one draw scaled by 2^-64, rounded values of 1 pulled down).
+    double canonical() {
+        const double u = static_cast<double>((*this)()) * 0x1p-64;
+        return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+    }
+
+    Polar polar() {
+        double x, y, r2;
+        do {
+            x = 2.0 * canonical() - 1.0;
+            y = 2.0 * canonical() - 1.0;
+            r2 = x * x + y * y;
+        } while (r2 > 1.0 || r2 == 0.0);
+        return {y, r2};
+    }
+
     /// Zero-mean-unless-specified Gaussian (same contract as RandomStream).
     double gaussian(double mean, double stddev) {
         if (stddev <= 0.0) return mean;
-        return std::normal_distribution<double>(mean, stddev)(*this);
+        return polar().sample(mean, stddev);
     }
 
     /// Exponentially distributed value with the given mean.
     double exponential(double mean) {
-        return std::exponential_distribution<double>(1.0 / mean)(*this);
+        return -std::log(1.0 - canonical()) / (1.0 / mean);
     }
 
   private:

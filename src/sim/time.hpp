@@ -21,6 +21,9 @@ class Duration {
         return Duration{static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5))};
     }
     static constexpr Duration minutes(double m) { return seconds(m * 60.0); }
+    /// True when seconds(s) is defined: |s| within ~291 years, so s * 1e9
+    /// fits the int64 nanosecond count. False for NaN and infinities.
+    static constexpr bool fits_seconds(double s) { return s >= -9.2e9 && s <= 9.2e9; }
     static constexpr Duration zero() { return Duration{0}; }
     static constexpr Duration max() { return Duration{INT64_MAX}; }
 

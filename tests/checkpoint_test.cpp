@@ -189,6 +189,39 @@ std::string scenario_digest(const core::ScenarioResult& result,
     return ss.str();
 }
 
+/// A loss burst read back from a blob passes the same checks as a live one:
+/// a negative attenuation would be a gain, which the medium's quiet RSSI
+/// draw (like the physics) rules out.
+TEST(CheckpointFormat, MediumRejectsAmplifyingLossBurst) {
+    core::Scenario prefix(fuzz_config());
+    fault::FaultInjector injector(prefix, fault::FaultPlan::parse("loss@50+25:p=0.5,db=3"));
+    injector.arm();
+    prefix.run_until(sim::TimePoint::from_seconds(10.0));
+    std::string blob = exp::save_scenario_checkpoint(prefix, &injector);
+
+    // The medium section: "MEDM" mark (u32), frame counter and burst count
+    // (u64 each), then per burst start and end (i64 ns), drop_prob and
+    // attenuation_db (f64).
+    sim::ckpt::Writer mark, count, db, gain;
+    mark.u32(0x4d45444du);
+    count.u64(1);
+    db.f64(3.0);
+    gain.f64(-20.0);
+    const std::size_t section = blob.find(mark.buffer());
+    ASSERT_NE(section, std::string::npos);
+    ASSERT_EQ(blob.substr(section + 12, 8), count.buffer());
+    const std::size_t attenuation = section + 44;
+    ASSERT_EQ(blob.substr(attenuation, 8), db.buffer());
+    EXPECT_NE(exp::restore_scenario_checkpoint(blob).scenario, nullptr);
+
+    blob.replace(attenuation, 8, gain.buffer());
+    const std::string what =
+        runtime_error_of([&] { exp::restore_scenario_checkpoint(blob); });
+    EXPECT_NE(what.find("checkpoint: loss burst 0 rejected"), std::string::npos) << what;
+    EXPECT_NE(what.find("attenuation_db -20"), std::string::npos) << what;
+    EXPECT_NE(what.find("corrupt blob"), std::string::npos) << what;
+}
+
 TEST(CheckpointFuzz, ScenarioRestoreMatchesStraightRun) {
     const core::ScenarioConfig config = fuzz_config();
     const fault::FaultPlan plan = fuzz_plan();

@@ -131,6 +131,23 @@ TEST(ArgParser, BadNumberFails) {
     EXPECT_NE(r.err.find("bad value"), std::string::npos);
 }
 
+TEST(ArgParser, NonFiniteDoubleFails) {
+    // std::stod parses these; a NaN would slip past every ordered range
+    // check downstream (--vmax nan once hung cocoa_sim).
+    for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e400"}) {
+        double d = 1.5;
+        ArgParser p("prog", "test");
+        p.add_option("vmax", "", &d);
+        const auto r = run(p, {"--vmax", bad});
+        EXPECT_FALSE(r.ok) << bad;
+        EXPECT_TRUE(r.failed) << bad;
+        EXPECT_NE(r.err.find(std::string("bad value '") + bad + "' for --vmax"),
+                  std::string::npos)
+            << r.err;
+        EXPECT_EQ(d, 1.5) << "a rejected value must not reach the target";
+    }
+}
+
 TEST(ArgParser, FlagRejectsValue) {
     bool f = false;
     ArgParser p("prog", "test");

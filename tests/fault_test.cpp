@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -87,6 +88,57 @@ TEST(FaultPlan, RejectsIllFormedSpecs) {
     EXPECT_THROW(FaultPlan::parse("battery@0:node=1"), std::invalid_argument);
     EXPECT_THROW(FaultPlan::parse("crash@10:nodes=5-2"), std::invalid_argument);
     EXPECT_THROW(FaultPlan::parse("crash@10:node=1,bogus=3"), std::invalid_argument);
+}
+
+TEST(FaultPlan, RejectsNonFiniteAndOutOfRangeNumbersNamingTheToken) {
+    const auto message = [](const std::string& spec) -> std::string {
+        try {
+            FaultPlan::parse(spec);
+        } catch (const std::invalid_argument& e) {
+            return e.what();
+        }
+        return "accepted";
+    };
+    const auto expect_error = [&](const std::string& spec, const std::string& needle) {
+        const std::string what = message(spec);
+        EXPECT_NE(what.find(needle), std::string::npos) << spec << " -> " << what;
+    };
+    expect_error("loss@100+50:p=nan", "not a finite number: 'nan'");
+    expect_error("loss@100+50:db=nan", "not a finite number: 'nan'");
+    expect_error("jam@100+50:db=inf", "not a finite number: 'inf'");
+    expect_error("drift@10:node=1,s=-inf", "not a finite number: '-inf'");
+    expect_error("loss@nan+50", "not a finite number: 'nan'");
+    expect_error("loss@10+nan", "not a finite number: 'nan'");
+    // Past ~291 years the seconds-to-nanoseconds cast would overflow.
+    expect_error("crash@1e300:node=1", "time out of range: '1e300'");
+    expect_error("outage@10+1e12:node=1", "time out of range: '1e12'");
+    expect_error("crash@10:node=1e30", "node id must be an integer");
+    expect_error("crash@10:node=1e30", "got '1e30'");
+    expect_error("crash@10:node=-1", "got '-1'");
+    expect_error("crash@10:node=2.5", "got '2.5'");
+    expect_error("crash@10:node=2147483648", "got '2147483648'");
+    expect_error("outage@10+5:nodes=1-2.5", "got '2.5'");
+    expect_error("outage@10+5:nodes=0-1e10", "got '1e10'");
+    // The edges themselves still parse.
+    EXPECT_EQ(FaultPlan::parse("crash@10:node=2147483647").events[0].node, 2147483647);
+    EXPECT_EQ(FaultPlan::parse("crash@9.2e9:node=0").events.size(), 1u);
+}
+
+TEST(FaultPlan, ValidateRejectsNaNFieldsInPlansBuiltInCode) {
+    FaultEvent loss;
+    loss.kind = FaultKind::Loss;
+    loss.duration = sim::Duration::seconds(5.0);
+    loss.drop_prob = std::nan("");
+    FaultPlan plan;
+    plan.events = {loss};
+    EXPECT_THROW(plan.validate(), std::invalid_argument);
+    plan.events[0].drop_prob = 0.5;
+    plan.events[0].attenuation_db = std::nan("");
+    EXPECT_THROW(plan.validate(), std::invalid_argument);
+    plan.events[0].attenuation_db = 3.0;
+    EXPECT_NO_THROW(plan.validate());
+    plan.avail_threshold_m = std::nan("");
+    EXPECT_THROW(plan.validate(), std::invalid_argument);
 }
 
 TEST(FaultPlan, ParsesPlanFileWithComments) {

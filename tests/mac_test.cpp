@@ -552,6 +552,34 @@ TEST(MediumCulling, CulledRunIsBitIdenticalToUnculled) {
     EXPECT_EQ(counters[0], counters[1]);
 }
 
+TEST(MediumQuietDraw, FullLossBurstDropsEveryVisitedReceiverQuietOrNot) {
+    // Receivers from 100 m (mean above carrier sense) out to 1.2 km (mean
+    // well below it, still inside the influence radius): most far lanes end
+    // quiet without their full RSSI draw, but the loss-burst drop draw must
+    // still run for them, so with p = 1 every visited receiver counts as a
+    // fault drop and none delivers.
+    std::vector<Vec2> pos = {{0.0, 0.0}};
+    for (const double d : {100.0, 250.0, 400.0, 600.0, 900.0, 1200.0}) {
+        pos.push_back({d, 0.0});
+        pos.push_back({0.0, -d});
+    }
+    std::vector<int> order(pos.size());
+    for (std::size_t i = 0; i < pos.size(); ++i) order[i] = static_cast<int>(i);
+    StochasticNet net(pos, order);
+    ASSERT_GT(net.medium.cull_radius_m(), 1200.0);
+    net.medium.add_loss_burst({TimePoint::from_seconds(0.5),
+                               TimePoint::from_seconds(100.0), 1.0, 0.0});
+    net.sim.schedule_at(TimePoint::from_seconds(1.0), [&net] {
+        for (std::uint64_t k = 0; k < 20; ++k) net.radios[0]->send(test_packet(k));
+    });
+    net.sim.run();
+    const auto& ms = net.medium.stats();
+    EXPECT_EQ(ms.frames_sent, 20u);
+    EXPECT_EQ(ms.radios_visited, 20u * (pos.size() - 1));
+    EXPECT_EQ(ms.fault_rx_dropped, ms.radios_visited);
+    EXPECT_TRUE(net.delivered.empty());
+}
+
 TEST_F(MacFixture, PowerOffMidFrameTruncatesOnAir) {
     // A transmitter dying mid-frame takes the frame off the air: receivers
     // locked onto it abort (rx_aborted) instead of decoding a ghost of a

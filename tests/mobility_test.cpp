@@ -55,6 +55,14 @@ TEST(Waypoint, BadConfigThrows) {
     EXPECT_THROW(WaypointMobility(c, RandomStream(1)), std::invalid_argument);
 }
 
+TEST(Waypoint, NonFiniteSpeedThrows) {
+    // A NaN speed turns every leg duration into a NaN-to-integer cast.
+    WaypointConfig c = paper_config(std::nan(""));
+    EXPECT_THROW(WaypointMobility(c, RandomStream(1)), std::invalid_argument);
+    c = paper_config(INFINITY);
+    EXPECT_THROW(WaypointMobility(c, RandomStream(1)), std::invalid_argument);
+}
+
 TEST(Waypoint, StaysInsideAreaForever) {
     WaypointMobility m(paper_config(), RandomStream(7));
     for (int t = 1; t <= 2000; t += 3) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <random>
 #include <stdexcept>
 
 #include "phy/channel.hpp"
+#include "phy/loss.hpp"
 #include "phy/pdf_table.hpp"
 #include "sim/random.hpp"
 
@@ -365,8 +370,9 @@ TEST(Channel, InvalidClampThrows) {
 }
 
 TEST(Channel, SplitMixDrawsMatchStreamDistributions) {
-    // The SplitMix64 URBG plugs into the same std distributions as the
-    // mt19937_64 streams; sanity-check its gaussian/exponential moments.
+    // SplitMix64 implements its own gaussian/exponential (bitwise equal to
+    // libstdc++'s, see SplitMixDrawsAreBitwiseStdDistributions); check their
+    // moments against the parameters, as the mt19937_64 streams' would be.
     sim::SplitMix64 rng(12345);
     double sum = 0.0, sum_sq = 0.0;
     constexpr int kN = 20000;
@@ -381,6 +387,133 @@ TEST(Channel, SplitMixDrawsMatchStreamDistributions) {
     double esum = 0.0;
     for (int i = 0; i < kN; ++i) esum += rng.exponential(7.0);
     EXPECT_NEAR(esum / kN, 7.0, 0.3);
+}
+
+#ifdef __GLIBCXX__
+TEST(Channel, SplitMixDrawsAreBitwiseStdDistributions) {
+    // SplitMix64 repeats libstdc++'s operation sequence for
+    // std::normal_distribution (Marsaglia polar over generate_canonical) and
+    // std::exponential_distribution. Driven by the same generator, both must
+    // return the same bits and leave the generator at the same position.
+    constexpr std::uint64_t kSeeds = 1'000'000;
+    std::uint64_t mismatches = 0;
+    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+        const std::uint64_t key = sim::splitmix64_mix(seed);
+        sim::SplitMix64 ours(key);
+        sim::SplitMix64 theirs(key);
+        const double mean = static_cast<double>(seed % 7) - 3.0;
+        const double stddev = 0.25 + static_cast<double>(seed % 13);
+        const double fade = 0.5 + static_cast<double>(seed % 11);
+        const double g = ours.gaussian(mean, stddev);
+        const double g_std = std::normal_distribution<double>(mean, stddev)(theirs);
+        const double e = ours.exponential(fade);
+        const double e_std = std::exponential_distribution<double>(1.0 / fade)(theirs);
+        if (std::bit_cast<std::uint64_t>(g) != std::bit_cast<std::uint64_t>(g_std) ||
+            std::bit_cast<std::uint64_t>(e) != std::bit_cast<std::uint64_t>(e_std) ||
+            ours() != theirs()) {
+            if (++mismatches == 1) {
+                ADD_FAILURE() << "seed " << seed << ": gaussian " << g << " vs " << g_std
+                              << ", exponential " << e << " vs " << e_std;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+#endif
+
+TEST(Channel, QuietDrawIsExactAgainstTheFullDraw) {
+    // sample_rssi_or_quiet against the reference sample_rssi_from over 10^7
+    // (mean, sigma, fade, key) cases, half with fades. "Quiet" must never
+    // appear where the reference draw senses the frame, nor for a mean at or
+    // above carrier sense, and every non-quiet sample must equal the
+    // reference bit for bit with the generator left in the same place. A
+    // quarter of the means sit within 64 ulps at or below carrier sense and
+    // an eighth within 64 ulps of the quiet margin, where rounding would
+    // show first; one case in sixteen has sigma 0 (deterministic RSSI).
+    const Channel ch;
+    const double cs = ch.config().carrier_sense_dbm;
+    const double margin_edge = cs - Channel::kQuietMarginDb;
+    const auto ulps_from = [](double x, std::int64_t k) {
+        return std::bit_cast<double>(
+            static_cast<std::uint64_t>(std::bit_cast<std::int64_t>(x) + k));
+    };
+    sim::SplitMix64 cases(2024);
+    constexpr std::uint64_t kCases = 10'000'000;
+    std::uint64_t quiet = 0, below = 0, false_quiet = 0, quiet_above = 0, mismatches = 0;
+    for (std::uint64_t n = 0; n < kCases; ++n) {
+        const std::uint64_t pick = cases();
+        double mean = 0.0;
+        switch (pick & 7) {
+            case 0:
+            case 1:  // within 64 ulps at or below carrier sense (cs < 0: +k is lower)
+                mean = ulps_from(cs, static_cast<std::int64_t>((pick >> 3) & 63));
+                break;
+            case 2:  // within 64 ulps of the quiet margin, either side
+                mean = ulps_from(margin_edge, static_cast<std::int64_t>((pick >> 3) & 127) - 64);
+                break;
+            default:  // the fanout's regime: up to 8 sigma below, a little above
+                mean = cs - 16.0 + 20.0 * cases.canonical();
+                break;
+        }
+        const double sigma = (pick >> 10) % 16 == 0 ? 0.0 : 0.05 + 12.0 * cases.canonical();
+        const double fade = (pick >> 14) & 1 ? 10.0 * cases.canonical() : 0.0;
+        const std::uint64_t key = cases();
+
+        sim::SplitMix64 rng(key);
+        sim::SplitMix64 ref_rng(key);
+        const std::optional<double> got = ch.sample_rssi_or_quiet(mean, sigma, fade, rng);
+        const double ref = ch.sample_rssi_from(mean, sigma, fade, ref_rng);
+        below += mean < cs;
+        if (!got) {
+            ++quiet;
+            quiet_above += !(mean < cs);
+            if (ch.sensed(ref) && ++false_quiet == 1) {
+                ADD_FAILURE() << "quiet but sensed: mean " << mean << " sigma " << sigma
+                              << " fade " << fade << " key " << key << " ref " << ref;
+            }
+        } else if (std::bit_cast<std::uint64_t>(*got) != std::bit_cast<std::uint64_t>(ref) ||
+                   rng() != ref_rng()) {
+            if (++mismatches == 1) {
+                ADD_FAILURE() << "sample differs: mean " << mean << " sigma " << sigma
+                              << " fade " << fade << " key " << key << ": " << *got
+                              << " vs " << ref;
+            }
+        }
+    }
+    EXPECT_EQ(false_quiet, 0u);
+    EXPECT_EQ(quiet_above, 0u);
+    EXPECT_EQ(mismatches, 0u);
+    // The early out does fire: at least half the below-threshold cases
+    // (every y <= 0 pair alone) end quiet.
+    EXPECT_GT(quiet, below / 2);
+}
+
+TEST(Channel, NegativeShadowingSigmaRejected) {
+    ChannelConfig c;
+    c.shadowing_sigma_far_db = -1.0;
+    EXPECT_THROW(Channel{c}, std::invalid_argument);
+    c = ChannelConfig{};
+    c.shadowing_sigma_near_db = std::nan("");
+    EXPECT_THROW(Channel{c}, std::invalid_argument);
+}
+
+TEST(LossSchedule, RejectsBurstsThatCouldAmplifyOrAreEmpty) {
+    const auto burst = [](double p, double db, double start_s, double end_s) {
+        return LossBurst{sim::TimePoint::from_seconds(start_s),
+                         sim::TimePoint::from_seconds(end_s), p, db};
+    };
+    LossSchedule s;
+    EXPECT_NO_THROW(s.add(burst(0.5, 3.0, 1.0, 2.0)));
+    EXPECT_NO_THROW(s.add(burst(1.0, 0.0, 1.0, 2.0)));
+    EXPECT_THROW(s.add(burst(-0.1, 0.0, 1.0, 2.0)), std::invalid_argument);
+    EXPECT_THROW(s.add(burst(1.5, 0.0, 1.0, 2.0)), std::invalid_argument);
+    EXPECT_THROW(s.add(burst(std::nan(""), 0.0, 1.0, 2.0)), std::invalid_argument);
+    EXPECT_THROW(s.add(burst(0.5, -20.0, 1.0, 2.0)), std::invalid_argument);
+    EXPECT_THROW(s.add(burst(0.5, std::nan(""), 1.0, 2.0)), std::invalid_argument);
+    EXPECT_THROW(s.add(burst(0.5, INFINITY, 1.0, 2.0)), std::invalid_argument);
+    EXPECT_THROW(s.add(burst(0.5, 3.0, 2.0, 2.0)), std::invalid_argument);
+    EXPECT_THROW(s.add(burst(0.5, 3.0, 2.0, 1.0)), std::invalid_argument);
+    EXPECT_EQ(s.bursts().size(), 2u);
 }
 
 }  // namespace

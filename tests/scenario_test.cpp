@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "core/scenario.hpp"
+#include "core/swarm.hpp"
 #include "metrics/cdf.hpp"
 
 namespace cocoa::core {
@@ -282,6 +285,35 @@ TEST(Scenario, PositionTraceRecordsAllRobots) {
 TEST(Scenario, PositionTraceRejectsBadInterval) {
     Scenario s(quick(LocalizationMode::Combined));
     EXPECT_THROW(s.enable_position_trace(Duration::zero()), std::invalid_argument);
+}
+
+TEST(Scenario, ValidateRejectsNonFiniteSpeedsAndArea) {
+    // Every guard is NaN-rejecting: with `max_speed < min_speed` a NaN vmax
+    // passed validate() and the waypoint model spun forever on a NaN leg.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto rejects = [](auto mutate) {
+        ScenarioConfig c = quick(LocalizationMode::Combined);
+        mutate(c);
+        EXPECT_THROW(c.validate(), std::invalid_argument);
+    };
+    rejects([&](ScenarioConfig& c) { c.max_speed = nan; });
+    rejects([&](ScenarioConfig& c) { c.min_speed = nan; });
+    rejects([&](ScenarioConfig& c) { c.max_speed = inf; });
+    rejects([&](ScenarioConfig& c) { c.area_side_m = nan; });
+    rejects([&](ScenarioConfig& c) { c.area_side_m = inf; });
+    EXPECT_NO_THROW(quick(LocalizationMode::Combined).validate());
+
+    const auto swarm_rejects = [](auto mutate) {
+        SwarmConfig c;
+        mutate(c);
+        EXPECT_THROW(c.validate(), std::invalid_argument);
+    };
+    swarm_rejects([&](SwarmConfig& c) { c.max_speed = nan; });
+    swarm_rejects([&](SwarmConfig& c) { c.min_speed = nan; });
+    swarm_rejects([&](SwarmConfig& c) { c.density_per_m2 = nan; });
+    swarm_rejects([&](SwarmConfig& c) { c.density_per_m2 = inf; });
+    EXPECT_NO_THROW(SwarmConfig{}.validate());
 }
 
 TEST(Scenario, MissedSyncRobotsKeepSchedule) {

@@ -20,18 +20,49 @@ Exit status: 0 = scaling OK, 1 = violation, 2 = bad input.
 import argparse
 import json
 import math
+import numbers
 import sys
+
+FIELDS = ("nodes", "wall_s", "events", "events_per_node")
+
+
+def bad_input(message):
+    """Exit 2 (bad input, as opposed to 1 = scaling violation) with the
+    message on stderr. sys.exit("...") would exit 1 and read as a failure
+    of the swarm itself."""
+    print(f"check_scaling: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
+def parse_run(text, where):
+    """One swarm-json payload, checked for every field the gate reads."""
+    try:
+        run = json.loads(text)
+    except json.JSONDecodeError as e:
+        bad_input(f"{where}: {e}")
+    if not isinstance(run, dict):
+        bad_input(f"{where}: swarm-json payload is not an object")
+    missing = [k for k in FIELDS if not isinstance(run.get(k), numbers.Real)]
+    if missing:
+        bad_input(f"{where}: swarm-json line lacks numeric {', '.join(missing)}")
+    if run["nodes"] <= 0:
+        bad_input(f"{where}: nodes must be positive, got {run['nodes']}")
+    return run
 
 
 def parse_runs(paths):
     runs = []
     for path in paths:
-        f = sys.stdin if path == "-" else open(path)
-        with f:
-            for line in f:
-                line = line.strip()
-                if line.startswith("swarm-json:"):
-                    runs.append(json.loads(line[len("swarm-json:"):]))
+        try:
+            f = sys.stdin if path == "-" else open(path)
+            with f:
+                for lineno, line in enumerate(f, 1):
+                    line = line.strip()
+                    if line.startswith("swarm-json:"):
+                        runs.append(parse_run(line[len("swarm-json:"):],
+                                              f"{path}:{lineno}"))
+        except (OSError, UnicodeDecodeError) as e:
+            bad_input(f"cannot read {path}: {e}")
     return runs
 
 
@@ -43,17 +74,14 @@ def main():
     parser.add_argument("--out", help="write merged run array as JSON")
     args = parser.parse_args()
 
-    try:
-        runs = parse_runs(args.files)
-    except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"check_scaling: {e}")
+    runs = parse_runs(args.files)
     runs.sort(key=lambda r: r["nodes"])
     if args.out:
         with open(args.out, "w") as f:
             json.dump(runs, f, indent=2)
             f.write("\n")
     if len(runs) < 2:
-        sys.exit(f"check_scaling: need at least 2 runs, got {len(runs)}")
+        bad_input(f"need at least 2 runs, got {len(runs)}")
 
     print(f"{'nodes':>8} {'wall_s':>9} {'events':>12} {'events/node':>12}")
     for r in runs:
@@ -66,7 +94,7 @@ def main():
     # on shared CI boxes; the end-to-end exponent is the stable signal).
     lo, hi = runs[0], runs[-1]
     if hi["nodes"] <= lo["nodes"]:
-        sys.exit("check_scaling: runs must cover distinct node counts")
+        bad_input("runs must cover distinct node counts")
     # Sub-millisecond walls are all noise; floor them rather than divide.
     wall_lo = max(lo["wall_s"], 1e-3)
     wall_hi = max(hi["wall_s"], 1e-3)

@@ -424,6 +424,17 @@ int main(int argc, char** argv) {
     if (checkpoint_at_s < 0.0) {
         return fail("--checkpoint-at must be positive");
     }
+    // Seconds become int64 nanoseconds; a value past ~291 years would
+    // overflow that conversion.
+    const std::pair<const char*, double> times[] = {{"--duration", duration_s},
+                                                     {"--period", period_s},
+                                                     {"--window", window_s},
+                                                     {"--checkpoint-at", checkpoint_at_s}};
+    for (const auto& [flag, s] : times) {
+        if (!sim::Duration::fits_seconds(s)) {
+            return fail(std::string(flag) + " is out of range");
+        }
+    }
     if ((checkpoint_at_s > 0.0) != !checkpoint_out.empty()) {
         return fail("--checkpoint-at and --checkpoint-out go together");
     }

@@ -20,21 +20,32 @@ import statistics
 import sys
 
 
+def bad_input(message):
+    """Exit 2 (bad input, as opposed to 1 = regression) with the message on
+    stderr. sys.exit("...") would exit 1 and read as a regression."""
+    print(f"perf_compare: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def load(path):
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        sys.exit(f"perf_compare: cannot read {path}: {e}")
-    if doc.get("schema") != "cocoa-perf-1":
-        sys.exit(f"perf_compare: {path}: unexpected schema {doc.get('schema')!r}")
+        bad_input(f"cannot read {path}: {e}")
+    if not isinstance(doc, dict) or doc.get("schema") != "cocoa-perf-1":
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        bad_input(f"{path}: unexpected schema {schema!r}")
     series = {}
-    for entry in doc.get("benchmarks", []):
-        series[entry["name"]] = float(entry["ns_per_op"])
-    for entry in doc.get("scenarios", []):
-        # Scenario wall times ride through the same normalization; seconds vs
-        # nanoseconds is irrelevant because only ratios are compared.
-        series["scenario:" + entry["name"]] = float(entry["wall_seconds"])
+    try:
+        for entry in doc.get("benchmarks", []):
+            series[entry["name"]] = float(entry["ns_per_op"])
+        for entry in doc.get("scenarios", []):
+            # Scenario wall times ride through the same normalization; seconds
+            # vs nanoseconds is irrelevant because only ratios are compared.
+            series["scenario:" + entry["name"]] = float(entry["wall_seconds"])
+    except (KeyError, TypeError, ValueError) as e:
+        bad_input(f"{path}: malformed entry ({type(e).__name__}: {e})")
     return series
 
 
@@ -52,8 +63,8 @@ def main():
 
     common = sorted(set(base) & set(fresh))
     if len(common) < 3:
-        sys.exit(f"perf_compare: only {len(common)} comparable entries "
-                 f"between {args.baseline} and {args.fresh}")
+        bad_input(f"only {len(common)} comparable entries "
+                  f"between {args.baseline} and {args.fresh}")
     for name in sorted(set(base) - set(fresh)):
         print(f"  note: in baseline only (renamed/removed?): {name}")
     for name in sorted(set(fresh) - set(base)):
@@ -67,11 +78,11 @@ def main():
               f"skipped: {name}")
     ratios = {n: fresh[n] / base[n] for n in common if base[n] > 0.0}
     if len(ratios) < 3:
-        sys.exit(f"perf_compare: only {len(ratios)} usable ratio(s) after "
-                 f"skipping non-positive baselines — too few to normalize. "
-                 f"Regenerate the baseline:\n"
-                 f"  COCOA_BENCH_JSON=bench/baseline/BENCH_baseline.json "
-                 f"./build/bench/micro_core")
+        bad_input(f"only {len(ratios)} usable ratio(s) after "
+                  f"skipping non-positive baselines — too few to normalize. "
+                  f"Regenerate the baseline:\n"
+                  f"  COCOA_BENCH_JSON=bench/baseline/BENCH_baseline.json "
+                  f"./build/bench/micro_core")
     median = statistics.median(ratios.values())
     print(f"median fresh/baseline ratio (machine-speed normalizer): "
           f"{median:.3f}")

@@ -4,8 +4,8 @@
 perf_compare is the CI perf gate; a crash in the gate script reads as a perf
 regression and blocks unrelated PRs, so its failure modes are pinned here:
 zero-valued baseline entries must be skipped with a note (not divide or
-KeyError), and a baseline with too few usable entries must exit with an
-actionable message instead of a traceback. The committed baseline itself is
+KeyError), and bad input (unreadable files, a foreign schema, too few usable
+entries) must exit 2 with an actionable message instead of a traceback. The committed baseline itself is
 checked too: every entry must be in nanoseconds, whatever unit the bench
 prints in, and must name a benchmark micro_core still defines.
 """
@@ -89,7 +89,7 @@ class PerfCompareTest(unittest.TestCase):
         fresh = self.write("fresh.json", doc(
             [("BM_A", 1.0), ("BM_B", 1.0), ("BM_C", 1.0)]))
         result = self.run_tool(base, fresh)
-        self.assertNotEqual(result.returncode, 0)
+        self.assertEqual(result.returncode, 2, result.stderr)
         self.assertNotIn("Traceback", result.stderr)
         self.assertIn("usable ratio", result.stderr)
         self.assertIn("COCOA_BENCH_JSON", result.stderr)
@@ -98,7 +98,7 @@ class PerfCompareTest(unittest.TestCase):
         base = self.write("base.json", doc([("BM_A", 100.0)]))
         fresh = self.write("fresh.json", doc([("BM_A", 100.0)]))
         result = self.run_tool(base, fresh)
-        self.assertNotEqual(result.returncode, 0)
+        self.assertEqual(result.returncode, 2, result.stderr)
         self.assertNotIn("Traceback", result.stderr)
         self.assertIn("comparable entries", result.stderr)
 
@@ -115,8 +115,22 @@ class PerfCompareTest(unittest.TestCase):
         base = self.write("base.json", {"schema": "other", "benchmarks": []})
         fresh = self.write("fresh.json", doc([("BM_A", 1.0)]))
         result = self.run_tool(base, fresh)
-        self.assertNotEqual(result.returncode, 0)
+        self.assertEqual(result.returncode, 2, result.stderr)
         self.assertIn("unexpected schema", result.stderr)
+
+    def test_unreadable_or_malformed_input_exits_2(self):
+        # 2 = bad input; 1 is reserved for a regression.
+        missing = os.path.join(self.dir.name, "nonexistent.json")
+        result = self.run_tool(missing, missing)
+        self.assertEqual(result.returncode, 2, result.stderr)
+        self.assertNotIn("Traceback", result.stderr)
+        self.assertIn("cannot read", result.stderr)
+        base = self.write("base.json", {"schema": "cocoa-perf-1",
+                                        "benchmarks": [{"name": "BM_A"}]})
+        result = self.run_tool(base, base)
+        self.assertEqual(result.returncode, 2, result.stderr)
+        self.assertNotIn("Traceback", result.stderr)
+        self.assertIn("malformed entry", result.stderr)
 
 
 class BaselineUnitsTest(unittest.TestCase):
