@@ -33,8 +33,8 @@ int main() {
         for (const double T : periods) {
             core::ScenarioConfig c = bench::paper_config();
             c.period = sim::Duration::seconds(T);
-            c.use_non_gaussian_bins = p.use_non_gaussian;
-            c.beacon_rssi_cutoff_dbm = p.cutoff_dbm;
+            c.tuning.use_non_gaussian_bins = p.use_non_gaussian;
+            c.tuning.beacon_rssi_cutoff_dbm = p.cutoff_dbm;
             configs.push_back(c);
         }
     }

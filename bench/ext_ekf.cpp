@@ -25,14 +25,14 @@ int main() {
                                        sim::TimePoint::from_seconds(1e9));
         };
 
-        c.mode = core::LocalizationMode::Combined;
+        c.estimator = est::Backend::Grid;
         const auto cocoa_r = core::run_scenario(c);
         // Apples-to-apples: CoCoA without the Glomosim-style heading
         // re-anchoring at fixes, which the EKF (heading-less state) cannot do.
         c.heading_correction_at_fix = false;
         const auto cocoa_nh_r = core::run_scenario(c);
         c.heading_correction_at_fix = true;
-        c.mode = core::LocalizationMode::Ekf;
+        c.estimator = est::Backend::Ekf;
         const auto ekf_r = core::run_scenario(c);
 
         t.add_row({metrics::fmt(T, 0), metrics::fmt(steady(cocoa_r)),

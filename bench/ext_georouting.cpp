@@ -34,7 +34,7 @@ RunResult run(PositionSource source, bool sleep_coordination) {
     c.duration = sim::Duration::minutes(30);
     c.sleep_coordination = sleep_coordination;
     if (source == PositionSource::Odometry) {
-        c.mode = core::LocalizationMode::OdometryOnly;
+        c.estimator = est::Backend::Odometry;
     }
     core::Scenario scenario(c);
 

@@ -32,7 +32,7 @@ int main() {
                       "wall time (s)"});
     for (const Technique& tech : techniques) {
         core::ScenarioConfig c = bench::paper_config();
-        c.technique = tech.technique;
+        c.tuning.technique = tech.technique;
         const auto t0 = std::chrono::steady_clock::now();
         const auto r = core::run_scenario(c);
         const auto t1 = std::chrono::steady_clock::now();

@@ -15,7 +15,7 @@ int main() {
     std::vector<metrics::TimeSeries> series;
     for (const double vmax : {0.5, 2.0}) {
         core::ScenarioConfig c = bench::paper_config();
-        c.mode = core::LocalizationMode::OdometryOnly;
+        c.estimator = est::Backend::Odometry;
         c.max_speed = vmax;
         if (vmax == 0.5) bench::print_config(c);
         const auto r = core::run_scenario(c);

@@ -17,7 +17,7 @@ int main() {
                             "fixes", "windows w/o fix"});
     for (const double T : {10.0, 50.0, 100.0, 300.0}) {
         core::ScenarioConfig c = bench::paper_config();
-        c.mode = core::LocalizationMode::RfOnly;
+        c.estimator = est::Backend::Rf;
         c.period = sim::Duration::seconds(T);
         if (T == 10.0) bench::print_config(c);
         const auto r = core::run_scenario(c);

@@ -1,7 +1,7 @@
 // Figure 7: localization error over time for T = 100 s under (i) odometry
 // only, (ii) RF localization only, and (iii) CoCoA (RF + odometry), at both
-// maximum speeds (0.5 and 2.0 m/s). All six (speed, mode) cells run as one
-// sweep on the replication engine.
+// maximum speeds (0.5 and 2.0 m/s). All six (speed, estimator) cells run as
+// one sweep on the replication engine.
 
 #include <iostream>
 
@@ -13,18 +13,18 @@ int main() {
     bench::print_header("Figure 7 — odometry vs RF-only vs CoCoA, T = 100 s",
                         "the paper's headline comparison (§4.3)");
 
-    const std::pair<core::LocalizationMode, const char*> modes[] = {
-        {core::LocalizationMode::OdometryOnly, "odometry"},
-        {core::LocalizationMode::RfOnly, "RF only"},
-        {core::LocalizationMode::Combined, "CoCoA"},
+    const std::pair<est::Backend, const char*> modes[] = {
+        {est::Backend::Odometry, "odometry"},
+        {est::Backend::Rf, "RF only"},
+        {est::Backend::Grid, "CoCoA"},
     };
     const double speeds[] = {0.5, 2.0};
 
     std::vector<core::ScenarioConfig> configs;
     for (const double vmax : speeds) {
-        for (const auto& [mode, name] : modes) {
+        for (const auto& [estimator, name] : modes) {
             core::ScenarioConfig c = bench::paper_config();
-            c.mode = mode;
+            c.estimator = estimator;
             c.max_speed = vmax;
             configs.push_back(c);
         }

@@ -22,7 +22,7 @@ int main() {
                         "CoCoA, T = 100 s; robot population CDFs");
 
     core::ScenarioConfig c = bench::paper_config();
-    c.mode = core::LocalizationMode::Combined;
+    c.estimator = est::Backend::Grid;
     bench::print_config(c);
     const auto r = core::run_scenario(c);
 

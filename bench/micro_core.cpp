@@ -646,16 +646,17 @@ BENCHMARK(BM_FixRotatingBins);
 // BM_FullFix25Anchors; grid pays the Bayesian fold, EKF-CL and LinCvx a
 // handful of multiply-adds.
 void estimator_fix_bench(benchmark::State& state, est::Backend backend) {
-    est::Config ec;
-    ec.backend = backend;
-    ec.grid.area = geom::Rect::square(200.0);
-    ec.grid.cell_m = 2.0;
+    const core::ScenarioConfig scenario;  // the paper's grid and tuning
+    core::GridConfig grid;
+    grid.area = geom::Rect::square(scenario.area_side_m);
+    grid.cell_m = scenario.cell_m;
+    grid.floor_fraction = scenario.floor_fraction;
     auto table = std::make_shared<const phy::PdfTable>(shared_table());
     mobility::OdometryEstimator odometry({}, sim::RandomStream(8));
-    odometry.reset(ec.grid.area.center(), 0.0);
+    odometry.reset(grid.area.center(), 0.0);
     const std::unique_ptr<est::Estimator> estimator =
-        est::make_estimator(ec, table, &odometry);
-    estimator->reset(ec.grid.area.center(), false);
+        est::make_estimator(backend, scenario.tuning, grid, table, &odometry);
+    estimator->reset(grid.area.center(), false);
 
     const phy::Channel ch;
     sim::RandomStream rng(8);

@@ -20,7 +20,7 @@ int main() {
     config.duration = sim::Duration::minutes(5);
     config.period = sim::Duration::seconds(50.0);   // T
     config.window = sim::Duration::seconds(3.0);    // t
-    config.mode = core::LocalizationMode::Combined; // RF fixes + odometry = CoCoA
+    config.estimator = est::Backend::Grid;          // RF fixes + odometry = CoCoA
     config.sync = core::SyncMode::Mrmm;             // SYNC over the MRMM mesh
 
     std::cout << "CoCoA quickstart: " << config.num_robots << " robots ("

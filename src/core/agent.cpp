@@ -28,33 +28,8 @@ CocoaAgent::CocoaAgent(net::Node& node, const AgentConfig& config,
     if (config_.sync == SyncMode::Mrmm && mcast_ == nullptr) {
         throw std::invalid_argument("CocoaAgent: Mrmm sync requires a multicast node");
     }
-    if (config_.estimator != est::Backend::Grid &&
-        config_.mode != LocalizationMode::Combined) {
-        throw std::invalid_argument(
-            "CocoaAgent: non-grid estimator backends require Combined mode");
-    }
-
-    est::Config ec;
-    // LocalizationMode::Ekf predates the interface; it maps to the EKF
-    // backend in its bit-exact legacy-continuous flavour.
-    ec.backend = config_.mode == LocalizationMode::Ekf ? est::Backend::Ekf
-                                                       : config_.estimator;
-    ec.legacy_continuous = config_.mode == LocalizationMode::Ekf;
-    ec.hold_fixes = config_.mode == LocalizationMode::RfOnly;
-    ec.grid = config_.grid;
-    ec.technique = config_.technique;
-    ec.min_beacons_for_fix = config_.min_beacons_for_fix;
-    ec.beacon_rssi_cutoff_dbm = config_.beacon_rssi_cutoff_dbm;
-    ec.use_non_gaussian_bins = config_.use_non_gaussian_bins;
-    ec.ekf_q_displacement_frac = config_.ekf_q_displacement_frac;
-    ec.ekf_q_floor_var_per_s = config_.ekf_q_floor_var_per_s;
-    ec.ekf_gate_sigmas = config_.ekf_gate_sigmas;
-    ec.ekf_use_non_gaussian_bins = config_.ekf_use_non_gaussian_bins;
-    ec.ekf_min_range_sigma_m = config_.ekf_min_range_sigma_m;
-    ec.ekf_reject_inflation_var = config_.ekf_reject_inflation_var;
-    ec.ekf_missed_window_var = config_.ekf_missed_window_var;
-    ec.lincvx_min_beacons = config_.lincvx_min_beacons;
-    estimator_ = est::make_estimator(ec, table_, &odometry_);
+    estimator_ = est::make_estimator(config_.estimator, config_.tuning, config_.grid,
+                                     table_, &odometry_);
 
     node_.host().register_handler(
         net::Port::Beacon,
@@ -101,7 +76,7 @@ void CocoaAgent::start() {
                                                  : config_.grid.area.center(),
                       config_.initial_pose_known);
 
-    if (config_.mode == LocalizationMode::OdometryOnly) {
+    if (config_.estimator == est::Backend::Odometry) {
         return;  // no RF activity at all: radio idles, no windows
     }
     if (is_sync_robot_ && mcast_ != nullptr) {
@@ -127,8 +102,8 @@ void CocoaAgent::tick() {
         // those increments don't warrant a note at all.
         node_.radio().medium().note_position_moved(node_.radio());
     }
-    const bool runs_odometry = config_.mode != LocalizationMode::RfOnly &&
-                               (config_.role == Role::Blind);
+    const bool runs_odometry =
+        config_.estimator != est::Backend::Rf && config_.role == Role::Blind;
     if (runs_odometry) {
         odometry_.observe_all(increments);
     }
@@ -204,11 +179,13 @@ void CocoaAgent::on_wake(std::uint32_t seq) {
             sim::make_tag(sim::EventKind::kAgentSyncSettle, node_.id(), 0, 0, seq));
     }
 
+    // Blind beaconing extends CoCoA and the continuous backends; RF-only
+    // robots hold raw fixes, and odometry-only robots never wake.
     const bool blind_beacons_now =
         config_.role == Role::Blind && config_.blind_beaconing &&
         estimator_->ever_fixed() &&
         estimator_->last_fix_spread_m() <= config_.blind_beacon_max_spread_m &&
-        config_.mode == LocalizationMode::Combined;
+        config_.estimator != est::Backend::Rf;
     if (config_.role == Role::Anchor || blind_beacons_now) {
         // k beacons spread across the transmit window t (§2.3 uses k = 3 for
         // delivery reliability); CSMA adds its own dispersion.
@@ -281,7 +258,7 @@ void CocoaAgent::send_beacon(std::uint32_t seq, int index) {
 }
 
 void CocoaAgent::on_beacon(const net::Packet& packet, const net::RxInfo& info) {
-    if (config_.role != Role::Blind || config_.mode == LocalizationMode::OdometryOnly) {
+    if (config_.role != Role::Blind || config_.estimator == est::Backend::Odometry) {
         return;
     }
     const auto* beacon = std::get_if<net::BeaconPayload>(&packet.payload);
@@ -305,7 +282,7 @@ void CocoaAgent::on_beacon(const net::Packet& packet, const net::RxInfo& info) {
 void CocoaAgent::on_window_end(std::uint32_t seq) {
     tick();
 
-    if (config_.role == Role::Blind && config_.mode != LocalizationMode::OdometryOnly) {
+    if (config_.role == Role::Blind && config_.estimator != est::Backend::Odometry) {
         if (estimator_->collects_window_beacons()) {
             // Heading is sampled at window end either way (see AgentConfig
             // for the heading_correction_at_fix rationale): a deferred fix
@@ -341,26 +318,23 @@ void CocoaAgent::on_window_end(std::uint32_t seq) {
                 apply_fix_outcome(fix, heading);
             }
         } else {
-            // Continuous-fusion backend: close this window's books. The
-            // legacy LocalizationMode::Ekf keeps none (tracked == false).
+            // Continuous-fusion backend: close this window's books.
             const est::WindowSummary summary = estimator_->end_window();
-            if (summary.tracked) {
-                if (summary.fixed) {
-                    ++stats_.fixes;
-                    const geom::Vec2 position = estimator_->estimate();
-                    node_.radio().medium().obs().trace.instant(
-                        node_.simulator().now(), "cocoa", "fix",
-                        static_cast<std::int64_t>(node_.id()),
-                        {{"x", position.x},
-                         {"y", position.y},
-                         {"beacons", static_cast<double>(summary.beacons_used)},
-                         {"err_m", (position - true_position()).norm()}});
-                } else {
-                    ++stats_.windows_without_fix;
-                    node_.radio().medium().obs().trace.instant(
-                        node_.simulator().now(), "cocoa", "no_fix",
-                        static_cast<std::int64_t>(node_.id()));
-                }
+            if (summary.fixed) {
+                ++stats_.fixes;
+                const geom::Vec2 position = estimator_->estimate();
+                node_.radio().medium().obs().trace.instant(
+                    node_.simulator().now(), "cocoa", "fix",
+                    static_cast<std::int64_t>(node_.id()),
+                    {{"x", position.x},
+                     {"y", position.y},
+                     {"beacons", static_cast<double>(summary.beacons_used)},
+                     {"err_m", (position - true_position()).norm()}});
+            } else {
+                ++stats_.windows_without_fix;
+                node_.radio().medium().obs().trace.instant(
+                    node_.simulator().now(), "cocoa", "no_fix",
+                    static_cast<std::int64_t>(node_.id()));
             }
         }
     }
@@ -536,7 +510,7 @@ geom::Vec2 CocoaAgent::estimate() const {
     if (config_.role == Role::Anchor) {
         return true_position();  // from the localization device
     }
-    if (config_.mode == LocalizationMode::OdometryOnly) {
+    if (config_.estimator == est::Backend::Odometry) {
         return odometry_.position();
     }
     return estimator_->estimate();

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -20,15 +19,6 @@ namespace cocoa::core {
 /// Whether a robot carries a localization device (laser ranger + SLAM).
 enum class Role { Anchor, Blind };
 
-/// Which estimator a blind robot runs — the three systems compared in §4,
-/// plus the continuous-fusion EKF alternative from the related work (§5).
-enum class LocalizationMode {
-    OdometryOnly,  ///< §4.1: initial pose given, dead reckoning only
-    RfOnly,        ///< §4.2: Bayesian RF fixes, held constant between windows
-    Combined,      ///< §4.3: CoCoA — RF fixes + odometry in between
-    Ekf,           ///< extension: EKF fusing odometry with each beacon range
-};
-
 /// How the team agrees on the Fig. 2 time-line.
 enum class SyncMode {
     PerfectClock,  ///< idealized common clock (no sync traffic, no skew)
@@ -37,56 +27,19 @@ enum class SyncMode {
 
 struct AgentConfig {
     Role role = Role::Blind;
-    LocalizationMode mode = LocalizationMode::Combined;
+    /// How a blind robot localizes: one of the paper's three systems (§4.1
+    /// odometry, §4.2 RF only, §4.3 CoCoA = grid) or an extension backend
+    /// (EKF-CL, LinCvx); see docs/estimators.md.
+    est::Backend estimator = est::Backend::Grid;
     SyncMode sync = SyncMode::Mrmm;
 
     sim::Duration period = sim::Duration::seconds(100.0);  ///< T
     sim::Duration window = sim::Duration::seconds(3.0);    ///< t
     int beacons_per_window = 3;                            ///< k
-    int min_beacons_for_fix = 3;
 
     GridConfig grid;
     mobility::OdometryConfig odometry;
-    /// Which RF technique turns window beacons into a fix (§5 pluggability).
-    RfTechnique technique = RfTechnique::BayesianGrid;
-    /// Which belief backend a Combined-mode blind robot runs behind the
-    /// est::Estimator interface (grid = the paper's Bayesian grid; see
-    /// docs/estimators.md for the EKF-CL and LinCvx alternatives). Modes
-    /// other than Combined pin their own backend: RfOnly/OdometryOnly use the
-    /// grid path, LocalizationMode::Ekf the legacy continuous EKF.
-    est::Backend estimator = est::Backend::Grid;
-    /// EKF mode process noise: fractional error on each dead-reckoned
-    /// displacement, plus a floor variance accrued per second. The floor is
-    /// deliberately generous: odometry drift is bias-driven (grows faster
-    /// than a random walk), and an overconfident filter under-weights its
-    /// corrections.
-    double ekf_q_displacement_frac = 0.1;
-    double ekf_q_floor_var_per_s = 0.6;  ///< m^2 / s
-    /// EKF innovation gate (standard deviations); bad beacons beyond it are
-    /// ignored.
-    double ekf_gate_sigmas = 4.0;
-    /// Far-field (non-Gaussian-bin) beacons carry real information even for
-    /// the EKF: with the sigma floor, the innovation gate and rejection
-    /// inflation they resolve single-anchor tangential ambiguity the same
-    /// way they disambiguate the grid's ring posteriors.
-    bool ekf_use_non_gaussian_bins = true;
-    /// Floor on the effective range sigma: the PDF-table sigma understates
-    /// the true measurement error (anchor SLAM noise, motion during the
-    /// window), and an overconfident filter gates itself to death.
-    double ekf_min_range_sigma_m = 2.0;
-    /// Covariance inflation (m^2) applied whenever the gate rejects a
-    /// measurement: persistent disagreement must reopen the filter.
-    double ekf_reject_inflation_var = 2.0;
-    /// EKF-CL backend: covariance inflation (m^2) at the end of a window in
-    /// which no measurement was accepted (loss burst / anchor outage).
-    double ekf_missed_window_var = 4.0;
-    /// LinCvx backend: minimum usable beacons for an opportunistic fix.
-    int lincvx_min_beacons = 1;
-    /// Ignore beacons weaker than this RSSI (on top of the PDF-table rules).
-    double beacon_rssi_cutoff_dbm = -std::numeric_limits<double>::infinity();
-    /// Admit beacons whose PDF bin failed the Gaussian fit (the paper's "bad
-    /// beacons" from beyond ~40 m). See RfLocalizer::Options.
-    bool use_non_gaussian_bins = true;
+    est::Config tuning;  ///< the estimator's tuning; each backend reads its subset
 
     /// Sleep radios between windows (CoCoA coordination). When false the
     /// radio idles through the whole period — the Fig. 9(b) baseline.
@@ -214,7 +167,7 @@ class CocoaAgent {
     net::NodeId id() const { return node_.id(); }
     net::Node& node() { return node_; }
 
-    /// The robot's current position estimate under the configured mode.
+    /// The robot's current position estimate under the configured backend.
     geom::Vec2 estimate() const;
     /// Ground-truth position (for metrics only).
     geom::Vec2 true_position() const { return node_.mobility().position(); }
@@ -232,11 +185,6 @@ class CocoaAgent {
     bool ever_fixed() const {
         resolve_pending();
         return estimator_->ever_fixed();
-    }
-    /// The belief backend (tests/benches peek at backend-specific state).
-    const est::Estimator& estimator() const {
-        resolve_pending();
-        return *estimator_;
     }
     bool is_sync_robot() const { return is_sync_robot_; }
     sim::Duration period() const { return config_.period; }

@@ -11,20 +11,27 @@
 namespace cocoa::core {
 
 BayesGrid::BayesGrid(const GridConfig& config) : config_(config) {
-    if (config_.cell_m <= 0.0) {
+    // Negated comparisons reject NaN, which every ordered comparison lets by.
+    if (!(config_.cell_m > 0.0)) {
         throw std::invalid_argument("BayesGrid: cell size must be positive");
     }
-    if (config_.area.width() <= 0.0 || config_.area.height() <= 0.0) {
+    if (!(config_.area.width() > 0.0 && config_.area.height() > 0.0)) {
         throw std::invalid_argument("BayesGrid: area must have positive extent");
     }
-    if (config_.floor_fraction < 0.0 || config_.floor_fraction >= 1.0) {
+    if (!(config_.floor_fraction >= 0.0 && config_.floor_fraction < 1.0)) {
         throw std::invalid_argument("BayesGrid: floor_fraction must be in [0, 1)");
     }
+    // Count the cells in floating point first: a float->integer cast of a
+    // value past the integer's range is undefined.
+    const double nx = std::max(1.0, std::ceil(config_.area.width() / config_.cell_m));
+    const double ny = std::max(1.0, std::ceil(config_.area.height() / config_.cell_m));
+    if (!((nx + static_cast<double>(gridk::kBlock)) * ny <=
+          static_cast<double>(cells_.max_size()))) {
+        throw std::invalid_argument("BayesGrid: cell size too small for the area");
+    }
     if (config_.kernels == nullptr) config_.kernels = std::make_shared<KernelCache>();
-    nx_ = static_cast<std::size_t>(std::ceil(config_.area.width() / config_.cell_m));
-    ny_ = static_cast<std::size_t>(std::ceil(config_.area.height() / config_.cell_m));
-    nx_ = std::max<std::size_t>(nx_, 1);
-    ny_ = std::max<std::size_t>(ny_, 1);
+    nx_ = static_cast<std::size_t>(nx);
+    ny_ = static_cast<std::size_t>(ny);
     stride_ = gridk::padded(nx_);
     cell_w_ = config_.area.width() / static_cast<double>(nx_);
     cell_h_ = config_.area.height() / static_cast<double>(ny_);

@@ -137,6 +137,36 @@ mac::MediumConfig load_medium(sim::ckpt::Reader& r) {
     return c;
 }
 
+void save_tuning(sim::ckpt::Writer& w, const est::Config& c) {
+    w.u32(static_cast<std::uint32_t>(c.technique));
+    w.i32(c.min_beacons_for_fix);
+    w.f64(c.beacon_rssi_cutoff_dbm);
+    w.b(c.use_non_gaussian_bins);
+    w.f64(c.ekf_q_displacement_frac);
+    w.f64(c.ekf_q_floor_var_per_s);
+    w.f64(c.ekf_gate_sigmas);
+    w.f64(c.ekf_min_range_sigma_m);
+    w.f64(c.ekf_reject_inflation_var);
+    w.f64(c.ekf_missed_window_var);
+    w.i32(c.lincvx_min_beacons);
+}
+
+est::Config load_tuning(sim::ckpt::Reader& r) {
+    est::Config c;
+    c.technique = r.enumerator(RfTechnique::LeastSquares);
+    c.min_beacons_for_fix = r.i32();
+    c.beacon_rssi_cutoff_dbm = r.f64();
+    c.use_non_gaussian_bins = r.b();
+    c.ekf_q_displacement_frac = r.f64();
+    c.ekf_q_floor_var_per_s = r.f64();
+    c.ekf_gate_sigmas = r.f64();
+    c.ekf_min_range_sigma_m = r.f64();
+    c.ekf_reject_inflation_var = r.f64();
+    c.ekf_missed_window_var = r.f64();
+    c.lincvx_min_beacons = r.i32();
+    return c;
+}
+
 void save_multicast(sim::ckpt::Writer& w, const multicast::MulticastConfig& c) {
     w.u32(static_cast<std::uint32_t>(c.variant));
     w.dur(c.refresh_interval);
@@ -182,27 +212,15 @@ void save_config(sim::ckpt::Writer& w, const ScenarioConfig& c) {
     w.f64(c.min_speed);
     w.f64(c.max_speed);
     w.dur(c.duration);
-    w.u32(static_cast<std::uint32_t>(c.mode));
+    w.u32(static_cast<std::uint32_t>(c.estimator));
     w.u32(static_cast<std::uint32_t>(c.sync));
     w.b(c.sleep_coordination);
     w.dur(c.period);
     w.dur(c.window);
     w.i32(c.beacons_per_window);
-    w.i32(c.min_beacons_for_fix);
-    w.u32(static_cast<std::uint32_t>(c.technique));
-    w.u32(static_cast<std::uint32_t>(c.estimator));
+    save_tuning(w, c.tuning);
     w.f64(c.cell_m);
     w.f64(c.floor_fraction);
-    w.f64(c.ekf_q_displacement_frac);
-    w.f64(c.ekf_q_floor_var_per_s);
-    w.f64(c.ekf_gate_sigmas);
-    w.b(c.ekf_use_non_gaussian_bins);
-    w.f64(c.ekf_min_range_sigma_m);
-    w.f64(c.ekf_reject_inflation_var);
-    w.f64(c.ekf_missed_window_var);
-    w.i32(c.lincvx_min_beacons);
-    w.f64(c.beacon_rssi_cutoff_dbm);
-    w.b(c.use_non_gaussian_bins);
     save_odometry(w, c.odometry);
     save_channel(w, c.channel);
     save_calibration(w, c.calibration);
@@ -235,27 +253,15 @@ ScenarioConfig load_scenario_config(sim::ckpt::Reader& r) {
     c.min_speed = r.f64();
     c.max_speed = r.f64();
     c.duration = r.dur();
-    c.mode = r.enumerator(LocalizationMode::Ekf);
+    c.estimator = r.enumerator(est::Backend::Odometry);
     c.sync = r.enumerator(SyncMode::Mrmm);
     c.sleep_coordination = r.b();
     c.period = r.dur();
     c.window = r.dur();
     c.beacons_per_window = r.i32();
-    c.min_beacons_for_fix = r.i32();
-    c.technique = r.enumerator(RfTechnique::LeastSquares);
-    c.estimator = r.enumerator(est::Backend::LinCvx);
+    c.tuning = load_tuning(r);
     c.cell_m = r.f64();
     c.floor_fraction = r.f64();
-    c.ekf_q_displacement_frac = r.f64();
-    c.ekf_q_floor_var_per_s = r.f64();
-    c.ekf_gate_sigmas = r.f64();
-    c.ekf_use_non_gaussian_bins = r.b();
-    c.ekf_min_range_sigma_m = r.f64();
-    c.ekf_reject_inflation_var = r.f64();
-    c.ekf_missed_window_var = r.f64();
-    c.lincvx_min_beacons = r.i32();
-    c.beacon_rssi_cutoff_dbm = r.f64();
-    c.use_non_gaussian_bins = r.b();
     c.odometry = load_odometry(r);
     c.channel = load_channel(r);
     c.calibration = load_calibration(r);

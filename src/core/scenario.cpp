@@ -16,8 +16,9 @@ void ScenarioConfig::validate() const {
     if (num_anchors < 0 || num_anchors > num_robots) {
         throw std::invalid_argument("ScenarioConfig: num_anchors in [0, num_robots]");
     }
-    if (mode != LocalizationMode::OdometryOnly && num_anchors < 1) {
-        throw std::invalid_argument("ScenarioConfig: RF modes need at least one anchor");
+    if (estimator != est::Backend::Odometry && num_anchors < 1) {
+        throw std::invalid_argument(
+            "ScenarioConfig: RF estimators need at least one anchor");
     }
     // Negated comparisons reject NaN, which every ordered comparison lets by.
     if (!(area_side_m > 0.0) || !std::isfinite(area_side_m)) {
@@ -30,17 +31,20 @@ void ScenarioConfig::validate() const {
         sample_interval <= sim::Duration::zero()) {
         throw std::invalid_argument("ScenarioConfig: positive durations");
     }
-    if (beacons_per_window < 1 || min_beacons_for_fix < 1) {
-        throw std::invalid_argument("ScenarioConfig: beacon counts >= 1");
+    if (beacons_per_window < 1) {
+        throw std::invalid_argument("ScenarioConfig: beacons_per_window >= 1");
     }
     if (!(min_speed > 0.0) || !(max_speed >= min_speed) || !std::isfinite(max_speed)) {
         throw std::invalid_argument(
             "ScenarioConfig: need 0 < min_speed <= max_speed, both finite");
     }
-    if (estimator != est::Backend::Grid && mode != LocalizationMode::Combined) {
-        throw std::invalid_argument(
-            "ScenarioConfig: non-grid estimator backends require Combined mode");
+    if (!(cell_m > 0.0) || !std::isfinite(cell_m)) {
+        throw std::invalid_argument("ScenarioConfig: positive finite cell_m");
     }
+    if (!(floor_fraction >= 0.0 && floor_fraction < 1.0)) {
+        throw std::invalid_argument("ScenarioConfig: floor_fraction in [0, 1)");
+    }
+    tuning.validate();
 }
 
 Scenario::Scenario(const ScenarioConfig& config,
@@ -73,7 +77,7 @@ Scenario::Scenario(const ScenarioConfig& config,
     }
 
     const bool use_mrmm = config_.sync == SyncMode::Mrmm &&
-                          config_.mode != LocalizationMode::OdometryOnly;
+                          config_.estimator != est::Backend::Odometry;
     if (use_mrmm) {
         multicast::MulticastConfig mc = config_.multicast;
         mc.auto_refresh = false;  // CoCoA drives refreshes at period starts
@@ -93,26 +97,14 @@ Scenario::Scenario(const ScenarioConfig& config,
     for (int i = 0; i < config_.num_robots; ++i) {
         AgentConfig ac;
         ac.role = is_anchor(static_cast<net::NodeId>(i)) ? Role::Anchor : Role::Blind;
-        ac.mode = config_.mode;
+        ac.estimator = config_.estimator;
         ac.sync = use_mrmm ? SyncMode::Mrmm : SyncMode::PerfectClock;
         ac.period = config_.period;
         ac.window = config_.window;
         ac.beacons_per_window = config_.beacons_per_window;
-        ac.min_beacons_for_fix = config_.min_beacons_for_fix;
         ac.grid = grid;
         ac.odometry = config_.odometry;
-        ac.technique = config_.technique;
-        ac.estimator = config_.estimator;
-        ac.ekf_q_displacement_frac = config_.ekf_q_displacement_frac;
-        ac.ekf_q_floor_var_per_s = config_.ekf_q_floor_var_per_s;
-        ac.ekf_gate_sigmas = config_.ekf_gate_sigmas;
-        ac.ekf_use_non_gaussian_bins = config_.ekf_use_non_gaussian_bins;
-        ac.ekf_min_range_sigma_m = config_.ekf_min_range_sigma_m;
-        ac.ekf_reject_inflation_var = config_.ekf_reject_inflation_var;
-        ac.ekf_missed_window_var = config_.ekf_missed_window_var;
-        ac.lincvx_min_beacons = config_.lincvx_min_beacons;
-        ac.beacon_rssi_cutoff_dbm = config_.beacon_rssi_cutoff_dbm;
-        ac.use_non_gaussian_bins = config_.use_non_gaussian_bins;
+        ac.tuning = config_.tuning;
         ac.sleep_coordination = config_.sleep_coordination;
         ac.wake_guard = config_.wake_guard;
         ac.window_slack = config_.window_slack;
@@ -122,8 +114,8 @@ Scenario::Scenario(const ScenarioConfig& config,
         ac.heading_correction_at_fix = config_.heading_correction_at_fix;
         ac.blind_beaconing = config_.blind_beaconing;
         ac.blind_beacon_max_spread_m = config_.blind_beacon_max_spread_m;
-        ac.initial_pose_known =
-            config_.initial_pose_known || config_.mode == LocalizationMode::OdometryOnly;
+        ac.initial_pose_known = config_.initial_pose_known ||
+                                config_.estimator == est::Backend::Odometry;
         ac.fix_pool = fix_pool_.get();
 
         multicast::MulticastNode* mcast_node =
@@ -159,7 +151,7 @@ multicast::MulticastNode* Scenario::multicast_node(net::NodeId id) {
 }
 
 bool Scenario::is_anchor(net::NodeId id) const {
-    if (config_.mode == LocalizationMode::OdometryOnly) return false;
+    if (config_.estimator == est::Backend::Odometry) return false;
     return id < static_cast<net::NodeId>(config_.num_anchors);
 }
 

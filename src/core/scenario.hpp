@@ -32,37 +32,24 @@ struct ScenarioConfig {
 
     double area_side_m = 200.0;
     int num_robots = 50;
-    int num_anchors = 25;     ///< ignored (all blind) in OdometryOnly mode
+    int num_anchors = 25;     ///< ignored (all blind) by the Odometry estimator
     double min_speed = 0.1;   ///< m/s
     double max_speed = 2.0;   ///< m/s; the paper evaluates 0.5 and 2.0
     sim::Duration duration = sim::Duration::minutes(30);
 
-    LocalizationMode mode = LocalizationMode::Combined;
+    /// How blind robots localize (see AgentConfig::estimator and
+    /// docs/estimators.md).
+    est::Backend estimator = est::Backend::Grid;
     SyncMode sync = SyncMode::Mrmm;
     bool sleep_coordination = true;
 
     sim::Duration period = sim::Duration::seconds(100.0);  ///< T
     sim::Duration window = sim::Duration::seconds(3.0);    ///< t
     int beacons_per_window = 3;                            ///< k
-    int min_beacons_for_fix = 3;
 
-    RfTechnique technique = RfTechnique::BayesianGrid;
-    /// Combined-mode belief backend (see AgentConfig::estimator and
-    /// docs/estimators.md). Non-grid backends require mode == Combined.
-    est::Backend estimator = est::Backend::Grid;
-    double cell_m = 2.0;
-    double floor_fraction = 0.01;
-    /// EKF-mode tuning (see AgentConfig).
-    double ekf_q_displacement_frac = 0.1;
-    double ekf_q_floor_var_per_s = 0.6;
-    double ekf_gate_sigmas = 4.0;
-    bool ekf_use_non_gaussian_bins = true;
-    double ekf_min_range_sigma_m = 2.0;
-    double ekf_reject_inflation_var = 2.0;
-    double ekf_missed_window_var = 4.0;
-    int lincvx_min_beacons = 1;
-    double beacon_rssi_cutoff_dbm = -std::numeric_limits<double>::infinity();
-    bool use_non_gaussian_bins = true;
+    est::Config tuning;  ///< estimator tuning, handed to every agent as is
+    double cell_m = 2.0;  ///< Bayesian grid cell side (GridConfig::cell_m)
+    double floor_fraction = 0.01;  ///< GridConfig::floor_fraction
 
     mobility::OdometryConfig odometry;
     phy::ChannelConfig channel;
@@ -81,7 +68,7 @@ struct ScenarioConfig {
     double sync_residual_sigma_s = 0.02;
     double anchor_position_sigma_m = 0.25;
     bool heading_correction_at_fix = true;
-    bool initial_pose_known = false;  ///< forced on in OdometryOnly mode
+    bool initial_pose_known = false;  ///< forced on by the Odometry estimator
     /// §6 extension: confidently-localized blind robots also beacon.
     bool blind_beaconing = false;
     double blind_beacon_max_spread_m = 8.0;
@@ -162,8 +149,8 @@ class Scenario {
     std::size_t agent_count() const { return agents_.size(); }
     bool is_anchor(net::NodeId id) const;
     /// The node's multicast instance, or nullptr when the scenario runs
-    /// without an MRMM fleet (PerfectClock / OdometryOnly). Fault injection
-    /// uses this to drop a rebooted robot's ODMRP soft state.
+    /// without an MRMM fleet (PerfectClock, or the Odometry estimator).
+    /// Fault injection uses this to drop a rebooted robot's ODMRP soft state.
     multicast::MulticastNode* multicast_node(net::NodeId id);
     const phy::PdfTable& pdf_table() const { return *table_; }
     std::shared_ptr<const phy::PdfTable> pdf_table_ptr() const { return table_; }

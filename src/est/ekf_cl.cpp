@@ -7,9 +7,9 @@
 
 namespace cocoa::est {
 
-EkfClEstimator::EkfClEstimator(const Config& config,
+EkfClEstimator::EkfClEstimator(const Config& tuning, const geom::Rect& area,
                                std::shared_ptr<const phy::PdfTable> table)
-    : config_(config), table_(std::move(table)), area_(config.grid.area) {}
+    : tuning_(tuning), table_(std::move(table)), area_(area) {}
 
 void EkfClEstimator::reset(const geom::Vec2& position, bool position_known) {
     if (position_known) {
@@ -26,22 +26,22 @@ void EkfClEstimator::reset(const geom::Vec2& position, bool position_known) {
 
 void EkfClEstimator::predict(const geom::Vec2& measured_delta, double dt_s) {
     if (dt_s > 0.0 || measured_delta.norm_sq() > 0.0) {
-        const double q = config_.ekf_q_displacement_frac *
-                             config_.ekf_q_displacement_frac *
+        const double q = tuning_.ekf_q_displacement_frac *
+                             tuning_.ekf_q_displacement_frac *
                              measured_delta.norm_sq() +
-                         config_.ekf_q_floor_var_per_s * dt_s;
+                         tuning_.ekf_q_floor_var_per_s * dt_s;
         ekf_.predict(measured_delta, q);
     }
 }
 
 bool EkfClEstimator::observe_beacon(const core::BeaconObservation& obs) {
-    if (obs.rssi_dbm < config_.beacon_rssi_cutoff_dbm) return false;
+    if (obs.rssi_dbm < tuning_.beacon_rssi_cutoff_dbm) return false;
     const phy::DistancePdf* pdf = table_->lookup(obs.rssi_dbm);
     if (pdf == nullptr) return false;
-    if (!pdf->gaussian_fit_ok && !config_.ekf_use_non_gaussian_bins) return false;
-    const double sigma = std::max(pdf->sigma_m, config_.ekf_min_range_sigma_m);
+    if (!pdf->gaussian_fit_ok && !tuning_.use_non_gaussian_bins) return false;
+    const double sigma = std::max(pdf->sigma_m, tuning_.ekf_min_range_sigma_m);
     if (ekf_.update_range(obs.anchor_position, pdf->mean_m, sigma,
-                          config_.ekf_gate_sigmas)) {
+                          tuning_.ekf_gate_sigmas)) {
         ever_fixed_ = true;
         last_fix_spread_m_ = ekf_.uncertainty();
         ++accepted_this_window_;
@@ -50,7 +50,7 @@ bool EkfClEstimator::observe_beacon(const core::BeaconObservation& obs) {
     }
     // Gated out: if the belief keeps disagreeing with measurements it must
     // lose confidence, or it will coast away for good.
-    ekf_.predict({}, config_.ekf_reject_inflation_var);
+    ekf_.predict({}, tuning_.ekf_reject_inflation_var);
     ++stats_.updates_gated;
     return false;
 }
@@ -58,16 +58,14 @@ bool EkfClEstimator::observe_beacon(const core::BeaconObservation& obs) {
 WindowSummary EkfClEstimator::end_window() {
     const int accepted = accepted_this_window_;
     accepted_this_window_ = 0;
-    if (config_.legacy_continuous) return {};  // pre-interface EKF: no books
     WindowSummary summary;
-    summary.tracked = true;
     summary.fixed = accepted > 0;
     summary.beacons_used = accepted;
     if (!summary.fixed) {
         // A whole window with nothing accepted — a loss burst, an outage, or
         // every anchor out of range. Open the filter so the next good
         // measurement can pull the state back (graceful degradation).
-        ekf_.predict({}, config_.ekf_missed_window_var);
+        ekf_.predict({}, tuning_.ekf_missed_window_var);
         ++stats_.windows_missed;
     }
     return summary;

@@ -10,12 +10,11 @@ namespace cocoa::est {
 
 /// EKF-CL: continuous range fusion in the style of the partially-
 /// decentralized cooperative-localization EKF over unreliable links (Kia &
-/// Martinez, arXiv:1608.00609). Each beacon updates the filter on arrival
-/// (through the same RangeEkf core the legacy LocalizationMode::Ekf used, so
-/// that mode stays numerically identical), and a window that ends without a
-/// single accepted measurement inflates the covariance — under the fault
-/// subsystem's loss bursts and anchor outages the filter degrades gracefully
-/// instead of coasting overconfidently, then re-converges when links return.
+/// Martinez, arXiv:1608.00609). Each beacon updates a core::RangeEkf on
+/// arrival, and a window that ends without a single accepted measurement
+/// inflates the covariance — under the fault subsystem's loss bursts and
+/// anchor outages the filter degrades gracefully instead of coasting
+/// overconfidently, then re-converges when links return.
 class EkfClEstimator final : public Estimator {
   public:
     struct Stats {
@@ -24,9 +23,8 @@ class EkfClEstimator final : public Estimator {
         std::uint64_t windows_missed = 0;  ///< windows with no accepted update
     };
 
-    EkfClEstimator(const Config& config, std::shared_ptr<const phy::PdfTable> table);
-
-    Backend backend() const override { return Backend::Ekf; }
+    EkfClEstimator(const Config& tuning, const geom::Rect& area,
+                   std::shared_ptr<const phy::PdfTable> table);
 
     void reset(const geom::Vec2& position, bool position_known) override;
     void predict(const geom::Vec2& measured_delta, double dt_s) override;
@@ -41,14 +39,11 @@ class EkfClEstimator final : public Estimator {
     void register_counters(obs::CounterRegistry& registry,
                            const std::string& node_prefix) const override;
 
-    const core::RangeEkf& filter() const { return ekf_; }
-    const Stats& stats() const { return stats_; }
-
     void save_state(sim::ckpt::Writer& w) const override;
     void load_state(sim::ckpt::Reader& r) override;
 
   private:
-    Config config_;
+    Config tuning_;
     std::shared_ptr<const phy::PdfTable> table_;
     geom::Rect area_;
     core::RangeEkf ekf_;

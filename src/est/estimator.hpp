@@ -20,47 +20,62 @@ class Reader;
 
 namespace cocoa::est {
 
-/// Which belief representation a blind robot runs behind the Estimator
-/// interface. The paper's grid-Bayes filter is one point in the cooperative-
-/// localization design space; the other two backends cover its neighbours:
+/// How a blind robot localizes: the one estimator axis. The first and the
+/// last two values are the three systems the paper compares (§4.1-§4.3);
+/// EKF-CL and LinCvx are the cooperative-localization neighbours of its
+/// grid filter. Odometry stays last: checkpoints range-check against it.
 enum class Backend {
-    Grid,    ///< CoCoA's windowed Bayesian grid (the reproduction default)
-    Ekf,     ///< EKF-CL: continuous range fusion with covariance inflation on
-             ///< missed windows (Kia & Martinez, arXiv:1608.00609)
-    LinCvx,  ///< opportunistic linear-convex combination, near-zero per-fix
-             ///< CPU (Safavi & Khan, arXiv:1703.06387)
+    Grid,      ///< §4.3 CoCoA: windowed Bayesian grid fixes, dead reckoning
+               ///< re-anchored at each fix (the reproduction default)
+    Ekf,       ///< EKF-CL: continuous range fusion with covariance inflation
+               ///< on missed windows (Kia & Martinez, arXiv:1608.00609)
+    LinCvx,    ///< opportunistic linear-convex combination, near-zero per-fix
+               ///< CPU (Safavi & Khan, arXiv:1703.06387)
+    Rf,        ///< §4.2 RF only: grid fixes, held constant between windows
+    Odometry,  ///< §4.1 odometry only: initial pose given, dead reckoning,
+               ///< no RF at all
 };
 
 const char* to_string(Backend backend);
-/// "grid" | "ekf" | "lincvx" -> Backend; std::nullopt for anything else.
+/// "grid" | "ekf" | "lincvx" | "rf" | "odom" -> Backend; std::nullopt for
+/// anything else.
 std::optional<Backend> parse_backend(std::string_view name);
 
-/// Estimator tuning, sliced out of AgentConfig by the agent. One struct for
-/// all backends: each reads the subset it cares about, so a scenario sweep
-/// can switch backends without touching the rest of its configuration.
+/// Estimator tuning: the one declaration of every knob a backend reads.
+/// ScenarioConfig and AgentConfig each hold one by value, and each backend
+/// reads the subset it cares about, so a sweep can switch backends without
+/// touching the rest of its configuration.
 struct Config {
-    Backend backend = Backend::Grid;
-
-    core::GridConfig grid;  ///< area (all backends) + cell size (grid)
+    /// Which RF technique turns window beacons into a fix inside the grid
+    /// family (Grid, Rf; §5 pluggability).
     core::RfTechnique technique = core::RfTechnique::BayesianGrid;
     int min_beacons_for_fix = 3;
+    /// Ignore beacons weaker than this RSSI (on top of the PDF-table rules).
     double beacon_rssi_cutoff_dbm = -std::numeric_limits<double>::infinity();
+    /// Admit beacons whose PDF bin failed the Gaussian fit (the paper's "bad
+    /// beacons" from beyond ~40 m; see RfLocalizer::Options). They carry
+    /// real information for the EKF too: with the sigma floor, the
+    /// innovation gate and rejection inflation they resolve single-anchor
+    /// tangential ambiguity the same way they disambiguate the grid's ring
+    /// posteriors.
     bool use_non_gaussian_bins = true;
-    /// RfOnly mode: hold the raw fix between windows instead of re-anchoring
-    /// the dead-reckoning at it.
-    bool hold_fixes = false;
-    /// LocalizationMode::Ekf compatibility: the pre-interface continuous EKF
-    /// did no per-window accounting and no missed-window inflation; the EKF
-    /// backend reproduces it bit-exactly when this is set.
-    bool legacy_continuous = false;
 
-    // EKF-CL process/measurement tuning (see AgentConfig for the rationale;
-    // the displacement/floor pair also drives LinCvx's prior inflation).
+    /// EKF-CL process noise: fractional error on each dead-reckoned
+    /// displacement, plus a floor variance accrued per second (m^2/s). The
+    /// floor is deliberately generous: odometry drift is bias-driven (grows
+    /// faster than a random walk), and an overconfident filter under-weights
+    /// its corrections. The pair also drives LinCvx's prior inflation.
     double ekf_q_displacement_frac = 0.1;
     double ekf_q_floor_var_per_s = 0.6;
+    /// EKF innovation gate (standard deviations); bad beacons beyond it are
+    /// ignored.
     double ekf_gate_sigmas = 4.0;
-    bool ekf_use_non_gaussian_bins = true;
+    /// Floor on the effective range sigma: the PDF-table sigma understates
+    /// the true measurement error (anchor SLAM noise, motion during the
+    /// window), and an overconfident filter gates itself to death.
     double ekf_min_range_sigma_m = 2.0;
+    /// Covariance inflation (m^2) applied whenever the gate rejects a
+    /// measurement: persistent disagreement must reopen the filter.
     double ekf_reject_inflation_var = 2.0;
     /// Covariance inflation (m^2) applied at the end of a window in which no
     /// measurement was accepted: under loss bursts or anchor outages the
@@ -70,14 +85,16 @@ struct Config {
 
     /// LinCvx is opportunistic: any usable beacon updates the estimate.
     int lincvx_min_beacons = 1;
+
+    /// Throws std::invalid_argument naming the first field that would break
+    /// a run: a count below 1, a negative or non-finite variance or
+    /// fraction, a non-positive or non-finite gate or sigma floor, or a NaN
+    /// cutoff (-infinity, the default, admits every beacon).
+    void validate() const;
 };
 
 /// What a continuous-fusion backend did during the window that just closed.
-/// `tracked` is false when the backend keeps no per-window books (collecting
-/// backends, and the legacy-continuous EKF) — the agent then leaves its
-/// fix/no-fix stats to the compute_fix/apply_fix path.
 struct WindowSummary {
-    bool tracked = false;
     bool fixed = false;       ///< at least one measurement accepted
     int beacons_used = 0;
 };
@@ -109,8 +126,6 @@ class Estimator {
   public:
     virtual ~Estimator() = default;
 
-    virtual Backend backend() const = 0;
-
     virtual void reset(const geom::Vec2& position, bool position_known) = 0;
     virtual void predict(const geom::Vec2& /*measured_delta*/, double /*dt_s*/) {}
     virtual bool integrates_odometry() const { return false; }
@@ -127,7 +142,7 @@ class Estimator {
     }
     virtual bool pool_safe_fix() const { return false; }
     /// Folds a compute_fix() outcome into the belief. `heading` is the
-    /// re-anchor heading sampled at window end (grid Combined mode).
+    /// re-anchor heading sampled at window end (grid backend).
     virtual void apply_fix(const std::optional<core::Fix>& /*fix*/,
                            double /*heading*/) {}
     virtual WindowSummary end_window() { return {}; }
@@ -159,11 +174,12 @@ class Estimator {
     double last_fix_spread_m_ = std::numeric_limits<double>::infinity();
 };
 
-/// Builds the configured backend. `odometry` is the agent-owned dead-
-/// reckoning estimate the grid backend re-anchors at each fix (and reads
-/// between fixes in Combined mode); it must outlive the estimator.
+/// Builds `backend` with `tuning`. `grid` gives the area (every backend)
+/// and the cell size (the grid family: Grid, Rf, Odometry). `odometry` is
+/// the agent-owned dead-reckoning estimate the grid backend re-anchors at
+/// each fix and reads between fixes; it must outlive the estimator.
 std::unique_ptr<Estimator> make_estimator(
-    const Config& config, std::shared_ptr<const phy::PdfTable> table,
-    mobility::OdometryEstimator* odometry);
+    Backend backend, const Config& tuning, const core::GridConfig& grid,
+    std::shared_ptr<const phy::PdfTable> table, mobility::OdometryEstimator* odometry);
 
 }  // namespace cocoa::est

@@ -6,18 +6,19 @@
 
 namespace cocoa::est {
 
-GridEstimator::GridEstimator(const Config& config,
+GridEstimator::GridEstimator(Backend backend, const Config& tuning,
+                             const core::GridConfig& grid,
                              std::shared_ptr<const phy::PdfTable> table,
                              mobility::OdometryEstimator* odometry)
-    : localizer_(config.grid, std::move(table),
+    : localizer_(grid, std::move(table),
                  core::RfLocalizer::Options{
-                     .technique = config.technique,
-                     .min_beacons = config.min_beacons_for_fix,
-                     .rssi_cutoff_dbm = config.beacon_rssi_cutoff_dbm,
-                     .use_non_gaussian_bins = config.use_non_gaussian_bins}),
+                     .technique = tuning.technique,
+                     .min_beacons = tuning.min_beacons_for_fix,
+                     .rssi_cutoff_dbm = tuning.beacon_rssi_cutoff_dbm,
+                     .use_non_gaussian_bins = tuning.use_non_gaussian_bins}),
       odometry_(odometry),
-      center_(config.grid.area.center()),
-      hold_fixes_(config.hold_fixes),
+      center_(grid.area.center()),
+      rf_only_(backend == Backend::Rf),
       rf_position_(center_) {}
 
 void GridEstimator::reset(const geom::Vec2& /*position*/, bool position_known) {
@@ -38,7 +39,7 @@ void GridEstimator::apply_fix(const std::optional<core::Fix>& fix, double headin
     if (!fix.has_value()) return;  // "continue with the old estimate" (§2.3)
     ever_fixed_ = true;
     last_fix_spread_m_ = fix->posterior_spread_m;
-    if (hold_fixes_) {
+    if (rf_only_) {
         rf_position_ = fix->position;
     } else {
         // CoCoA: re-anchor dead reckoning at the fix (heading too when the
@@ -48,7 +49,7 @@ void GridEstimator::apply_fix(const std::optional<core::Fix>& fix, double headin
 }
 
 geom::Vec2 GridEstimator::estimate() const {
-    if (hold_fixes_) return rf_position_;
+    if (rf_only_) return rf_position_;
     return ever_fixed_ ? odometry_->position() : center_;
 }
 

@@ -10,17 +10,17 @@ namespace cocoa::est {
 
 /// The paper's estimator behind the interface: window beacons fold into the
 /// Bayesian grid at window end (RfLocalizer), and between fixes the estimate
-/// is either the held fix (hold_fixes / RfOnly) or the agent's dead-
-/// reckoning re-anchored at the fix (Combined). Every numeric path delegates
-/// to the same RfLocalizer the agent used to own, so output is byte-
-/// identical to the pre-interface code — the invariant the CI estimator-
-/// equivalence gate enforces.
+/// is either the held fix (Backend::Rf, §4.2) or the agent's dead reckoning
+/// re-anchored at the fix (Backend::Grid, §4.3). Every numeric path
+/// delegates to the same RfLocalizer the agent used to own, so output is
+/// byte-identical to the pre-interface code, which the golden digests
+/// (tests/golden/) pin.
 class GridEstimator final : public Estimator {
   public:
-    GridEstimator(const Config& config, std::shared_ptr<const phy::PdfTable> table,
+    /// `backend` is Grid, Rf or Odometry; only Rf holds its fixes.
+    GridEstimator(Backend backend, const Config& tuning, const core::GridConfig& grid,
+                  std::shared_ptr<const phy::PdfTable> table,
                   mobility::OdometryEstimator* odometry);
-
-    Backend backend() const override { return Backend::Grid; }
 
     void reset(const geom::Vec2& position, bool position_known) override;
     bool collects_window_beacons() const override { return true; }
@@ -39,7 +39,6 @@ class GridEstimator final : public Estimator {
     const core::RfLocalizer::Stats& localizer_stats() const override {
         return localizer_.stats();
     }
-    const core::RfLocalizer& localizer() const { return localizer_; }
 
     void save_state(sim::ckpt::Writer& w) const override;
     void load_state(sim::ckpt::Reader& r) override;
@@ -48,8 +47,8 @@ class GridEstimator final : public Estimator {
     core::RfLocalizer localizer_;
     mobility::OdometryEstimator* odometry_;
     geom::Vec2 center_;
-    bool hold_fixes_;
-    /// Held fix (hold_fixes mode), kept at the centre until the first fix —
+    bool rf_only_;
+    /// Held fix (Backend::Rf), kept at the centre until the first fix —
     /// including after a reset with a known pose, matching the pre-interface
     /// agent field exactly.
     geom::Vec2 rf_position_;

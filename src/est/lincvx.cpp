@@ -7,11 +7,11 @@
 
 namespace cocoa::est {
 
-LinCvxEstimator::LinCvxEstimator(const Config& config,
+LinCvxEstimator::LinCvxEstimator(const Config& tuning, const geom::Rect& area,
                                  std::shared_ptr<const phy::PdfTable> table)
-    : config_(config),
+    : tuning_(tuning),
       table_(std::move(table)),
-      area_(config.grid.area),
+      area_(area),
       mean_(area_.center()) {
     const double half = 0.5 * area_.width();
     var_ = half * half;
@@ -29,9 +29,9 @@ void LinCvxEstimator::reset(const geom::Vec2& position, bool position_known) {
 void LinCvxEstimator::predict(const geom::Vec2& measured_delta, double dt_s) {
     if (dt_s <= 0.0 && measured_delta.norm_sq() == 0.0) return;
     mean_ += measured_delta;
-    var_ += config_.ekf_q_displacement_frac * config_.ekf_q_displacement_frac *
+    var_ += tuning_.ekf_q_displacement_frac * tuning_.ekf_q_displacement_frac *
                 measured_delta.norm_sq() +
-            config_.ekf_q_floor_var_per_s * dt_s;
+            tuning_.ekf_q_floor_var_per_s * dt_s;
 }
 
 std::optional<core::Fix> LinCvxEstimator::compute_fix(
@@ -43,13 +43,13 @@ std::optional<core::Fix> LinCvxEstimator::compute_fix(
     double cy = 0.0;
     int used = 0;
     for (const core::BeaconObservation& beacon : beacons) {
-        if (beacon.rssi_dbm < config_.beacon_rssi_cutoff_dbm) {
+        if (beacon.rssi_dbm < tuning_.beacon_rssi_cutoff_dbm) {
             ++stats_.beacons_skipped;
             continue;
         }
         const phy::DistancePdf* pdf = table_->lookup(beacon.rssi_dbm);
         if (pdf == nullptr ||
-            (!pdf->gaussian_fit_ok && !config_.use_non_gaussian_bins)) {
+            (!pdf->gaussian_fit_ok && !tuning_.use_non_gaussian_bins)) {
             ++stats_.beacons_skipped;
             continue;
         }
@@ -62,14 +62,14 @@ std::optional<core::Fix> LinCvxEstimator::compute_fix(
         const geom::Vec2 candidate =
             norm > 1e-9 ? beacon.anchor_position + to_prior * (pdf->mean_m / norm)
                         : beacon.anchor_position;
-        const double sigma = std::max(pdf->sigma_m, config_.ekf_min_range_sigma_m);
+        const double sigma = std::max(pdf->sigma_m, tuning_.ekf_min_range_sigma_m);
         const double weight = 1.0 / (sigma * sigma);
         weight_sum += weight;
         cx += weight * candidate.x;
         cy += weight * candidate.y;
         ++used;
     }
-    if (used < config_.lincvx_min_beacons || weight_sum <= 0.0) {
+    if (used < tuning_.lincvx_min_beacons || weight_sum <= 0.0) {
         return std::nullopt;
     }
     // Convex combination of prior and measurement blend, weighted by their

@@ -27,9 +27,8 @@ class LinCvxEstimator final : public Estimator {
         std::uint64_t beacons_skipped = 0;  ///< cutoff / no PDF bin / gated bin
     };
 
-    LinCvxEstimator(const Config& config, std::shared_ptr<const phy::PdfTable> table);
-
-    Backend backend() const override { return Backend::LinCvx; }
+    LinCvxEstimator(const Config& tuning, const geom::Rect& area,
+                    std::shared_ptr<const phy::PdfTable> table);
 
     void reset(const geom::Vec2& position, bool position_known) override;
     void predict(const geom::Vec2& measured_delta, double dt_s) override;
@@ -48,14 +47,12 @@ class LinCvxEstimator final : public Estimator {
 
     void register_counters(obs::CounterRegistry& registry,
                            const std::string& node_prefix) const override;
-    const Stats& stats() const { return stats_; }
-    double variance() const { return var_; }
 
     void save_state(sim::ckpt::Writer& w) const override;
     void load_state(sim::ckpt::Reader& r) override;
 
   private:
-    Config config_;
+    Config tuning_;
     std::shared_ptr<const phy::PdfTable> table_;
     geom::Rect area_;
     geom::Vec2 mean_;

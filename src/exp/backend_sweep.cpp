@@ -73,26 +73,26 @@ double measure_fix_cpu_ns(est::Backend backend, const core::ScenarioConfig& base
                           int windows) {
     if (windows < 1) throw std::invalid_argument("measure_fix_cpu_ns: windows >= 1");
 
+    // An odometry-only robot computes no window-end fix at all.
+    if (backend == est::Backend::Odometry) return 0.0;
+
     // Standalone estimator, wired exactly like the agent wires it.
     phy::Channel channel(base.channel);
     auto table = std::make_shared<const phy::PdfTable>(phy::PdfTable::calibrate(
         channel, base.calibration, sim::RandomStream(base.seed)));
-    est::Config ec;
-    ec.backend = backend;
-    ec.grid.area = geom::Rect::square(base.area_side_m);
-    ec.grid.cell_m = base.cell_m;
-    ec.grid.floor_fraction = base.floor_fraction;
-    ec.technique = base.technique;
-    ec.min_beacons_for_fix = base.min_beacons_for_fix;
+    core::GridConfig grid;
+    grid.area = geom::Rect::square(base.area_side_m);
+    grid.cell_m = base.cell_m;
+    grid.floor_fraction = base.floor_fraction;
     mobility::OdometryEstimator odometry(base.odometry, sim::RandomStream(base.seed));
-    odometry.reset(ec.grid.area.center(), 0.0);
+    odometry.reset(grid.area.center(), 0.0);
     const std::unique_ptr<est::Estimator> estimator =
-        est::make_estimator(ec, table, &odometry);
-    estimator->reset(ec.grid.area.center(), false);
+        est::make_estimator(backend, base.tuning, grid, table, &odometry);
+    estimator->reset(grid.area.center(), false);
 
     // Synthetic windows: anchors on a deterministic ring around the centre,
     // RSSIs cycling through the usable middle of the calibrated table.
-    const geom::Vec2 center = ec.grid.area.center();
+    const geom::Vec2 center = grid.area.center();
     const double ring = 0.25 * base.area_side_m;
     const int lo = table->min_rssi_dbm();
     const int hi = table->max_rssi_dbm();
@@ -131,9 +131,6 @@ double measure_fix_cpu_ns(est::Backend backend, const core::ScenarioConfig& base
 
 std::vector<BackendCell> run_backend_sweep(const core::ScenarioConfig& base,
                                            const BackendSweepOptions& options) {
-    if (base.mode != core::LocalizationMode::Combined) {
-        throw std::invalid_argument("backend sweep: base.mode must be Combined");
-    }
     if (options.backends.empty()) {
         throw std::invalid_argument("backend sweep: need at least one backend");
     }

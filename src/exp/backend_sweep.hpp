@@ -72,17 +72,17 @@ std::vector<std::pair<std::string, fault::FaultPlan>> standard_backend_plans(
 
 /// Measures the mean CPU cost (ns) of one window-end fix for `backend`:
 /// a standalone estimator fed `windows` synthetic deterministic beacon
-/// windows (PDF table calibrated from base's channel config). Collecting
-/// backends are timed through compute_fix + apply_fix, continuous ones
-/// through observe_beacon x k + end_window — the same work a window costs
-/// inside the agent.
+/// windows (PDF table calibrated from base's channel config), built from
+/// base's grid settings and estimator tuning. Collecting backends are timed
+/// through compute_fix + apply_fix, continuous ones through observe_beacon
+/// x k + end_window — the same work a window costs inside the agent. The
+/// Odometry backend computes no fix and measures 0.
 double measure_fix_cpu_ns(est::Backend backend, const core::ScenarioConfig& base,
                           int windows = 200);
 
 /// Runs backends x standard_backend_plans(base) on the replication engine
 /// (one shared run_sweep fan-out) and folds each cell. `base.estimator` is
-/// overridden per cell; base.mode must be Combined. Cells are ordered
-/// backend-major, plan-minor.
+/// overridden per cell. Cells are ordered backend-major, plan-minor.
 std::vector<BackendCell> run_backend_sweep(const core::ScenarioConfig& base,
                                            const BackendSweepOptions& options = {});
 

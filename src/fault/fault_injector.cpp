@@ -13,13 +13,6 @@ namespace {
 
 constexpr std::uint32_t kMarkFault = 0x46414c54u;  // "FALT"
 
-/// Watchers for reacquisition only make sense in the modes whose agents
-/// count discrete fixes (OdometryOnly has no RF; the EKF fuses continuously).
-bool counts_fixes(core::LocalizationMode mode) {
-    return mode == core::LocalizationMode::RfOnly ||
-           mode == core::LocalizationMode::Combined;
-}
-
 }  // namespace
 
 FaultInjector::FaultInjector(core::Scenario& scenario, FaultPlan plan)
@@ -322,7 +315,11 @@ void FaultInjector::battery_watch(std::size_t idx, int id) {
 
 void FaultInjector::start_reacquire_watch(int node) {
     const auto nid = static_cast<net::NodeId>(node);
-    if (scenario_.is_anchor(nid) || !counts_fixes(scenario_.config().mode)) return;
+    // Reacquisition means a fix; odometry-only robots never compute one.
+    if (scenario_.is_anchor(nid) ||
+        scenario_.config().estimator == est::Backend::Odometry) {
+        return;
+    }
     ++watches_started_;
     // Poll at the metric sampling granularity until the first post-recovery
     // fix lands; unfinished watches count as never_reacquired in report().

@@ -44,7 +44,7 @@ struct ResilienceReport {
 
     /// Time-to-reacquire a fix after a reboot/outage ends, averaged over the
     /// recoveries that did reacquire before the run ended (sample-interval
-    /// granularity; fix-counting modes only, i.e. RfOnly/Combined).
+    /// granularity; every estimator but Odometry, which counts no fixes).
     double mean_reacquire_s = 0.0;
     std::uint64_t reacquired = 0;
     std::uint64_t never_reacquired = 0;

@@ -19,7 +19,7 @@ namespace cocoa::sim::ckpt {
 /// Version of the checkpoint blob layout. Bumped whenever any subsystem's
 /// save_state layout changes; Reader::read_header rejects mismatches instead
 /// of mis-parsing. See docs/checkpointing.md for the format contract.
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// What kind of run the blob captures; selects the restore orchestrator.
 enum class Flavor : std::uint32_t {

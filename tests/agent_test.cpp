@@ -70,7 +70,7 @@ TEST(Agent, EstimateStartsAtAreaCenterWithoutInitialPose) {
 
 TEST(Agent, OdometryOnlyUsesTruePoseAtStart) {
     ScenarioConfig c = small_config();
-    c.mode = LocalizationMode::OdometryOnly;
+    c.estimator = est::Backend::Odometry;
     Scenario s(c);
     s.run_until(TimePoint::from_seconds(1.0));
     // At t=1 the estimate is still within noise of the truth.
@@ -79,7 +79,7 @@ TEST(Agent, OdometryOnlyUsesTruePoseAtStart) {
 
 TEST(Agent, OdometryOnlySendsNothing) {
     ScenarioConfig c = small_config();
-    c.mode = LocalizationMode::OdometryOnly;
+    c.estimator = est::Backend::Odometry;
     Scenario s(c);
     s.run();
     const auto r = s.result();
@@ -90,7 +90,7 @@ TEST(Agent, OdometryOnlySendsNothing) {
 
 TEST(Agent, RfOnlyEstimateConstantBetweenWindows) {
     ScenarioConfig c = small_config();
-    c.mode = LocalizationMode::RfOnly;
+    c.estimator = est::Backend::Rf;
     c.sync = SyncMode::PerfectClock;
     Scenario s(c);
     // Run past the first window, sample the estimate, run to mid-period,
@@ -104,7 +104,7 @@ TEST(Agent, RfOnlyEstimateConstantBetweenWindows) {
 
 TEST(Agent, CombinedEstimateMovesBetweenWindows) {
     ScenarioConfig c = small_config();
-    c.mode = LocalizationMode::Combined;
+    c.estimator = est::Backend::Grid;
     c.sync = SyncMode::PerfectClock;
     Scenario s(c);
     s.run_until(TimePoint::from_seconds(5.0));
@@ -199,7 +199,7 @@ TEST(Agent, InvalidConfigRejected) {
     c.beacons_per_window = 0;
     EXPECT_THROW(Scenario{c}, std::invalid_argument);
     c = small_config();
-    c.num_anchors = 0;  // RF mode needs anchors
+    c.num_anchors = 0;  // RF estimators need anchors
     EXPECT_THROW(Scenario{c}, std::invalid_argument);
     c = small_config();
     c.num_anchors = 99;

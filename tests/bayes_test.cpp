@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -60,6 +61,30 @@ TEST(BayesGrid, InvalidConfigThrows) {
     EXPECT_THROW(BayesGrid{cfg}, std::invalid_argument);
     cfg = paper_grid();
     cfg.floor_fraction = -0.1;
+    EXPECT_THROW(BayesGrid{cfg}, std::invalid_argument);
+}
+
+/// NaN slips past every ordered comparison. Unchecked, a NaN cell size
+/// would reach an undefined float->size_t cast and a NaN floor would turn
+/// every posterior into NaN.
+TEST(BayesGrid, NaNCellSizeOrFloorThrows) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    GridConfig cfg = paper_grid();
+    cfg.cell_m = nan;
+    EXPECT_THROW(BayesGrid{cfg}, std::invalid_argument);
+    cfg = paper_grid();
+    cfg.floor_fraction = nan;
+    EXPECT_THROW(BayesGrid{cfg}, std::invalid_argument);
+}
+
+/// A tiny positive cell size asks for more cells than any vector can hold
+/// (2e302 per side here); the grid must say so before converting the count
+/// to an integer, not run on a wrapped-around size.
+TEST(BayesGrid, UnallocatableCellCountThrows) {
+    GridConfig cfg = paper_grid();
+    cfg.cell_m = 1e-300;
+    EXPECT_THROW(BayesGrid{cfg}, std::invalid_argument);
+    cfg.cell_m = 1e-8;  // 2e10 x 2e10 cells: still past max_size()
     EXPECT_THROW(BayesGrid{cfg}, std::invalid_argument);
 }
 

@@ -6,14 +6,18 @@
 // (forked and unforked sweeps produce byte-identical records).
 
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint_io.hpp"
 #include "core/scenario.hpp"
 #include "core/swarm.hpp"
 #include "energy/energy.hpp"
@@ -40,8 +44,8 @@ std::string runtime_error_of(Fn&& fn) {
 
 // ----------------------------------------------------------- corrupt blobs
 
-/// A blob of any other format version (the previous layout, or a newer one)
-/// is rejected by its header, naming both versions, before any section is
+/// A blob of any other format version (an older layout, 1 or 2, or a newer
+/// one) is rejected by its header, naming both versions, before any section is
 /// parsed.
 TEST(CheckpointFormat, ReadHeaderRejectsOtherVersions) {
     sim::ckpt::Writer w;
@@ -51,7 +55,7 @@ TEST(CheckpointFormat, ReadHeaderRejectsOtherVersions) {
     EXPECT_EQ(sim::ckpt::read_header(current), sim::ckpt::Flavor::kScenario);
 
     const std::string supported = std::to_string(sim::ckpt::kFormatVersion);
-    for (const std::uint32_t version : {1u, sim::ckpt::kFormatVersion + 1}) {
+    for (const std::uint32_t version : {1u, 2u, sim::ckpt::kFormatVersion + 1}) {
         sim::ckpt::Writer v;
         v.u32(version);
         std::string blob = header;
@@ -220,6 +224,99 @@ TEST(CheckpointFormat, MediumRejectsAmplifyingLossBurst) {
     EXPECT_NE(what.find("checkpoint: loss burst 0 rejected"), std::string::npos) << what;
     EXPECT_NE(what.find("attenuation_db -20"), std::string::npos) << what;
     EXPECT_NE(what.find("corrupt blob"), std::string::npos) << what;
+}
+
+/// save_config's bytes key fork-group discovery in exp::run_sweep, and they
+/// are all a restore knows of the config. So every estimator setting must
+/// change them and come back from load_scenario_config: a forgotten field
+/// would merge sweep cells that differ only in it and reset it on restore.
+TEST(CheckpointFormat, ScenarioConfigRoundTripsEstimatorSettings) {
+    const auto bytes_of = [](const core::ScenarioConfig& c) {
+        sim::ckpt::Writer w;
+        core::save_config(w, c);
+        return w.take();
+    };
+    // One non-default value per setting.
+    const std::vector<std::pair<const char*, std::function<void(core::ScenarioConfig&)>>>
+        settings = {
+            {"estimator", [](auto& c) { c.estimator = est::Backend::LinCvx; }},
+            {"technique",
+             [](auto& c) { c.tuning.technique = core::RfTechnique::LeastSquares; }},
+            {"min_beacons_for_fix", [](auto& c) { c.tuning.min_beacons_for_fix = 4; }},
+            {"beacon_rssi_cutoff_dbm",
+             [](auto& c) { c.tuning.beacon_rssi_cutoff_dbm = -85.5; }},
+            {"use_non_gaussian_bins",
+             [](auto& c) { c.tuning.use_non_gaussian_bins = false; }},
+            {"ekf_q_displacement_frac",
+             [](auto& c) { c.tuning.ekf_q_displacement_frac = 0.25; }},
+            {"ekf_q_floor_var_per_s",
+             [](auto& c) { c.tuning.ekf_q_floor_var_per_s = 1.5; }},
+            {"ekf_gate_sigmas", [](auto& c) { c.tuning.ekf_gate_sigmas = 3.5; }},
+            {"ekf_min_range_sigma_m",
+             [](auto& c) { c.tuning.ekf_min_range_sigma_m = 1.25; }},
+            {"ekf_reject_inflation_var",
+             [](auto& c) { c.tuning.ekf_reject_inflation_var = 6.0; }},
+            {"ekf_missed_window_var",
+             [](auto& c) { c.tuning.ekf_missed_window_var = 7.5; }},
+            {"lincvx_min_beacons", [](auto& c) { c.tuning.lincvx_min_beacons = 2; }},
+        };
+    const std::string default_bytes = bytes_of(core::ScenarioConfig{});
+    core::ScenarioConfig all;
+    for (const auto& [name, set] : settings) {
+        core::ScenarioConfig one;
+        set(one);
+        EXPECT_NE(bytes_of(one), default_bytes) << name << " leaves the bytes unchanged";
+        set(all);
+    }
+
+    const std::string blob = bytes_of(all);
+    sim::ckpt::Reader r(blob);
+    const core::ScenarioConfig back = core::load_scenario_config(r);
+    EXPECT_TRUE(r.at_end());
+    EXPECT_EQ(back.estimator, all.estimator);
+    const est::Config& got = back.tuning;
+    const est::Config& want = all.tuning;
+    EXPECT_EQ(got.technique, want.technique);
+    EXPECT_EQ(got.min_beacons_for_fix, want.min_beacons_for_fix);
+    EXPECT_EQ(got.beacon_rssi_cutoff_dbm, want.beacon_rssi_cutoff_dbm);
+    EXPECT_EQ(got.use_non_gaussian_bins, want.use_non_gaussian_bins);
+    EXPECT_EQ(got.ekf_q_displacement_frac, want.ekf_q_displacement_frac);
+    EXPECT_EQ(got.ekf_q_floor_var_per_s, want.ekf_q_floor_var_per_s);
+    EXPECT_EQ(got.ekf_gate_sigmas, want.ekf_gate_sigmas);
+    EXPECT_EQ(got.ekf_min_range_sigma_m, want.ekf_min_range_sigma_m);
+    EXPECT_EQ(got.ekf_reject_inflation_var, want.ekf_reject_inflation_var);
+    EXPECT_EQ(got.ekf_missed_window_var, want.ekf_missed_window_var);
+    EXPECT_EQ(got.lincvx_min_beacons, want.lincvx_min_beacons);
+}
+
+/// A blob's config section reaches the same validation as a config built
+/// in code: a NaN innovation gate read back from a blob is rejected by name
+/// instead of running with the gate silently off.
+TEST(CheckpointFormat, RestoreRejectsNaNEstimatorTuning) {
+    const double sentinel = 4.0625;  // exact in binary, found once in the blob
+    core::ScenarioConfig config = fuzz_config();
+    config.estimator = est::Backend::Ekf;
+    config.tuning.ekf_gate_sigmas = sentinel;
+    core::Scenario prefix(config);
+    prefix.run_until(sim::TimePoint::from_seconds(10.0));
+    std::string blob = exp::save_scenario_checkpoint(prefix);
+
+    sim::ckpt::Writer gate, nan;
+    gate.f64(sentinel);
+    nan.f64(std::numeric_limits<double>::quiet_NaN());
+    const std::size_t at = blob.find(gate.buffer());
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(blob.find(gate.buffer(), at + 1), std::string::npos);
+    EXPECT_NE(exp::restore_scenario_checkpoint(blob).scenario, nullptr);
+
+    blob.replace(at, 8, nan.buffer());
+    try {
+        exp::restore_scenario_checkpoint(blob);
+        ADD_FAILURE() << "a NaN ekf_gate_sigmas restored";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("ekf_gate_sigmas"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CheckpointFuzz, ScenarioRestoreMatchesStraightRun) {

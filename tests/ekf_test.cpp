@@ -92,14 +92,14 @@ TEST(EkfMode, LocalizesInFullScenario) {
     c.num_anchors = 10;
     c.duration = Duration::minutes(5);
     c.period = Duration::seconds(50.0);
-    c.mode = LocalizationMode::Ekf;
+    c.estimator = est::Backend::Ekf;
     const auto r = run_scenario(c);
     // Continuous fusion localizes in the same regime as CoCoA.
     const double late = r.avg_error.mean_in(TimePoint::from_seconds(120.0),
                                             TimePoint::from_seconds(301.0));
     EXPECT_LT(late, 15.0);
     EXPECT_GT(r.agent_totals.beacons_received, 0u);
-    // No window fixes happen in EKF mode (fusion is per beacon).
+    // No grid fixes happen under the EKF (fusion is per beacon).
     EXPECT_EQ(r.localizer_totals.fixes, 0u);
 }
 
@@ -110,7 +110,7 @@ TEST(EkfMode, EstimateStaysInsideArea) {
     c.num_anchors = 4;
     c.duration = Duration::minutes(3);
     c.period = Duration::seconds(30.0);
-    c.mode = LocalizationMode::Ekf;
+    c.estimator = est::Backend::Ekf;
     Scenario s(c);
     s.run();
     for (std::size_t i = 4; i < s.agent_count(); ++i) {

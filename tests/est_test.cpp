@@ -2,9 +2,12 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -55,26 +58,28 @@ core::ScenarioConfig small_config() {
 }
 
 /// Standalone backend wired the way the agent wires it (same idiom as
-/// exp::measure_fix_cpu_ns): PDF table + agent-owned odometry.
+/// exp::measure_fix_cpu_ns): the scenario's tuning and grid settings, PDF
+/// table + agent-owned odometry.
 struct Standalone {
-    explicit Standalone(Backend backend, const core::ScenarioConfig& base) {
+    explicit Standalone(Backend backend, const core::ScenarioConfig& base)
+        : backend(backend), tuning(base.tuning) {
         phy::Channel channel(base.channel);
         table = std::make_shared<const phy::PdfTable>(phy::PdfTable::calibrate(
             channel, base.calibration, sim::RandomStream(base.seed)));
-        config.backend = backend;
-        config.grid.area = geom::Rect::square(base.area_side_m);
-        config.grid.cell_m = base.cell_m;
-        config.grid.floor_fraction = base.floor_fraction;
-        config.min_beacons_for_fix = base.min_beacons_for_fix;
+        grid.area = geom::Rect::square(base.area_side_m);
+        grid.cell_m = base.cell_m;
+        grid.floor_fraction = base.floor_fraction;
         odometry = std::make_unique<mobility::OdometryEstimator>(
             base.odometry, sim::RandomStream(base.seed));
-        odometry->reset(config.grid.area.center(), 0.0);
+        odometry->reset(grid.area.center(), 0.0);
     }
     std::unique_ptr<Estimator> make() {
-        return make_estimator(config, table, odometry.get());
+        return make_estimator(backend, tuning, grid, table, odometry.get());
     }
 
-    Config config;
+    Backend backend;
+    Config tuning;
+    core::GridConfig grid;
     std::shared_ptr<const phy::PdfTable> table;
     std::unique_ptr<mobility::OdometryEstimator> odometry;
 };
@@ -94,7 +99,8 @@ std::vector<core::BeaconObservation> ring_beacons(const phy::PdfTable& table,
 // ----------------------------------------------------------------- plumbing
 
 TEST(EstBackend, NameRoundTrip) {
-    for (const Backend b : {Backend::Grid, Backend::Ekf, Backend::LinCvx}) {
+    for (const Backend b : {Backend::Grid, Backend::Ekf, Backend::LinCvx, Backend::Rf,
+                            Backend::Odometry}) {
         const auto parsed = parse_backend(to_string(b));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, b);
@@ -103,13 +109,86 @@ TEST(EstBackend, NameRoundTrip) {
     EXPECT_FALSE(parse_backend("").has_value());
 }
 
-TEST(EstBackend, NonGridRequiresCombinedMode) {
-    core::ScenarioConfig c = small_config();
-    c.estimator = Backend::Ekf;
-    c.mode = core::LocalizationMode::RfOnly;
-    EXPECT_THROW(c.validate(), std::invalid_argument);
-    c.mode = core::LocalizationMode::Combined;
-    EXPECT_NO_THROW(c.validate());
+// ------------------------------------------------------ tuning validation
+
+/// The message Config::validate() throws for `tuning` ("" if it passes).
+std::string validate_error(const Config& tuning) {
+    try {
+        tuning.validate();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+/// Expects every value in `bad` to be rejected with a message naming
+/// `field`, and every value in `good` to pass.
+template <typename T>
+void expect_field(T Config::*field, const char* name, std::initializer_list<T> bad,
+                  std::initializer_list<T> good) {
+    for (const T value : bad) {
+        Config tuning;
+        tuning.*field = value;
+        const std::string what = validate_error(tuning);
+        EXPECT_NE(what.find(name), std::string::npos)
+            << name << " = " << value << " passed or was misreported: '" << what
+            << "'";
+    }
+    for (const T value : good) {
+        Config tuning;
+        tuning.*field = value;
+        EXPECT_EQ(validate_error(tuning), "") << name << " = " << value;
+    }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(EstConfig, DefaultsValidate) { EXPECT_EQ(validate_error(Config{}), ""); }
+
+TEST(EstConfig, MinBeaconsForFixAtLeastOne) {
+    expect_field(&Config::min_beacons_for_fix, "min_beacons_for_fix", {0, -3}, {1, 5});
+}
+
+TEST(EstConfig, LincvxMinBeaconsAtLeastOne) {
+    expect_field(&Config::lincvx_min_beacons, "lincvx_min_beacons", {0, -1}, {1, 4});
+}
+
+/// -infinity (the default) admits every beacon; only NaN is meaningless.
+TEST(EstConfig, RssiCutoffNotNaN) {
+    expect_field(&Config::beacon_rssi_cutoff_dbm, "beacon_rssi_cutoff_dbm", {kNaN},
+                 {-kInf, -80.0, kInf});
+}
+
+TEST(EstConfig, QDisplacementFracFiniteNonNegative) {
+    expect_field(&Config::ekf_q_displacement_frac, "ekf_q_displacement_frac",
+                 {-0.1, kNaN, kInf}, {0.0, 0.3});
+}
+
+TEST(EstConfig, QFloorVarFiniteNonNegative) {
+    expect_field(&Config::ekf_q_floor_var_per_s, "ekf_q_floor_var_per_s",
+                 {-1.0, kNaN, kInf}, {0.0, 2.0});
+}
+
+TEST(EstConfig, RejectInflationVarFiniteNonNegative) {
+    expect_field(&Config::ekf_reject_inflation_var, "ekf_reject_inflation_var",
+                 {-2.0, kNaN, kInf}, {0.0, 5.0});
+}
+
+TEST(EstConfig, MissedWindowVarFiniteNonNegative) {
+    expect_field(&Config::ekf_missed_window_var, "ekf_missed_window_var",
+                 {-4.0, kNaN, kInf}, {0.0, 9.0});
+}
+
+/// A NaN gate would switch the innovation gate off without a word.
+TEST(EstConfig, GateSigmasFinitePositive) {
+    expect_field(&Config::ekf_gate_sigmas, "ekf_gate_sigmas", {0.0, -4.0, kNaN, kInf},
+                 {0.5, 50.0});
+}
+
+TEST(EstConfig, MinRangeSigmaFinitePositive) {
+    expect_field(&Config::ekf_min_range_sigma_m, "ekf_min_range_sigma_m",
+                 {0.0, -2.0, kNaN, kInf}, {0.1, 2.0});
 }
 
 // ------------------------------------------------- grid-backend invariants
@@ -182,7 +261,7 @@ TEST(EstEkf, SpreadInflatesAcrossLossBurstAndReconverges) {
     // loses 8 windows of beacons. Its spread must inflate monotonically
     // through the burst, then reconverge to the unfaulted control's.
     Standalone wiring(Backend::Ekf, small_config());
-    wiring.config.ekf_gate_sigmas = 50.0;  // keep the gate out of this test
+    wiring.tuning.ekf_gate_sigmas = 50.0;  // keep the gate out of this test
     const std::unique_ptr<Estimator> burst = wiring.make();
     const std::unique_ptr<Estimator> control = wiring.make();
     ASSERT_FALSE(burst->collects_window_beacons());
@@ -203,7 +282,6 @@ TEST(EstEkf, SpreadInflatesAcrossLossBurstAndReconverges) {
 
     for (int w = 0; w < 30; ++w) {
         const WindowSummary summary = window(*burst, true);
-        EXPECT_TRUE(summary.tracked);
         EXPECT_TRUE(summary.fixed);
         window(*control, true);
     }
@@ -213,7 +291,6 @@ TEST(EstEkf, SpreadInflatesAcrossLossBurstAndReconverges) {
     double previous = burst->spread_m();
     for (int w = 0; w < 8; ++w) {
         const WindowSummary summary = window(*burst, false);
-        EXPECT_TRUE(summary.tracked);
         EXPECT_FALSE(summary.fixed);
         EXPECT_GT(burst->spread_m(), previous) << "missed window " << w;
         previous = burst->spread_m();
@@ -230,20 +307,6 @@ TEST(EstEkf, SpreadInflatesAcrossLossBurstAndReconverges) {
     }
     EXPECT_LT(burst->spread_m(), previous);
     EXPECT_LT(burst->spread_m(), 1.1 * control->spread_m());
-}
-
-/// LocalizationMode::Ekf compatibility: the legacy continuous filter keeps
-/// no per-window books — no missed-window inflation, untracked summaries.
-TEST(EstEkf, LegacyContinuousKeepsNoWindowBooks) {
-    Standalone wiring(Backend::Ekf, small_config());
-    wiring.config.legacy_continuous = true;
-    const std::unique_ptr<Estimator> ekf = wiring.make();
-    ekf->reset({100.0, 100.0}, true);
-    ekf->predict({0.5, 0.0}, 1.0);
-    const double before = ekf->spread_m();
-    const WindowSummary summary = ekf->end_window();  // beacon-less window
-    EXPECT_FALSE(summary.tracked);
-    EXPECT_DOUBLE_EQ(ekf->spread_m(), before);
 }
 
 // ------------------------------------------------------------------ LinCvx

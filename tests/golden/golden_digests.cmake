@@ -84,7 +84,11 @@ macro(check_variant case variant artifacts)
   endif()
 endmacro()
 
-foreach(est grid ekf lincvx)
+# Every value of the estimator axis gets a straight run and its two
+# variants; only grid, ekf and lincvx get the _reps case, because the
+# thread-count fold does not depend on the backend and the sanitized suite
+# stays cheap.
+foreach(est grid ekf lincvx rf odom)
   set(case fig7_${est})
   set(args ${fig7} --estimator ${est} --csv run --pos-trace 60)
   run(${case} ${args})
@@ -97,6 +101,9 @@ foreach(est grid ekf lincvx)
   run(${case}@restored --restore "${runs}/${case}.ckpt" --quiet --counters
       --csv run --pos-trace 60)
   check_variant(${case} ${case}@restored "${single_artifacts}")
+  if(est MATCHES "^(rf|odom)$")
+    continue()
+  endif()
 
   # Replications fold in index order at any --threads. Two 10-minute
   # replications keep this case cheap under sanitizers; the reboot and the

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/scenario.hpp"
 #include "core/swarm.hpp"
@@ -16,19 +18,19 @@ using cocoa::sim::TimePoint;
 
 /// Down-scaled paper setup that runs in well under a second: 20 robots,
 /// 10 anchors, 5 simulated minutes.
-ScenarioConfig quick(LocalizationMode mode) {
+ScenarioConfig quick(est::Backend estimator) {
     ScenarioConfig c;
     c.seed = 23;
     c.num_robots = 20;
     c.num_anchors = 10;
     c.duration = Duration::minutes(5);
     c.period = Duration::seconds(50.0);
-    c.mode = mode;
+    c.estimator = estimator;
     return c;
 }
 
 TEST(Scenario, SamplesErrorEverySecond) {
-    const auto r = run_scenario(quick(LocalizationMode::Combined));
+    const auto r = run_scenario(quick(est::Backend::Grid));
     EXPECT_EQ(r.avg_error.size(), 300u);
     EXPECT_EQ(r.node_error.size(), 20u);
     for (int i = 0; i < 10; ++i) {
@@ -38,8 +40,8 @@ TEST(Scenario, SamplesErrorEverySecond) {
 }
 
 TEST(Scenario, DeterministicForSameSeed) {
-    const auto a = run_scenario(quick(LocalizationMode::Combined));
-    const auto b = run_scenario(quick(LocalizationMode::Combined));
+    const auto a = run_scenario(quick(est::Backend::Grid));
+    const auto b = run_scenario(quick(est::Backend::Grid));
     ASSERT_EQ(a.avg_error.size(), b.avg_error.size());
     for (std::size_t i = 0; i < a.avg_error.size(); ++i) {
         EXPECT_DOUBLE_EQ(a.avg_error.samples()[i].value, b.avg_error.samples()[i].value);
@@ -53,7 +55,7 @@ TEST(Scenario, KernelFastPathStaysAllocationFree) {
     // overwhelming majority of callbacks fit the 48-byte SBO (misses are the
     // rare control-plane forwards that capture whole packets), and the frame
     // and sensed_by pools recycle nearly every block after warm-up.
-    const auto r = run_scenario(quick(LocalizationMode::Combined));
+    const auto r = run_scenario(quick(est::Backend::Grid));
     std::uint64_t scheduled = 0, sbo_miss = 0, executed = 0;
     std::uint64_t frame_reused = 0, frame_fresh = 0, frame_oversize = 0;
     std::uint64_t sensed_reused = 0, sensed_fresh = 0;
@@ -83,9 +85,9 @@ TEST(Scenario, KernelFastPathStaysAllocationFree) {
 /// the results: every error sample, every counter and the event count are
 /// byte-identical at any pool size — the fold-at-resolution-point contract.
 TEST(Scenario, BatchedGridUpdatesAreByteIdentical) {
-    const auto inline_fixes = run_scenario(quick(LocalizationMode::Combined));
+    const auto inline_fixes = run_scenario(quick(est::Backend::Grid));
     for (const int threads : {1, 4}) {
-        ScenarioConfig c = quick(LocalizationMode::Combined);
+        ScenarioConfig c = quick(est::Backend::Grid);
         c.grid_update_threads = threads;
         const auto batched = run_scenario(c);
         ASSERT_EQ(batched.avg_error.size(), inline_fixes.avg_error.size());
@@ -105,12 +107,12 @@ TEST(Scenario, BatchedGridUpdatesAreByteIdentical) {
     }
 }
 
-/// RfOnly holds the estimate between fixes, so a deferred fix result is
-/// observable directly through estimate(); it must still resolve before any
-/// read. Also covers the mode x batching matrix beyond Combined.
+/// The rf estimator holds the estimate between fixes, so a deferred fix
+/// result is observable directly through estimate(); it must still resolve
+/// before any read. Also covers the estimator x batching matrix beyond grid.
 TEST(Scenario, BatchedRfOnlyMatchesInline) {
-    const auto inline_fixes = run_scenario(quick(LocalizationMode::RfOnly));
-    ScenarioConfig c = quick(LocalizationMode::RfOnly);
+    const auto inline_fixes = run_scenario(quick(est::Backend::Rf));
+    ScenarioConfig c = quick(est::Backend::Rf);
     c.grid_update_threads = 2;
     const auto batched = run_scenario(c);
     ASSERT_EQ(batched.avg_error.size(), inline_fixes.avg_error.size());
@@ -136,7 +138,7 @@ TEST(Scenario, GridsShareOneKernelPerBin) {
 }
 
 TEST(Scenario, DifferentSeedsDiffer) {
-    auto cfg = quick(LocalizationMode::Combined);
+    auto cfg = quick(est::Backend::Grid);
     const auto a = run_scenario(cfg);
     cfg.seed = 24;
     const auto b = run_scenario(cfg);
@@ -146,9 +148,9 @@ TEST(Scenario, DifferentSeedsDiffer) {
 TEST(Scenario, PaperOrderingCocoaBeatsRfOnlyBeatsOdometry) {
     // The headline comparison of §4.3 (Fig. 7): CoCoA < RF-only, and both
     // beat odometry-only by the end of the run.
-    const auto cocoa = run_scenario(quick(LocalizationMode::Combined));
-    const auto rf = run_scenario(quick(LocalizationMode::RfOnly));
-    const auto odo = run_scenario(quick(LocalizationMode::OdometryOnly));
+    const auto cocoa = run_scenario(quick(est::Backend::Grid));
+    const auto rf = run_scenario(quick(est::Backend::Rf));
+    const auto odo = run_scenario(quick(est::Backend::Odometry));
 
     const auto late = [](const ScenarioResult& r) {
         return r.avg_error.mean_in(TimePoint::from_seconds(150.0),
@@ -161,7 +163,7 @@ TEST(Scenario, PaperOrderingCocoaBeatsRfOnlyBeatsOdometry) {
 
 TEST(Scenario, SleepCoordinationSavesEnergy) {
     // Fig. 9(b): without coordination the team burns several times more.
-    auto cfg = quick(LocalizationMode::Combined);
+    auto cfg = quick(est::Backend::Grid);
     const auto coordinated = run_scenario(cfg);
     cfg.sleep_coordination = false;
     const auto uncoordinated = run_scenario(cfg);
@@ -172,7 +174,7 @@ TEST(Scenario, SleepCoordinationSavesEnergy) {
 }
 
 TEST(Scenario, LargerPeriodUsesLessEnergy) {
-    auto cfg = quick(LocalizationMode::Combined);
+    auto cfg = quick(est::Backend::Grid);
     cfg.period = Duration::seconds(25.0);
     const auto small_t = run_scenario(cfg);
     cfg.period = Duration::seconds(100.0);
@@ -182,7 +184,7 @@ TEST(Scenario, LargerPeriodUsesLessEnergy) {
 
 TEST(Scenario, RfModesLocalizeWithoutInitialPosition) {
     // §4.2: "RF localization does not require an initial position".
-    const auto r = run_scenario(quick(LocalizationMode::RfOnly));
+    const auto r = run_scenario(quick(est::Backend::Rf));
     // Error at the end is far below the initial distance-to-centre (~75 m).
     EXPECT_LT(r.avg_error.mean_in(TimePoint::from_seconds(250.0),
                                   TimePoint::from_seconds(301.0)),
@@ -191,7 +193,7 @@ TEST(Scenario, RfModesLocalizeWithoutInitialPosition) {
 }
 
 TEST(Scenario, ErrorsAtExtractsBlindRobots) {
-    const auto r = run_scenario(quick(LocalizationMode::Combined));
+    const auto r = run_scenario(quick(est::Backend::Grid));
     const auto errs = r.errors_at(TimePoint::from_seconds(200.0));
     EXPECT_EQ(errs.size(), 10u);
     const metrics::Cdf cdf(errs);
@@ -199,7 +201,7 @@ TEST(Scenario, ErrorsAtExtractsBlindRobots) {
 }
 
 TEST(Scenario, EnergyBreakdownAddsUp) {
-    const auto r = run_scenario(quick(LocalizationMode::Combined));
+    const auto r = run_scenario(quick(est::Backend::Grid));
     const auto& e = r.team_energy;
     EXPECT_GT(e.tx_mj, 0.0);
     EXPECT_GT(e.rx_mj, 0.0);
@@ -213,7 +215,7 @@ TEST(Scenario, EnergyBreakdownAddsUp) {
 }
 
 TEST(Scenario, MidRunInspection) {
-    Scenario s(quick(LocalizationMode::Combined));
+    Scenario s(quick(est::Backend::Grid));
     s.run_until(TimePoint::from_seconds(100.0));
     const auto mid = s.result();
     EXPECT_EQ(mid.avg_error.size(), 100u);
@@ -225,7 +227,7 @@ TEST(Scenario, MidRunInspection) {
 TEST(Scenario, CocoaErrorSawtoothsWithinPeriods) {
     // Fig. 6/8 structure: error is lowest right after a transmit window and
     // grows toward the period end.
-    auto cfg = quick(LocalizationMode::RfOnly);
+    auto cfg = quick(est::Backend::Rf);
     cfg.sync = SyncMode::PerfectClock;
     cfg.period = Duration::seconds(60.0);
     cfg.duration = Duration::minutes(6);
@@ -242,7 +244,7 @@ TEST(Scenario, CocoaErrorSawtoothsWithinPeriods) {
 
 TEST(Scenario, FewerAnchorsWorseAccuracy) {
     // Fig. 10's trend at small scale.
-    auto cfg = quick(LocalizationMode::Combined);
+    auto cfg = quick(est::Backend::Grid);
     cfg.num_anchors = 10;
     const auto many = run_scenario(cfg);
     cfg.seed = 23;
@@ -252,7 +254,7 @@ TEST(Scenario, FewerAnchorsWorseAccuracy) {
 }
 
 TEST(Scenario, MrmmAndPerfectClockBothLocalize) {
-    auto cfg = quick(LocalizationMode::Combined);
+    auto cfg = quick(est::Backend::Grid);
     cfg.sync = SyncMode::Mrmm;
     const auto mrmm = run_scenario(cfg);
     cfg.sync = SyncMode::PerfectClock;
@@ -267,7 +269,7 @@ TEST(Scenario, MrmmAndPerfectClockBothLocalize) {
 }
 
 TEST(Scenario, PositionTraceRecordsAllRobots) {
-    Scenario s(quick(LocalizationMode::Combined));
+    Scenario s(quick(est::Backend::Grid));
     s.enable_position_trace(Duration::seconds(10.0));
     s.run_until(TimePoint::from_seconds(60.0));
     // 6 snapshots x 20 robots.
@@ -283,7 +285,7 @@ TEST(Scenario, PositionTraceRecordsAllRobots) {
 }
 
 TEST(Scenario, PositionTraceRejectsBadInterval) {
-    Scenario s(quick(LocalizationMode::Combined));
+    Scenario s(quick(est::Backend::Grid));
     EXPECT_THROW(s.enable_position_trace(Duration::zero()), std::invalid_argument);
 }
 
@@ -293,7 +295,7 @@ TEST(Scenario, ValidateRejectsNonFiniteSpeedsAndArea) {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
     const auto rejects = [](auto mutate) {
-        ScenarioConfig c = quick(LocalizationMode::Combined);
+        ScenarioConfig c = quick(est::Backend::Grid);
         mutate(c);
         EXPECT_THROW(c.validate(), std::invalid_argument);
     };
@@ -302,7 +304,7 @@ TEST(Scenario, ValidateRejectsNonFiniteSpeedsAndArea) {
     rejects([&](ScenarioConfig& c) { c.max_speed = inf; });
     rejects([&](ScenarioConfig& c) { c.area_side_m = nan; });
     rejects([&](ScenarioConfig& c) { c.area_side_m = inf; });
-    EXPECT_NO_THROW(quick(LocalizationMode::Combined).validate());
+    EXPECT_NO_THROW(quick(est::Backend::Grid).validate());
 
     const auto swarm_rejects = [](auto mutate) {
         SwarmConfig c;
@@ -316,10 +318,49 @@ TEST(Scenario, ValidateRejectsNonFiniteSpeedsAndArea) {
     EXPECT_NO_THROW(SwarmConfig{}.validate());
 }
 
+/// The grid settings and the estimator tuning are validated with the rest
+/// of the config, so a scenario built in code and one restored from a blob
+/// fail the same way: with an error naming the field, before any grid is
+/// sized or any filter runs.
+TEST(Scenario, ValidateRejectsBadGridAndEstimatorTuning) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto error_of = [](auto mutate) -> std::string {
+        ScenarioConfig c = quick(est::Backend::Grid);
+        mutate(c);
+        try {
+            c.validate();
+        } catch (const std::invalid_argument& e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_NE(error_of([&](ScenarioConfig& c) { c.cell_m = nan; }).find("cell_m"),
+              std::string::npos);
+    EXPECT_NE(error_of([&](ScenarioConfig& c) { c.cell_m = 0.0; }).find("cell_m"),
+              std::string::npos);
+    EXPECT_NE(error_of([&](ScenarioConfig& c) { c.floor_fraction = nan; })
+                  .find("floor_fraction"),
+              std::string::npos);
+    EXPECT_NE(error_of([&](ScenarioConfig& c) { c.tuning.ekf_gate_sigmas = nan; })
+                  .find("ekf_gate_sigmas"),
+              std::string::npos);
+    EXPECT_NE(error_of([&](ScenarioConfig& c) { c.tuning.min_beacons_for_fix = 0; })
+                  .find("min_beacons_for_fix"),
+              std::string::npos);
+    EXPECT_EQ(error_of([](ScenarioConfig&) {}), "");
+
+    // A finite but absurdly small cell passes validate(); the grid itself
+    // refuses to size it.
+    ScenarioConfig tiny = quick(est::Backend::Grid);
+    tiny.cell_m = 1e-300;
+    EXPECT_NO_THROW(tiny.validate());
+    EXPECT_THROW(Scenario{tiny}, std::invalid_argument);
+}
+
 TEST(Scenario, MissedSyncRobotsKeepSchedule) {
     // Even with heavy clock skew, robots that keep missing SYNCs still fix
     // eventually thanks to the wake guard.
-    auto cfg = quick(LocalizationMode::Combined);
+    auto cfg = quick(est::Backend::Grid);
     cfg.clock_skew_sigma_s = 0.3;
     const auto r = run_scenario(cfg);
     EXPECT_GT(r.agent_totals.fixes, 0u);
@@ -333,7 +374,7 @@ TEST(Scenario, CullingOnOffBitIdentical) {
     // Large enough that the influence radius leaves most radios out of range
     // of any given transmission, so culling actually skips work; the run must
     // still be indistinguishable from the unculled one, down to every counter.
-    ScenarioConfig base = quick(LocalizationMode::Combined);
+    ScenarioConfig base = quick(est::Backend::Grid);
     base.area_side_m = 2800.0;
     base.duration = Duration::minutes(3);
 

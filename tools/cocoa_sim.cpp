@@ -3,7 +3,7 @@
 // Runs one scenario with the paper's defaults (overridable via flags),
 // prints a summary, and optionally dumps CSV series for plotting:
 //   cocoa_sim --robots 50 --anchors 25 --period 100 --vmax 2
-//             --mode cocoa --csv out/run1
+//             --estimator grid --csv out/run1
 // writes out/run1_avg_error.csv and out/run1_summary.csv.
 //
 // With --reps N (N > 1) the scenario instead runs N independent
@@ -259,7 +259,6 @@ int main(int argc, char** argv) {
     int beacons_k = 3;
     double vmax = 2.0;
     double area_m = 200.0;
-    std::string mode = "cocoa";
     std::string sync = "mrmm";
     std::string technique = "bayes";
     std::string estimator = "grid";
@@ -301,16 +300,15 @@ int main(int argc, char** argv) {
         .add_option("k", "beacons per window (default 3)", &beacons_k)
         .add_option("vmax", "maximum robot speed m/s (default 2)", &vmax)
         .add_option("area", "deployment area side in metres (default 200)", &area_m)
-        .add_option("mode", "localization mode (default cocoa)", &mode,
-                    {"cocoa", "rf", "odo"})
         .add_option("sync", "clock synchronization (default mrmm)", &sync,
                     {"mrmm", "perfect"})
         .add_option("technique", "RF fix technique (default bayes)", &technique,
                     {"bayes", "centroid", "ls"})
         .add_option("estimator",
-                    "belief backend for --mode cocoa (default grid; see "
-                    "docs/estimators.md)",
-                    &estimator, {"grid", "ekf", "lincvx"})
+                    "how blind robots localize: grid = CoCoA, rf = RF only, "
+                    "odom = odometry only, or the ekf / lincvx extensions "
+                    "(default grid; see docs/estimators.md)",
+                    &estimator, {"grid", "ekf", "lincvx", "rf", "odom"})
         .add_flag("no-sleep", "disable sleep coordination (energy baseline)", &no_sleep)
         .add_flag("blind-beaconing", "localized blind robots also beacon", &blind_beaconing)
         .add_flag("no-culling",
@@ -540,17 +538,12 @@ int main(int argc, char** argv) {
 
     // All enum-valued flags are parser-validated choices; only the mapping
     // remains here.
-    config.mode = mode == "cocoa"  ? core::LocalizationMode::Combined
-                  : mode == "rf"   ? core::LocalizationMode::RfOnly
-                                   : core::LocalizationMode::OdometryOnly;
-    config.sync = sync == "mrmm" ? core::SyncMode::Mrmm : core::SyncMode::PerfectClock;
-    config.technique = technique == "bayes"      ? core::RfTechnique::BayesianGrid
-                       : technique == "centroid" ? core::RfTechnique::WeightedCentroid
-                                                 : core::RfTechnique::LeastSquares;
     config.estimator = *est::parse_backend(estimator);
-    if (config.estimator != est::Backend::Grid && mode != "cocoa") {
-        return fail("--estimator " + estimator + " requires --mode cocoa");
-    }
+    config.sync = sync == "mrmm" ? core::SyncMode::Mrmm : core::SyncMode::PerfectClock;
+    config.tuning.technique =
+        technique == "bayes"      ? core::RfTechnique::BayesianGrid
+        : technique == "centroid" ? core::RfTechnique::WeightedCentroid
+                                  : core::RfTechnique::LeastSquares;
 
     fault::FaultPlan plan;
     try {
@@ -576,9 +569,6 @@ int main(int argc, char** argv) {
     if (backend_sweep && (!plan.empty() || resilience_sweep >= 0)) {
         return fail("--backend-sweep builds its own plans; drop "
                     "--fault/--fault-file/--resilience-sweep");
-    }
-    if (backend_sweep && mode != "cocoa") {
-        return fail("--backend-sweep requires --mode cocoa");
     }
 
     if (pos_trace_interval_s > 0.0 && csv_prefix.empty()) {
