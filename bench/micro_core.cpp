@@ -58,7 +58,7 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
                        [] {});
             t += 100;
         }
-        while (!q.empty()) benchmark::DoNotOptimize(q.pop());
+        while (!q.empty()) q.fire_next();
     }
     state.SetItemsProcessed(state.iterations() * 64);
 }
@@ -78,7 +78,7 @@ void BM_EventQueue_schedule(benchmark::State& state) {
                        [] {});
             t += 7;
         }
-        while (!q.empty()) benchmark::DoNotOptimize(q.pop());
+        while (!q.empty()) q.fire_next();
     }
     state.SetItemsProcessed(state.iterations() * depth);
 }
@@ -130,7 +130,7 @@ void BM_EventQueue_churn(benchmark::State& state) {
             timers[cursor] =
                 q.schedule(sim::TimePoint::from_nanos(now + 1'500'000), [] {});
             q.schedule(sim::TimePoint::from_nanos(now + 10), [] {});
-            benchmark::DoNotOptimize(q.pop());
+            q.fire_next();
             cursor = (cursor + 1) % timers.size();
         }
     }

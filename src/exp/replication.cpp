@@ -8,11 +8,11 @@
 #include <utility>
 
 #include "core/checkpoint_io.hpp"
-#include "exp/thread_pool.hpp"
 #include "metrics/table.hpp"
 #include "obs/profile.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/random.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace cocoa::exp {
 
@@ -279,13 +279,13 @@ std::vector<ReplicationSet> run_sweep(const std::vector<core::ScenarioConfig>& c
     };
 
     const int n_threads =
-        std::min<int>(ThreadPool::resolve_threads(options.n_threads),
+        std::min<int>(sim::ThreadPool::resolve_threads(options.n_threads),
                       static_cast<int>(n_tasks));
     if (n_threads <= 1) {
         for (std::size_t gi = 0; gi < groups.size(); ++gi) run_prefix(gi);
         for (std::size_t task = 0; task < n_tasks; ++task) run_task(task);
     } else {
-        ThreadPool pool(n_threads);
+        sim::ThreadPool pool(n_threads);
         // Prefixes first (a barrier, not a pipeline: every member of a group
         // needs its blob), then all members and unforked tasks together.
         for (std::size_t gi = 0; gi < groups.size(); ++gi) {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -66,7 +67,7 @@ Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig co
                             kRadiusCacheCapacity, kRadiusCacheDensePopulation);
     // Steady-state scratch: sized once here so paper-scale neighbourhoods
     // never grow it again (swarm densities warm it within a few frames).
-    sensed_scratch_.reserve(kSensedReserve);
+    cca_tags_.reserve(kSensedReserve);
 }
 
 std::size_t Medium::attach(Radio& radio) {
@@ -159,7 +160,7 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
     // answer the live path acted on. Culled (out-of-influence) radios keep
     // the not-sensed verdict their clamped draw could never overturn, and
     // unavailable (off / in-outage) radios are invisible to propagation.
-    sensed_scratch_.clear();
+    cca_tags_.clear();
     std::uint64_t visited = 0;
     // The stochastic tail of one receiver's evaluation, shared by the scalar
     // and vectorized paths: given the deterministic channel terms at the
@@ -211,8 +212,10 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
             }
         }
         if (rssi && channel_.sensed(*rssi)) {
-            sensed_scratch_.push_back(
-                SensedCandidate{static_cast<std::uint32_t>(i), *rssi});
+            cca_tags_.push_back(sim::make_tag(
+                sim::EventKind::kMediumCca, static_cast<std::uint32_t>(i),
+                channel_.decodable(*rssi) ? 1u : 0u, 0, fseq,
+                std::bit_cast<std::uint64_t>(*rssi)));
         }
     };
     // Scalar per-receiver evaluation (unculled sweep and the Serial force
@@ -284,11 +287,12 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                      fanout_batch_.sigma_db[l], fanout_batch_.fade_db[l]);
             }
         }
-        // The CCA callbacks below must fire in attach order — same-timestamp
-        // events are FIFO, and the unculled sweep schedules them ascending.
-        std::sort(sensed_scratch_.begin(), sensed_scratch_.end(),
-                  [](const SensedCandidate& a, const SensedCandidate& b) {
-                      return a.idx < b.idx;
+        // The CCA run below fires its elements in tag order, which must be
+        // attach order: the unculled sweep records receivers ascending, and
+        // the frame's sensed_by list is binary-searched.
+        std::sort(cca_tags_.begin(), cca_tags_.end(),
+                  [](const sim::EventTag& a, const sim::EventTag& b) {
+                      return a.node < b.node;
                   });
     } else {
         for (std::size_t i = 0; i < radios_.size(); ++i) visit(i);
@@ -297,8 +301,8 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
     stats_.radios_culled += static_cast<std::uint64_t>(radios_.size()) - 1 - visited;
 
     AirFrame::SensedBy sensed{sim::PoolAllocator<std::uint32_t>(sensed_core_)};
-    sensed.reserve(std::max(kSensedReserve, sensed_scratch_.size()));
-    for (const SensedCandidate& c : sensed_scratch_) sensed.push_back(c.idx);
+    sensed.reserve(std::max(kSensedReserve, cca_tags_.size()));
+    for (const sim::EventTag& tag : cca_tags_) sensed.push_back(tag.node);
 
     // One pooled block carries the shared_ptr control block and the frame;
     // in steady state both it and the sensed_by block above come straight
@@ -312,20 +316,36 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                         static_cast<std::int64_t>(sender.id()),
                         {{"bytes", static_cast<double>(packet.wire_bytes())}});
 
-    for (const SensedCandidate& c : sensed_scratch_) {
-        Radio* r = radios_[c.idx];
-        const double rssi_i = c.rssi_dbm;
-        const bool decodable = channel_.decodable(rssi_i);
-        // Carrier sensing and receiver lock-on take a CCA delay; radio state
-        // is re-checked at that point (the radio may have slept meanwhile).
-        sim_.schedule_in(
-            config_.cca_delay,
-            [this, r, frame, rssi_i, decodable] {
-                cca_fire(r, frame, rssi_i, decodable);
-            },
-            sim::make_tag(sim::EventKind::kMediumCca, c.idx, decodable ? 1u : 0u, 0,
-                          fseq, std::bit_cast<std::uint64_t>(rssi_i)));
+    // Carrier sensing and receiver lock-on take a CCA delay; radio state is
+    // re-checked at that point (the radio may have slept meanwhile). One run
+    // carries every sensed receiver's delivery, in attach order: the events,
+    // seqs and tags of one schedule per receiver, in one heap slot.
+    sim_.schedule_run(
+        start + config_.cca_delay,
+        [this, frame = std::shared_ptr<const AirFrame>(frame)](const sim::EventTag& tag) {
+            cca_fire(radios_[tag.node], frame, std::bit_cast<double>(tag.b), tag.x != 0);
+        },
+        cca_tags_);
+}
+
+void Medium::schedule_frame_end(const Radio& radio,
+                                const std::shared_ptr<const AirFrame>& frame) {
+    const sim::EventTag tag =
+        sim::make_tag(sim::EventKind::kRadioFrameEnd,
+                      static_cast<std::uint32_t>(radio.attach_index()), 0, 0, frame->seq);
+    // Receivers lock onto a frame only while its CCA run fires, back to back,
+    // so the frame's frame-ends extend one run. The kernel refuses the
+    // extension once the run has fired or anything else has been scheduled
+    // since; the frame then opens a fresh run.
+    if (frame_end_run_.frame_seq == frame->seq &&
+        sim_.extend_run(frame_end_run_.id, frame->end, tag)) {
+        return;
     }
+    frame_end_run_.frame_seq = frame->seq;
+    frame_end_run_.id = sim_.schedule_run(
+        frame->end,
+        [this, frame](const sim::EventTag& t) { radios_[t.node]->on_frame_end(frame); },
+        std::span<const sim::EventTag>(&tag, 1));
 }
 
 void Medium::cca_fire(Radio* r, const std::shared_ptr<const AirFrame>& frame,

@@ -91,6 +91,12 @@ class Medium {
     void begin_transmission(Radio& sender, const net::Packet& packet,
                             sim::Duration airtime);
 
+    /// Schedules `radio`'s end-of-reception event for `frame` (at
+    /// frame->end), as an element of the frame's frame-end run when it can.
+    /// Called by Radio::on_frame_start only.
+    void schedule_frame_end(const Radio& radio,
+                            const std::shared_ptr<const AirFrame>& frame);
+
     /// Cuts `sender`'s in-flight frame short at the current time (the
     /// transmitter died or dropped into an outage): the frame becomes
     /// undecodable, nearby radios' carrier-sense state is rebuilt, and
@@ -300,14 +306,18 @@ class Medium {
     double truncate_radius_m_ = 0.0;
 
     /// Per-transmission scratch, reused across frames: the sensed receivers
-    /// (attach index + sampled RSSI) of the frame under construction. Sized
-    /// by the neighbourhood, never by the team — the fan-out path carries no
-    /// O(attached radios) work or storage.
-    struct SensedCandidate {
-        std::uint32_t idx;
-        double rssi_dbm;
+    /// of the frame under construction, as the tags of their CCA deliveries
+    /// (attach index, sampled RSSI bits, decodable flag), which the frame's
+    /// CCA run takes as they are. Sized by the neighbourhood, never by the
+    /// team — the fan-out path carries no O(attached radios) work or
+    /// storage.
+    std::vector<sim::EventTag> cca_tags_;
+    /// The frame-end run schedule_frame_end last opened, and its frame.
+    struct FrameEndRun {
+        sim::EventId id;
+        std::uint64_t frame_seq = 0;
     };
-    std::vector<SensedCandidate> sensed_scratch_;
+    FrameEndRun frame_end_run_;
 };
 
 }  // namespace cocoa::mac

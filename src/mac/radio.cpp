@@ -141,10 +141,7 @@ void Radio::on_frame_start(const std::shared_ptr<const AirFrame>& frame, double 
                                         {{"rssi_dbm", rssi_dbm},
                                          {"old_rssi_dbm", lock_->rssi_dbm}});
             lock_ = RxLock{frame, rssi_dbm, false};
-            sim_.schedule_at(frame->end, [this, frame] { on_frame_end(frame); },
-                             sim::make_tag(sim::EventKind::kRadioFrameEnd,
-                                           static_cast<std::uint32_t>(attach_index_),
-                                           0, 0, frame->seq));
+            medium_.schedule_frame_end(*this, frame);
             return;  // the old frame's on_frame_end no-ops (lock moved on)
         }
         if (rssi_dbm >= lock_->rssi_dbm - medium_.capture_margin_db()) {
@@ -162,10 +159,7 @@ void Radio::on_frame_start(const std::shared_ptr<const AirFrame>& frame, double 
                                 static_cast<std::int64_t>(id_),
                                 {{"rssi_dbm", rssi_dbm}});
     set_state(energy::RadioState::Rx);
-    sim_.schedule_at(frame->end, [this, frame] { on_frame_end(frame); },
-                     sim::make_tag(sim::EventKind::kRadioFrameEnd,
-                                   static_cast<std::uint32_t>(attach_index_), 0, 0,
-                                   frame->seq));
+    medium_.schedule_frame_end(*this, frame);
 }
 
 void Radio::on_frame_end(const std::shared_ptr<const AirFrame>& frame) {

@@ -7,28 +7,32 @@
 
 namespace cocoa::sim {
 
-/// Move-only type-erased `void()` callable with a 48-byte small buffer.
+template <typename Signature>
+class InplaceFunction;
+
+/// Move-only type-erased `void(Args...)` callable with a 48-byte small buffer.
 ///
 /// Simulation callbacks are overwhelmingly tiny lambda captures — a `this`
 /// pointer plus a couple of scalars, or a shared_ptr<AirFrame> and a verdict.
 /// `std::function` heap-allocates many of them and requires copyability;
-/// InplaceCallback instead stores any nothrow-move-constructible callable of
+/// InplaceFunction instead stores any nothrow-move-constructible callable of
 /// at most kInlineSize bytes directly inside the object. Larger callables (or
 /// ones with throwing moves) fall back to a single heap allocation, observable
 /// via on_heap() — the event queue counts those as SBO misses so the fast
 /// path's zero-allocation claim is measurable, not aspirational.
-class InplaceCallback {
+template <typename... Args>
+class InplaceFunction<void(Args...)> {
   public:
     static constexpr std::size_t kInlineSize = 48;
     static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
-    InplaceCallback() noexcept = default;
+    InplaceFunction() noexcept = default;
 
     template <typename F,
               typename = std::enable_if_t<
-                  !std::is_same_v<std::remove_cvref_t<F>, InplaceCallback> &&
-                  std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
-    InplaceCallback(F&& f) {  // NOLINT: implicit, mirrors std::function
+                  !std::is_same_v<std::remove_cvref_t<F>, InplaceFunction> &&
+                  std::is_invocable_r_v<void, std::remove_cvref_t<F>&, Args...>>>
+    InplaceFunction(F&& f) {  // NOLINT: implicit, mirrors std::function
         using Fn = std::remove_cvref_t<F>;
         if constexpr (fits_inline<Fn>()) {
             ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
@@ -39,7 +43,7 @@ class InplaceCallback {
         }
     }
 
-    InplaceCallback(InplaceCallback&& other) noexcept {
+    InplaceFunction(InplaceFunction&& other) noexcept {
         if (other.ops_ != nullptr) {
             other.ops_->relocate(storage_, other.storage_);
             ops_ = other.ops_;
@@ -47,7 +51,7 @@ class InplaceCallback {
         }
     }
 
-    InplaceCallback& operator=(InplaceCallback&& other) noexcept {
+    InplaceFunction& operator=(InplaceFunction&& other) noexcept {
         if (this != &other) {
             reset();
             if (other.ops_ != nullptr) {
@@ -59,13 +63,13 @@ class InplaceCallback {
         return *this;
     }
 
-    InplaceCallback(const InplaceCallback&) = delete;
-    InplaceCallback& operator=(const InplaceCallback&) = delete;
+    InplaceFunction(const InplaceFunction&) = delete;
+    InplaceFunction& operator=(const InplaceFunction&) = delete;
 
-    ~InplaceCallback() { reset(); }
+    ~InplaceFunction() { reset(); }
 
     /// Invokes the stored callable. Precondition: bool(*this).
-    void operator()() { ops_->invoke(storage_); }
+    void operator()(Args... args) { ops_->invoke(storage_, std::forward<Args>(args)...); }
 
     explicit operator bool() const noexcept { return ops_ != nullptr; }
 
@@ -84,7 +88,7 @@ class InplaceCallback {
 
   private:
     struct Ops {
-        void (*invoke)(void* storage);
+        void (*invoke)(void* storage, Args... args);
         void (*relocate)(void* dst, void* src) noexcept;
         void (*destroy)(void* storage) noexcept;
         bool heap;
@@ -99,7 +103,9 @@ class InplaceCallback {
     template <typename Fn>
     struct InlineOps {
         static Fn* get(void* s) { return std::launder(reinterpret_cast<Fn*>(s)); }
-        static void invoke(void* s) { (*get(s))(); }
+        static void invoke(void* s, Args... args) {
+            (*get(s))(std::forward<Args>(args)...);
+        }
         static void relocate(void* dst, void* src) noexcept {
             Fn* from = get(src);
             ::new (dst) Fn(std::move(*from));
@@ -114,7 +120,9 @@ class InplaceCallback {
         static Fn* get(void* s) {
             return *std::launder(reinterpret_cast<Fn**>(s));
         }
-        static void invoke(void* s) { (*get(s))(); }
+        static void invoke(void* s, Args... args) {
+            (*get(s))(std::forward<Args>(args)...);
+        }
         static void relocate(void* dst, void* src) noexcept {
             ::new (dst) Fn*(get(src));
         }
@@ -125,5 +133,8 @@ class InplaceCallback {
     alignas(kInlineAlign) unsigned char storage_[kInlineSize];
     const Ops* ops_ = nullptr;
 };
+
+/// The event kernel's callback: one scheduled action.
+using InplaceCallback = InplaceFunction<void()>;
 
 }  // namespace cocoa::sim

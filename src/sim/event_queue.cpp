@@ -6,36 +6,80 @@
 
 namespace cocoa::sim {
 
-EventId EventQueue::place(TimePoint t, std::uint64_t seq, Callback cb,
-                          const EventTag& tag) {
-    ++stats_.scheduled;
-    if (cb.on_heap()) ++stats_.sbo_misses;
-
-    std::uint32_t si;
+std::uint32_t EventQueue::acquire_slot() {
     if (!free_slots_.empty()) {
-        si = free_slots_.back();
+        const std::uint32_t si = free_slots_.back();
         free_slots_.pop_back();
-    } else {
-        si = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-        tags_.emplace_back();
+        return si;
     }
+    slots_.emplace_back();
+    tags_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+EventId EventQueue::push(std::uint32_t si, TimePoint t, std::uint64_t seq,
+                         std::size_t events) {
     Slot& slot = slots_[si];
     slot.time = t;
     slot.seq = seq;
-    slot.callback = std::move(cb);
-    tags_[si] = tag;
-
     heap_.push_back(si);
     slot.heap_index = static_cast<std::uint32_t>(heap_.size() - 1);
     sift_up(heap_.size() - 1);
 
-    stats_.peak_pending = std::max<std::uint64_t>(stats_.peak_pending, heap_.size());
-    return EventId{si, slot.generation};
+    stats_.scheduled += events;
+    pending_ += events;
+    stats_.peak_pending = std::max<std::uint64_t>(stats_.peak_pending, pending_);
+    return EventId{si, slots_[si].generation};
+}
+
+EventId EventQueue::place(TimePoint t, std::uint64_t seq, Callback cb,
+                          const EventTag& tag) {
+    if (cb.on_heap()) ++stats_.sbo_misses;
+    const std::uint32_t si = acquire_slot();
+    slots_[si].callback = std::move(cb);
+    tags_[si] = tag;
+    return push(si, t, seq, 1);
 }
 
 EventId EventQueue::schedule(TimePoint t, Callback cb, const EventTag& tag) {
     return place(t, next_seq_++, std::move(cb), tag);
+}
+
+EventId EventQueue::schedule_run(TimePoint t, RunCallback cb,
+                                 std::span<const EventTag> tags) {
+    if (tags.empty()) return EventId{};
+    if (cb.on_heap()) ++stats_.sbo_misses;
+    std::uint32_t ri;
+    if (!free_runs_.empty()) {
+        ri = free_runs_.back();
+        free_runs_.pop_back();
+    } else {
+        ri = static_cast<std::uint32_t>(runs_.size());
+        runs_.emplace_back();
+    }
+    Run& run = runs_[ri];
+    run.callback = std::move(cb);
+    run.tags.assign(tags.begin(), tags.end());
+    run.head = 0;
+    const std::uint32_t si = acquire_slot();
+    slots_[si].run = ri;
+    const std::uint64_t seq = next_seq_;
+    next_seq_ += tags.size();
+    return push(si, t, seq, tags.size());
+}
+
+bool EventQueue::extend_run(EventId id, TimePoint t, const EventTag& tag) {
+    if (!pending(id)) return false;
+    const Slot& slot = slots_[id.slot_];
+    if (slot.run == kNoRun || slot.time != t) return false;
+    Run& run = runs_[slot.run];
+    if (slot.seq + run.remaining() != next_seq_) return false;
+    run.tags.push_back(tag);
+    ++next_seq_;
+    ++stats_.scheduled;
+    ++pending_;
+    stats_.peak_pending = std::max<std::uint64_t>(stats_.peak_pending, pending_);
+    return true;
 }
 
 EventId EventQueue::schedule_with_seq(TimePoint t, std::uint64_t seq, Callback cb,
@@ -46,7 +90,14 @@ EventId EventQueue::schedule_with_seq(TimePoint t, std::uint64_t seq, Callback c
 void EventQueue::for_each_pending(const PendingVisitor& fn) const {
     for (const std::uint32_t si : heap_) {
         const Slot& slot = slots_[si];
-        fn(slot.time, slot.seq, tags_[si]);
+        if (slot.run == kNoRun) {
+            fn(slot.time, slot.seq, tags_[si]);
+            continue;
+        }
+        const Run& run = runs_[slot.run];
+        for (std::size_t i = run.head; i < run.tags.size(); ++i) {
+            fn(slot.time, slot.seq + (i - run.head), run.tags[i]);
+        }
     }
 }
 
@@ -60,31 +111,56 @@ std::uint64_t EventQueue::min_pending_seq() const {
 
 bool EventQueue::cancel(EventId id) {
     if (!pending(id)) return false;
-    ++stats_.cancelled;
-    remove_from_heap(slots_[id.slot_].heap_index);
+    const Slot& slot = slots_[id.slot_];
+    std::size_t events = 1;
+    if (slot.run != kNoRun) {
+        events = runs_[slot.run].remaining();
+        release_run(slot.run);
+    }
+    stats_.cancelled += events;
+    pending_ -= events;
+    remove_from_heap(slot.heap_index);
     release_slot(id.slot_);
     return true;
 }
 
-EventQueue::Fired EventQueue::pop() {
-    assert(!heap_.empty() && "pop() on empty EventQueue");
+void EventQueue::fire_next() {
+    assert(!heap_.empty() && "fire_next() on empty EventQueue");
     const std::uint32_t si = heap_[0];
     Slot& slot = slots_[si];
-    Fired fired{slot.time, std::move(slot.callback)};
+    --pending_;
+    if (slot.run == kNoRun) {
+        Callback cb = std::move(slot.callback);
+        remove_from_heap(0);
+        release_slot(si);
+        cb();
+        return;
+    }
+    // runs_ is a deque, so `run` stays valid while its callback schedules.
+    Run& run = runs_[slot.run];
+    const EventTag tag = run.tags[run.head];
+    if (++run.head < run.tags.size()) {
+        // The next element's key (time, seq + 1) still precedes every other
+        // pending event, none of which can hold a seq inside this run's block:
+        // the slot stays at the root, no sift.
+        ++slot.seq;
+        run.callback(tag);
+        return;
+    }
+    RunCallback cb = std::move(run.callback);
+    release_run(slot.run);
     remove_from_heap(0);
     release_slot(si);
-    return fired;
+    cb(tag);
 }
 
 void EventQueue::clear() {
     for (const std::uint32_t si : heap_) {
-        Slot& slot = slots_[si];
-        slot.callback.reset();
-        ++slot.generation;
-        slot.heap_index = kNoHeapIndex;
-        free_slots_.push_back(si);
+        if (slots_[si].run != kNoRun) release_run(slots_[si].run);
+        release_slot(si);
     }
     heap_.clear();
+    pending_ = 0;
 }
 
 void EventQueue::sift_up(std::size_t i) {
@@ -141,7 +217,16 @@ void EventQueue::release_slot(std::uint32_t si) {
     slot.callback.reset();  // release captures (e.g. shared_ptr<AirFrame>) now
     ++slot.generation;
     slot.heap_index = kNoHeapIndex;
+    slot.run = kNoRun;
     free_slots_.push_back(si);
+}
+
+void EventQueue::release_run(std::uint32_t ri) {
+    Run& run = runs_[ri];
+    run.callback.reset();
+    run.tags.clear();  // keeps its capacity for the next run
+    run.head = 0;
+    free_runs_.push_back(ri);
 }
 
 }  // namespace cocoa::sim

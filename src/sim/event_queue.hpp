@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -34,9 +36,10 @@ class EventId {
 
 /// Event-kernel counters. The fields are stable uint64_t lvalues so the
 /// Medium can register them with obs::CounterRegistry (kernel.events.*).
+/// Every count is per event: a run of n elements counts as n events.
 struct KernelStats {
-    std::uint64_t scheduled = 0;     ///< total schedule() calls
-    std::uint64_t cancelled = 0;     ///< successful cancel() calls
+    std::uint64_t scheduled = 0;     ///< events scheduled (run elements included)
+    std::uint64_t cancelled = 0;     ///< events cancelled (run elements included)
     std::uint64_t sbo_misses = 0;    ///< callbacks that spilled to the heap
     std::uint64_t peak_pending = 0;  ///< high-water mark of pending events
 };
@@ -53,6 +56,18 @@ struct KernelStats {
 /// cycle performs no allocation at all once the arena has grown to the
 /// high-water mark.
 ///
+/// Runs: one heap slot can hold n events due at one instant with consecutive
+/// seqs (schedule_run, extend_run), e.g. one frame's fan-out to its
+/// receivers. Element i gets exactly the seq a separate schedule() would
+/// have given it, so the queue's order, its stats, size(), and the pending
+/// list (for_each_pending, min_pending_seq) are the same as if the elements
+/// had been scheduled one by one. Popping a run fires its head and re-keys
+/// the slot to (time, seq + 1) in place without a sift: no other pending
+/// event can hold a seq inside the run's block, so the re-keyed slot still
+/// sorts before every other pending event and stays at the root. Run storage
+/// (callback plus per-element tags) is recycled through its own free list,
+/// so a warm queue schedules runs without allocating.
+///
 /// Invariants:
 ///  - seq is monotone for the lifetime of the queue and is never reset, not
 ///    even by clear(); FIFO tie-breaking therefore stays well-defined if a
@@ -65,6 +80,8 @@ struct KernelStats {
 class EventQueue {
   public:
     using Callback = InplaceCallback;
+    /// A run's callback, invoked once per element with that element's tag.
+    using RunCallback = InplaceFunction<void(const EventTag&)>;
 
     /// Visitor over pending events for checkpointing: (time, seq, tag).
     using PendingVisitor =
@@ -75,17 +92,32 @@ class EventQueue {
     /// see sim/event_tag.hpp.
     EventId schedule(TimePoint t, Callback cb, const EventTag& tag = {});
 
+    /// Schedules tags.size() events at `t` as one run: element i fires
+    /// `cb(tags[i])` with seq next_seq() + i, exactly as tags.size()
+    /// schedule() calls would order it. Returns the run's handle; cancel()
+    /// on it cancels every element still pending. An empty `tags` schedules
+    /// nothing and returns an invalid id.
+    EventId schedule_run(TimePoint t, RunCallback cb, std::span<const EventTag> tags);
+
+    /// Appends one element with `tag` to run `id`, at the seq a schedule()
+    /// would give it now. Returns false, and changes nothing, unless the run
+    /// is still pending, is due at `t`, and nothing else has been scheduled
+    /// since its last element (so its seqs stay one contiguous block).
+    bool extend_run(EventId id, TimePoint t, const EventTag& tag);
+
     /// Checkpoint-restore path: schedules `cb` with an explicit sequence
     /// number instead of drawing from next_seq_, so the restored queue's
-    /// (time, seq) pop order reproduces the straight run's exactly. Counts in
+    /// (time, seq) pop order reproduces the straight run's exactly. `seq`
+    /// must not fall inside a pending run's block. Counts in
     /// stats() like schedule() (restore overwrites stats afterwards; the
     /// forked-sweep path relies on the natural counting). Does not advance
     /// next_seq_ — callers restore it via set_next_seq().
     EventId schedule_with_seq(TimePoint t, std::uint64_t seq, Callback cb,
                               const EventTag& tag);
 
-    /// Calls `fn(time, seq, tag)` for every pending event, in arbitrary
-    /// (heap) order. Save paths sort by seq afterwards.
+    /// Calls `fn(time, seq, tag)` for every pending event (each pending run
+    /// element on its own), in arbitrary (heap) order. Save paths sort by
+    /// seq afterwards.
     void for_each_pending(const PendingVisitor& fn) const;
 
     /// Smallest seq among pending events; UINT64_MAX when empty. The forked
@@ -96,8 +128,9 @@ class EventQueue {
     void set_next_seq(std::uint64_t seq) { next_seq_ = seq; }
     void set_stats(const KernelStats& stats) { stats_ = stats; }
 
-    /// Cancels a pending event; returns false if it already fired, was
-    /// already cancelled, or the id is invalid/stale.
+    /// Cancels a pending event (for a run: every element still pending);
+    /// returns false if it already fired, was already cancelled, or the id
+    /// is invalid/stale. A run's callback must not cancel its own run.
     bool cancel(EventId id);
 
     /// True if `id` refers to an event that has not yet fired or been
@@ -109,7 +142,8 @@ class EventQueue {
     }
 
     bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
+    /// Pending events, each pending run element counted.
+    std::size_t size() const { return pending_; }
 
     /// Time of the earliest pending event; TimePoint::max() if empty.
     TimePoint next_time() const {
@@ -117,29 +151,38 @@ class EventQueue {
         return slots_[heap_[0]].time;
     }
 
-    /// Removes and returns the earliest pending event.
+    /// Removes the earliest pending event (a run's head element) and
+    /// invokes it. The caller reads its time from next_time() first.
     /// Precondition: !empty().
-    struct Fired {
-        TimePoint time;
-        Callback callback;
-    };
-    Fired pop();
+    void fire_next();
 
     /// Drops all pending events (see class invariants: generations are
-    /// bumped, seq keeps counting).
+    /// bumped, seq keeps counting). Not from inside a run's callback.
     void clear();
 
     const KernelStats& stats() const { return stats_; }
 
   private:
     static constexpr std::uint32_t kNoHeapIndex = 0xffffffffu;
+    static constexpr std::uint32_t kNoRun = 0xffffffffu;
 
+    /// A slot's key is (time, seq) of its next event: for a run, the head
+    /// element, whose seq advances by one per fired element.
     struct Slot {
         TimePoint time{};
         std::uint64_t seq = 0;
-        Callback callback;
+        Callback callback;  ///< empty for a run
         std::uint32_t generation = 1;  // never 0, so any issued id is valid()
         std::uint32_t heap_index = kNoHeapIndex;
+        std::uint32_t run = kNoRun;  ///< index into runs_, or kNoRun
+    };
+
+    /// Elements [head, tags.size()) are pending, with seqs slot.seq onward.
+    struct Run {
+        RunCallback callback;
+        std::vector<EventTag> tags;
+        std::size_t head = 0;
+        std::size_t remaining() const { return tags.size() - head; }
     };
 
     /// (time, seq) ordering between two slots referenced from the heap.
@@ -154,7 +197,12 @@ class EventQueue {
     void sift_down(std::size_t i);
     void remove_from_heap(std::size_t i);
     void release_slot(std::uint32_t si);
+    void release_run(std::uint32_t ri);
+    std::uint32_t acquire_slot();
     EventId place(TimePoint t, std::uint64_t seq, Callback cb, const EventTag& tag);
+    /// Keys slot `si` at (t, seq), pushes it on the heap and counts
+    /// `events` scheduled events.
+    EventId push(std::uint32_t si, TimePoint t, std::uint64_t seq, std::size_t events);
 
     std::vector<Slot> slots_;
     /// Parallel to slots_: the checkpoint tag of each slot's event. Kept out
@@ -162,6 +210,11 @@ class EventQueue {
     std::vector<EventTag> tags_;
     std::vector<std::uint32_t> heap_;        ///< 4-ary min-heap of slot indices
     std::vector<std::uint32_t> free_slots_;  ///< recyclable slot indices (LIFO)
+    /// Run storage. A deque, so a run's callback stays put while it fires
+    /// even if it schedules further runs; freed runs keep their tag capacity.
+    std::deque<Run> runs_;
+    std::vector<std::uint32_t> free_runs_;  ///< recyclable run indices (LIFO)
+    std::size_t pending_ = 0;  ///< pending events, run elements counted
     std::uint64_t next_seq_ = 1;
     KernelStats stats_;
 };

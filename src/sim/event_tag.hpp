@@ -29,10 +29,16 @@ enum class EventKind : std::uint32_t {
     // mac::Radio   (node = attach index)
     kRadioAttempt = 20,   ///< CSMA attempt timer (radio re-learns the EventId)
     kRadioEndTx = 21,     ///< end of the frame currently on air
-    kRadioFrameEnd = 22,  ///< a = frame seq of the frame whose end we await
+    /// a = frame seq of the frame whose end we await. Scheduled through
+    /// Medium::schedule_frame_end as an element of the frame's frame-end run
+    /// (sim::EventQueue::schedule_run); restored as a single event.
+    kRadioFrameEnd = 22,
 
     // mac::Medium   (node = receiver attach index)
-    kMediumCca = 30,  ///< a = frame seq, b = rssi bits, x = decodable flag
+    /// a = frame seq, b = rssi bits, x = decodable flag. One frame's
+    /// deliveries are scheduled as one run, in attach order; restored as
+    /// single events.
+    kMediumCca = 30,
 
     // multicast::MulticastNode   (node = node id)
     kMcastRefresh = 40,     ///< x = group

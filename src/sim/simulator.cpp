@@ -1,13 +1,22 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/checkpoint.hpp"
 
 namespace cocoa::sim {
+
+namespace {
+[[noreturn]] void corrupt_event(std::uint64_t index, const std::string& what) {
+    throw std::runtime_error("checkpoint: kernel event " + std::to_string(index) + " " +
+                             what + " — corrupt blob");
+}
+}  // namespace
 
 EventId Simulator::schedule_at(TimePoint t, Callback cb, const EventTag& tag) {
     if (t < now_) {
@@ -21,6 +30,14 @@ EventId Simulator::schedule_in(Duration d, Callback cb, const EventTag& tag) {
         throw std::logic_error("Simulator::schedule_in: negative delay");
     }
     return queue_.schedule(now_ + d, std::move(cb), tag);
+}
+
+EventId Simulator::schedule_run(TimePoint t, RunCallback cb,
+                                std::span<const EventTag> tags) {
+    if (t < now_) {
+        throw std::logic_error("Simulator::schedule_run: time is in the past");
+    }
+    return queue_.schedule_run(t, std::move(cb), tags);
 }
 
 void Simulator::save_kernel(ckpt::Writer& w) const {
@@ -83,6 +100,7 @@ void Simulator::load_kernel(ckpt::Reader& r, const ckpt::CallbackRegistry& regis
     stats.peak_pending = r.u64();
 
     const std::uint64_t count = r.u64();
+    std::uint64_t prev_seq = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         const TimePoint t = r.time();
         const std::uint64_t seq = r.u64();
@@ -93,6 +111,25 @@ void Simulator::load_kernel(ckpt::Reader& r, const ckpt::CallbackRegistry& regis
         tag.y = r.u32();
         tag.a = r.u64();
         tag.b = r.u64();
+        // save_kernel writes events at or after its clock, in strictly
+        // increasing seq order, every seq drawn below next_seq; anything
+        // else would run time backwards or break the FIFO tie-break.
+        if (t < now_) {
+            corrupt_event(i, "is due at " + std::to_string(t.to_nanos()) +
+                                 " ns, before the restored clock " +
+                                 std::to_string(now_.to_nanos()) + " ns");
+        }
+        if (i > 0 && seq <= prev_seq) {
+            corrupt_event(i, "has seq " + std::to_string(seq) +
+                                 ", not above the previous event's " +
+                                 std::to_string(prev_seq));
+        }
+        if (seq >= next_seq) {
+            corrupt_event(i, "has seq " + std::to_string(seq) +
+                                 ", not below the restored next seq " +
+                                 std::to_string(next_seq));
+        }
+        prev_seq = seq;
         const EventId id =
             queue_.schedule_with_seq(t, seq, registry.make(tag), tag);
         registry.placed(tag, id);
@@ -106,11 +143,12 @@ void Simulator::load_kernel(ckpt::Reader& r, const ckpt::CallbackRegistry& regis
 void Simulator::run_until(TimePoint end) {
     stop_requested_ = false;
     while (!queue_.empty() && !stop_requested_) {
-        if (queue_.next_time() > end) break;
-        auto fired = queue_.pop();
-        now_ = fired.time;
+        const TimePoint t = queue_.next_time();
+        if (t > end) break;
+        assert(t >= now_ && "Simulator: event time ran backwards");
+        now_ = t;
         ++executed_;
-        fired.callback();
+        queue_.fire_next();
     }
     if (!stop_requested_ && now_ < end && queue_.next_time() > end) {
         // Advance the clock to the requested horizon even if no event lands

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "sim/callback.hpp"
 #include "sim/event_queue.hpp"
@@ -24,6 +25,7 @@ class CallbackRegistry;
 class Simulator {
   public:
     using Callback = EventQueue::Callback;
+    using RunCallback = EventQueue::RunCallback;
 
     explicit Simulator(std::uint64_t master_seed = 1) : rng_(master_seed) {}
 
@@ -44,6 +46,20 @@ class Simulator {
 
     /// Schedules a callback `d` after the current time. Negative d throws.
     EventId schedule_in(Duration d, Callback cb, const EventTag& tag = {});
+
+    /// Schedules tags.size() events at `t` in one heap slot, element i
+    /// firing `cb(tags[i])`: the same events, seqs and stats as one
+    /// schedule_at per tag, without the per-event heap work (see
+    /// EventQueue::schedule_run). Scheduling in the past throws like
+    /// schedule_at.
+    EventId schedule_run(TimePoint t, RunCallback cb, std::span<const EventTag> tags);
+
+    /// Appends one element to a pending run due at `t`, if nothing else has
+    /// been scheduled since its last element; false otherwise (the caller
+    /// then starts a new run). See EventQueue::extend_run.
+    bool extend_run(EventId id, TimePoint t, const EventTag& tag) {
+        return queue_.extend_run(id, t, tag);
+    }
 
     bool cancel(EventId id) { return queue_.cancel(id); }
     bool pending(EventId id) const { return queue_.pending(id); }
@@ -73,9 +89,10 @@ class Simulator {
     // ------------------------------------------------------------------
     // Checkpoint hooks (sim::ckpt). The kernel section captures the clock,
     // the executed counter, the stats, and every pending event as
-    // (time, seq, tag); restore re-creates each event with its original
-    // sequence number so the pop order — and therefore the physics — of the
-    // resumed run is byte-identical to a straight run.
+    // (time, seq, tag) — a pending run as one record per pending element;
+    // restore re-creates each as a single event with its original sequence
+    // number so the pop order — and therefore the physics — of the resumed
+    // run is byte-identical to a straight run.
     // ------------------------------------------------------------------
 
     /// Serializes clock + counters + pending events. Throws std::logic_error
@@ -86,7 +103,9 @@ class Simulator {
     /// construction-time events, which are dropped first (clear_pending).
     /// Each blob event is rebuilt via `registry` and re-scheduled with its
     /// original seq; owners re-learn EventIds through the registry's placed
-    /// hooks. Kernel stats and next_seq are restored last, verbatim.
+    /// hooks. Kernel stats and next_seq are restored last, verbatim. Throws
+    /// std::runtime_error for an event due before the restored clock, seqs
+    /// out of save order, or a seq at or above the restored next seq.
     void load_kernel(ckpt::Reader& r, const ckpt::CallbackRegistry& registry);
 
     /// Drops every pending event (fresh-construction events are replaced by

@@ -27,6 +27,7 @@
 #include "fault/fault_plan.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/random.hpp"
+#include "sim/simulator.hpp"
 
 namespace cocoa {
 namespace {
@@ -317,6 +318,61 @@ TEST(CheckpointFormat, RestoreRejectsNaNEstimatorTuning) {
         EXPECT_NE(std::string(e.what()).find("ekf_gate_sigmas"), std::string::npos)
             << e.what();
     }
+}
+
+/// A kernel section is rejected, naming the event, when a pending event is
+/// due before the restored clock (it would fire with time running
+/// backwards), or when the seqs break the order save_kernel writes them in:
+/// strictly increasing, all below the restored next seq.
+TEST(CheckpointFormat, KernelRejectsEventsThatRunTimeBackwards) {
+    const sim::EventTag tick = sim::make_tag(sim::EventKind::kScenarioTick);
+    sim::Simulator straight;
+    straight.schedule_at(sim::TimePoint::from_nanos(9'000), [] {}, tick);   // seq 1
+    straight.schedule_at(sim::TimePoint::from_nanos(9'500), [] {}, tick);   // seq 2
+    straight.run_until(sim::TimePoint::from_nanos(6'000));                  // next seq 3
+    sim::ckpt::Writer w;
+    straight.save_kernel(w);
+    const std::string blob = w.take();
+
+    sim::ckpt::CallbackRegistry registry;
+    registry.add(sim::EventKind::kScenarioTick,
+                 [](const sim::EventTag&) { return sim::InplaceCallback([] {}); });
+    const auto load = [&](const std::string& b) {
+        return runtime_error_of([&] {
+            sim::Simulator restored;
+            sim::ckpt::Reader r(b);
+            restored.load_kernel(r, registry);
+        });
+    };
+    EXPECT_EQ(load(blob), "");
+
+    // An event record is (time, seq, tag): find each by its unique time.
+    const auto time_at = [&](std::int64_t ns) {
+        sim::ckpt::Writer v;
+        v.i64(ns);
+        const std::size_t at = blob.find(v.buffer());
+        EXPECT_NE(at, std::string::npos);
+        EXPECT_EQ(blob.find(v.buffer(), at + 1), std::string::npos);
+        return at;
+    };
+    const auto patched = [&](std::size_t at, std::uint64_t value) {
+        sim::ckpt::Writer v;
+        v.u64(value);
+        std::string b = blob;
+        b.replace(at, 8, v.buffer());
+        return b;
+    };
+    const std::size_t first = time_at(9'000);
+    const std::size_t second = time_at(9'500);
+    EXPECT_EQ(load(patched(first, 1'000)),
+              "checkpoint: kernel event 0 is due at 1000 ns, before the restored "
+              "clock 6000 ns — corrupt blob");
+    EXPECT_EQ(load(patched(second + 8, 1)),
+              "checkpoint: kernel event 1 has seq 1, not above the previous event's 1 "
+              "— corrupt blob");
+    EXPECT_EQ(load(patched(first + 8, 3)),
+              "checkpoint: kernel event 0 has seq 3, not below the restored next seq 3 "
+              "— corrupt blob");
 }
 
 TEST(CheckpointFuzz, ScenarioRestoreMatchesStraightRun) {

@@ -13,8 +13,8 @@
 
 #include "core/bayes_grid.hpp"
 #include "exp/replication.hpp"
-#include "exp/thread_pool.hpp"
 #include "sim/random.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace cocoa {
 namespace {
@@ -256,7 +256,7 @@ TEST(RunningStat, StddevPinnedForZeroAndOneSamples) {
 TEST(ThreadPool, RunsEverySubmittedTask) {
     std::atomic<int> count{0};
     {
-        exp::ThreadPool pool(4);
+        sim::ThreadPool pool(4);
         EXPECT_EQ(pool.size(), 4);
         for (int i = 0; i < 100; ++i) {
             pool.submit([&count] { count.fetch_add(1); });
@@ -273,7 +273,7 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
 TEST(ThreadPool, DestructorDrainsQueue) {
     std::atomic<int> count{0};
     {
-        exp::ThreadPool pool(2);
+        sim::ThreadPool pool(2);
         for (int i = 0; i < 50; ++i) {
             pool.submit([&count] { count.fetch_add(1); });
         }
@@ -306,7 +306,7 @@ TEST(ThreadPool, ConcurrentGridStatReadsAreRaceFree) {
     std::vector<double> spreads(kReaders);
     std::vector<double> masses(kReaders);
     {
-        exp::ThreadPool pool(4);
+        sim::ThreadPool pool(4);
         for (std::size_t i = 0; i < kReaders; ++i) {
             pool.submit([&, i] {
                 means[i] = grid.mean();
@@ -325,9 +325,9 @@ TEST(ThreadPool, ConcurrentGridStatReadsAreRaceFree) {
 }
 
 TEST(ThreadPool, ResolveThreads) {
-    EXPECT_EQ(exp::ThreadPool::resolve_threads(3), 3);
-    EXPECT_GE(exp::ThreadPool::resolve_threads(0), 1);
-    EXPECT_GE(exp::ThreadPool::resolve_threads(-2), 1);
+    EXPECT_EQ(sim::ThreadPool::resolve_threads(3), 3);
+    EXPECT_GE(sim::ThreadPool::resolve_threads(0), 1);
+    EXPECT_GE(sim::ThreadPool::resolve_threads(-2), 1);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "sim/callback.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/log.hpp"
 #include "sim/pool.hpp"
@@ -163,7 +165,7 @@ TEST(EventQueue, FiresInTimeOrder) {
     q.schedule(TimePoint::from_seconds(3.0), [&] { order.push_back(3); });
     q.schedule(TimePoint::from_seconds(1.0), [&] { order.push_back(1); });
     q.schedule(TimePoint::from_seconds(2.0), [&] { order.push_back(2); });
-    while (!q.empty()) q.pop().callback();
+    while (!q.empty()) q.fire_next();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -174,7 +176,7 @@ TEST(EventQueue, FifoAtEqualTimes) {
     for (int i = 0; i < 5; ++i) {
         q.schedule(t, [&order, i] { order.push_back(i); });
     }
-    while (!q.empty()) q.pop().callback();
+    while (!q.empty()) q.fire_next();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -197,7 +199,7 @@ TEST(EventQueue, DoubleCancelFails) {
 TEST(EventQueue, CancelAfterFireFails) {
     EventQueue q;
     const EventId id = q.schedule(TimePoint::from_seconds(1.0), [] {});
-    q.pop().callback();
+    q.fire_next();
     EXPECT_FALSE(q.cancel(id));
 }
 
@@ -210,10 +212,10 @@ TEST(EventQueue, StaleCancelDoesNotCorruptCount) {
     EventQueue q;
     const EventId id = q.schedule(TimePoint::from_seconds(1.0), [] {});
     q.schedule(TimePoint::from_seconds(2.0), [] {});
-    q.pop();  // fires id
+    q.fire_next();  // fires id
     EXPECT_FALSE(q.cancel(id));
     EXPECT_EQ(q.size(), 1u);
-    q.pop();
+    q.fire_next();
     EXPECT_TRUE(q.empty());
 }
 
@@ -307,7 +309,7 @@ TEST(EventQueue, GenerationReuseSafety) {
     EventQueue q;
     int fired = 0;
     const EventId stale = q.schedule(TimePoint::from_seconds(1.0), [&] { ++fired; });
-    q.pop().callback();  // slot freed, generation bumped
+    q.fire_next();  // slot freed, generation bumped
     EXPECT_EQ(fired, 1);
 
     // The next schedule recycles the same slot; the stale id must neither
@@ -334,7 +336,7 @@ TEST(EventQueue, StaleIdsDieAcrossClear) {
     const TimePoint t = TimePoint::from_seconds(3.0);
     q.schedule(t, [&] { order.push_back(1); });
     q.schedule(t, [&] { order.push_back(2); });
-    while (!q.empty()) q.pop().callback();
+    while (!q.empty()) q.fire_next();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -349,7 +351,7 @@ TEST(EventQueue, FifoGoldenAtEqualTimesWithCancels) {
         ids.push_back(q.schedule(t, [&order, i] { order.push_back(i); }));
     }
     for (int i = 0; i < 30; i += 3) EXPECT_TRUE(q.cancel(ids[static_cast<std::size_t>(i)]));
-    while (!q.empty()) q.pop().callback();
+    while (!q.empty()) q.fire_next();
     // Survivors grouped by timestamp (i % 3 picks the time), FIFO within.
     std::vector<int> expected;
     for (int t = 0; t < 3; ++t) {
@@ -371,7 +373,7 @@ TEST(EventQueue, StatsTrackSchedulingAndCancellation) {
     EXPECT_TRUE(q.cancel(a));
     EXPECT_FALSE(q.cancel(a));
     EXPECT_EQ(q.stats().cancelled, 1u);
-    while (!q.empty()) q.pop();
+    while (!q.empty()) q.fire_next();
     EXPECT_EQ(q.stats().peak_pending, 3u);  // high-water mark sticks
 
     std::array<char, 128> big{};
@@ -391,7 +393,7 @@ TEST(EventQueue, SteadyStateChurnRecyclesSlots) {
         live.push_back(q.schedule(TimePoint::from_seconds(t + 2.0), [] {}));
         q.cancel(live[live.size() - 2]);
         if (!q.empty()) {
-            q.pop();
+            q.fire_next();
             t += 0.5;
         }
     }
@@ -429,54 +431,123 @@ struct QueueModel {
 /// Randomized schedule/cancel/reschedule stress: the kernel must fire the
 /// exact events at the exact times in the exact order the reference model
 /// does, and agree with it on every cancel/pending verdict along the way.
+/// Runs ride along: the model schedules a run's elements one by one, so a
+/// run must be indistinguishable from those separate events.
 TEST(EventQueue, RandomizedStressMatchesLegacyOracle) {
     EventQueue q;
     QueueModel model;
     std::mt19937_64 rng(0xC0C0A5EEDull);
 
+    using Key = std::pair<TimePoint, std::uint64_t>;
+    /// One handle's events: a single event, or every element of a run.
     struct LiveEvent {
         EventId id;
-        std::pair<TimePoint, std::uint64_t> key;
+        std::vector<Key> keys;
     };
     std::vector<LiveEvent> live;
     std::vector<std::uint64_t> fired;  // seqs, in firing order
     TimePoint now = TimePoint::origin();
+    // The latest run while nothing else has been scheduled since its last
+    // element (extend_run must accept it while it is pending), and the last
+    // run an interleaved schedule closed (extend_run must refuse it).
+    constexpr std::size_t kNone = SIZE_MAX;
+    std::size_t open_run = kNone;
+    TimePoint open_time;
+    EventId closed_run;
+    TimePoint closed_time;
 
-    const auto schedule_one = [&] {
+    const auto random_time = [&] {
         // Mix of distinct and colliding times to exercise FIFO tie-breaks.
         const std::int64_t offset_ns = static_cast<std::int64_t>(rng() % 5) * 500'000;
-        const TimePoint t = now + Duration::nanos(1 + offset_ns);
+        return now + Duration::nanos(1 + offset_ns);
+    };
+    // A run element's tag carries its model seq; the run callback logs it.
+    const auto element_tag = [](std::uint64_t seq) {
+        return make_tag(EventKind::kScenarioTick, 0, 0, 0, seq);
+    };
+    const auto log_element = [&fired](const EventTag& tag) { fired.push_back(tag.a); };
+    const auto any_pending = [&](const LiveEvent& e) {
+        return std::any_of(e.keys.begin(), e.keys.end(),
+                           [&](const Key& k) { return model.pending.contains(k); });
+    };
+
+    const auto schedule_one = [&] {
+        const TimePoint t = random_time();
         const auto key = model.schedule(t);
         live.push_back({q.schedule(t, [&fired, seq = key.second] { fired.push_back(seq); }),
-                        key});
+                        {key}});
+        if (open_run != kNone) {
+            closed_run = live[open_run].id;
+            closed_time = open_time;
+            open_run = kNone;
+        }
+    };
+    const auto schedule_run = [&] {
+        const TimePoint t = random_time();
+        const std::size_t n = 1 + rng() % 8;
+        LiveEvent run;
+        std::vector<EventTag> tags;
+        for (std::size_t i = 0; i < n; ++i) {
+            run.keys.push_back(model.schedule(t));
+            tags.push_back(element_tag(run.keys.back().second));
+        }
+        run.id = q.schedule_run(t, log_element, tags);
+        live.push_back(std::move(run));
+        open_run = live.size() - 1;
+        open_time = t;
+    };
+    const auto extend_open_run = [&] {
+        LiveEvent& run = live[open_run];
+        const bool extendable = any_pending(run);
+        ASSERT_EQ(q.extend_run(run.id, open_time, element_tag(model.next_seq)), extendable);
+        if (extendable) {
+            run.keys.push_back(model.schedule(open_time));
+        } else {
+            open_run = kNone;
+        }
     };
     const auto pop_one = [&] {
         ASSERT_FALSE(model.pending.empty());
         ASSERT_EQ(q.next_time(), model.pending.begin()->first);
         const auto expected = model.pop();
-        auto f = q.pop();
-        ASSERT_EQ(f.time, expected.first);
-        now = f.time;
-        f.callback();
+        now = expected.first;
+        const std::size_t before = fired.size();
+        q.fire_next();
+        ASSERT_EQ(fired.size(), before + 1);
         ASSERT_EQ(fired.back(), expected.second);
     };
 
     for (int op = 0; op < 20000; ++op) {
-        const std::uint64_t dice = rng() % 10;
-        if (dice < 5 || q.empty()) {
+        const std::uint64_t dice = rng() % 20;
+        if (dice < 7 || q.empty()) {
             schedule_one();
-        } else if (dice < 7 && !live.empty()) {
+        } else if (dice < 9) {
+            schedule_run();
+        } else if (dice < 11 && open_run != kNone) {
+            ASSERT_NO_FATAL_FAILURE(extend_open_run()) << "at op " << op;
+        } else if (dice < 12 && closed_run.valid()) {
+            ASSERT_FALSE(q.extend_run(closed_run, closed_time, element_tag(model.next_seq)))
+                << "a run extended after an interleaved schedule at op " << op;
+        } else if (dice < 15 && !live.empty()) {
             const std::size_t pick = rng() % live.size();
-            ASSERT_EQ(q.cancel(live[pick].id), model.cancel(live[pick].key))
+            bool cancelled = false;
+            for (const Key& k : live[pick].keys) cancelled |= model.cancel(k);
+            ASSERT_EQ(q.cancel(live[pick].id), cancelled)
                 << "cancel verdict diverged at op " << op;
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-        } else if (dice < 8 && !live.empty()) {
+            if (open_run == pick) {
+                open_run = kNone;
+            } else if (open_run != kNone && open_run > pick) {
+                --open_run;
+            }
+        } else if (dice < 16 && !live.empty()) {
             const std::size_t pick = rng() % live.size();
-            ASSERT_EQ(q.pending(live[pick].id), model.pending.contains(live[pick].key));
+            ASSERT_EQ(q.pending(live[pick].id), any_pending(live[pick]));
         } else {
             ASSERT_NO_FATAL_FAILURE(pop_one());
         }
         ASSERT_EQ(q.size(), model.pending.size());
+        ASSERT_EQ(q.next_seq(), model.next_seq);
     }
     // Drain the queue and check the full firing history.
     while (!q.empty()) ASSERT_NO_FATAL_FAILURE(pop_one());
@@ -486,6 +557,49 @@ TEST(EventQueue, RandomizedStressMatchesLegacyOracle) {
     EXPECT_EQ(q.stats().cancelled, model.stats.cancelled);
     EXPECT_EQ(q.stats().sbo_misses, 0u);  // every callback fits the SBO buffer
     EXPECT_EQ(q.stats().peak_pending, model.stats.peak_pending);
+}
+
+/// A run is invisible to a checkpoint: save_kernel writes the bytes the same
+/// events scheduled one at a time give, also once some elements have fired.
+TEST(Simulator, RunSavesTheSameKernelAsSingleEvents) {
+    const TimePoint t = TimePoint::from_nanos(5'000);
+    const auto element_tag = [](std::uint32_t i) {
+        return make_tag(EventKind::kMediumCca, i, i % 2, 0, 42, 1'000 + i);
+    };
+    const auto save = [&](bool as_run) {
+        Simulator sim;
+        std::vector<std::uint32_t> fired;
+        // Element 2 stops the loop, leaving the rest of the instant pending.
+        const auto element = [&sim, &fired](const EventTag& tag) {
+            fired.push_back(tag.node);
+            if (tag.node == 2) sim.stop();
+        };
+        sim.schedule_at(TimePoint::from_nanos(1'000), [] {});
+        sim.schedule_at(t, [] {}, make_tag(EventKind::kScenarioTick, 7));
+        std::vector<EventTag> tags;
+        for (std::uint32_t i = 0; i < 6; ++i) tags.push_back(element_tag(i));
+        if (as_run) {
+            const EventId run = sim.schedule_run(t, element, tags);
+            EXPECT_TRUE(sim.extend_run(run, t, element_tag(6)));
+            EXPECT_TRUE(sim.extend_run(run, t, element_tag(7)));
+        } else {
+            for (std::uint32_t i = 0; i < 8; ++i) {
+                sim.schedule_at(t, [&element, tag = element_tag(i)] { element(tag); },
+                                element_tag(i));
+            }
+        }
+        sim.schedule_at(t, [] {}, make_tag(EventKind::kScenarioSample, 9));
+        sim.schedule_at(TimePoint::from_nanos(8'000), [] {},
+                        make_tag(EventKind::kScenarioSample, 3));
+        sim.run_until(TimePoint::from_nanos(6'000));
+        EXPECT_EQ(fired, (std::vector<std::uint32_t>{0, 1, 2}));
+        EXPECT_EQ(sim.now(), t);
+        EXPECT_EQ(sim.pending_events(), 7u);  // elements 3..7 and two singles
+        ckpt::Writer w;
+        sim.save_kernel(w);
+        return w.take();
+    };
+    EXPECT_EQ(save(true), save(false));
 }
 
 TEST(SlabPool, RecyclesBlocksThroughFreeList) {
