@@ -329,4 +329,10 @@ SwarmConfig load_swarm_config(sim::ckpt::Reader& r) {
     return c;
 }
 
+void save_calibration_inputs(sim::ckpt::Writer& w, const ScenarioConfig& c) {
+    w.u64(c.seed);
+    save_channel(w, c.channel);
+    save_calibration(w, c.calibration);
+}
+
 }  // namespace cocoa::core

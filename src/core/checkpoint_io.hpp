@@ -20,4 +20,10 @@ ScenarioConfig load_scenario_config(sim::ckpt::Reader& r);
 void save_config(sim::ckpt::Writer& w, const SwarmConfig& config);
 SwarmConfig load_swarm_config(sim::ckpt::Reader& r);
 
+/// Serializes exactly what Scenario's PDF-table calibration reads: the seed
+/// (its "calibration" stream), the channel and the calibration settings.
+/// Configs that write the same bytes calibrate identical tables, so one
+/// table can serve every scenario built from any of them.
+void save_calibration_inputs(sim::ckpt::Writer& w, const ScenarioConfig& config);
+
 }  // namespace cocoa::core

@@ -61,6 +61,7 @@ Scenario::Scenario(const ScenarioConfig& config,
     if (shared_table != nullptr) {
         table_ = std::move(shared_table);
     } else {
+        obs::ProfileScope profile("scenario.calibrate");
         table_ = std::make_shared<const phy::PdfTable>(phy::PdfTable::calibrate(
             channel_, config_.calibration, sim_.rng().stream("calibration")));
     }

@@ -186,6 +186,14 @@ std::vector<ReplicationSet> run_sweep(const std::vector<core::ScenarioConfig>& c
     std::vector<core::ScenarioResult> results(n_tasks);
     std::vector<std::exception_ptr> errors(n_tasks);
 
+    // The fully resolved config a task runs: its cell's config under the
+    // replication's derived seed.
+    const auto task_config = [&](std::size_t task) {
+        core::ScenarioConfig c = configs[task / n_reps];
+        c.seed = replication_seed(c.seed, static_cast<int>(task % n_reps));
+        return c;
+    };
+
     // Fork-group discovery: tasks whose fully-resolved run config (seed
     // included) serializes to the same bytes share their entire trajectory
     // until a fault plan diverges them — run that shared prefix once,
@@ -198,12 +206,8 @@ std::vector<ReplicationSet> run_sweep(const std::vector<core::ScenarioConfig>& c
         std::unordered_map<std::string, std::size_t> by_key;
         std::vector<std::vector<std::size_t>> candidates;
         for (std::size_t task = 0; task < n_tasks; ++task) {
-            const std::size_t ci = task / n_reps;
-            core::ScenarioConfig run_config = configs[ci];
-            run_config.seed = replication_seed(configs[ci].seed,
-                                               static_cast<int>(task % n_reps));
             sim::ckpt::Writer w;
-            core::save_config(w, run_config);
+            core::save_config(w, task_config(task));
             const auto [it, fresh] = by_key.try_emplace(w.take(), candidates.size());
             if (fresh) candidates.emplace_back();
             candidates[it->second].push_back(task);
@@ -231,22 +235,38 @@ std::vector<ReplicationSet> run_sweep(const std::vector<core::ScenarioConfig>& c
         }
     }
 
-    const auto run_prefix = [&](std::size_t gi) {
-        ForkGroup& group = groups[gi];
-        try {
-            obs::ProfileScope prefix_profile("exp.fork_prefix");
-            const std::size_t task0 = group.tasks.front();
-            core::ScenarioConfig run_config = configs[task0 / n_reps];
-            run_config.seed = replication_seed(
-                run_config.seed, static_cast<int>(task0 % n_reps));
-            core::Scenario prefix(run_config);
-            prefix.run_until(group.t_fork);
+    // Prefixes whose scenarios would calibrate the same PDF table (same
+    // seed, channel and calibration settings: one replication's backends)
+    // form one batch. A batch runs as one task, in group order: the first
+    // prefix calibrates and the others reuse its table.
+    std::vector<std::vector<std::size_t>> batches;
+    {
+        std::unordered_map<std::string, std::size_t> by_inputs;
+        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
             sim::ckpt::Writer w;
-            prefix.save_state(w);
-            group.blob = w.take();
-            group.table = prefix.pdf_table_ptr();
-        } catch (...) {
-            group.error = std::current_exception();
+            core::save_calibration_inputs(w, task_config(groups[gi].tasks.front()));
+            const auto [it, fresh] = by_inputs.try_emplace(w.take(), batches.size());
+            if (fresh) batches.emplace_back();
+            batches[it->second].push_back(gi);
+        }
+    }
+
+    const auto run_prefixes = [&](const std::vector<std::size_t>& batch) {
+        std::shared_ptr<const phy::PdfTable> table;
+        for (const std::size_t gi : batch) {
+            ForkGroup& group = groups[gi];
+            try {
+                obs::ProfileScope prefix_profile("exp.fork_prefix");
+                core::Scenario prefix(task_config(group.tasks.front()), table);
+                prefix.run_until(group.t_fork);
+                sim::ckpt::Writer w;
+                prefix.save_state(w);
+                group.blob = w.take();
+                table = prefix.pdf_table_ptr();
+                group.table = table;
+            } catch (...) {
+                group.error = std::current_exception();
+            }
         }
     };
 
@@ -282,14 +302,14 @@ std::vector<ReplicationSet> run_sweep(const std::vector<core::ScenarioConfig>& c
         std::min<int>(sim::ThreadPool::resolve_threads(options.n_threads),
                       static_cast<int>(n_tasks));
     if (n_threads <= 1) {
-        for (std::size_t gi = 0; gi < groups.size(); ++gi) run_prefix(gi);
+        for (const std::vector<std::size_t>& batch : batches) run_prefixes(batch);
         for (std::size_t task = 0; task < n_tasks; ++task) run_task(task);
     } else {
         sim::ThreadPool pool(n_threads);
         // Prefixes first (a barrier, not a pipeline: every member of a group
         // needs its blob), then all members and unforked tasks together.
-        for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-            pool.submit([&run_prefix, gi] { run_prefix(gi); });
+        for (const std::vector<std::size_t>& batch : batches) {
+            pool.submit([&run_prefixes, &batch] { run_prefixes(batch); });
         }
         if (!groups.empty()) pool.wait_idle();
         for (std::size_t task = 0; task < n_tasks; ++task) {

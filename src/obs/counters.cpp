@@ -1,6 +1,5 @@
 #include "obs/counters.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <stdexcept>
 
@@ -10,29 +9,19 @@ void CounterRegistry::add(std::string name, const std::uint64_t* counter) {
     if (counter == nullptr) {
         throw std::invalid_argument("CounterRegistry: null counter for '" + name + "'");
     }
-    const auto pos = std::lower_bound(
-        entries_.begin(), entries_.end(), name,
-        [](const auto& entry, const std::string& key) { return entry.first < key; });
-    if (pos != entries_.end() && pos->first == name) {
-        throw std::invalid_argument("CounterRegistry: duplicate counter '" + name + "'");
+    const auto [pos, inserted] = entries_.try_emplace(std::move(name), counter);
+    if (!inserted) {
+        throw std::invalid_argument("CounterRegistry: duplicate counter '" + pos->first +
+                                    "'");
     }
-    entries_.emplace(pos, std::move(name), counter);
-}
-
-const std::uint64_t* CounterRegistry::find(const std::string& name) const {
-    const auto pos = std::lower_bound(
-        entries_.begin(), entries_.end(), name,
-        [](const auto& entry, const std::string& key) { return entry.first < key; });
-    if (pos == entries_.end() || pos->first != name) return nullptr;
-    return pos->second;
 }
 
 std::uint64_t CounterRegistry::value(const std::string& name) const {
-    const std::uint64_t* counter = find(name);
-    if (counter == nullptr) {
+    const auto pos = entries_.find(name);
+    if (pos == entries_.end()) {
         throw std::out_of_range("CounterRegistry: unknown counter '" + name + "'");
     }
-    return *counter;
+    return *pos->second;
 }
 
 const std::vector<std::pair<std::string, std::uint64_t>>& CounterRegistry::snapshot()
@@ -47,9 +36,8 @@ const std::vector<std::pair<std::string, std::uint64_t>>& CounterRegistry::snaps
         }
         return snapshot_buf_;
     }
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        snapshot_buf_[i].second = *entries_[i].second;
-    }
+    auto out = snapshot_buf_.begin();
+    for (const auto& [name, counter] : entries_) (out++)->second = *counter;
     return snapshot_buf_;
 }
 

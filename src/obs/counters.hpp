@@ -18,10 +18,11 @@ namespace cocoa::obs {
 /// shares); snapshots read the live values in name order, so any output
 /// derived from them is deterministic.
 ///
-/// Storage is a name-sorted vector and snapshot() refreshes a cached buffer
-/// in place, so taking one snapshot per replication copies no strings and
-/// performs no allocation once the name set is stable (it only changes when
-/// a counter is registered, which is setup-time work).
+/// Storage is a std::map, so registering n counters costs O(n log n); a
+/// 200-robot scenario registers thousands while it is built. snapshot()
+/// refreshes a cached buffer in place, so taking one snapshot per
+/// replication copies no strings and performs no allocation once the name
+/// set is stable (it only changes when a counter is registered).
 class CounterRegistry {
   public:
     /// Registers `counter` under `name`. The pointee must outlive every
@@ -30,7 +31,7 @@ class CounterRegistry {
     void add(std::string name, const std::uint64_t* counter);
 
     std::size_t size() const { return entries_.size(); }
-    bool contains(const std::string& name) const { return find(name) != nullptr; }
+    bool contains(const std::string& name) const { return entries_.contains(name); }
 
     /// Current value of one counter; throws std::out_of_range when unknown.
     std::uint64_t value(const std::string& name) const;
@@ -41,10 +42,7 @@ class CounterRegistry {
     const std::vector<std::pair<std::string, std::uint64_t>>& snapshot() const;
 
   private:
-    const std::uint64_t* find(const std::string& name) const;
-
-    /// Sorted by name; insertion keeps the order (registration is rare).
-    std::vector<std::pair<std::string, const std::uint64_t*>> entries_;
+    std::map<std::string, const std::uint64_t*> entries_;
     /// Lazily mirrors entries_' names; values refreshed on each snapshot().
     mutable std::vector<std::pair<std::string, std::uint64_t>> snapshot_buf_;
 };

@@ -107,7 +107,7 @@ class Channel {
     static constexpr double kQuietMarginDb = 1e-9;
 
     /// One stochastic RSSI observation. Templated over the generator so the
-    /// same draw logic serves both the long-lived mt19937_64 streams (PDF
+    /// same draw logic serves both the long-lived RandomStreams (PDF
     /// calibration) and the throwaway counter-based SplitMix64 generators the
     /// medium constructs per (frame, receiver).
     template <typename Rng>

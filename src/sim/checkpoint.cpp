@@ -70,20 +70,6 @@ Flavor read_header(Reader& r) {
     return static_cast<Flavor>(flavor);
 }
 
-void save_engine(Writer& w, const std::mt19937_64& engine) {
-    std::ostringstream ss;
-    ss << engine;
-    w.str(ss.str());
-}
-
-void load_engine(Reader& r, std::mt19937_64& engine) {
-    std::istringstream ss(r.str());
-    ss >> engine;
-    if (ss.fail()) {
-        throw std::runtime_error("checkpoint: malformed mt19937_64 state");
-    }
-}
-
 void CallbackRegistry::add(EventKind kind, Make make, Placed placed) {
     const auto [it, inserted] = entries_.emplace(
         static_cast<std::uint32_t>(kind), Entry{std::move(make), std::move(placed)});

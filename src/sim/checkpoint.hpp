@@ -1,8 +1,10 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <functional>
-#include <random>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -19,7 +21,7 @@ namespace cocoa::sim::ckpt {
 /// Version of the checkpoint blob layout. Bumped whenever any subsystem's
 /// save_state layout changes; Reader::read_header rejects mismatches instead
 /// of mis-parsing. See docs/checkpointing.md for the format contract.
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// What kind of run the blob captures; selects the restore orchestrator.
 enum class Flavor : std::uint32_t {
@@ -39,6 +41,14 @@ class Writer {
     }
     void u64(std::uint64_t v) {
         for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    /// `words.size()` u64s in one append: a memcpy on little-endian hosts.
+    void u64s(std::span<const std::uint64_t> words) {
+        if constexpr (std::endian::native == std::endian::little) {
+            buf_.append(reinterpret_cast<const char*>(words.data()), words.size_bytes());
+        } else {
+            for (const std::uint64_t v : words) u64(v);
+        }
     }
     void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
@@ -81,6 +91,16 @@ class Reader {
         std::uint64_t v = 0;
         for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
         return v;
+    }
+    /// Fills `out` with what Writer::u64s wrote, after one bounds check.
+    void u64s(std::span<std::uint64_t> out) {
+        need(out.size_bytes());
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(out.data(), p_, out.size_bytes());
+            p_ += out.size_bytes();
+        } else {
+            for (std::uint64_t& v : out) v = u64();
+        }
     }
     std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
@@ -126,12 +146,6 @@ class Reader {
 void write_header(Writer& w, Flavor flavor);
 /// Throws std::runtime_error on bad magic or version mismatch.
 Flavor read_header(Reader& r);
-
-/// mt19937_64 engines round-trip through their standard textual stream
-/// representation: the standard guarantees operator>> restores the exact
-/// state, so draws after load bitwise-match draws after save.
-void save_engine(Writer& w, const std::mt19937_64& engine);
-void load_engine(Reader& r, std::mt19937_64& engine);
 
 /// Maps EventKind values back to executable callbacks at restore time.
 ///

@@ -1,5 +1,8 @@
 #include "sim/random.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/checkpoint.hpp"
 
 namespace cocoa::sim {
@@ -19,9 +22,49 @@ std::uint64_t fnv1a(std::string_view s, std::uint64_t h) {
 
 }  // namespace
 
-void RandomStream::save(ckpt::Writer& w) const { ckpt::save_engine(w, engine_); }
+Mt19937_64::Mt19937_64(result_type seed) {
+    state_[0] = seed;
+    for (std::size_t i = 1; i < kStateWords; ++i) {
+        const std::uint64_t prev = state_[i - 1];
+        state_[i] = 6364136223846793005ull * (prev ^ (prev >> 62)) + i;
+    }
+}
 
-void RandomStream::load(ckpt::Reader& r) { ckpt::load_engine(r, engine_); }
+void Mt19937_64::twist() {
+    constexpr std::size_t kN = kStateWords;
+    constexpr std::size_t kM = 156;
+    constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+    // Word k becomes far ^ A(y), y = word k's upper 33 bits | the next
+    // word's lower 31 bits ([rand.eng.mers]).
+    const auto mix = [](std::uint64_t word, std::uint64_t next, std::uint64_t far) {
+        const std::uint64_t y = (word & kUpper) | (next & ~kUpper);
+        return far ^ (y >> 1) ^ ((y & 1) != 0 ? 0xb5026f5aa96619e9ull : 0);
+    };
+    for (std::size_t k = 0; k < kN - kM; ++k) {
+        state_[k] = mix(state_[k], state_[k + 1], state_[k + kM]);
+    }
+    for (std::size_t k = kN - kM; k < kN - 1; ++k) {
+        state_[k] = mix(state_[k], state_[k + 1], state_[k + kM - kN]);
+    }
+    state_[kN - 1] = mix(state_[kN - 1], state_[0], state_[kM - 1]);
+    pos_ = 0;
+}
+
+void Mt19937_64::save(ckpt::Writer& w) const {
+    w.u64s(state_);
+    w.u64(pos_);
+}
+
+void Mt19937_64::load(ckpt::Reader& r) {
+    r.u64s(state_);
+    const std::uint64_t pos = r.u64();
+    if (pos > kStateWords) {
+        throw std::runtime_error("checkpoint: RNG position " + std::to_string(pos) +
+                                 " outside its valid range [0, " +
+                                 std::to_string(kStateWords) + "] — corrupt blob");
+    }
+    pos_ = static_cast<std::size_t>(pos);
+}
 
 RandomStream RngManager::stream(std::string_view name) const {
     constexpr std::uint64_t kOffsetBasis = 14695981039346656037ull;

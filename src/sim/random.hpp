@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -25,7 +27,7 @@ constexpr std::uint64_t splitmix64_mix(std::uint64_t x) {
 }
 
 /// A tiny splitmix64-based URBG for counter-based ("hash the key, then draw")
-/// random sampling. Unlike RandomStream's mt19937_64 (whose 312-word state
+/// random sampling. Unlike RandomStream's Mt19937_64 (whose 312-word state
 /// initialisation dwarfs a handful of draws), construction is two integer
 /// mixes, so a fresh generator per (frame, receiver) key is essentially free.
 /// The output sequence depends only on the seed, never on how many draws any
@@ -99,6 +101,50 @@ class SplitMix64 {
     std::uint64_t state_;
 };
 
+/// MT19937-64 exactly as the C++ standard specifies its mt19937_64
+/// ([rand.eng.mers], [rand.predef]): the same seeding, twist and tempering,
+/// and the same min() and max(). Every std distribution therefore draws the
+/// same values from it as from the standard library's engine, bit for bit
+/// (pinned by sim_test against that engine). Owning the engine makes its
+/// 312-word state and position plain members, so a checkpoint writes them
+/// as raw words rather than through the standard's decimal text
+/// representation.
+class Mt19937_64 {
+  public:
+    using result_type = std::uint64_t;
+    static constexpr std::size_t kStateWords = 312;
+
+    explicit Mt19937_64(result_type seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    result_type operator()() {
+        if (pos_ >= kStateWords) [[unlikely]] twist();
+        result_type z = state_[pos_++];
+        z ^= (z >> 29) & 0x5555555555555555ull;
+        z ^= (z << 17) & 0x71d67fffeda60000ull;
+        z ^= (z << 37) & 0xfff7eee000000000ull;
+        return z ^ (z >> 43);
+    }
+
+    /// Writes the 312 state words, then the position: 313 little-endian
+    /// u64s, the state in one bulk append.
+    void save(ckpt::Writer& w) const;
+    /// Reads what save() wrote. Throws std::runtime_error naming the value
+    /// when the position lies above 312, which no engine can reach.
+    void load(ckpt::Reader& r);
+
+  private:
+    /// Regenerates all 312 state words and rewinds the position to 0.
+    void twist();
+
+    std::array<std::uint64_t, kStateWords> state_;
+    /// Index of the next state word to temper; kStateWords means "twist
+    /// first", as after seeding.
+    std::size_t pos_ = kStateWords;
+};
+
 /// A deterministic pseudo-random stream.
 ///
 /// Every stochastic consumer in the simulator (per-node mobility, odometry
@@ -138,17 +184,14 @@ class RandomStream {
         return std::exponential_distribution<double>(1.0 / mean)(engine_);
     }
 
-    std::mt19937_64& engine() { return engine_; }
-    const std::mt19937_64& engine() const { return engine_; }
-
     /// Checkpoints the engine position: draws after load() bitwise-match the
     /// draws the saved stream would have produced. (All distributions here
     /// are constructed per call, so the engine is the stream's entire state.)
-    void save(ckpt::Writer& w) const;
-    void load(ckpt::Reader& r);
+    void save(ckpt::Writer& w) const { engine_.save(w); }
+    void load(ckpt::Reader& r) { engine_.load(r); }
 
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
 };
 
 /// Derives independent named RandomStreams from a single master seed.

@@ -1,9 +1,11 @@
-// Checkpoint/fork engine tests: RNG stream round-trips, rejection of blobs
-// from other format versions and of out-of-range enum fields, randomized
+// Checkpoint/fork engine tests: RNG stream round-trips and their raw-word
+// layout, rejection of blobs from other format versions, of out-of-range enum
+// fields and RNG positions, and of truncated RNG words, randomized
 // checkpoint-time fuzzing on the fig7 scenario and a 1k-node swarm
 // (snapshot mid-run, resume, diff full position traces + counters against
 // the straight run), blob file I/O, and the forked-sweep identity contract
-// (forked and unforked sweeps produce byte-identical records).
+// (forked and unforked sweeps produce byte-identical records, with one PDF
+// calibration per replication seed).
 
 #include <cstdio>
 #include <functional>
@@ -25,6 +27,7 @@
 #include "exp/replication.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
+#include "obs/profile.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -45,7 +48,7 @@ std::string runtime_error_of(Fn&& fn) {
 
 // ----------------------------------------------------------- corrupt blobs
 
-/// A blob of any other format version (an older layout, 1 or 2, or a newer
+/// A blob of any other format version (an older layout, 1 to 3, or a newer
 /// one) is rejected by its header, naming both versions, before any section is
 /// parsed.
 TEST(CheckpointFormat, ReadHeaderRejectsOtherVersions) {
@@ -56,7 +59,7 @@ TEST(CheckpointFormat, ReadHeaderRejectsOtherVersions) {
     EXPECT_EQ(sim::ckpt::read_header(current), sim::ckpt::Flavor::kScenario);
 
     const std::string supported = std::to_string(sim::ckpt::kFormatVersion);
-    for (const std::uint32_t version : {1u, 2u, sim::ckpt::kFormatVersion + 1}) {
+    for (const std::uint32_t version : {1u, 2u, 3u, sim::ckpt::kFormatVersion + 1}) {
         sim::ckpt::Writer v;
         v.u32(version);
         std::string blob = header;
@@ -126,6 +129,69 @@ TEST(CheckpointRng, StreamRoundTripBitwise) {
         EXPECT_EQ(b.uniform(0.0, 1.0), want_u[static_cast<std::size_t>(i)]);
         EXPECT_EQ(b.uniform_int(0, 1000), want_i[static_cast<std::size_t>(i)]);
         EXPECT_EQ(b.gaussian(0.0, 2.0), want_n[static_cast<std::size_t>(i)]);
+    }
+}
+
+/// A stream saves as 313 little-endian words: the engine's 312 state words,
+/// then its position (312 right after seeding: the first draw twists).
+TEST(CheckpointRng, StreamSavesStateWordsThenPosition) {
+    sim::RandomStream fresh(42);
+    sim::ckpt::Writer w;
+    fresh.save(w);
+    const std::string blob = w.take();
+    ASSERT_EQ(blob.size(), 313u * 8u);
+
+    sim::ckpt::Reader r(blob);
+    EXPECT_EQ(r.u64(), 42u);  // MT19937-64 seeding stores the seed as word 0
+    for (int i = 1; i < 312; ++i) (void)r.u64();
+    EXPECT_EQ(r.u64(), 312u);
+    EXPECT_TRUE(r.at_end());
+}
+
+/// The position is the one value a blob could set out of the engine's
+/// reach; load() rejects it by value instead of indexing past the state.
+/// Every position in [0, 312] loads.
+TEST(CheckpointRng, StreamRejectsOutOfRangePosition) {
+    sim::ckpt::Writer w;
+    sim::RandomStream(42).save(w);
+    const std::string blob = w.take();
+    const auto with_position = [&](std::uint64_t position) {
+        sim::ckpt::Writer p;
+        p.u64(position);
+        std::string patched = blob;
+        patched.replace(312 * 8, 8, p.buffer());
+        return patched;
+    };
+    const auto load = [](const std::string& bytes) {
+        return runtime_error_of([&] {
+            sim::RandomStream stream(7);
+            sim::ckpt::Reader r(bytes);
+            stream.load(r);
+            (void)stream.uniform(0.0, 1.0);
+        });
+    };
+    EXPECT_EQ(load(with_position(313)),
+              "checkpoint: RNG position 313 outside its valid range [0, 312] "
+              "— corrupt blob");
+    EXPECT_EQ(load(with_position(~std::uint64_t{0})),
+              "checkpoint: RNG position 18446744073709551615 outside its valid "
+              "range [0, 312] — corrupt blob");
+    EXPECT_EQ(load(with_position(0)), "");
+    EXPECT_EQ(load(with_position(311)), "");
+    EXPECT_EQ(load(with_position(312)), "");
+}
+
+TEST(CheckpointRng, StreamRejectsTruncatedWords) {
+    sim::ckpt::Writer w;
+    sim::RandomStream(42).save(w);
+    const std::string blob = w.take();
+    for (const std::size_t keep : {std::size_t{0}, std::size_t{7}, std::size_t{1000},
+                                   std::size_t{312 * 8}, blob.size() - 1}) {
+        SCOPED_TRACE("kept " + std::to_string(keep) + " bytes");
+        sim::RandomStream stream(7);
+        sim::ckpt::Reader r(std::string_view(blob).substr(0, keep));
+        EXPECT_EQ(runtime_error_of([&] { stream.load(r); }),
+                  "checkpoint: truncated blob");
     }
 }
 
@@ -555,6 +621,56 @@ TEST(CheckpointFork, ForkedSweepMatchesUnforked) {
                 EXPECT_EQ(got[i].availability.mean(), want[i].availability.mean());
             }
         }
+    }
+}
+
+/// One replication's fork prefixes under two backends calibrate the same
+/// PDF table (same seed, channel and calibration settings), so a 2-backend x
+/// 2-replication sweep over a baseline and one faulted plan calibrates once
+/// per replication: 2 times, not 4. The shared table changes no record.
+TEST(CheckpointFork, PrefixesShareOneCalibrationPerSeed) {
+    core::ScenarioConfig config = fuzz_config();
+    config.duration = sim::Duration::seconds(90.0);
+    std::vector<core::ScenarioConfig> configs;
+    std::vector<fault::FaultPlan> plans;
+    for (const est::Backend backend : {est::Backend::Ekf, est::Backend::LinCvx}) {
+        config.estimator = backend;
+        configs.push_back(config);
+        plans.emplace_back();
+        configs.push_back(config);
+        plans.push_back(fault::FaultPlan::parse("crash@60:node=7"));
+    }
+
+    exp::ReplicationOptions opt;
+    opt.n_reps = 2;
+    opt.n_threads = 2;
+    opt.fork = false;
+    const std::vector<exp::ReplicationSet> want = exp::run_sweep(configs, plans, opt);
+
+    opt.fork = true;
+    obs::Profiler::instance().reset();
+    obs::Profiler::set_enabled(true);
+    const std::vector<exp::ReplicationSet> got = exp::run_sweep(configs, plans, opt);
+    obs::Profiler::set_enabled(false);
+    std::uint64_t calibrations = 0;
+    std::uint64_t prefixes = 0;
+    for (const obs::Profiler::Entry& e : obs::Profiler::instance().entries()) {
+        if (e.name == "scenario.calibrate") calibrations = e.calls;
+        if (e.name == "exp.fork_prefix") prefixes = e.calls;
+    }
+    obs::Profiler::instance().reset();
+    EXPECT_EQ(prefixes, 4u);
+    EXPECT_EQ(calibrations, 2u);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].records.size(), want[i].records.size());
+        for (std::size_t k = 0; k < want[i].records.size(); ++k) {
+            EXPECT_EQ(got[i].records[k].avg_error_m, want[i].records[k].avg_error_m);
+            EXPECT_EQ(got[i].records[k].executed_events,
+                      want[i].records[k].executed_events);
+        }
+        EXPECT_EQ(got[i].counter_totals, want[i].counter_totals);
     }
 }
 

@@ -3,7 +3,10 @@
 // wall-clock profiler, and the trace-golden event ordering of a two-node
 // MAC exchange end to end.
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -93,6 +96,36 @@ TEST(CounterRegistry, SnapshotReusesCachedBuffer) {
     ASSERT_EQ(third.size(), 3u);
     EXPECT_EQ(third[2].first, "c");
     EXPECT_EQ(third[2].second, 9u);
+}
+
+/// Registration order never shows: thousands of names registered in a
+/// shuffled order (a 200-robot scenario registers ~4.6k) snapshot sorted.
+TEST(CounterRegistry, ShuffledRegistrationSnapshotsSorted) {
+    constexpr std::size_t kN = 5000;
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < kN; ++i) {
+        names.push_back("node." + std::to_string(i) + ".mac.tx_frames");
+    }
+    std::vector<std::uint64_t> values(kN);
+    std::vector<std::size_t> order(kN);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::shuffle(order.begin(), order.end(), std::mt19937_64(17));
+
+    CounterRegistry reg;
+    for (const std::size_t i : order) {
+        values[i] = i;
+        reg.add(names[i], &values[i]);
+    }
+    EXPECT_THROW(reg.add(names[order[kN / 2]], &values[0]), std::invalid_argument);
+
+    std::vector<std::string> sorted = names;
+    std::sort(sorted.begin(), sorted.end());
+    const auto& snap = reg.snapshot();
+    ASSERT_EQ(snap.size(), kN);
+    for (std::size_t k = 0; k < kN; ++k) {
+        ASSERT_EQ(snap[k].first, sorted[k]);
+        EXPECT_EQ(snap[k].second, reg.value(sorted[k]));
+    }
 }
 
 TEST(CounterRegistry, AggregateFoldsNodePrefixes) {

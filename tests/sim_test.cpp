@@ -4,11 +4,13 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -69,6 +71,61 @@ TEST(TimeStream, Formats) {
     std::ostringstream ss;
     ss << Duration::seconds(1.5) << ' ' << TimePoint::from_seconds(2.0);
     EXPECT_EQ(ss.str(), "1.5s @2s");
+}
+
+// std::mt19937_64 is the oracle for the in-tree engine: the standard fixes
+// its algorithm, so the two must agree output for output from any seed.
+TEST(Mt19937_64, MatchesStdEngineOutputForOutput) {
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489}, ~std::uint64_t{0},
+          std::uint64_t{0x3a94c1d7e25b608full}}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 want(seed);
+        Mt19937_64 got(seed);
+        std::size_t mismatches = 0;
+        for (int i = 0; i < 1'000'000; ++i) mismatches += got() != want();
+        EXPECT_EQ(mismatches, 0u);
+    }
+}
+
+TEST(Mt19937_64, TenThousandthOutputFromDefaultSeed) {
+    // [rand.predef]: the 10000th consecutive invocation of a default-
+    // constructed mt19937_64 (seed 5489) produces 9981545732273789042.
+    Mt19937_64 engine(std::mt19937_64::default_seed);
+    std::uint64_t v = 0;
+    for (int i = 0; i < 10'000; ++i) v = engine();
+    EXPECT_EQ(v, 9981545732273789042ull);
+    static_assert(Mt19937_64::min() == std::mt19937_64::min());
+    static_assert(Mt19937_64::max() == std::mt19937_64::max());
+}
+
+/// Every RandomStream draw is what the std distribution would return over a
+/// std::mt19937_64 with the same seed — the property that keeps every run's
+/// output unchanged under the in-tree engine. The draws are interleaved so a
+/// distribution that consumed one engine output more or less than its
+/// oracle would shift every later comparison.
+TEST(RandomStream, DrawsMatchStdDistributionsOverStdEngine) {
+    for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{0xfeedbeefull}}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        RandomStream got(seed);
+        std::mt19937_64 oracle(seed);
+        for (int i = 0; i < 20'000; ++i) {
+            const double lo = -3.0 + 0.001 * i;
+            ASSERT_EQ(got.uniform(lo, lo + 10.5),
+                      std::uniform_real_distribution<double>(lo, lo + 10.5)(oracle));
+            ASSERT_EQ(got.uniform_int(-5, 5 + i),
+                      std::uniform_int_distribution<std::int64_t>(-5, 5 + i)(oracle));
+            ASSERT_EQ(got.uniform_int(0, std::numeric_limits<std::int64_t>::max()),
+                      std::uniform_int_distribution<std::int64_t>(
+                          0, std::numeric_limits<std::int64_t>::max())(oracle));
+            ASSERT_EQ(got.gaussian(1.5, 0.25 + 1e-4 * i),
+                      std::normal_distribution<double>(1.5, 0.25 + 1e-4 * i)(oracle));
+            const double p = (i % 97 + 1) / 99.0;
+            ASSERT_EQ(got.chance(p), std::bernoulli_distribution(p)(oracle));
+            ASSERT_EQ(got.exponential(2.0 + i % 13),
+                      std::exponential_distribution<double>(1.0 / (2.0 + i % 13))(oracle));
+        }
+    }
 }
 
 TEST(RandomStream, UniformBounds) {
