@@ -11,9 +11,11 @@ class Reader;
 namespace cocoa::core {
 
 /// Serializes a complete ScenarioConfig / SwarmConfig into a checkpoint
-/// blob, field by field in declaration order, so a `--restore` in a fresh
-/// process can rebuild the exact scenario the blob was taken from without
-/// any side-channel configuration. Layout changes bump ckpt::kFormatVersion.
+/// blob, walking each struct's field list (sim/fields.hpp), so a `--restore`
+/// in a fresh process can rebuild the exact scenario the blob was taken from
+/// without any side-channel configuration. The loaders read without range
+/// checks; Scenario and Swarm validate what they are built from. Layout
+/// changes bump ckpt::kFormatVersion.
 void save_config(sim::ckpt::Writer& w, const ScenarioConfig& config);
 ScenarioConfig load_scenario_config(sim::ckpt::Reader& r);
 

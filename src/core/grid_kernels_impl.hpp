@@ -19,7 +19,8 @@
 //
 // Together with -ffp-contract=off on every instantiation (so no ISA gains
 // FMA contractions another lacks), this makes all instantiations produce
-// byte-identical grids — the property the SIMD-on/off CI gate diffs.
+// byte-identical grids — the property the golden digests pin when CI reruns
+// them in the portable (COCOA_SIMD=OFF) build.
 //
 // This header must only be included by the grid_kernels*.cpp TUs.
 

@@ -1,6 +1,5 @@
 #include "core/scenario.hpp"
 
-#include <cmath>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -12,49 +11,30 @@
 namespace cocoa::core {
 
 void ScenarioConfig::validate() const {
-    if (num_robots < 1) throw std::invalid_argument("ScenarioConfig: num_robots >= 1");
-    if (num_anchors < 0 || num_anchors > num_robots) {
-        throw std::invalid_argument("ScenarioConfig: num_anchors in [0, num_robots]");
+    sim::fields::check(*this, "ScenarioConfig");
+    if (num_anchors > num_robots) {
+        throw std::invalid_argument("ScenarioConfig: need num_anchors <= num_robots");
     }
     if (estimator != est::Backend::Odometry && num_anchors < 1) {
         throw std::invalid_argument(
             "ScenarioConfig: RF estimators need at least one anchor");
     }
-    // Negated comparisons reject NaN, which every ordered comparison lets by.
-    if (!(area_side_m > 0.0) || !std::isfinite(area_side_m)) {
-        throw std::invalid_argument("ScenarioConfig: positive finite area");
+    if (window >= period) {
+        throw std::invalid_argument("ScenarioConfig: need window < period");
     }
-    if (window <= sim::Duration::zero() || window >= period) {
-        throw std::invalid_argument("ScenarioConfig: need 0 < window < period");
+    if (max_speed < min_speed) {
+        throw std::invalid_argument("ScenarioConfig: need min_speed <= max_speed");
     }
-    if (duration <= sim::Duration::zero() || tick <= sim::Duration::zero() ||
-        sample_interval <= sim::Duration::zero()) {
-        throw std::invalid_argument("ScenarioConfig: positive durations");
-    }
-    if (beacons_per_window < 1) {
-        throw std::invalid_argument("ScenarioConfig: beacons_per_window >= 1");
-    }
-    if (!(min_speed > 0.0) || !(max_speed >= min_speed) || !std::isfinite(max_speed)) {
-        throw std::invalid_argument(
-            "ScenarioConfig: need 0 < min_speed <= max_speed, both finite");
-    }
-    if (!(cell_m > 0.0) || !std::isfinite(cell_m)) {
-        throw std::invalid_argument("ScenarioConfig: positive finite cell_m");
-    }
-    if (!(floor_fraction >= 0.0 && floor_fraction < 1.0)) {
-        throw std::invalid_argument("ScenarioConfig: floor_fraction in [0, 1)");
-    }
-    tuning.validate();
 }
 
 Scenario::Scenario(const ScenarioConfig& config,
                    std::shared_ptr<const phy::PdfTable> shared_table)
-    : config_(config),
+    // Validated before channel_ is built from it, so a bad field is named by
+    // its path.
+    : config_((config.validate(), config)),
       sim_(config.seed),
       channel_(config.channel),
       kernels_(std::make_shared<KernelCache>()) {
-    config_.validate();
-
     // Offline calibration phase (§2.2): build the PDF Table once; every robot
     // stores a copy (here: shares an immutable one). A caller that already
     // owns the table for this (channel, calibration, seed) passes it in.

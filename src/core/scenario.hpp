@@ -15,6 +15,7 @@
 #include "obs/obs.hpp"
 #include "phy/channel.hpp"
 #include "phy/pdf_table.hpp"
+#include "sim/fields.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace cocoa::sim::ckpt {
@@ -80,13 +81,62 @@ struct ScenarioConfig {
     /// robot's Bayesian fix runs as a pool task, so a beacon round costs
     /// roughly the slowest robot's grid update instead of the sum over
     /// robots. 0 = compute fixes inline on the event thread (the default);
-    /// < 0 = one worker per hardware thread. Every setting produces
+    /// -1 = one worker per hardware thread. Every setting produces
     /// byte-identical results (see AgentConfig::fix_pool).
     int grid_update_threads = 0;
 
-    /// Throws std::invalid_argument on inconsistent settings.
+    /// The field list (sim/fields.hpp): checkpoint order, names, ranges.
+    static constexpr auto fields() {
+        using namespace sim::fields;
+        using C = ScenarioConfig;
+        return std::tuple{
+            field("seed", &C::seed),
+            field("area_side_m", &C::area_side_m, positive),
+            field("num_robots", &C::num_robots, at_least(1)),
+            field("num_anchors", &C::num_anchors, at_least(0)),
+            field("min_speed", &C::min_speed, positive),
+            field("max_speed", &C::max_speed, positive),
+            field("duration", &C::duration, positive),
+            field("estimator", &C::estimator, up_to(est::Backend::Odometry)),
+            field("sync", &C::sync, up_to(SyncMode::Mrmm)),
+            field("sleep_coordination", &C::sleep_coordination),
+            field("period", &C::period, positive),
+            field("window", &C::window, positive),
+            field("beacons_per_window", &C::beacons_per_window, at_least(1)),
+            field("tuning", &C::tuning),
+            field("cell_m", &C::cell_m, positive),
+            field("floor_fraction", &C::floor_fraction,
+                  Rule{.lo = 0.0, .hi = 1.0, .hi_open = true}),
+            field("odometry", &C::odometry),
+            field("channel", &C::channel),
+            field("calibration", &C::calibration),
+            field("power", &C::power),
+            field("mac", &C::mac),
+            field("medium", &C::medium),
+            field("multicast", &C::multicast),
+            field("tick", &C::tick, positive),
+            field("sample_interval", &C::sample_interval, positive),
+            field("wake_guard", &C::wake_guard, non_negative),
+            field("window_slack", &C::window_slack, non_negative),
+            field("clock_skew_sigma_s", &C::clock_skew_sigma_s, non_negative),
+            field("sync_residual_sigma_s", &C::sync_residual_sigma_s, non_negative),
+            field("anchor_position_sigma_m", &C::anchor_position_sigma_m, non_negative),
+            field("heading_correction_at_fix", &C::heading_correction_at_fix),
+            field("initial_pose_known", &C::initial_pose_known),
+            field("blind_beaconing", &C::blind_beaconing),
+            field("blind_beacon_max_spread_m", &C::blind_beacon_max_spread_m, non_negative),
+            field("sync_backups", &C::sync_backups, at_least(0)),
+            field("grid_update_threads", &C::grid_update_threads, at_least(-1)),
+        };
+    }
+
+    /// Throws std::invalid_argument naming the first field outside its rule
+    /// (nested ones by path, as "channel.exponent_near"), then on the
+    /// cross-field rules: num_anchors <= num_robots, at least one anchor
+    /// for an RF estimator, window < period and min_speed <= max_speed.
     void validate() const;
 };
+static_assert(sim::fields::lists_every_member<ScenarioConfig>());
 
 /// Team energy, summed over all radios, in millijoules.
 struct EnergyBreakdown {

@@ -17,34 +17,22 @@ double SwarmConfig::area_side_m() const {
 }
 
 void SwarmConfig::validate() const {
-    if (nodes < 2) throw std::invalid_argument("SwarmConfig: nodes >= 2");
-    // Negated comparisons reject NaN, which every ordered comparison lets by.
-    if (!(density_per_m2 > 0.0) || !std::isfinite(density_per_m2)) {
-        throw std::invalid_argument("SwarmConfig: positive finite density");
+    sim::fields::check(*this, "SwarmConfig");
+    if (awake_window >= beacon_period) {
+        throw std::invalid_argument("SwarmConfig: need awake_window < beacon_period");
     }
-    if (duration <= sim::Duration::zero() || beacon_period <= sim::Duration::zero() ||
-        mobility_tick <= sim::Duration::zero()) {
-        throw std::invalid_argument("SwarmConfig: positive durations");
+    if (max_speed < min_speed) {
+        throw std::invalid_argument("SwarmConfig: need min_speed <= max_speed");
     }
-    if (awake_window <= sim::Duration::zero() || awake_window >= beacon_period) {
-        throw std::invalid_argument("SwarmConfig: need 0 < awake_window < beacon_period");
-    }
-    if (!(min_speed > 0.0) || !(max_speed >= min_speed) || !std::isfinite(max_speed)) {
-        throw std::invalid_argument(
-            "SwarmConfig: need 0 < min_speed <= max_speed, both finite");
-    }
-    if (min_pause.is_negative() || max_pause < min_pause) {
-        throw std::invalid_argument("SwarmConfig: need 0 <= min_pause <= max_pause");
-    }
-    if (mobility_threads < -1) {
-        throw std::invalid_argument("SwarmConfig: mobility_threads >= -1");
+    if (max_pause < min_pause) {
+        throw std::invalid_argument("SwarmConfig: need min_pause <= max_pause");
     }
 }
 
 Swarm::Swarm(const SwarmConfig& config)
-    : config_(config), sim_(config.seed), channel_(config.channel) {
-    config_.validate();
-
+    // Validated before channel_ is built from it, so a bad field is named by
+    // its path.
+    : config_((config.validate(), config)), sim_(config.seed), channel_(config.channel) {
     mac::MediumConfig medium_config = config_.medium;
     medium_config.register_node_counters = false;
     world_ = std::make_unique<net::World>(sim_, channel_, medium_config);

@@ -9,6 +9,7 @@
 #include "mac/medium.hpp"
 #include "net/node.hpp"
 #include "phy/channel.hpp"
+#include "sim/fields.hpp"
 #include "sim/thread_pool.hpp"
 #include "sim/time.hpp"
 
@@ -75,10 +76,39 @@ struct SwarmConfig {
     mac::MediumConfig medium;
     energy::PowerProfile power = energy::PowerProfile::wavelan();
 
+    /// The field list (sim/fields.hpp): checkpoint order, names, ranges.
+    static constexpr auto fields() {
+        using namespace sim::fields;
+        using C = SwarmConfig;
+        return std::tuple{
+            field("nodes", &C::nodes, at_least(2)),
+            field("seed", &C::seed),
+            field("duration", &C::duration, positive),
+            field("beacon_period", &C::beacon_period, positive),
+            field("awake_window", &C::awake_window, positive),
+            field("mobility_tick", &C::mobility_tick, positive),
+            field("density_per_m2", &C::density_per_m2, positive),
+            field("min_speed", &C::min_speed, positive),
+            field("max_speed", &C::max_speed, positive),
+            field("min_pause", &C::min_pause, non_negative),
+            field("max_pause", &C::max_pause, non_negative),
+            field("beacon_bytes", &C::beacon_bytes),
+            field("mobility_threads", &C::mobility_threads, at_least(-1)),
+            field("collect_final_positions", &C::collect_final_positions),
+            field("channel", &C::channel),
+            field("medium", &C::medium),
+            field("power", &C::power),
+        };
+    }
+
     /// Side of the square deployment area for the configured density.
     double area_side_m() const;
+    /// Throws std::invalid_argument naming the first field outside its rule,
+    /// then on the cross-field rules: awake_window < beacon_period,
+    /// min_speed <= max_speed and min_pause <= max_pause.
     void validate() const;
 };
+static_assert(sim::fields::lists_every_member<SwarmConfig>());
 
 struct SwarmResult {
     int nodes = 0;

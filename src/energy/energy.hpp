@@ -6,6 +6,7 @@
 #include <string>
 
 #include "obs/counters.hpp"
+#include "sim/fields.hpp"
 #include "sim/time.hpp"
 
 namespace cocoa::sim::ckpt {
@@ -47,7 +48,22 @@ struct PowerProfile {
 
     /// The profile used throughout the paper's evaluation.
     static PowerProfile wavelan() { return {}; }
+
+    /// The field list (sim/fields.hpp).
+    static constexpr auto fields() {
+        using namespace sim::fields;
+        using C = PowerProfile;
+        return std::tuple{
+            field("tx_mw", &C::tx_mw, non_negative),
+            field("rx_mw", &C::rx_mw, non_negative),
+            field("idle_mw", &C::idle_mw, non_negative),
+            field("sleep_mw", &C::sleep_mw, non_negative),
+            field("off_mw", &C::off_mw, non_negative),
+            field("transition_mj", &C::transition_mj, non_negative),
+        };
+    }
 };
+static_assert(sim::fields::lists_every_member<PowerProfile>());
 
 /// Integrates a single radio's energy use over virtual time.
 ///

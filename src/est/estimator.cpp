@@ -1,8 +1,5 @@
 #include "est/estimator.hpp"
 
-#include <cmath>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "est/ekf_cl.hpp"
@@ -30,40 +27,6 @@ std::optional<Backend> parse_backend(std::string_view name) {
     if (name == "rf") return Backend::Rf;
     if (name == "odom") return Backend::Odometry;
     return std::nullopt;
-}
-
-namespace {
-
-// Negated comparisons: every ordered comparison is false for NaN.
-void require(bool ok, const char* field, const char* rule) {
-    if (!ok) {
-        throw std::invalid_argument(std::string("est::Config: ") + field + " must be " +
-                                    rule);
-    }
-}
-
-void require_count(int value, const char* field) { require(value >= 1, field, ">= 1"); }
-
-void require_non_negative(double value, const char* field) {
-    require(value >= 0.0 && std::isfinite(value), field, "finite and >= 0");
-}
-
-void require_positive(double value, const char* field) {
-    require(value > 0.0 && std::isfinite(value), field, "finite and > 0");
-}
-
-}  // namespace
-
-void Config::validate() const {
-    require_count(min_beacons_for_fix, "min_beacons_for_fix");
-    require_count(lincvx_min_beacons, "lincvx_min_beacons");
-    require(!std::isnan(beacon_rssi_cutoff_dbm), "beacon_rssi_cutoff_dbm", "a number");
-    require_non_negative(ekf_q_displacement_frac, "ekf_q_displacement_frac");
-    require_non_negative(ekf_q_floor_var_per_s, "ekf_q_floor_var_per_s");
-    require_non_negative(ekf_reject_inflation_var, "ekf_reject_inflation_var");
-    require_non_negative(ekf_missed_window_var, "ekf_missed_window_var");
-    require_positive(ekf_gate_sigmas, "ekf_gate_sigmas");
-    require_positive(ekf_min_range_sigma_m, "ekf_min_range_sigma_m");
 }
 
 const core::RfLocalizer::Stats& Estimator::localizer_stats() const {

@@ -12,6 +12,7 @@
 #include "mobility/odometry.hpp"
 #include "obs/counters.hpp"
 #include "phy/pdf_table.hpp"
+#include "sim/fields.hpp"
 
 namespace cocoa::sim::ckpt {
 class Writer;
@@ -86,12 +87,32 @@ struct Config {
     /// LinCvx is opportunistic: any usable beacon updates the estimate.
     int lincvx_min_beacons = 1;
 
-    /// Throws std::invalid_argument naming the first field that would break
-    /// a run: a count below 1, a negative or non-finite variance or
-    /// fraction, a non-positive or non-finite gate or sigma floor, or a NaN
-    /// cutoff (-infinity, the default, admits every beacon).
-    void validate() const;
+    /// The field list (sim/fields.hpp): counts are at least 1, variances
+    /// and fractions finite and >= 0, gates and sigma floors finite and
+    /// > 0, and the cutoff any number but NaN (-infinity, the default,
+    /// admits every beacon).
+    static constexpr auto fields() {
+        using namespace sim::fields;
+        using C = Config;
+        return std::tuple{
+            field("technique", &C::technique, up_to(core::RfTechnique::LeastSquares)),
+            field("min_beacons_for_fix", &C::min_beacons_for_fix, at_least(1)),
+            field("beacon_rssi_cutoff_dbm", &C::beacon_rssi_cutoff_dbm),
+            field("use_non_gaussian_bins", &C::use_non_gaussian_bins),
+            field("ekf_q_displacement_frac", &C::ekf_q_displacement_frac, non_negative),
+            field("ekf_q_floor_var_per_s", &C::ekf_q_floor_var_per_s, non_negative),
+            field("ekf_gate_sigmas", &C::ekf_gate_sigmas, positive),
+            field("ekf_min_range_sigma_m", &C::ekf_min_range_sigma_m, positive),
+            field("ekf_reject_inflation_var", &C::ekf_reject_inflation_var, non_negative),
+            field("ekf_missed_window_var", &C::ekf_missed_window_var, non_negative),
+            field("lincvx_min_beacons", &C::lincvx_min_beacons, at_least(1)),
+        };
+    }
+
+    /// Throws std::invalid_argument naming the first field outside its rule.
+    void validate() const { sim::fields::check(*this, "est::Config"); }
 };
+static_assert(sim::fields::lists_every_member<Config>());
 
 /// What a continuous-fusion backend did during the window that just closed.
 struct WindowSummary {

@@ -9,8 +9,8 @@
 // — runs in ascending lane order through out-of-line phy::Channel calls,
 // which are the very functions the scalar medium loop uses. Correctly-
 // rounded sqrt plus shared out-of-line channel math means every
-// instantiation produces byte-identical outputs; the SIMD-on/off CI gate
-// diffs whole-swarm output to pin this down.
+// instantiation produces byte-identical outputs; the golden digests, rerun
+// in the portable (COCOA_SIMD=OFF) build, pin this down.
 //
 // This header must only be included by the fanout_kernels*.cpp TUs.
 

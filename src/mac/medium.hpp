@@ -12,6 +12,7 @@
 #include "obs/obs.hpp"
 #include "phy/channel.hpp"
 #include "phy/loss.hpp"
+#include "sim/fields.hpp"
 #include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -44,7 +45,20 @@ struct MediumConfig {
     /// attach. On by default; the 10k–100k-node swarm scenarios turn it off
     /// so the registry does not hold hundreds of thousands of string names.
     bool register_node_counters = true;
+
+    /// The field list (sim/fields.hpp).
+    static constexpr auto fields() {
+        using namespace sim::fields;
+        using C = MediumConfig;
+        return std::tuple{
+            field("capture_margin_db", &C::capture_margin_db, non_negative),
+            field("cca_delay", &C::cca_delay, non_negative),
+            field("interference_culling", &C::interference_culling),
+            field("register_node_counters", &C::register_node_counters),
+        };
+    }
 };
+static_assert(sim::fields::lists_every_member<MediumConfig>());
 
 /// The shared wireless medium: propagates every transmission to all attached
 /// radios using the channel model, sampling per-link RSSI and applying
@@ -62,9 +76,9 @@ class Medium {
         /// Receivers actually visited (RSSI sampled) across transmissions,
         /// and receivers skipped by interference culling or radio
         /// unavailability. Deliberately NOT registered in the counter
-        /// registry: culling must be unobservable, and the CI exactness gate
-        /// diffs `--counters` output between culling on and off. Tests read
-        /// them through stats() instead.
+        /// registry: culling must be unobservable, and the
+        /// sparse_3k@no-culling golden case pins `--counters` output between
+        /// culling on and off. Tests read them through stats() instead.
         std::uint64_t radios_visited = 0;
         std::uint64_t radios_culled = 0;
         /// In-flight frames cut short by their transmitter dying, and

@@ -26,9 +26,7 @@ Radio::Radio(sim::Simulator& sim, Medium& medium, net::NodeId id, PositionProvid
     if (!position_) {
         throw std::invalid_argument("Radio: position provider required");
     }
-    if (config_.bitrate_bps <= 0.0 || config_.cw_min < 0) {
-        throw std::invalid_argument("Radio: bad MAC configuration");
-    }
+    sim::fields::check(config_, "MacConfig");
     attach_index_ = medium_.attach(*this);
 
     // Swarm-scale scenarios disable the per-node registry names (a 100k-node

@@ -10,6 +10,7 @@
 #include "mac/airframe.hpp"
 #include "mac/medium.hpp"
 #include "net/packet.hpp"
+#include "sim/fields.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -22,7 +23,21 @@ struct MacConfig {
     sim::Duration plcp_preamble = sim::Duration::micros(192);
     int cw_min = 31;               ///< backoff drawn uniformly from [0, cw_min]
     double bitrate_bps = 2e6;
+
+    /// The field list (sim/fields.hpp).
+    static constexpr auto fields() {
+        using namespace sim::fields;
+        using C = MacConfig;
+        return std::tuple{
+            field("slot", &C::slot, positive),
+            field("difs", &C::difs, non_negative),
+            field("plcp_preamble", &C::plcp_preamble, non_negative),
+            field("cw_min", &C::cw_min, at_least(0)),
+            field("bitrate_bps", &C::bitrate_bps, positive),
+        };
+    }
 };
+static_assert(sim::fields::lists_every_member<MacConfig>());
 
 /// A node's 802.11 radio: CSMA/CA broadcast transmitter, receiver with
 /// collision/capture handling, and power-state machine wired to an

@@ -9,10 +9,7 @@ namespace cocoa::mobility {
 
 OdometryEstimator::OdometryEstimator(const OdometryConfig& config, sim::RandomStream rng)
     : config_(config), rng_(std::move(rng)) {
-    if (config_.displacement_sigma < 0.0 || config_.angular_sigma_rad < 0.0 ||
-        config_.heading_drift_sigma_rad < 0.0 || config_.velocity_bias_sigma < 0.0) {
-        throw std::invalid_argument("OdometryEstimator: sigmas must be non-negative");
-    }
+    sim::fields::check(config_, "OdometryConfig");
     bias_ = {rng_.gaussian(0.0, config_.velocity_bias_sigma),
              rng_.gaussian(0.0, config_.velocity_bias_sigma)};
 }

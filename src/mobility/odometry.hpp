@@ -2,6 +2,7 @@
 
 #include "geom/vec2.hpp"
 #include "mobility/waypoint.hpp"
+#include "sim/fields.hpp"
 #include "sim/random.hpp"
 
 namespace cocoa::mobility {
@@ -24,7 +25,20 @@ struct OdometryConfig {
     /// after 30 minutes at either evaluated speed, as the paper's Fig. 4
     /// reports, while CoCoA's per-period drift stays small.
     double velocity_bias_sigma = 0.045;
+
+    /// The field list (sim/fields.hpp).
+    static constexpr auto fields() {
+        using namespace sim::fields;
+        using C = OdometryConfig;
+        return std::tuple{
+            field("displacement_sigma", &C::displacement_sigma, non_negative),
+            field("angular_sigma_rad", &C::angular_sigma_rad, non_negative),
+            field("heading_drift_sigma_rad", &C::heading_drift_sigma_rad, non_negative),
+            field("velocity_bias_sigma", &C::velocity_bias_sigma, non_negative),
+        };
+    }
 };
+static_assert(sim::fields::lists_every_member<OdometryConfig>());
 
 /// Dead-reckoning pose estimator fed by true motion increments.
 ///

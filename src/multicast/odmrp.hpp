@@ -11,6 +11,7 @@
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "sim/fields.hpp"
 
 namespace cocoa::sim {
 struct EventTag;
@@ -68,7 +69,29 @@ struct MulticastConfig {
     std::size_t query_bytes = 44;
     std::size_t reply_bytes = 24;
     std::size_t data_header_bytes = 16;
+
+    /// The field list (sim/fields.hpp).
+    static constexpr auto fields() {
+        using namespace sim::fields;
+        using C = MulticastConfig;
+        return std::tuple{
+            field("variant", &C::variant, up_to(Variant::Mrmm)),
+            field("refresh_interval", &C::refresh_interval, positive),
+            field("auto_refresh", &C::auto_refresh),
+            field("fg_timeout", &C::fg_timeout, positive),
+            field("max_hops", &C::max_hops),
+            field("reply_jitter_max", &C::reply_jitter_max, non_negative),
+            field("data_jitter_max", &C::data_jitter_max, non_negative),
+            field("query_aggregation", &C::query_aggregation, non_negative),
+            field("data_suppression_copies", &C::data_suppression_copies, at_least(0)),
+            field("lifetime_range_m", &C::lifetime_range_m, non_negative),
+            field("query_bytes", &C::query_bytes),
+            field("reply_bytes", &C::reply_bytes),
+            field("data_header_bytes", &C::data_header_bytes),
+        };
+    }
 };
+static_assert(sim::fields::lists_every_member<MulticastConfig>());
 
 /// Per-node ODMRP/MRMM instance. Attach one to each robot; pick one node as
 /// the source per group (CoCoA: the Sync robot), join() the members, then

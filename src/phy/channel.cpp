@@ -7,23 +7,11 @@
 namespace cocoa::phy {
 
 Channel::Channel(const ChannelConfig& config) : config_(config) {
-    if (config_.ref_distance_m <= 0.0 || config_.breakpoint_m <= config_.ref_distance_m) {
-        throw std::invalid_argument("Channel: need 0 < ref_distance < breakpoint");
-    }
-    if (config_.sigma_ramp_end_m < config_.breakpoint_m) {
-        throw std::invalid_argument("Channel: sigma_ramp_end must be >= breakpoint");
-    }
-    if (config_.exponent_near <= 0.0 || config_.exponent_far <= 0.0) {
-        throw std::invalid_argument("Channel: path-loss exponents must be positive");
-    }
-    if (config_.shadowing_clamp_sigmas <= 0.0) {
-        throw std::invalid_argument("Channel: shadowing_clamp_sigmas must be positive");
-    }
-    // A negative sigma inverts the shadowing clamp (cap < -cap), which would
-    // break both the influence-radius bound and the quiet-draw proof.
-    if (!(config_.shadowing_sigma_near_db >= 0.0) ||
-        !(config_.shadowing_sigma_far_db >= 0.0)) {
-        throw std::invalid_argument("Channel: shadowing sigmas must be >= 0");
+    sim::fields::check(config_, "ChannelConfig");
+    if (config_.breakpoint_m <= config_.ref_distance_m ||
+        config_.sigma_ramp_end_m < config_.breakpoint_m) {
+        throw std::invalid_argument(
+            "ChannelConfig: need ref_distance_m < breakpoint_m <= sigma_ramp_end_m");
     }
     max_range_m_ = solve_range(config_.rx_sensitivity_dbm);
     cs_range_m_ = solve_range(config_.carrier_sense_dbm);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "sim/fields.hpp"
 #include "sim/random.hpp"
 
 namespace cocoa::phy {
@@ -41,7 +42,33 @@ struct ChannelConfig {
     /// max_influence_range_m() define an exact interference-culling radius
     /// (deep fades only ever attenuate, so they cannot extend the bound).
     double shadowing_clamp_sigmas = 8.0;
+
+    /// The field list (sim/fields.hpp). Channel::Channel adds the cross-field
+    /// rule ref_distance_m < breakpoint_m <= sigma_ramp_end_m.
+    static constexpr auto fields() {
+        using namespace sim::fields;
+        using C = ChannelConfig;
+        return std::tuple{
+            field("tx_power_dbm", &C::tx_power_dbm, finite),
+            field("ref_distance_m", &C::ref_distance_m, positive),
+            field("ref_loss_db", &C::ref_loss_db, finite),
+            field("exponent_near", &C::exponent_near, positive),
+            field("exponent_far", &C::exponent_far, positive),
+            field("breakpoint_m", &C::breakpoint_m, positive),
+            // A negative sigma inverts the shadowing clamp (cap < -cap), which
+            // would break both the influence-radius bound and the quiet-draw
+            // proof.
+            field("shadowing_sigma_near_db", &C::shadowing_sigma_near_db, non_negative),
+            field("shadowing_sigma_far_db", &C::shadowing_sigma_far_db, non_negative),
+            field("sigma_ramp_end_m", &C::sigma_ramp_end_m, positive),
+            field("fade_mean_far_db", &C::fade_mean_far_db, non_negative),
+            field("rx_sensitivity_dbm", &C::rx_sensitivity_dbm, finite),
+            field("carrier_sense_dbm", &C::carrier_sense_dbm, finite),
+            field("shadowing_clamp_sigmas", &C::shadowing_clamp_sigmas, positive),
+        };
+    }
 };
+static_assert(sim::fields::lists_every_member<ChannelConfig>());
 
 class Channel {
   public:

@@ -59,11 +59,10 @@ double DistancePdf::density(double distance_m) const {
 
 PdfTable PdfTable::calibrate(const Channel& channel, const CalibrationConfig& config,
                              sim::RandomStream rng) {
-    if (config.min_distance_m <= 0.0 || config.max_distance_m <= config.min_distance_m) {
-        throw std::invalid_argument("PdfTable: bad calibration distance range");
-    }
-    if (config.distance_step_m <= 0.0 || config.samples_per_distance < 1) {
-        throw std::invalid_argument("PdfTable: bad calibration density");
+    sim::fields::check(config, "CalibrationConfig");
+    if (config.max_distance_m <= config.min_distance_m) {
+        throw std::invalid_argument(
+            "CalibrationConfig: need min_distance_m < max_distance_m");
     }
 
     // Sweep the field: many RSSI observations at each distance, binned by

@@ -50,7 +50,25 @@ struct CalibrationConfig {
     /// band of strong RSSIs ("up to -80 dBm"); isolated statistical flukes on
     /// either side of the boundary are healed to match their neighbourhood.
     bool enforce_contiguous_regime = true;
+
+    /// The field list (sim/fields.hpp). PdfTable::calibrate adds the
+    /// cross-field rule min_distance_m < max_distance_m.
+    static constexpr auto fields() {
+        using namespace sim::fields;
+        using C = CalibrationConfig;
+        return std::tuple{
+            field("min_distance_m", &C::min_distance_m, positive),
+            field("max_distance_m", &C::max_distance_m, positive),
+            field("distance_step_m", &C::distance_step_m, positive),
+            field("samples_per_distance", &C::samples_per_distance, at_least(1)),
+            field("min_bin_samples", &C::min_bin_samples, at_least(1)),
+            field("skewness_threshold", &C::skewness_threshold, non_negative),
+            field("kurtosis_threshold", &C::kurtosis_threshold, non_negative),
+            field("enforce_contiguous_regime", &C::enforce_contiguous_regime),
+        };
+    }
 };
+static_assert(sim::fields::lists_every_member<CalibrationConfig>());
 
 /// The PDF Table of Sichitiu & Ramadurai's algorithm (§2.2): maps every RSSI
 /// value (binned at 1 dBm) to a distance PDF. Stored at each robot; the

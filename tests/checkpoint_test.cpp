@@ -1,12 +1,17 @@
 // Checkpoint/fork engine tests: RNG stream round-trips and their raw-word
 // layout, rejection of blobs from other format versions, of out-of-range enum
-// fields and RNG positions, and of truncated RNG words, randomized
+// fields and RNG positions, of truncated RNG words and of config fields
+// outside their rules, the config field lists (every leaf round-trips, the
+// layout is pinned), randomized
 // checkpoint-time fuzzing on the fig7 scenario and a 1k-node swarm
 // (snapshot mid-run, resume, diff full position traces + counters against
 // the straight run), blob file I/O, and the forked-sweep identity contract
 // (forked and unforked sweeps produce byte-identical records, with one PDF
 // calibration per replication seed).
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <limits>
@@ -14,6 +19,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,6 +36,7 @@
 #include "fault/fault_plan.hpp"
 #include "obs/profile.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/fields.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -383,6 +391,240 @@ TEST(CheckpointFormat, RestoreRejectsNaNEstimatorTuning) {
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find("ekf_gate_sigmas"), std::string::npos)
             << e.what();
+    }
+}
+
+/// Every restored config field is range-checked, not only the estimator
+/// tuning: a blob whose config carries a NaN (or a negative sigma) in any of
+/// these fields is rejected, naming the field's path, before a run is built
+/// from it. Unchecked, a NaN clock skew keeps the run from finishing, a NaN
+/// bitrate schedules a negative delay, and the rest run to the end on
+/// meaningless numbers. The scenario is saved at t = 0 and never run, and
+/// the restore reuses one PDF table, so no case calibrates or simulates.
+TEST(CheckpointFormat, RestoreRejectsOutOfRangeConfigFields) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    struct Case {
+        const char* path;
+        double bad;
+        void (*set)(core::ScenarioConfig&, double);
+    };
+    const Case cases[] = {
+        {"clock_skew_sigma_s", nan, [](auto& c, double v) { c.clock_skew_sigma_s = v; }},
+        {"mac.bitrate_bps", nan, [](auto& c, double v) { c.mac.bitrate_bps = v; }},
+        {"channel.exponent_near", nan,
+         [](auto& c, double v) { c.channel.exponent_near = v; }},
+        {"channel.tx_power_dbm", nan, [](auto& c, double v) { c.channel.tx_power_dbm = v; }},
+        {"medium.capture_margin_db", nan,
+         [](auto& c, double v) { c.medium.capture_margin_db = v; }},
+        {"power.tx_mw", nan, [](auto& c, double v) { c.power.tx_mw = v; }},
+        {"odometry.velocity_bias_sigma", nan,
+         [](auto& c, double v) { c.odometry.velocity_bias_sigma = v; }},
+        {"multicast.lifetime_range_m", nan,
+         [](auto& c, double v) { c.multicast.lifetime_range_m = v; }},
+        {"blind_beacon_max_spread_m", nan,
+         [](auto& c, double v) { c.blind_beacon_max_spread_m = v; }},
+        {"anchor_position_sigma_m", -1.0,
+         [](auto& c, double v) { c.anchor_position_sigma_m = v; }},
+    };
+    const double sentinel = 0.4140625;  // exact in binary, valid for every case
+    const auto table = core::Scenario(fuzz_config()).pdf_table_ptr();
+    for (const Case& k : cases) {
+        core::ScenarioConfig config = fuzz_config();
+        k.set(config, sentinel);
+        std::string blob = exp::save_scenario_checkpoint(core::Scenario(config, table));
+
+        sim::ckpt::Writer good, bad;
+        good.f64(sentinel);
+        bad.f64(k.bad);
+        const std::size_t at = blob.find(good.buffer());
+        ASSERT_NE(at, std::string::npos) << k.path;
+        ASSERT_EQ(blob.find(good.buffer(), at + 1), std::string::npos) << k.path;
+        blob.replace(at, 8, bad.buffer());
+        try {
+            exp::restore_scenario_checkpoint(blob, table);
+            ADD_FAILURE() << k.path << " = " << k.bad << " restored";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("ScenarioConfig: ") + k.path +
+                                                 " must be "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+// ------------------------------------------------------------- field lists
+
+/// The bytes of save_config for `c`.
+template <typename Config>
+std::string config_bytes(const Config& c) {
+    sim::ckpt::Writer w;
+    core::save_config(w, c);
+    return w.take();
+}
+
+core::ScenarioConfig load_config(sim::ckpt::Reader& r, const core::ScenarioConfig&) {
+    return core::load_scenario_config(r);
+}
+core::SwarmConfig load_config(sim::ckpt::Reader& r, const core::SwarmConfig&) {
+    return core::load_swarm_config(r);
+}
+
+/// Calls visit(path, rule, leaf) for every leaf field of S's list, nested
+/// lists included; leaf(root) is the field's member inside a Root.
+template <typename Root, typename S, typename Get, typename Visit>
+void for_each_leaf(const std::string& prefix, Get get, Visit& visit) {
+    const auto one = [&](const auto& f) {
+        using T = std::remove_reference_t<decltype(std::declval<S&>().*f.member)>;
+        const auto leaf = [get, member = f.member](Root& root) -> T& {
+            return get(root).*member;
+        };
+        const std::string path = prefix + std::string(f.name);
+        if constexpr (sim::fields::Listed<T>) {
+            for_each_leaf<Root, T>(path + ".", leaf, visit);
+        } else {
+            visit(path, f.rule, leaf);
+        }
+    };
+    std::apply([&](const auto&... f) { (one(f), ...); }, S::fields());
+}
+
+/// Probe values for a field of type T whose default is `def`: the first one
+/// `rule` admits that differs from `def` is the field's valid non-default
+/// value, and every one `rule` rejects must make validate() throw.
+template <typename T>
+std::vector<T> probes(const T& def, const sim::fields::Rule& rule) {
+    if constexpr (std::is_same_v<T, bool>) {
+        return {!def};
+    } else if constexpr (std::is_enum_v<T>) {
+        const auto last = static_cast<std::underlying_type_t<T>>(rule.hi);
+        return {static_cast<T>(last), static_cast<T>(0), static_cast<T>(last + 1)};
+    } else if constexpr (std::is_same_v<T, sim::Duration>) {
+        const sim::Duration ms = sim::Duration::millis(1);
+        return {def + ms, ms, sim::Duration::zero(), sim::Duration::nanos(-1)};
+    } else if constexpr (std::is_floating_point_v<T>) {
+        const double inf = std::numeric_limits<double>::infinity();
+        std::vector<T> v = {def + 0.5, def * 2.0, 0.5, -0.5, inf, -inf,
+                            std::numeric_limits<double>::quiet_NaN()};
+        for (const double bound : {rule.lo, rule.hi}) {
+            if (std::isfinite(bound)) v.insert(v.end(), {bound - 1.0, bound, bound + 1.0});
+        }
+        return v;
+    } else {
+        std::vector<T> v(1, static_cast<T>(def + 1));
+        for (const double bound : {rule.lo, rule.hi}) {
+            if (!std::isfinite(bound)) continue;
+            for (const double step : {-1.0, 0.0, 1.0}) v.push_back(static_cast<T>(bound + step));
+        }
+        return v;
+    }
+}
+
+template <typename T>
+bool same(const T& a, const T& b) {
+    if constexpr (std::is_floating_point_v<T>) {
+        return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    } else {
+        return a == b;
+    }
+}
+
+/// Walks every leaf of Root's field list. A valid non-default value changes
+/// save_config's bytes and loads back equal; every probe the field's rule
+/// rejects makes validate() throw naming "<root>: <path> must be".
+template <typename Root>
+void expect_every_leaf_listed(const char* root_name, int expected_leaves) {
+    const std::string default_bytes = config_bytes(Root{});
+    int leaves = 0;
+    auto visit = [&](const std::string& path, const sim::fields::Rule& rule, auto leaf) {
+        ++leaves;
+        Root root;
+        using T = std::remove_reference_t<decltype(leaf(root))>;
+        const T def = leaf(root);
+        bool changed = false;
+        for (const T& value : probes(def, rule)) {
+            leaf(root) = value;
+            if (!rule.admits(sim::fields::detail::as_double(value))) {
+                std::string what;
+                try {
+                    root.validate();
+                } catch (const std::invalid_argument& e) {
+                    what = e.what();
+                }
+                EXPECT_NE(what.find(std::string(root_name) + ": " + path + " must be "),
+                          std::string::npos)
+                    << path << " took a value its rule rejects: '" << what << "'";
+            } else if (!changed && !same(value, def)) {
+                changed = true;
+                EXPECT_NO_THROW(sim::fields::check(root, root_name)) << path;
+                const std::string bytes = config_bytes(root);
+                EXPECT_NE(bytes, default_bytes) << path << " leaves the bytes unchanged";
+                sim::ckpt::Reader r(bytes);
+                Root back = load_config(r, root);
+                EXPECT_TRUE(r.at_end()) << path;
+                EXPECT_TRUE(same(leaf(back), value)) << path << " does not load back";
+                EXPECT_EQ(config_bytes(back), bytes) << path;
+            }
+            leaf(root) = def;
+        }
+        EXPECT_TRUE(changed) << path << ": no valid non-default probe";
+    };
+    for_each_leaf<Root, Root>("", [](Root& r) -> Root& { return r; }, visit);
+    EXPECT_EQ(leaves, expected_leaves);
+}
+
+TEST(ConfigFields, EveryScenarioLeafRoundTripsAndIsRangeChecked) {
+    // 28 own fields plus est::Config 11, odometry 4, channel 13, calibration
+    // 8, power 6, MAC 5, medium 4 and multicast 13.
+    expect_every_leaf_listed<core::ScenarioConfig>("ScenarioConfig", 92);
+}
+
+TEST(ConfigFields, EverySwarmLeafRoundTripsAndIsRangeChecked) {
+    // 14 own fields plus channel 13, medium 4 and power 6.
+    expect_every_leaf_listed<core::SwarmConfig>("SwarmConfig", 37);
+}
+
+/// FNV-1a (64 bit) of `bytes`.
+std::uint64_t fnv1a(const std::string& bytes) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char c : bytes) {
+        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+    return h;
+}
+
+/// The config sections' layout, pinned: the size and FNV-1a of save_config
+/// for the default ScenarioConfig and SwarmConfig, for the `all` config of
+/// ScenarioConfigRoundTripsEstimatorSettings, and of save_calibration_inputs,
+/// as format version 4 lays them out. A deliberate layout change bumps
+/// sim::ckpt::kFormatVersion and re-records these values.
+TEST(CheckpointFormat, ConfigLayoutIsPinned) {
+    EXPECT_EQ(sim::ckpt::kFormatVersion, 4u);
+    core::ScenarioConfig all;
+    all.estimator = est::Backend::LinCvx;
+    all.tuning.technique = core::RfTechnique::LeastSquares;
+    all.tuning.min_beacons_for_fix = 4;
+    all.tuning.beacon_rssi_cutoff_dbm = -85.5;
+    all.tuning.use_non_gaussian_bins = false;
+    all.tuning.ekf_q_displacement_frac = 0.25;
+    all.tuning.ekf_q_floor_var_per_s = 1.5;
+    all.tuning.ekf_gate_sigmas = 3.5;
+    all.tuning.ekf_min_range_sigma_m = 1.25;
+    all.tuning.ekf_reject_inflation_var = 6.0;
+    all.tuning.ekf_missed_window_var = 7.5;
+    all.tuning.lincvx_min_beacons = 2;
+    sim::ckpt::Writer calibration;
+    core::save_calibration_inputs(calibration, all);
+
+    const std::pair<std::string, std::uint64_t> pins[] = {
+        {config_bytes(core::ScenarioConfig{}), 0x508222eaf71dd7ebull},
+        {config_bytes(core::SwarmConfig{}), 0x719eb877a76b8233ull},
+        {config_bytes(all), 0x78e2d035aef48054ull},
+        {calibration.buffer(), 0x09f1ceeb5693489bull},
+    };
+    const std::size_t sizes[] = {610, 271, 610, 161};
+    for (std::size_t i = 0; i < std::size(pins); ++i) {
+        EXPECT_EQ(pins[i].first.size(), sizes[i]) << "pin " << i;
+        EXPECT_EQ(fnv1a(pins[i].first), pins[i].second) << "pin " << i;
     }
 }
 

@@ -6,8 +6,8 @@
 #
 # Each case has one straight run whose artifacts (filtered stdout plus the
 # CSVs it writes) are the digests.txt lines, and variant runs that must hash
-# to the same digests: other thread counts, and a run restored in a fresh
-# process from a mid-run checkpoint. README.md in this directory says what
+# to the same digests: other thread counts, a run restored in a fresh
+# process from a mid-run checkpoint, and the unculled medium. README.md in this directory says what
 # is pinned and how to accept a deliberate behaviour change.
 
 foreach(var COCOA_SIM GOLDEN_DIR WORK_DIR)
@@ -116,6 +116,33 @@ foreach(est grid ekf lincvx rf odom)
   check_variant(${case} ${case}@threads=4 "${reps_artifacts}")
 endforeach()
 
+# A sparse team on a 3 km square, where interference culling skips most
+# receivers: the full sweep (--no-culling) must reproduce it byte for byte.
+set(sparse --robots 40 --anchors 20 --area 3000 --duration 120 --period 30 --seed 3
+           --quiet --counters)
+run(sparse_3k ${sparse})
+hash_case(sparse_3k stdout.txt actual)
+run(sparse_3k@no-culling ${sparse} --no-culling)
+check_variant(sparse_3k sparse_3k@no-culling stdout.txt)
+
+# Every fault kind over four replications, folded at one and at four threads.
+set(case faults_all_kinds_reps)
+set(args --robots 16 --anchors 6 --duration 240 --period 25 --seed 11 --reps 4
+         --quiet --counters --fault-file "${GOLDEN_DIR}/fault_all_kinds.plan" --csv run)
+run(${case} ${args} --threads 1)
+hash_case(${case} "${reps_artifacts}" actual)
+run(${case}@threads=4 ${args} --threads 4)
+check_variant(${case} ${case}@threads=4 "${reps_artifacts}")
+# A digest cannot tell that the plan still fires: each kind's counter must be
+# non-zero.
+file(READ "${runs}/${case}/stdout.txt" out)
+foreach(counter crashes reboots outages loss_bursts clock_drifts odometry_degrades
+                battery_deaths)
+  if(NOT out MATCHES "fault\\.${counter} +[1-9]")
+    list(APPEND contract_errors "${case}: fault.${counter} is missing or zero")
+  endif()
+endforeach()
+
 run(swarm_1k ${swarm} --swarm-threads 0)
 hash_case(swarm_1k stdout.txt actual)
 run(swarm_1k@swarm-threads=4 ${swarm} --swarm-threads 4
@@ -155,9 +182,10 @@ set(failed FALSE)
 if(contract_errors)
   set(failed TRUE)
   list(JOIN contract_errors "\n  " joined)
-  message("golden_digests: determinism contract broken (a thread-count or "
-          "restored run differs from its straight run; no digest update "
-          "can fix this):\n  ${joined}\nOutputs are kept in ${runs} for diffing.")
+  message("golden_digests: determinism contract broken (a variant run differs "
+          "from its straight run, or the fault plan no longer fires; no digest "
+          "update can fix this):\n  ${joined}\nOutputs are kept in ${runs} for "
+          "diffing.")
 endif()
 if(NOT mismatches STREQUAL "")
   set(failed TRUE)

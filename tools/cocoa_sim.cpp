@@ -162,7 +162,7 @@ void print_swarm(const core::SwarmResult& r, double wall_s, bool quiet) {
 /// resilience, counters, kernel stats, the coarse error series and the CSV
 /// dumps. Shared by the straight single-run path and --restore, so a
 /// restored run's output can be diffed byte-for-byte against the straight
-/// run's (the CI checkpoint-identity gate).
+/// run's (the goldens' @restored cases, tests/golden/README.md).
 struct SingleRunOutput {
     bool quiet = false;
     std::string csv_prefix;
@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
         .add_flag("no-culling",
                   "disable interference-radius culling in the medium "
                   "(output is bit-identical either way; this exists for perf "
-                  "comparison and the CI exactness gate)",
+                  "comparison and the sparse_3k@no-culling golden case)",
                   &no_culling)
         .add_flag("quiet", "summary only, no time series", &quiet)
         .add_option("csv", "prefix for CSV dumps (avg error + summary)", &csv_prefix)
