@@ -138,12 +138,10 @@ void BM_EventQueue_churn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_churn)->Arg(256);
 
-// The radial-kernel fast path (blocked SIMD-dispatched kernels), its serial
-// pre-blocking twin (`_scalar`, the gridk::ForcePath::Serial path), and the
+// The radial-kernel fast path (blocked SIMD-dispatched kernels) and the
 // sqrt+exp reference path, at three grid resolutions (the range arg is the
-// cell side in metres). The SIMD-vs-_scalar ratio is the speedup the
-// acceptance criteria track; both include the fused normalize+moments pass,
-// so the comparison is pass-for-pass.
+// cell side in metres). Both include the fused normalize+moments pass, so
+// the comparison is pass-for-pass.
 void BM_GridApplyConstraint(benchmark::State& state) {
     core::GridConfig cfg;
     cfg.area = geom::Rect::square(200.0);
@@ -158,22 +156,6 @@ void BM_GridApplyConstraint(benchmark::State& state) {
     state.SetLabel(core::gridk::active_isa());
 }
 BENCHMARK(BM_GridApplyConstraint)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_GridApplyConstraint_scalar(benchmark::State& state) {
-    core::GridConfig cfg;
-    cfg.area = geom::Rect::square(200.0);
-    cfg.cell_m = static_cast<double>(state.range(0));
-    core::BayesGrid grid(cfg);
-    const phy::DistancePdf* pdf = shared_table().lookup(-65.0);
-    core::gridk::set_force_path(core::gridk::ForcePath::Serial);
-    for (auto _ : state) {
-        grid.apply_constraint({100.0, 100.0}, *pdf);
-    }
-    core::gridk::set_force_path(core::gridk::ForcePath::None);
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(grid.cell_count()));
-}
-BENCHMARK(BM_GridApplyConstraint_scalar)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_GridApplyConstraintExact(benchmark::State& state) {
     core::GridConfig cfg;
@@ -381,17 +363,13 @@ void BM_MediumFanoutMobile(benchmark::State& state) {
 }
 BENCHMARK(BM_MediumFanoutMobile)->Arg(256)->Arg(1024)->Arg(4096);
 
-/// The vectorized-fanout acceptance pair: mobile fan-out from a small dense
-/// cluster ringed by `range(0)` radios that sit inside the sender's 3x3 query
-/// window but beyond the cull radius — the dense-hotspot shape (a swarm core
-/// crossing a crowded junction) where the per-transmission cost is the
-/// candidate cull itself rather than the per-receiver RSSI draws. `_scalar`
-/// forces the pre-batching per-candidate loop (fanout::ForcePath::Serial,
-/// byte-identical output): one position() indirect call plus a scalar
-/// distance test per candidate, versus the SoA gather + blocked SIMD cull.
-/// The simd/_scalar ns/op ratio is the speedup the acceptance criteria track.
-void medium_fanout_mobile_kernel(benchmark::State& state,
-                                 mac::fanout::ForcePath path) {
+/// The vectorized fanout on a dense hotspot: mobile fan-out from a small
+/// dense cluster ringed by `range(0)` radios that sit inside the sender's 3x3
+/// query window but beyond the cull radius — the shape (a swarm core crossing
+/// a crowded junction) where the per-transmission cost is the candidate cull
+/// itself (the SoA gather + blocked SIMD cull) rather than the per-receiver
+/// RSSI draws.
+void BM_MediumFanoutMobile_simd(benchmark::State& state) {
     const int ring = static_cast<int>(state.range(0));
     const int cluster = 2;
 
@@ -431,7 +409,6 @@ void medium_fanout_mobile_kernel(benchmark::State& state,
     packet.payload_bytes = 24;
     sim::RandomStream walk(43);
     std::size_t sender = 0;
-    mac::fanout::set_force_path(path);
     for (auto _ : state) {
         // Bounded jitter (not a drifting walk): the cluster must stay inside
         // the ring for the whole run.
@@ -443,21 +420,13 @@ void medium_fanout_mobile_kernel(benchmark::State& state,
         sender = (sender + 1) % static_cast<std::size_t>(cluster);
         sim.run_until(sim.now() + sim::Duration::millis(1));
     }
-    mac::fanout::set_force_path(mac::fanout::ForcePath::None);
     state.SetItemsProcessed(state.iterations());
     state.counters["visited_per_tx"] =
         static_cast<double>(medium.stats().radios_visited) /
         static_cast<double>(std::max<std::uint64_t>(1, medium.stats().frames_sent));
-}
-void BM_MediumFanoutMobile_simd(benchmark::State& state) {
-    medium_fanout_mobile_kernel(state, mac::fanout::ForcePath::None);
     state.SetLabel(mac::fanout::active_isa());
 }
-void BM_MediumFanoutMobile_scalar(benchmark::State& state) {
-    medium_fanout_mobile_kernel(state, mac::fanout::ForcePath::Serial);
-}
 BENCHMARK(BM_MediumFanoutMobile_simd)->Arg(4096);
-BENCHMARK(BM_MediumFanoutMobile_scalar)->Arg(4096);
 
 /// Whole swarm runs through the sharded mobility tick (`_serial` = the inline
 /// single-thread path). Identical output either way; the ratio is wall-clock
@@ -566,35 +535,6 @@ void BM_FullFix25Anchors(benchmark::State& state) {
     state.SetLabel(core::gridk::active_isa());
 }
 BENCHMARK(BM_FullFix25Anchors);
-
-// Serial twin of BM_FullFix25Anchors: the whole fix on the pre-blocking
-// sequential grid path. The ratio to BM_FullFix25Anchors is the end-to-end
-// SIMD speedup of a localization fix.
-void BM_FullFix25Anchors_scalar(benchmark::State& state) {
-    core::GridConfig cfg;
-    cfg.area = geom::Rect::square(200.0);
-    cfg.cell_m = 2.0;
-    auto table = std::make_shared<const phy::PdfTable>(shared_table());
-    core::RfLocalizer loc(cfg, table);
-    const phy::Channel ch;
-    sim::RandomStream rng(8);
-    std::vector<core::BeaconObservation> obs;
-    const geom::Vec2 truth{100.0, 100.0};
-    for (int a = 0; a < 25; ++a) {
-        const geom::Vec2 anchor{rng.uniform(0.0, 200.0), rng.uniform(0.0, 200.0)};
-        for (int k = 0; k < 3; ++k) {
-            const double rssi = ch.sample_rssi_dbm(geom::distance(anchor, truth), rng);
-            if (rssi >= ch.config().rx_sensitivity_dbm) obs.push_back({anchor, rssi});
-        }
-    }
-    core::gridk::set_force_path(core::gridk::ForcePath::Serial);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(loc.compute_fix(obs));
-    }
-    core::gridk::set_force_path(core::gridk::ForcePath::None);
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(obs.size()));
-}
-BENCHMARK(BM_FullFix25Anchors_scalar);
 
 // The in-situ access pattern BM_GridApplyConstraint hides: a fig7 scenario
 // keeps one grid per robot (50), and beacons land in every usable bin of the

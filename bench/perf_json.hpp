@@ -1,6 +1,6 @@
 #pragma once
 
-// Writer for the perf-regression artifact (BENCH_3.json): the micro-bench
+// Writer for the perf-regression artifact (BENCH_10.json): the micro-bench
 // ns/op numbers plus end-to-end scenario wall times, in a stable schema that
 // CI uploads per commit so the perf trajectory has data points.
 //

@@ -162,71 +162,13 @@ void BayesGrid::apply_blocked(const geom::Vec2& anchor_position,
     scale_and_refresh_stats(total);
 }
 
-void BayesGrid::apply_serial(const geom::Vec2& anchor_position,
-                             const RadialKernel& kernel) {
-    // Sweep in squared-distance space: q = dy² + dx², with dx² advanced by
-    // incremental deltas ((dx+w)² = dx² + 2w·dx + w², and the delta itself
-    // grows by 2w² per step) — two adds per cell instead of a distance.
-    metrics::KahanSum sum;
-    const double w = cell_w_;
-    const double dx0 = config_.area.min.x + 0.5 * cell_w_ - anchor_position.x;
-    const double y0 = config_.area.min.y + 0.5 * cell_h_ - anchor_position.y;
-    const double step_growth = 2.0 * w * w;
-    for (std::size_t iy = 0; iy < ny_; ++iy) {
-        const double dy = y0 + static_cast<double>(iy) * cell_h_;
-        const double qy = dy * dy;
-        double qx = dx0 * dx0;
-        double step = 2.0 * dx0 * w + w * w;
-        double* row = cells_.data() + iy * stride_;
-        for (std::size_t ix = 0; ix < nx_; ++ix) {
-            const double v = row[ix] * kernel.eval_q(qy + qx);
-            row[ix] = v;
-            sum.add(v);
-            qx += step;
-            step += step_growth;
-        }
-    }
-    const double total = sum.value();
-    if (total <= 0.0) {
-        reset_uniform();
-        return;
-    }
-    // Sequential fused normalize + moments — the scalar twin of
-    // gridk::scale_and_moments.
-    const double inv = 1.0 / total;
-    metrics::KahanSum mass, sx, sy, sxx, syy;
-    for (std::size_t iy = 0; iy < ny_; ++iy) {
-        const double y = row_y_[iy];
-        const double y2 = row_y2_[iy];
-        double* row = cells_.data() + iy * stride_;
-        for (std::size_t ix = 0; ix < nx_; ++ix) {
-            const double c = row[ix] * inv;
-            row[ix] = c;
-            mass.add(c);
-            sx.add(c * colx_[ix]);
-            sy.add(c * y);
-            sxx.add(c * colx2_[ix]);
-            syy.add(c * y2);
-        }
-    }
-    finish_stats({mass.value(), sx.value(), sy.value(), sxx.value(), syy.value()});
-}
-
-void BayesGrid::apply_kernel(const geom::Vec2& anchor_position, const RadialKernel& kernel) {
-    if (gridk::force_path() == gridk::ForcePath::Serial) {
-        apply_serial(anchor_position, kernel);
-        return;
-    }
-    apply_blocked(anchor_position, kernel);
-}
-
 void BayesGrid::apply_constraint(const geom::Vec2& anchor_position,
                                  const phy::DistancePdf& pdf) {
     obs::ProfileScope profile("core.apply_constraint");
     if (pdf.sigma_m <= 0.0) {
         throw std::invalid_argument("BayesGrid: constraint PDF has no spread");
     }
-    apply_kernel(anchor_position, kernel_for(pdf));
+    apply_blocked(anchor_position, kernel_for(pdf));
 }
 
 void BayesGrid::apply_constraint_exact(const geom::Vec2& anchor_position,

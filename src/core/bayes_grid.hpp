@@ -110,13 +110,8 @@ class BayesGrid {
     std::size_t kernel_cache_size() const { return config_.kernels->size(); }
 
   private:
-    void apply_kernel(const geom::Vec2& anchor_position, const RadialKernel& kernel);
     /// The blocked (SIMD-dispatched) sweep + fused normalize/moments.
     void apply_blocked(const geom::Vec2& anchor_position, const RadialKernel& kernel);
-    /// The pre-blocking sequential sweep (incremental squared-distance
-    /// deltas, one scalar Neumaier chain). Selected by
-    /// gridk::ForcePath::Serial; the `_scalar` twin benches measure it.
-    void apply_serial(const geom::Vec2& anchor_position, const RadialKernel& kernel);
     /// Turns raw centred moments into stats_mean_ / stats_spread_.
     void finish_stats(const gridk::Moments& moments);
     /// Normalizes by 1/total via the fused pass and refreshes the stats.

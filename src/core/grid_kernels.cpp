@@ -54,33 +54,25 @@ const Dispatch& active() {
     return dispatch;
 }
 
-// relaxed is enough: tests and benches flip this from the same thread that
-// next touches a grid, and workers inherit whatever was set before a batched
-// round was submitted.
-std::atomic<ForcePath> g_force_path{ForcePath::None};
+// relaxed is enough: tests flip this from the same thread that next touches
+// a grid, and workers inherit whatever was set before a batched round was
+// submitted.
+std::atomic<bool> g_force_generic{false};
+
+const Dispatch& selected() {
+    return g_force_generic.load(std::memory_order_relaxed) ? kGeneric : active();
+}
 
 }  // namespace
 
 double apply_and_sum(const ApplyPlan& plan, const RadialKernel& kernel) {
-    const Dispatch& d =
-        force_path() == ForcePath::Generic ? kGeneric : active();
-    return d.apply(plan, kernel);
+    return selected().apply(plan, kernel);
 }
 
-Moments scale_and_moments(const ScalePlan& plan) {
-    const Dispatch& d =
-        force_path() == ForcePath::Generic ? kGeneric : active();
-    return d.scale(plan);
-}
+Moments scale_and_moments(const ScalePlan& plan) { return selected().scale(plan); }
 
 const char* active_isa() { return active().isa; }
 
-void set_force_path(ForcePath path) {
-    g_force_path.store(path, std::memory_order_relaxed);
-}
-
-ForcePath force_path() {
-    return g_force_path.load(std::memory_order_relaxed);
-}
+void set_force_generic(bool on) { g_force_generic.store(on, std::memory_order_relaxed); }
 
 }  // namespace cocoa::core::gridk

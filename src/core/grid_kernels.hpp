@@ -23,7 +23,7 @@ class RadialKernel;
 /// touch the kernel's certified-exact region fall back to the same scalar
 /// RadialKernel::eval_q per lane. A -DCOCOA_SIMD=OFF build, the runtime
 /// generic path, AVX2 and AVX-512 therefore produce byte-identical grids —
-/// CI diffs whole-scenario output across builds to pin this down.
+/// the golden digests, rerun in the portable build, pin this down.
 namespace gridk {
 
 /// Lane count of the blocked layout. Fixed (not the hardware vector width):
@@ -81,21 +81,13 @@ struct ScalePlan {
 Moments scale_and_moments(const ScalePlan& plan);
 
 /// The ISA the dispatcher selected at startup: "avx512", "avx2" or
-/// "generic". set_force_path does not change this.
+/// "generic". set_force_generic does not change this.
 const char* active_isa();
 
-/// Overrides for tests and the `_scalar` twin benchmarks:
-///  - Generic routes apply_and_sum / scale_and_moments to the portable
-///    blocked instantiation regardless of the dispatched ISA (results stay
-///    byte-identical — that is the contract the bitwise tests pin);
-///  - Serial makes BayesGrid bypass the blocked kernels entirely and run its
-///    sequential cell-at-a-time twin (same two-pass algorithm, scalar
-///    incremental-q evaluation, one Neumaier chain) — the regression anchor
-///    the BM_*_scalar benches measure SIMD speedups against. Serial results
-///    agree with the blocked paths only to tolerance (different rounding).
-enum class ForcePath { None, Generic, Serial };
-void set_force_path(ForcePath path);
-ForcePath force_path();
+/// Test hook: while set, apply_and_sum and scale_and_moments run the
+/// portable blocked instantiation regardless of the dispatched ISA. Results
+/// stay byte-identical; that is the contract the bitwise tests pin.
+void set_force_generic(bool on);
 
 }  // namespace gridk
 }  // namespace cocoa::core

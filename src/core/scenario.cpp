@@ -12,6 +12,7 @@ namespace cocoa::core {
 
 void ScenarioConfig::validate() const {
     sim::fields::check(*this, "ScenarioConfig");
+    calibration.validate("ScenarioConfig", "calibration.");
     if (num_anchors > num_robots) {
         throw std::invalid_argument("ScenarioConfig: need num_anchors <= num_robots");
     }

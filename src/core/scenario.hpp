@@ -132,8 +132,9 @@ struct ScenarioConfig {
 
     /// Throws std::invalid_argument naming the first field outside its rule
     /// (nested ones by path, as "channel.exponent_near"), then on the
-    /// cross-field rules: num_anchors <= num_robots, at least one anchor
-    /// for an RF estimator, window < period and min_speed <= max_speed.
+    /// cross-field rules: the calibration's (CalibrationConfig::validate),
+    /// num_anchors <= num_robots, at least one anchor for an RF estimator,
+    /// window < period and min_speed <= max_speed.
     void validate() const;
 };
 static_assert(sim::fields::lists_every_member<ScenarioConfig>());

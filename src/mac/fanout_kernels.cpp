@@ -53,9 +53,9 @@ const Dispatch& active() {
     return dispatch;
 }
 
-// relaxed is enough: tests and benches flip this from the same thread that
-// next drives the medium.
-std::atomic<ForcePath> g_force_path{ForcePath::None};
+// relaxed is enough: tests flip this from the same thread that next drives
+// the medium.
+std::atomic<bool> g_force_generic{false};
 
 }  // namespace
 
@@ -105,18 +105,12 @@ CullPlan make_plan(Batch& b, geom::Vec2 tx_pos, double r2,
 
 std::size_t cull_and_prepare(const CullPlan& plan) {
     const Dispatch& d =
-        force_path() == ForcePath::Generic ? kGeneric : active();
+        g_force_generic.load(std::memory_order_relaxed) ? kGeneric : active();
     return d.cull(plan);
 }
 
 const char* active_isa() { return active().isa; }
 
-void set_force_path(ForcePath path) {
-    g_force_path.store(path, std::memory_order_relaxed);
-}
-
-ForcePath force_path() {
-    return g_force_path.load(std::memory_order_relaxed);
-}
+void set_force_generic(bool on) { g_force_generic.store(on, std::memory_order_relaxed); }
 
 }  // namespace cocoa::mac::fanout

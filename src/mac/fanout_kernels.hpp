@@ -28,11 +28,11 @@ namespace cocoa::mac {
 /// contraction disabled on every instantiation (no ISA gains an FMA another
 /// lacks), std::sqrt is correctly rounded on every path, and the channel
 /// terms are computed by out-of-line phy::Channel calls — the same functions
-/// the scalar loop uses — in fixed ascending lane order. The stochastic RSSI
-/// draw itself stays scalar in the medium (counter-based per-(frame,
+/// the unculled sweep uses — in fixed ascending lane order. The stochastic
+/// RSSI draw itself stays scalar in the medium (counter-based per-(frame,
 /// receiver) generators), so draw values and order are untouched; a
-/// -DCOCOA_SIMD=OFF build, the runtime Generic path, AVX2 and AVX-512 all
-/// produce byte-identical swarm output, which CI diffs.
+/// -DCOCOA_SIMD=OFF build, the forced generic path, AVX2 and AVX-512 all
+/// produce byte-identical swarm output, which the golden digests pin.
 namespace fanout {
 
 /// Lane count of the blocked layout — the unit the gather pads to. Fixed
@@ -61,7 +61,7 @@ struct Batch {
     /// Compacted ascending lane indices of the kept lanes — the first
     /// `cull_and_prepare(...)` entries are valid, so the consumer touches
     /// only survivors instead of re-scanning every lane (in a dense window
-    /// most candidates cull, and the rescan would rival the scalar loop).
+    /// most candidates cull, and the rescan would rival the cull itself).
     std::vector<std::uint32_t> kept_lanes;
 
     void clear() { count = 0; }
@@ -116,21 +116,13 @@ CullPlan make_plan(Batch& batch, geom::Vec2 tx_pos, double r2,
 std::size_t cull_and_prepare(const CullPlan& plan);
 
 /// The ISA the dispatcher selected at startup: "avx512", "avx2" or
-/// "generic". set_force_path does not change this.
+/// "generic". set_force_generic does not change this.
 const char* active_isa();
 
-/// Overrides for tests and the `_scalar` twin benchmarks:
-///  - Generic routes cull_and_prepare to the portable blocked instantiation
-///    regardless of the dispatched ISA (byte-identical results — the
-///    contract the bitwise tests pin);
-///  - Serial makes the medium bypass the batch entirely and run its
-///    per-candidate scalar loop (the pre-kernel code path — the regression
-///    anchor the BM_*_scalar benches measure against). Serial output is
-///    byte-identical too: the scalar loop performs the same IEEE operations
-///    per candidate.
-enum class ForcePath { None, Generic, Serial };
-void set_force_path(ForcePath path);
-ForcePath force_path();
+/// Test hook: while set, cull_and_prepare runs the portable blocked
+/// instantiation regardless of the dispatched ISA. Results stay
+/// byte-identical; that is the contract the bitwise tests pin.
+void set_force_generic(bool on);
 
 }  // namespace fanout
 }  // namespace cocoa::mac

@@ -7,7 +7,7 @@
 // (mul/add only, contraction disabled per TU, so every ISA computes the same
 // IEEE doubles), and the per-lane finish — sqrt plus the three channel terms
 // — runs in ascending lane order through out-of-line phy::Channel calls,
-// which are the very functions the scalar medium loop uses. Correctly-
+// which are the very functions the medium's unculled sweep uses. Correctly-
 // rounded sqrt plus shared out-of-line channel math means every
 // instantiation produces byte-identical outputs; the golden digests, rerun
 // in the portable (COCOA_SIMD=OFF) build, pin this down.

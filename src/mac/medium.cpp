@@ -162,12 +162,12 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
     // unavailable (off / in-outage) radios are invisible to propagation.
     cca_tags_.clear();
     std::uint64_t visited = 0;
-    // The stochastic tail of one receiver's evaluation, shared by the scalar
-    // and vectorized paths: given the deterministic channel terms at the
-    // receiver's distance, perform the counter-based draws and record the
-    // sensed verdict. Keeping the draws here (scalar, ascending candidate
-    // order) is what makes the vectorized fanout bitwise-neutral — the
-    // kernels only batch the deterministic prefix.
+    // The stochastic tail of one receiver's evaluation, shared by the
+    // unculled sweep and the vectorized fanout: given the deterministic
+    // channel terms at the receiver's distance, perform the counter-based
+    // draws and record the sensed verdict. Keeping the draws here (scalar,
+    // ascending candidate order) is what makes the vectorized fanout
+    // bitwise-neutral — the kernels only batch the deterministic prefix.
     //
     // Where the mean RSSI lies below carrier sense, the channel's quiet draw
     // mostly settles the verdict from the gaussian's polar pair alone (no
@@ -218,74 +218,44 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                 std::bit_cast<std::uint64_t>(*rssi)));
         }
     };
-    // Scalar per-receiver evaluation (unculled sweep and the Serial force
-    // path): live-position distance, then the draw tail. The channel terms
-    // here and in the kernels are the same out-of-line functions over the
-    // same IEEE distance, so both routes feed draw() identical inputs.
-    const auto visit = [&](std::size_t i) {
-        Radio* r = radios_[i];
-        if (r == &sender) return;
-        if (available_[i] == 0) return;  // dead air for dead radios
-        const double dist = geom::distance(r->position(), tx_pos);
-        draw(i, channel_.mean_rssi_dbm(dist), channel_.shadowing_sigma_db(dist),
-             channel_.fade_mean_db(dist));
-    };
 
     if (config_.interference_culling) {
-        const double r2 = cull_radius_m_ * cull_radius_m_;
         refresh_tree_if_stale();
-        if (fanout::force_path() == fanout::ForcePath::Serial) {
-            // Scalar twin of the batch path below, candidate for
-            // candidate: the benches' regression anchor, byte-identical
-            // by the shared-draw construction.
-            tree_.for_each_in_radius(
-                tx_pos, cull_radius_m_, [&](std::uint32_t i, geom::Vec2 /*cached*/) {
-                    if (radios_[i] == &sender) return;
-                    // Exact test against the *live* position: the cached
-                    // one only bucketed the radio, and the cell window is
-                    // padded so every in-radius radio is a candidate.
-                    if (geom::distance_sq(radios_[i]->position(), tx_pos) > r2) return;
-                    visit(i);
-                });
-        } else {
-            // Vectorized fanout: gather the window's candidates (cached
-            // slot positions — equal to the live ones under the
-            // note_position_moved contract the Debug sweep above just
-            // verified) into the SoA batch, run the blocked cull +
-            // channel-term kernel, then the scalar draw tail in ascending
-            // lane order. The radius cache prunes provably-out-of-disk
-            // window cells before the gather in dense neighbourhoods.
-            fanout_batch_.clear();
-            const auto sender_idx =
-                static_cast<std::uint32_t>(sender.attach_index());
-            // The sender is gathered like any candidate (no per-candidate
-            // branch on the hot gather) and filtered below, where the
-            // check runs once per *kept* lane instead of once per lane.
-            tree_.for_each_in_radius(
-                tx_pos, cull_radius_m_, &radius_cache_,
-                [&](std::uint32_t i, geom::Vec2 cached) {
-                    fanout_batch_.push(i, cached.x, cached.y);
-                });
-            fanout_batch_.seal();
-            const std::size_t kept = fanout::cull_and_prepare(
-                fanout::make_plan(fanout_batch_, tx_pos, r2, channel_));
-            for (std::size_t k = 0; k < kept; ++k) {
-                const std::size_t l = fanout_batch_.kept_lanes[k];
-                if (fanout_batch_.idx[l] == sender_idx) continue;
+        // Vectorized fanout: gather the window's candidates (cached slot
+        // positions — equal to the live ones under the note_position_moved
+        // contract the Debug sweep above just verified) into the SoA batch,
+        // run the blocked cull + channel-term kernel, then the scalar draw
+        // tail in ascending lane order. The radius cache prunes
+        // provably-out-of-disk window cells before the gather in dense
+        // neighbourhoods.
+        fanout_batch_.clear();
+        const auto sender_idx = static_cast<std::uint32_t>(sender.attach_index());
+        // The sender is gathered like any candidate (no per-candidate branch
+        // on the hot gather) and filtered below, where the check runs once
+        // per *kept* lane instead of once per lane.
+        tree_.for_each_in_radius(tx_pos, cull_radius_m_, &radius_cache_,
+                                 [&](std::uint32_t i, geom::Vec2 cached) {
+                                     fanout_batch_.push(i, cached.x, cached.y);
+                                 });
+        fanout_batch_.seal();
+        const std::size_t kept = fanout::cull_and_prepare(fanout::make_plan(
+            fanout_batch_, tx_pos, cull_radius_m_ * cull_radius_m_, channel_));
+        for (std::size_t k = 0; k < kept; ++k) {
+            const std::size_t l = fanout_batch_.kept_lanes[k];
+            if (fanout_batch_.idx[l] == sender_idx) continue;
 #ifndef NDEBUG
-                // Decodability-threshold invariant: every kept lane lies
-                // within the influence radius, where the mean plus the
-                // maximum clamped shadowing boost reaches carrier sense
-                // (the 1e-2 dB tolerance absorbs the radius inflation
-                // sliver the cull radius adds over the influence range).
-                assert(fanout_batch_.mean_dbm[l] +
-                           channel_.config().shadowing_clamp_sigmas *
-                               fanout_batch_.sigma_db[l] >=
-                       channel_.config().carrier_sense_dbm - 1e-2);
+            // Decodability-threshold invariant: every kept lane lies within
+            // the influence radius, where the mean plus the maximum clamped
+            // shadowing boost reaches carrier sense (the 1e-2 dB tolerance
+            // absorbs the radius inflation sliver the cull radius adds over
+            // the influence range).
+            assert(fanout_batch_.mean_dbm[l] +
+                       channel_.config().shadowing_clamp_sigmas *
+                           fanout_batch_.sigma_db[l] >=
+                   channel_.config().carrier_sense_dbm - 1e-2);
 #endif
-                draw(fanout_batch_.idx[l], fanout_batch_.mean_dbm[l],
-                     fanout_batch_.sigma_db[l], fanout_batch_.fade_db[l]);
-            }
+            draw(fanout_batch_.idx[l], fanout_batch_.mean_dbm[l],
+                 fanout_batch_.sigma_db[l], fanout_batch_.fade_db[l]);
         }
         // The CCA run below fires its elements in tag order, which must be
         // attach order: the unculled sweep records receivers ascending, and
@@ -295,7 +265,18 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                       return a.node < b.node;
                   });
     } else {
-        for (std::size_t i = 0; i < radios_.size(); ++i) visit(i);
+        // The unculled sweep, the batch fanout's whole-run reference:
+        // live-position distance, then the draw tail. The channel terms here
+        // and in the kernels are the same out-of-line functions over the
+        // same IEEE distance, so both routes feed draw() identical inputs.
+        for (std::size_t i = 0; i < radios_.size(); ++i) {
+            Radio* r = radios_[i];
+            if (r == &sender) continue;
+            if (available_[i] == 0) continue;  // dead air for dead radios
+            const double dist = geom::distance(r->position(), tx_pos);
+            draw(i, channel_.mean_rssi_dbm(dist), channel_.shadowing_sigma_db(dist),
+                 channel_.fade_mean_db(dist));
+        }
     }
     stats_.radios_visited += visited;
     stats_.radios_culled += static_cast<std::uint64_t>(radios_.size()) - 1 - visited;

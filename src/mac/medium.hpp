@@ -171,8 +171,8 @@ class Medium {
     /// Cell-tree traffic statistics. Unregistered — see CellTreeStats.
     const spatial::CellTreeStats& index_stats() const { return tree_.stats(); }
 
-    /// The spatial.radius_cache.* family (zeros under the Serial force
-    /// path). Unregistered — see RadiusCacheStats.
+    /// The spatial.radius_cache.* family (zeros without interference
+    /// culling). Unregistered — see RadiusCacheStats.
     const spatial::RadiusCacheStats& radius_cache_stats() const {
         return radius_cache_.stats();
     }

@@ -56,6 +56,11 @@ void Radio::set_state(energy::RadioState next) {
 sim::Duration Radio::airtime(const net::Packet& packet) const {
     const double payload_s =
         static_cast<double>(packet.wire_bytes()) * 8.0 / config_.bitrate_bps;
+    if (!sim::Duration::fits_seconds(payload_s)) {
+        throw std::invalid_argument("MacConfig: bitrate_bps puts a " +
+                                    std::to_string(packet.wire_bytes()) +
+                                    "-byte frame's airtime beyond the Duration range");
+    }
     return config_.plcp_preamble + sim::Duration::seconds(payload_s);
 }
 

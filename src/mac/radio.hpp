@@ -83,6 +83,8 @@ class Radio {
     void send(net::Packet packet);
 
     /// Time on air for a packet of this size (PLCP preamble + payload bits).
+    /// Throws std::invalid_argument naming bitrate_bps when the payload time
+    /// does not fit a Duration.
     sim::Duration airtime(const net::Packet& packet) const;
 
     /// Powers down to sleep. Pending CSMA attempts pause (resume on wake);

@@ -1,8 +1,10 @@
 #include "phy/pdf_table.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -57,13 +59,30 @@ double DistancePdf::density(double distance_m) const {
     return std::exp(-0.5 * z * z) / (sigma_m * std::sqrt(2.0 * kPi));
 }
 
+void CalibrationConfig::validate(std::string_view root, const std::string& prefix) const {
+    sim::fields::check(*this, root, prefix);
+    const std::string at = std::string(root) + ": ";
+    if (max_distance_m <= min_distance_m) {
+        throw std::invalid_argument(at + "need " + prefix + "min_distance_m < " + prefix +
+                                    "max_distance_m");
+    }
+    // Below one ulp of max_distance_m, `d += step` can round back to d and
+    // the sweep never ends.
+    const double min_step =
+        std::nextafter(max_distance_m, std::numeric_limits<double>::infinity()) -
+        max_distance_m;
+    if (distance_step_m < min_step) {
+        char buf[32];
+        throw std::invalid_argument(
+            at + prefix + "distance_step_m must be >= " +
+            std::string(buf, std::to_chars(buf, buf + sizeof buf, min_step).ptr) +
+            " (one ulp of " + prefix + "max_distance_m)");
+    }
+}
+
 PdfTable PdfTable::calibrate(const Channel& channel, const CalibrationConfig& config,
                              sim::RandomStream rng) {
-    sim::fields::check(config, "CalibrationConfig");
-    if (config.max_distance_m <= config.min_distance_m) {
-        throw std::invalid_argument(
-            "CalibrationConfig: need min_distance_m < max_distance_m");
-    }
+    config.validate();
 
     // Sweep the field: many RSSI observations at each distance, binned by
     // integer dBm. Under a uniform sweep this collects, per bin, samples of

@@ -2,6 +2,8 @@
 
 #include <iosfwd>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "phy/channel.hpp"
@@ -51,8 +53,8 @@ struct CalibrationConfig {
     /// either side of the boundary are healed to match their neighbourhood.
     bool enforce_contiguous_regime = true;
 
-    /// The field list (sim/fields.hpp). PdfTable::calibrate adds the
-    /// cross-field rule min_distance_m < max_distance_m.
+    /// The field list (sim/fields.hpp). validate() adds the cross-field
+    /// rules.
     static constexpr auto fields() {
         using namespace sim::fields;
         using C = CalibrationConfig;
@@ -67,6 +69,15 @@ struct CalibrationConfig {
             field("enforce_contiguous_regime", &C::enforce_contiguous_regime),
         };
     }
+
+    /// Throws std::invalid_argument naming the first field outside its rule,
+    /// then on the cross-field rules: min_distance_m < max_distance_m, and
+    /// distance_step_m at least one ulp of max_distance_m, so that every
+    /// `d += distance_step_m` of the sweep with d <= max_distance_m advances.
+    /// Messages read "<root>: <prefix><field> ..."; a ScenarioConfig passes
+    /// its own root and the prefix "calibration.".
+    void validate(std::string_view root = "CalibrationConfig",
+                  const std::string& prefix = "") const;
 };
 static_assert(sim::fields::lists_every_member<CalibrationConfig>());
 

@@ -133,12 +133,13 @@ consteval bool lists_every_member() {
     return std::tuple_size_v<decltype(S::fields())> == detail::count_members<S>();
 }
 
-/// Throws std::invalid_argument "<root>: <path> must be <rule>" for the
-/// first field of `s`, in list order and nested lists included, whose value
-/// its rule rejects.
+/// Throws std::invalid_argument "<root>: <prefix><path> must be <rule>" for
+/// the first field of `s`, in list order and nested lists included, whose
+/// value its rule rejects. `prefix` is the path of `s` inside the root, ""
+/// or ending in '.'.
 template <Listed S>
-void check(const S& s, std::string_view root) {
-    detail::check(s, root, "");
+void check(const S& s, std::string_view root, const std::string& prefix = "") {
+    detail::check(s, root, prefix);
 }
 
 /// Appends every field of `s` to checkpoint writer `w` in list order, one

@@ -455,11 +455,11 @@ TEST(BayesGridKernel, MillionCellMassDrift) {
     EXPECT_TRUE(cfg.area.contains(g.mean()));
 }
 
-/// Restores the global kernel-path override on scope exit, so a failing
-/// assertion can't leak a forced path into later tests.
-struct ForcePathGuard {
-    explicit ForcePathGuard(gridk::ForcePath p) { gridk::set_force_path(p); }
-    ~ForcePathGuard() { gridk::set_force_path(gridk::ForcePath::None); }
+/// Forces the portable kernels until scope exit, so a failing assertion
+/// can't leak the override into later tests.
+struct ForceGenericGuard {
+    ForceGenericGuard() { gridk::set_force_generic(true); }
+    ~ForceGenericGuard() { gridk::set_force_generic(false); }
 };
 
 /// Randomized oracle equivalence of the blocked/SIMD apply path against
@@ -546,7 +546,7 @@ TEST(BayesGridKernel, DispatchedAndGenericPathsAreBitwiseIdentical) {
         make_pdf(1.0, 0.7)};
     for (const auto& pdf : pdfs) dispatched.apply_constraint(anchor, pdf);
     {
-        ForcePathGuard guard(gridk::ForcePath::Generic);
+        ForceGenericGuard guard;
         for (const auto& pdf : pdfs) generic.apply_constraint(anchor, pdf);
     }
 
@@ -560,25 +560,6 @@ TEST(BayesGridKernel, DispatchedAndGenericPathsAreBitwiseIdentical) {
     EXPECT_EQ(dispatched.mean().x, generic.mean().x);
     EXPECT_EQ(dispatched.mean().y, generic.mean().y);
     EXPECT_EQ(dispatched.spread(), generic.spread());
-}
-
-/// ForcePath::Serial bypasses the blocked kernels entirely (the sequential
-/// twin the _scalar benches time). It is tolerance-equivalent, not bitwise.
-TEST(BayesGridKernel, SerialTwinMatchesWithinTolerance) {
-    GridConfig cfg = paper_grid();
-    BayesGrid blocked(cfg);
-    BayesGrid serial(cfg);
-    const phy::DistancePdf pdf = make_pdf(60.0, 5.0);
-    blocked.apply_constraint({80.0, 90.0}, pdf);
-    {
-        ForcePathGuard guard(gridk::ForcePath::Serial);
-        serial.apply_constraint({80.0, 90.0}, pdf);
-    }
-    EXPECT_NEAR(serial.total_mass(), 1.0, 1e-10);
-    const double scale = cfg.area.diagonal();
-    EXPECT_NEAR(blocked.mean().x, serial.mean().x, 1e-9 * scale);
-    EXPECT_NEAR(blocked.mean().y, serial.mean().y, 1e-9 * scale);
-    EXPECT_NEAR(blocked.spread(), serial.spread(), 1e-9 * scale);
 }
 
 // mean()/spread() are one fused cached pass; mutation invalidates the cache.

@@ -425,6 +425,9 @@ TEST(CheckpointFormat, RestoreRejectsOutOfRangeConfigFields) {
          [](auto& c, double v) { c.blind_beacon_max_spread_m = v; }},
         {"anchor_position_sigma_m", -1.0,
          [](auto& c, double v) { c.anchor_position_sigma_m = v; }},
+        // Positive, but too small for `d += step` to advance the sweep.
+        {"calibration.distance_step_m", 1e-300,
+         [](auto& c, double v) { c.calibration.distance_step_m = v; }},
     };
     const double sentinel = 0.4140625;  // exact in binary, valid for every case
     const auto table = core::Scenario(fuzz_config()).pdf_table_ptr();

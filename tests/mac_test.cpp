@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -387,6 +388,22 @@ TEST_F(MacFixture, InvalidConstructionThrows) {
     EXPECT_THROW(Radio(sim_, medium_, 0, [] { return Vec2{}; },
                        PowerProfile::wavelan(), sim_.rng().stream("x"), bad),
                  std::invalid_argument);
+}
+
+/// A positive but tiny bitrate passes MacConfig's field rule; the frame it
+/// would put on air lasts ~1e303 s, which must be refused by name rather
+/// than converted out of the int64 nanosecond range.
+TEST_F(MacFixture, AirtimeBeyondDurationRangeThrows) {
+    MacConfig slow = zero_backoff();
+    slow.bitrate_bps = 1e-300;
+    Radio& tx = add_radio({0.0, 0.0}, slow);
+    sim_.schedule_at(TimePoint::from_seconds(1.0), [&] { tx.send(test_packet()); });
+    try {
+        sim_.run();
+        ADD_FAILURE() << "a frame at 1e-300 bit/s went on air";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("bitrate_bps"), std::string::npos) << e.what();
+    }
 }
 
 TEST_F(MacFixture, DoubleSleepAndWakeAreIdempotent) {

@@ -1,6 +1,6 @@
-// PR 8's determinism gates, in-process: the vectorized fanout kernels against
-// the generic oracle on edge layouts, the Serial (scalar-loop) force path
-// against the batch path over whole swarm runs, the sharded mobility tick at
+// Determinism gates of the swarm fanout, in-process: the vectorized fanout
+// kernels against the generic oracle on edge layouts, the batch path against
+// the unculled sweep over whole swarm runs, the sharded mobility tick at
 // several worker counts, the radius cache against brute force, and the
 // allocation-free steady state of the fanout scratch.
 
@@ -36,11 +36,11 @@ using cocoa::sim::Duration;
 using cocoa::sim::Simulator;
 using cocoa::sim::TimePoint;
 
-/// Restores the fanout force path on scope exit so a failing test cannot
-/// leak Serial/Generic mode into later tests (the dispatcher is global).
-struct ForcePathGuard {
-    explicit ForcePathGuard(fanout::ForcePath p) { fanout::set_force_path(p); }
-    ~ForcePathGuard() { fanout::set_force_path(fanout::ForcePath::None); }
+/// Sets the portable-kernel override until scope exit so a failing test
+/// cannot leak it into later tests (the dispatcher is global).
+struct ForceGenericGuard {
+    explicit ForceGenericGuard(bool on) { fanout::set_force_generic(on); }
+    ~ForceGenericGuard() { fanout::set_force_generic(false); }
 };
 
 // --- kernel vs oracle on edge layouts ----------------------------------------
@@ -59,11 +59,12 @@ void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& 
     EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double))) << what;
 }
 
-/// Runs cull_and_prepare over `positions` under the given force path and
-/// snapshots per-lane outputs (kept lanes only carry defined values).
+/// Runs cull_and_prepare over `positions`, on the portable instantiation
+/// when `generic`, and snapshots per-lane outputs (kept lanes only carry
+/// defined values).
 KernelOutputs run_kernel(const std::vector<Vec2>& positions, Vec2 tx, double radius,
-                         const phy::Channel& channel, fanout::ForcePath path) {
-    ForcePathGuard guard(path);
+                         const phy::Channel& channel, bool generic) {
+    ForceGenericGuard guard(generic);
     fanout::Batch batch;
     for (std::size_t i = 0; i < positions.size(); ++i) {
         batch.push(static_cast<std::uint32_t>(i), positions[i].x, positions[i].y);
@@ -104,14 +105,11 @@ TEST(FanoutKernels, SimdMatchesGenericOracleOnEdgeLayouts) {
             positions.push_back(tx + Vec2::from_heading(theta) * r);
         }
         // Pin the boundary exactly once per non-empty layout: a candidate at
-        // precisely the cull radius must be kept (<= r2, matching the scalar
-        // loop's > r2 reject).
+        // precisely the cull radius must be kept (the cull keeps <= r2).
         if (count > 0) positions[0] = tx + Vec2{radius, 0.0};
 
-        const KernelOutputs generic =
-            run_kernel(positions, tx, radius, channel, fanout::ForcePath::Generic);
-        const KernelOutputs active =
-            run_kernel(positions, tx, radius, channel, fanout::ForcePath::None);
+        const KernelOutputs generic = run_kernel(positions, tx, radius, channel, true);
+        const KernelOutputs active = run_kernel(positions, tx, radius, channel, false);
 
         EXPECT_EQ(generic.kept, active.kept);
         EXPECT_EQ(generic.keep, active.keep);
@@ -120,7 +118,7 @@ TEST(FanoutKernels, SimdMatchesGenericOracleOnEdgeLayouts) {
         expect_bits_equal(generic.sigma, active.sigma, "sigma");
         expect_bits_equal(generic.fade, active.fade, "fade");
 
-        // And both agree with the scalar expressions the Serial loop uses.
+        // And both agree with the scalar expressions the unculled sweep uses.
         std::size_t k = 0;
         for (std::size_t i = 0; i < positions.size(); ++i) {
             const bool in = geom::distance_sq(positions[i], tx) <= radius * radius;
@@ -187,49 +185,34 @@ TEST(ParallelSwarm, ShardedMobilityTickIsByteIdenticalAtAnyWorkerCount) {
     }
 }
 
-/// Tentpole (b): the vectorized fanout path (batch gather + blocked kernel +
-/// radius cache) produces byte-identical swarm runs to the scalar
-/// per-candidate loop it replaced (the Serial force path).
-TEST(ParallelSwarm, VectorizedFanoutMatchesScalarLoopOverWholeRuns) {
-    const core::SwarmConfig config = small_swarm();
-    core::SwarmResult scalar;
-    {
-        ForcePathGuard guard(fanout::ForcePath::Serial);
-        scalar = core::run_swarm(config);
-    }
-    const core::SwarmResult simd = core::run_swarm(config);
-    expect_same_run(scalar, simd, "serial vs batch");
-    // The Serial run never touched the cache or the batch...
-    EXPECT_EQ(scalar.radius_cache_stats.lookups, 0u);
-    // ...while the batch run leaned on it: dense center tiles consult the
-    // LRU, repeated quanta hit, and corner quanta prune whole window cells.
-    EXPECT_GT(simd.radius_cache_stats.lookups, 0u);
-    EXPECT_GT(simd.radius_cache_stats.hits, 0u);
-    EXPECT_GT(simd.radius_cache_stats.cells_pruned, 0u);
-    EXPECT_EQ(simd.radius_cache_stats.hits + simd.radius_cache_stats.misses,
-              simd.radius_cache_stats.lookups);
-}
-
-/// Tentpole (b+c) x brute force: the batch+cache path also matches the
-/// unculled sweep over every radio run for run, and the sharded tick
-/// composes with both.
+/// The batch+cache path matches the unculled sweep over every radio, run
+/// for run, inline and under the sharded tick.
 TEST(ParallelSwarm, BackendsStayIdenticalUnderShardingAndKernels) {
-    core::SwarmConfig config = small_swarm();
-    config.mobility_threads = 2;
-    const core::SwarmResult tree = core::run_swarm(config);
-    config.medium.interference_culling = false;
-    const core::SwarmResult sweep = core::run_swarm(config);
-    SCOPED_TRACE("culled vs unculled @2 workers");
-    EXPECT_EQ(tree.executed_events, sweep.executed_events);
-    EXPECT_EQ(tree.medium_stats.frames_sent, sweep.medium_stats.frames_sent);
-    EXPECT_EQ(tree.medium_stats.missed_asleep, sweep.medium_stats.missed_asleep);
-    EXPECT_EQ(tree.frames_delivered, sweep.frames_delivered);
-    ASSERT_EQ(tree.final_positions.size(), sweep.final_positions.size());
-    for (std::size_t i = 0; i < tree.final_positions.size(); ++i) {
-        ASSERT_EQ(tree.final_positions[i], sweep.final_positions[i]) << "node " << i;
+    for (const int threads : {0, 2}) {
+        SCOPED_TRACE(threads);
+        core::SwarmConfig config = small_swarm();
+        config.mobility_threads = threads;
+        const core::SwarmResult tree = core::run_swarm(config);
+        config.medium.interference_culling = false;
+        const core::SwarmResult sweep = core::run_swarm(config);
+        EXPECT_EQ(tree.executed_events, sweep.executed_events);
+        EXPECT_EQ(tree.medium_stats.frames_sent, sweep.medium_stats.frames_sent);
+        EXPECT_EQ(tree.medium_stats.missed_asleep, sweep.medium_stats.missed_asleep);
+        EXPECT_EQ(tree.frames_delivered, sweep.frames_delivered);
+        ASSERT_EQ(tree.final_positions.size(), sweep.final_positions.size());
+        for (std::size_t i = 0; i < tree.final_positions.size(); ++i) {
+            ASSERT_EQ(tree.final_positions[i], sweep.final_positions[i]) << "node " << i;
+        }
+        // The batch run leaned on the radius cache: dense center tiles
+        // consult the LRU, repeated quanta hit, and corner quanta prune whole
+        // window cells. The sweep never queries the index.
+        EXPECT_GT(tree.radius_cache_stats.lookups, 0u);
+        EXPECT_GT(tree.radius_cache_stats.hits, 0u);
+        EXPECT_GT(tree.radius_cache_stats.cells_pruned, 0u);
+        EXPECT_EQ(tree.radius_cache_stats.hits + tree.radius_cache_stats.misses,
+                  tree.radius_cache_stats.lookups);
+        EXPECT_EQ(sweep.radius_cache_stats.lookups, 0u);
     }
-    // The sweep never queries the index: no cache traffic there.
-    EXPECT_EQ(sweep.radius_cache_stats.lookups, 0u);
 }
 
 // --- radius cache vs brute force ---------------------------------------------

@@ -17,7 +17,6 @@
 #include "sim/callback.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/log.hpp"
 #include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -804,30 +803,6 @@ TEST(Simulator, CancelledEventDoesNotFire) {
     EXPECT_TRUE(sim.cancel(id));
     sim.run();
     EXPECT_FALSE(fired);
-}
-
-TEST(Logger, RespectsLevel) {
-    Logger& logger = Logger::instance();
-    std::ostringstream sink;
-    logger.set_sink(&sink);
-    logger.set_level(LogLevel::Warn);
-    log_if(LogLevel::Debug, TimePoint::from_seconds(1.0), "test", [] { return "hidden"; });
-    log_if(LogLevel::Error, TimePoint::from_seconds(2.0), "test", [] { return "shown"; });
-    logger.set_sink(nullptr);
-    EXPECT_EQ(sink.str().find("hidden"), std::string::npos);
-    EXPECT_NE(sink.str().find("shown"), std::string::npos);
-    EXPECT_NE(sink.str().find("test"), std::string::npos);
-}
-
-TEST(Logger, OffSilencesEverything) {
-    Logger& logger = Logger::instance();
-    std::ostringstream sink;
-    logger.set_sink(&sink);
-    logger.set_level(LogLevel::Off);
-    log_if(LogLevel::Error, TimePoint::origin(), "x", [] { return "nope"; });
-    logger.set_sink(nullptr);
-    logger.set_level(LogLevel::Warn);
-    EXPECT_TRUE(sink.str().empty());
 }
 
 }  // namespace

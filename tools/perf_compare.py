@@ -8,7 +8,9 @@ normalized by the *median* ratio across the whole suite — uniform machine
 speed cancels out, and only benchmarks that moved relative to their peers
 remain. The gate is deliberately generous (default: fail only when a
 benchmark got more than 2x slower after normalization); it exists to catch
-accidental algorithmic regressions, not nanosecond drift.
+accidental algorithmic regressions, not nanosecond drift. Every baseline
+entry must appear in the fresh run: a baselined bench that stopped running
+(deleted, renamed or filtered out) is bad input, not a pass.
 
 Usage: perf_compare.py BASELINE FRESH [--tolerance 2.0]
 Exit status: 0 = within tolerance, 1 = regression, 2 = bad input.
@@ -61,12 +63,18 @@ def main():
     base = load(args.baseline)
     fresh = load(args.fresh)
 
+    missing = sorted(set(base) - set(fresh))
+    if missing:
+        bad_input(f"{args.fresh} lacks {len(missing)} baseline "
+                  f"entr{'y' if len(missing) == 1 else 'ies'}: "
+                  f"{', '.join(missing)}. Run the whole suite, or, after "
+                  f"deleting or renaming a bench, regenerate the baseline:\n"
+                  f"  COCOA_BENCH_JSON=bench/baseline/BENCH_baseline.json "
+                  f"./build/bench/micro_core")
     common = sorted(set(base) & set(fresh))
     if len(common) < 3:
         bad_input(f"only {len(common)} comparable entries "
                   f"between {args.baseline} and {args.fresh}")
-    for name in sorted(set(base) - set(fresh)):
-        print(f"  note: in baseline only (renamed/removed?): {name}")
     for name in sorted(set(fresh) - set(base)):
         print(f"  note: new, no baseline yet: {name}")
 

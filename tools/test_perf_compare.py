@@ -5,7 +5,8 @@ perf_compare is the CI perf gate; a crash in the gate script reads as a perf
 regression and blocks unrelated PRs, so its failure modes are pinned here:
 zero-valued baseline entries must be skipped with a note (not divide or
 KeyError), and bad input (unreadable files, a foreign schema, too few usable
-entries) must exit 2 with an actionable message instead of a traceback. The committed baseline itself is
+entries, a baseline entry the fresh run lacks) must exit 2 with an actionable
+message instead of a traceback. The committed baseline itself is
 checked too: every entry must be in nanoseconds, whatever unit the bench
 prints in, and must name a benchmark micro_core still defines.
 """
@@ -101,6 +102,21 @@ class PerfCompareTest(unittest.TestCase):
         self.assertEqual(result.returncode, 2, result.stderr)
         self.assertNotIn("Traceback", result.stderr)
         self.assertIn("comparable entries", result.stderr)
+
+    def test_baseline_entry_missing_from_fresh_exits_2(self):
+        # A baselined bench that no longer runs must fail the gate, not
+        # shrink it silently; new fresh-only entries stay a note.
+        base = self.write("base.json", doc(
+            [("BM_A", 100.0), ("BM_B", 200.0), ("BM_C", 50.0), ("BM_D", 75.0)],
+            [("fig7", 2.0)]))
+        fresh = self.write("fresh.json", doc(
+            [("BM_A", 100.0), ("BM_C", 50.0), ("BM_D", 75.0), ("BM_E", 1.0)]))
+        result = self.run_tool(base, fresh)
+        self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
+        self.assertNotIn("Traceback", result.stderr)
+        self.assertIn("lacks 2 baseline entries: BM_B, scenario:fig7",
+                      result.stderr)
+        self.assertIn("COCOA_BENCH_JSON", result.stderr)
 
     def test_scenarios_ride_through(self):
         base = self.write("base.json", doc(
