@@ -422,70 +422,24 @@ namespace {
 constexpr std::uint32_t kMarkAgent = 0x41474e54u;  // "AGNT"
 }
 
-void CocoaAgent::save_state(sim::ckpt::Writer& w) const {
+template <typename Ar, typename Self>
+void CocoaAgent::walk(Ar& ar, Self& a) {
     // Fold any pooled fix first: the straight run folds it at its next
     // resolution point, so the settled state is the canonical one.
-    resolve_pending();
-    w.mark(kMarkAgent);
-    w.b(is_sync_robot_);
-    w.dur(config_.period);  // SYNC retuning mutates these two at runtime
-    w.dur(config_.window);
-    odometry_.save(w);
-    estimator_->save_state(w);
-    w.f64(last_odometry_position_.x);
-    w.f64(last_odometry_position_.y);
-    w.time(last_predict_time_);
-    noise_rng_.save(w);
-    w.u64(window_beacons_.size());
-    for (const BeaconObservation& beacon : window_beacons_) {
-        w.f64(beacon.anchor_position.x);
-        w.f64(beacon.anchor_position.y);
-        w.f64(beacon.rssi_dbm);
+    if constexpr (!Ar::loading) a.resolve_pending();
+    ar.mark(kMarkAgent);
+    // SYNC retuning mutates the period and window at runtime.
+    ar(a.is_sync_robot_, a.config_.period, a.config_.window, a.odometry_);
+    if constexpr (Ar::loading) {
+        a.estimator_->load_state(ar);
+    } else {
+        a.estimator_->save_state(ar);
     }
-    w.f64(clock_offset_s_);
-    w.time(period_start_);
-    w.time(last_sync_heard_);
-    w.u32(sync_seq_);
-    w.u64(stats_.beacons_sent);
-    w.u64(stats_.blind_beacons_sent);
-    w.u64(stats_.beacons_received);
-    w.u64(stats_.fixes);
-    w.u64(stats_.windows_without_fix);
-    w.u64(stats_.syncs_received);
-    w.u64(stats_.sync_takeovers);
+    ar(a.last_odometry_position_, a.last_predict_time_, a.noise_rng_, a.window_beacons_,
+       a.clock_offset_s_, a.period_start_, a.last_sync_heard_, a.sync_seq_, a.stats_);
 }
-
-void CocoaAgent::load_state(sim::ckpt::Reader& r) {
-    r.expect(kMarkAgent);
-    is_sync_robot_ = r.b();
-    config_.period = r.dur();
-    config_.window = r.dur();
-    odometry_.load(r);
-    estimator_->load_state(r);
-    last_odometry_position_.x = r.f64();
-    last_odometry_position_.y = r.f64();
-    last_predict_time_ = r.time();
-    noise_rng_.load(r);
-    window_beacons_.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) {
-        BeaconObservation beacon;
-        beacon.anchor_position.x = r.f64();
-        beacon.anchor_position.y = r.f64();
-        beacon.rssi_dbm = r.f64();
-        window_beacons_.push_back(beacon);
-    }
-    clock_offset_s_ = r.f64();
-    period_start_ = r.time();
-    last_sync_heard_ = r.time();
-    sync_seq_ = r.u32();
-    stats_.beacons_sent = r.u64();
-    stats_.blind_beacons_sent = r.u64();
-    stats_.beacons_received = r.u64();
-    stats_.fixes = r.u64();
-    stats_.windows_without_fix = r.u64();
-    stats_.syncs_received = r.u64();
-    stats_.sync_takeovers = r.u64();
-}
+template void CocoaAgent::walk(sim::ckpt::Writer&, const CocoaAgent&);
+template void CocoaAgent::walk(sim::ckpt::Reader&, CocoaAgent&);
 
 sim::InplaceCallback CocoaAgent::rebuild_event(const sim::EventTag& tag) {
     const auto seq = static_cast<std::uint32_t>(tag.a);

@@ -190,12 +190,13 @@ class CocoaAgent {
     sim::Duration period() const { return config_.period; }
     sim::Duration window() const { return config_.window; }
 
-    /// Checkpoint: serializes the agent's protocol and belief state (clock,
-    /// period phase, window beacons, odometry, estimator backend, stats). A
-    /// pooled fix in flight is folded in first — observably invisible, since
-    /// the straight run folds it at its next resolution point anyway.
-    void save_state(sim::ckpt::Writer& w) const;
-    void load_state(sim::ckpt::Reader& r);
+    /// Checkpoint walk (sim/checkpoint.hpp): the agent's protocol and belief
+    /// state (clock, period phase, window beacons, odometry, estimator
+    /// backend, stats). A save folds a pooled fix in flight in first —
+    /// observably invisible, since the straight run folds it at its next
+    /// resolution point anyway.
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& a);
     /// Rebuilds the in-kernel callback for one of this agent's tagged events
     /// (kAgentWake / kAgentSyncSettle / kAgentBeacon / kAgentWindowEnd).
     sim::InplaceCallback rebuild_event(const sim::EventTag& tag);

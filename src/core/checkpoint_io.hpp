@@ -1,5 +1,7 @@
 #pragma once
 
+#include <type_traits>
+
 #include "core/scenario.hpp"
 #include "core/swarm.hpp"
 
@@ -10,12 +12,20 @@ class Reader;
 
 namespace cocoa::core {
 
-/// Serializes a complete ScenarioConfig / SwarmConfig into a checkpoint
-/// blob, walking each struct's field list (sim/fields.hpp), so a `--restore`
-/// in a fresh process can rebuild the exact scenario the blob was taken from
-/// without any side-channel configuration. The loaders read without range
-/// checks; Scenario and Swarm validate what they are built from. Layout
-/// changes bump ckpt::kFormatVersion.
+/// The config section of a checkpoint blob: a mark, then the struct's field
+/// list (sim/fields.hpp), so a `--restore` in a fresh process can rebuild the
+/// exact scenario the blob was taken from without any side-channel
+/// configuration. A restore reads without range checks; Scenario and Swarm
+/// validate what they are built from. Layout changes bump
+/// ckpt::kFormatVersion.
+template <typename Ar, typename Config>
+void walk_config(Ar& ar, Config& config) {
+    constexpr bool scenario = std::is_same_v<std::remove_const_t<Config>, ScenarioConfig>;
+    ar.mark(scenario ? 0x53434647u /* "SCFG" */ : 0x57434647u /* "WCFG" */);
+    ar(config);
+}
+
+/// walk_config entry points.
 void save_config(sim::ckpt::Writer& w, const ScenarioConfig& config);
 ScenarioConfig load_scenario_config(sim::ckpt::Reader& r);
 

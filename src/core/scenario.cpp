@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "net/packet_io.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/event_tag.hpp"
 
@@ -246,50 +245,40 @@ constexpr std::uint32_t kMarkScenario = 0x53434e4fu;  // "SCNO"
 constexpr std::uint32_t kMarkScenarioEnd = 0x4f4e4353u;
 }  // namespace
 
-void Scenario::save_state(sim::ckpt::Writer& w) const {
-    w.mark(kMarkScenario);
-    // One save context spans every subsystem: inner packets alias across
-    // medium frames, radio queues and ODMRP parked transmissions, and the
-    // blob must preserve that sharing (see net/packet_io.hpp).
-    net::PacketSaveCtx pkts;
-    for (const auto& node : world_->nodes()) {
-        node->mobility().save(w);
+template <typename Ar, typename Self>
+void Scenario::walk(Ar& ar, Self& s, const RebuilderHook& extra_rebuilders) {
+    ar.mark(kMarkScenario);
+    for (const auto& node : s.world_->nodes()) ar(node->mobility());
+    // Medium before radios: a radio's restore re-links its locked frame
+    // through Medium::restored_frame, so the medium must already be loaded.
+    ar(s.world_->medium());
+    for (const auto& node : s.world_->nodes()) ar(node->radio());
+    bool has_mcast = s.mcast_.has_value();
+    ar(has_mcast);
+    if (has_mcast != s.mcast_.has_value()) {
+        throw std::runtime_error("Scenario::load_state: multicast presence mismatch");
     }
-    // Medium before radios: Radio::load_state re-links locked frames through
-    // Medium::restored_frame, so the medium must already be loaded — save
-    // writes in load order.
-    world_->medium().save_state(w, pkts);
-    for (const auto& node : world_->nodes()) {
-        node->radio().save_state(w, pkts);
+    for (std::size_t i = 0; has_mcast && i < s.mcast_->size(); ++i) {
+        ar(s.mcast_->at(static_cast<net::NodeId>(i)));
     }
-    w.b(mcast_.has_value());
-    if (mcast_.has_value()) {
-        for (std::size_t i = 0; i < mcast_->size(); ++i) {
-            mcast_->at(static_cast<net::NodeId>(i)).save_state(w, pkts);
-        }
+    for (const auto& agent : s.agents_) ar(*agent);
+    // One metric series per robot: on_sample indexes them by agent id.
+    ar(s.avg_error_, sim::ckpt::fixed(s.node_error_), s.trace_, s.trace_interval_);
+    sim::ckpt::CallbackRegistry reg;
+    if constexpr (Ar::loading) {
+        s.register_rebuilders(reg);
+        if (extra_rebuilders) extra_rebuilders(reg);
     }
-    for (const auto& agent : agents_) {
-        agent->save_state(w);
-    }
-    avg_error_.save(w);
-    w.u64(node_error_.size());
-    for (const metrics::TimeSeries& series : node_error_) series.save(w);
-    w.u64(trace_.size());
-    for (const PositionTraceRow& row : trace_) {
-        w.time(row.time);
-        w.u32(row.node);
-        w.f64(row.truth.x);
-        w.f64(row.truth.y);
-        w.f64(row.estimate.x);
-        w.f64(row.estimate.y);
-    }
-    w.dur(trace_interval_);
-    sim_.save_kernel(w);
-    // Pool warmth last: the loads above acquire pooled packets themselves,
-    // and the warmth refill must top up the free lists after all of them.
-    world_->medium().save_pool_warmth(w);
-    w.mark(kMarkScenarioEnd);
+    sim::Simulator::walk_kernel(ar, s.sim_, reg);
+    // Pool warmth last: the restores above acquire pooled packets
+    // themselves, and the warmth refill must top up the free lists after all
+    // of them.
+    mac::Medium::walk_pools(ar, s.world_->medium());
+    if constexpr (Ar::loading) s.world_->medium().finish_restore();
+    ar.mark(kMarkScenarioEnd);
 }
+
+void Scenario::save_state(sim::ckpt::Writer& w) const { walk(w, *this, nullptr); }
 
 void Scenario::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
     reg.add(sim::EventKind::kScenarioTick, [this](const sim::EventTag&) {
@@ -325,56 +314,11 @@ void Scenario::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
     world_->medium().register_rebuilders(reg);
 }
 
-void Scenario::load_state(
-    sim::ckpt::Reader& r,
-    const std::function<void(sim::ckpt::CallbackRegistry&)>& extra_rebuilders) {
+void Scenario::load_state(sim::ckpt::Reader& r, const RebuilderHook& extra_rebuilders) {
     // Construction-time events (first tick/sample, agent period zero) are
     // superseded by the blob's pending-event list.
     sim_.clear_pending();
-    r.expect(kMarkScenario);
-    net::PacketLoadCtx pkts;
-    pkts.pool = &world_->medium().packet_pool();
-    for (const auto& node : world_->nodes()) {
-        node->mobility().load(r);
-    }
-    world_->medium().load_state(r, pkts);
-    for (const auto& node : world_->nodes()) {
-        node->radio().load_state(r, pkts);
-    }
-    const bool has_mcast = r.b();
-    if (has_mcast != mcast_.has_value()) {
-        throw std::runtime_error("Scenario::load_state: multicast presence mismatch");
-    }
-    if (mcast_.has_value()) {
-        for (std::size_t i = 0; i < mcast_->size(); ++i) {
-            mcast_->at(static_cast<net::NodeId>(i)).load_state(r, pkts);
-        }
-    }
-    for (auto& agent : agents_) {
-        agent->load_state(r);
-    }
-    avg_error_.load(r);
-    node_error_.resize(r.u64());
-    for (metrics::TimeSeries& series : node_error_) series.load(r);
-    trace_.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) {
-        PositionTraceRow row;
-        row.time = r.time();
-        row.node = r.u32();
-        row.truth.x = r.f64();
-        row.truth.y = r.f64();
-        row.estimate.x = r.f64();
-        row.estimate.y = r.f64();
-        trace_.push_back(row);
-    }
-    trace_interval_ = r.dur();
-    sim::ckpt::CallbackRegistry reg;
-    register_rebuilders(reg);
-    if (extra_rebuilders) extra_rebuilders(reg);
-    sim_.load_kernel(r, reg);
-    world_->medium().load_pool_warmth(r);
-    world_->medium().finish_restore();
-    r.expect(kMarkScenarioEnd);
+    walk(r, *this, extra_rebuilders);
 }
 
 std::vector<double> ScenarioResult::errors_at(sim::TimePoint t) const {

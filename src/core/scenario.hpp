@@ -237,13 +237,15 @@ class Scenario {
     /// pending-event queue — so a restored run is byte-identical to the
     /// straight run. Call only between events (after run_until returns).
     /// `extra_rebuilders` lets the caller register additional event kinds
-    /// (the armed FaultInjector) before the kernel reloads.
+    /// (the armed FaultInjector) before the kernel reloads. Both run one walk
+    /// (sim/checkpoint.hpp).
+    using RebuilderHook = std::function<void(sim::ckpt::CallbackRegistry&)>;
     void save_state(sim::ckpt::Writer& w) const;
-    void load_state(
-        sim::ckpt::Reader& r,
-        const std::function<void(sim::ckpt::CallbackRegistry&)>& extra_rebuilders = {});
+    void load_state(sim::ckpt::Reader& r, const RebuilderHook& extra_rebuilders = {});
 
   private:
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& s, const RebuilderHook& extra_rebuilders);
     void register_rebuilders(sim::ckpt::CallbackRegistry& reg);
     void on_tick();
     void on_sample();

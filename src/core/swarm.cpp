@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "mobility/waypoint.hpp"
-#include "net/packet_io.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/event_tag.hpp"
 #include "sim/simulator.hpp"
@@ -187,20 +186,21 @@ constexpr std::uint32_t kMarkSwarm = 0x5357524du;  // "SWRM"
 constexpr std::uint32_t kMarkSwarmEnd = 0x4d525753u;
 }  // namespace
 
-void Swarm::save_state(sim::ckpt::Writer& w) const {
-    w.mark(kMarkSwarm);
-    net::PacketSaveCtx pkts;
-    for (const auto& node : world_->nodes()) {
-        node->mobility().save(w);
-    }
-    world_->medium().save_state(w, pkts);
-    for (const auto& node : world_->nodes()) {
-        node->radio().save_state(w, pkts);
-    }
-    sim_.save_kernel(w);
-    world_->medium().save_pool_warmth(w);
-    w.mark(kMarkSwarmEnd);
+template <typename Ar, typename Self>
+void Swarm::walk(Ar& ar, Self& s) {
+    ar.mark(kMarkSwarm);
+    for (const auto& node : s.world_->nodes()) ar(node->mobility());
+    ar(s.world_->medium());
+    for (const auto& node : s.world_->nodes()) ar(node->radio());
+    sim::ckpt::CallbackRegistry reg;
+    if constexpr (Ar::loading) s.register_rebuilders(reg);
+    sim::Simulator::walk_kernel(ar, s.sim_, reg);
+    mac::Medium::walk_pools(ar, s.world_->medium());
+    if constexpr (Ar::loading) s.world_->medium().finish_restore();
+    ar.mark(kMarkSwarmEnd);
 }
+
+void Swarm::save_state(sim::ckpt::Writer& w) const { walk(w, *this); }
 
 void Swarm::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
     reg.add(sim::EventKind::kSwarmBeacon, [this](const sim::EventTag& tag) {
@@ -219,22 +219,7 @@ void Swarm::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
 
 void Swarm::load_state(sim::ckpt::Reader& r) {
     sim_.clear_pending();
-    r.expect(kMarkSwarm);
-    net::PacketLoadCtx pkts;
-    pkts.pool = &world_->medium().packet_pool();
-    for (const auto& node : world_->nodes()) {
-        node->mobility().load(r);
-    }
-    world_->medium().load_state(r, pkts);
-    for (const auto& node : world_->nodes()) {
-        node->radio().load_state(r, pkts);
-    }
-    sim::ckpt::CallbackRegistry reg;
-    register_rebuilders(reg);
-    sim_.load_kernel(r, reg);
-    world_->medium().load_pool_warmth(r);
-    world_->medium().finish_restore();
-    r.expect(kMarkSwarmEnd);
+    walk(r, *this);
 }
 
 SwarmResult run_swarm(const SwarmConfig& config) {

@@ -152,6 +152,8 @@ class Swarm {
     void load_state(sim::ckpt::Reader& r);
 
   private:
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& s);
     void beacon(int i);
     void doze(int i);
     void on_mobility_tick();

@@ -61,22 +61,8 @@ double EnergyMeter::total_mj() const {
     return std::accumulate(state_mj_.begin(), state_mj_.end(), transition_mj_);
 }
 
-void EnergyMeter::save(sim::ckpt::Writer& w) const {
-    w.u8(static_cast<std::uint8_t>(state_));
-    w.time(last_change_);
-    for (const double mj : state_mj_) w.f64(mj);
-    for (const sim::Duration t : state_time_) w.dur(t);
-    w.f64(transition_mj_);
-    w.u64(transitions_);
-}
+void EnergyMeter::save(sim::ckpt::Writer& w) const { w(*this); }
 
-void EnergyMeter::load(sim::ckpt::Reader& r) {
-    state_ = r.enumerator(RadioState::Tx);
-    last_change_ = r.time();
-    for (double& mj : state_mj_) mj = r.f64();
-    for (sim::Duration& t : state_time_) t = r.dur();
-    transition_mj_ = r.f64();
-    transitions_ = r.u64();
-}
+void EnergyMeter::load(sim::ckpt::Reader& r) { r(*this); }
 
 }  // namespace cocoa::energy

@@ -18,6 +18,7 @@ namespace cocoa::energy {
 
 /// Operating states of an 802.11 radio, ordered for array indexing.
 enum class RadioState : std::uint8_t { Off = 0, Sleep, Idle, Rx, Tx };
+constexpr RadioState last_enumerator(RadioState) { return RadioState::Tx; }
 
 constexpr std::size_t kNumRadioStates = 5;
 constexpr std::size_t index_of(RadioState s) { return static_cast<std::size_t>(s); }
@@ -98,8 +99,14 @@ class EnergyMeter {
         registry.add(prefix + "transitions", &transitions_);
     }
 
-    /// Checkpoints the accounting verbatim (state, book-close time, per-state
-    /// tallies). The profile is configuration and is not serialized.
+    /// Checkpoint walk (sim/checkpoint.hpp): the accounting verbatim (state,
+    /// book-close time, per-state tallies). The profile is configuration and
+    /// is not serialized.
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& m) {
+        ar(m.state_, m.last_change_, m.state_mj_, m.state_time_, m.transition_mj_,
+           m.transitions_);
+    }
     void save(sim::ckpt::Writer& w) const;
     void load(sim::ckpt::Reader& r);
 

@@ -78,35 +78,17 @@ void EkfClEstimator::register_counters(obs::CounterRegistry& registry,
     registry.add(node_prefix + "est.windows_missed", &stats_.windows_missed);
 }
 
-void EkfClEstimator::save_state(sim::ckpt::Writer& w) const {
-    Estimator::save_state(w);
-    const geom::Vec2& mean = ekf_.mean();
-    const core::Cov2& cov = ekf_.covariance();
-    w.f64(mean.x);
-    w.f64(mean.y);
-    w.f64(cov.xx);
-    w.f64(cov.xy);
-    w.f64(cov.yy);
-    w.i32(accepted_this_window_);
-    w.u64(stats_.updates_accepted);
-    w.u64(stats_.updates_gated);
-    w.u64(stats_.windows_missed);
+template <typename Ar, typename Self>
+void EkfClEstimator::walk(Ar& ar, Self& e) {
+    walk_fix_bookkeeping(ar, e);
+    geom::Vec2 mean = e.ekf_.mean();
+    core::Cov2 cov = e.ekf_.covariance();
+    ar(mean, cov, e.accepted_this_window_, e.stats_);
+    if constexpr (Ar::loading) e.ekf_.set_state(mean, cov);
 }
 
-void EkfClEstimator::load_state(sim::ckpt::Reader& r) {
-    Estimator::load_state(r);
-    geom::Vec2 mean;
-    core::Cov2 cov;
-    mean.x = r.f64();
-    mean.y = r.f64();
-    cov.xx = r.f64();
-    cov.xy = r.f64();
-    cov.yy = r.f64();
-    ekf_.set_state(mean, cov);
-    accepted_this_window_ = r.i32();
-    stats_.updates_accepted = r.u64();
-    stats_.updates_gated = r.u64();
-    stats_.windows_missed = r.u64();
-}
+void EkfClEstimator::save_state(sim::ckpt::Writer& w) const { walk(w, *this); }
+
+void EkfClEstimator::load_state(sim::ckpt::Reader& r) { walk(r, *this); }
 
 }  // namespace cocoa::est

@@ -5,7 +5,6 @@
 #include "est/ekf_cl.hpp"
 #include "est/grid.hpp"
 #include "est/lincvx.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace cocoa::est {
 
@@ -32,16 +31,6 @@ std::optional<Backend> parse_backend(std::string_view name) {
 const core::RfLocalizer::Stats& Estimator::localizer_stats() const {
     static const core::RfLocalizer::Stats kZero{};
     return kZero;
-}
-
-void Estimator::save_state(sim::ckpt::Writer& w) const {
-    w.b(ever_fixed_);
-    w.f64(last_fix_spread_m_);
-}
-
-void Estimator::load_state(sim::ckpt::Reader& r) {
-    ever_fixed_ = r.b();
-    last_fix_spread_m_ = r.f64();
 }
 
 std::unique_ptr<Estimator> make_estimator(

@@ -184,13 +184,18 @@ class Estimator {
     /// Scenario::result() aggregation is backend-agnostic.
     virtual const core::RfLocalizer::Stats& localizer_stats() const;
 
-    /// Checkpoints the belief state. Overrides must call the base first (it
-    /// writes the fix bookkeeping shared by every backend) and then append
-    /// backend-specific state; load_state mirrors byte-for-byte.
-    virtual void save_state(sim::ckpt::Writer& w) const;
-    virtual void load_state(sim::ckpt::Reader& r);
+    /// Checkpoints the belief state: each backend runs its one walk
+    /// (sim/checkpoint.hpp), which starts with walk_fix_bookkeeping().
+    virtual void save_state(sim::ckpt::Writer& w) const = 0;
+    virtual void load_state(sim::ckpt::Reader& r) = 0;
 
   protected:
+    /// The fix bookkeeping every backend shares, first in its walk.
+    template <typename Ar, typename Self>
+    static void walk_fix_bookkeeping(Ar& ar, Self& e) {
+        ar(e.ever_fixed_, e.last_fix_spread_m_);
+    }
+
     bool ever_fixed_ = false;
     double last_fix_spread_m_ = std::numeric_limits<double>::infinity();
 };

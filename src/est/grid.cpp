@@ -58,27 +58,16 @@ void GridEstimator::register_counters(obs::CounterRegistry& registry,
     localizer_.register_counters(registry, node_prefix + "localizer.");
 }
 
-void GridEstimator::save_state(sim::ckpt::Writer& w) const {
-    Estimator::save_state(w);
-    w.f64(rf_position_.x);
-    w.f64(rf_position_.y);
-    const core::RfLocalizer::Stats& s = localizer_.stats();
-    w.u64(s.fixes);
-    w.u64(s.rejected_too_few);
-    w.u64(s.beacons_without_bin);
-    w.u64(s.beacons_non_gaussian);
+template <typename Ar, typename Self>
+void GridEstimator::walk(Ar& ar, Self& e) {
+    walk_fix_bookkeeping(ar, e);
+    core::RfLocalizer::Stats stats = e.localizer_.stats();
+    ar(e.rf_position_, stats);
+    if constexpr (Ar::loading) e.localizer_.set_stats(stats);
 }
 
-void GridEstimator::load_state(sim::ckpt::Reader& r) {
-    Estimator::load_state(r);
-    rf_position_.x = r.f64();
-    rf_position_.y = r.f64();
-    core::RfLocalizer::Stats s;
-    s.fixes = r.u64();
-    s.rejected_too_few = r.u64();
-    s.beacons_without_bin = r.u64();
-    s.beacons_non_gaussian = r.u64();
-    localizer_.set_stats(s);
-}
+void GridEstimator::save_state(sim::ckpt::Writer& w) const { walk(w, *this); }
+
+void GridEstimator::load_state(sim::ckpt::Reader& r) { walk(r, *this); }
 
 }  // namespace cocoa::est

@@ -44,6 +44,9 @@ class GridEstimator final : public Estimator {
     void load_state(sim::ckpt::Reader& r) override;
 
   private:
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& e);
+
     core::RfLocalizer localizer_;
     mobility::OdometryEstimator* odometry_;
     geom::Vec2 center_;

@@ -102,26 +102,14 @@ void LinCvxEstimator::register_counters(obs::CounterRegistry& registry,
     registry.add(node_prefix + "est.beacons_skipped", &stats_.beacons_skipped);
 }
 
-void LinCvxEstimator::save_state(sim::ckpt::Writer& w) const {
-    Estimator::save_state(w);
-    w.f64(mean_.x);
-    w.f64(mean_.y);
-    w.f64(var_);
-    w.f64(pending_var_);
-    w.u64(stats_.fixes);
-    w.u64(stats_.beacons_used);
-    w.u64(stats_.beacons_skipped);
+template <typename Ar, typename Self>
+void LinCvxEstimator::walk(Ar& ar, Self& e) {
+    walk_fix_bookkeeping(ar, e);
+    ar(e.mean_, e.var_, e.pending_var_, e.stats_);
 }
 
-void LinCvxEstimator::load_state(sim::ckpt::Reader& r) {
-    Estimator::load_state(r);
-    mean_.x = r.f64();
-    mean_.y = r.f64();
-    var_ = r.f64();
-    pending_var_ = r.f64();
-    stats_.fixes = r.u64();
-    stats_.beacons_used = r.u64();
-    stats_.beacons_skipped = r.u64();
-}
+void LinCvxEstimator::save_state(sim::ckpt::Writer& w) const { walk(w, *this); }
+
+void LinCvxEstimator::load_state(sim::ckpt::Reader& r) { walk(r, *this); }
 
 }  // namespace cocoa::est

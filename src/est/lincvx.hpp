@@ -52,6 +52,9 @@ class LinCvxEstimator final : public Estimator {
     void load_state(sim::ckpt::Reader& r) override;
 
   private:
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& e);
+
     Config tuning_;
     std::shared_ptr<const phy::PdfTable> table_;
     geom::Rect area_;

@@ -10,60 +10,30 @@ namespace cocoa::exp {
 
 namespace {
 constexpr std::uint32_t kMarkPlan = 0x504c414eu;  // "PLAN"
+
+/// What a scenario blob carries before the run state: the config, whether a
+/// fault injector rides along and, if one does, its plan (the armed plan is
+/// part of the run state).
+template <typename Ar, typename Config, typename Plan>
+void walk_setup(Ar& ar, Config& config, bool& has_injector, Plan& plan) {
+    core::walk_config(ar, config);
+    ar(has_injector);
+    if (has_injector) {
+        ar.mark(kMarkPlan);
+        ar(plan);
+    }
+}
 }  // namespace
-
-void save_plan(sim::ckpt::Writer& w, const fault::FaultPlan& plan) {
-    w.mark(kMarkPlan);
-    w.u64(plan.events.size());
-    for (const fault::FaultEvent& e : plan.events) {
-        w.u32(static_cast<std::uint32_t>(e.kind));
-        w.time(e.at);
-        w.dur(e.duration);
-        w.i32(e.node);
-        w.i32(e.node_end);
-        w.f64(e.drop_prob);
-        w.f64(e.attenuation_db);
-        w.f64(e.offset_s);
-        w.f64(e.scale);
-        w.f64(e.budget_mj);
-    }
-    w.f64(plan.avail_threshold_m);
-    w.dur(plan.battery_check);
-}
-
-fault::FaultPlan load_plan(sim::ckpt::Reader& r) {
-    r.expect(kMarkPlan);
-    fault::FaultPlan plan;
-    const std::uint64_t n = r.u64();
-    plan.events.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        fault::FaultEvent e;
-        e.kind = r.enumerator(fault::FaultKind::Battery);
-        e.at = r.time();
-        e.duration = r.dur();
-        e.node = r.i32();
-        e.node_end = r.i32();
-        e.drop_prob = r.f64();
-        e.attenuation_db = r.f64();
-        e.offset_s = r.f64();
-        e.scale = r.f64();
-        e.budget_mj = r.f64();
-        plan.events.push_back(e);
-    }
-    plan.avail_threshold_m = r.f64();
-    plan.battery_check = r.dur();
-    return plan;
-}
 
 std::string save_scenario_checkpoint(const core::Scenario& scenario,
                                      const fault::FaultInjector* injector) {
+    static const fault::FaultPlan kNoPlan;
     sim::ckpt::Writer w;
     sim::ckpt::write_header(w, sim::ckpt::Flavor::kScenario);
-    core::save_config(w, scenario.config());
-    w.b(injector != nullptr);
-    if (injector != nullptr) save_plan(w, injector->plan());
+    bool has_injector = injector != nullptr;
+    walk_setup(w, scenario.config(), has_injector, has_injector ? injector->plan() : kNoPlan);
     scenario.save_state(w);
-    if (injector != nullptr) injector->save_state(w);
+    if (has_injector) w(*injector);
     return w.take();
 }
 
@@ -74,10 +44,10 @@ RestoredScenario restore_scenario_checkpoint(
         throw std::runtime_error(
             "restore_scenario_checkpoint: blob is not a scenario checkpoint");
     }
-    const core::ScenarioConfig config = core::load_scenario_config(r);
-    const bool has_injector = r.b();
+    core::ScenarioConfig config;
+    bool has_injector = false;
     fault::FaultPlan plan;
-    if (has_injector) plan = load_plan(r);
+    walk_setup(r, config, has_injector, plan);
 
     RestoredScenario out;
     out.scenario = std::make_unique<core::Scenario>(config, std::move(shared_table));
@@ -89,7 +59,7 @@ RestoredScenario restore_scenario_checkpoint(
         out.scenario->load_state(r, [&](sim::ckpt::CallbackRegistry& reg) {
             out.injector->register_rebuilders(reg);
         });
-        out.injector->load_state(r);
+        r(*out.injector);
     } else {
         out.scenario->load_state(r);
     }
@@ -100,7 +70,7 @@ RestoredScenario restore_scenario_checkpoint(
 std::string save_swarm_checkpoint(const core::Swarm& swarm) {
     sim::ckpt::Writer w;
     sim::ckpt::write_header(w, sim::ckpt::Flavor::kSwarm);
-    core::save_config(w, swarm.config());
+    core::walk_config(w, swarm.config());
     swarm.save_state(w);
     return w.take();
 }
@@ -111,7 +81,8 @@ std::unique_ptr<core::Swarm> restore_swarm_checkpoint(const std::string& blob) {
         throw std::runtime_error(
             "restore_swarm_checkpoint: blob is not a swarm checkpoint");
     }
-    const core::SwarmConfig config = core::load_swarm_config(r);
+    core::SwarmConfig config;
+    core::walk_config(r, config);
     auto swarm = std::make_unique<core::Swarm>(config);
     swarm->load_state(r);
     r.expect_end();

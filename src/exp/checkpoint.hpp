@@ -10,11 +10,6 @@
 
 namespace cocoa::exp {
 
-/// FaultPlan blob layout, shared by scenario checkpoints (the armed plan is
-/// part of the run state) and the CLI's --restore path.
-void save_plan(sim::ckpt::Writer& w, const fault::FaultPlan& plan);
-fault::FaultPlan load_plan(sim::ckpt::Reader& r);
-
 /// Serializes one scenario run — config, fault plan (when an injector is
 /// attached), full simulation state — into a self-contained blob a fresh
 /// process can resume byte-identically from. Call between events only

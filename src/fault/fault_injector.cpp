@@ -353,52 +353,19 @@ void FaultInjector::poll_reacquire(net::NodeId nid, sim::TimePoint recovered_at,
     schedule_reacquire_poll(nid, recovered_at, fixes_before);
 }
 
-void FaultInjector::save_state(sim::ckpt::Writer& w) const {
-    w.mark(kMarkFault);
-    w.b(armed_);
-    w.u64(stats_.crashes);
-    w.u64(stats_.reboots);
-    w.u64(stats_.outages);
-    w.u64(stats_.loss_bursts);
-    w.u64(stats_.clock_drifts);
-    w.u64(stats_.odometry_degrades);
-    w.u64(stats_.battery_deaths);
-    w.u64(stats_.reacquired);
-    w.u64(intervals_.size());
-    for (const auto& [start, end] : intervals_) {
-        w.time(start);
-        w.time(end);
-    }
-    w.u64(watches_started_);
-    w.f64(reacquire_s_sum_);
-}
-
-void FaultInjector::load_state(sim::ckpt::Reader& r) {
-    r.expect(kMarkFault);
-    armed_ = r.b();
-    stats_.crashes = r.u64();
-    stats_.reboots = r.u64();
-    stats_.outages = r.u64();
-    stats_.loss_bursts = r.u64();
-    stats_.clock_drifts = r.u64();
-    stats_.odometry_degrades = r.u64();
-    stats_.battery_deaths = r.u64();
-    stats_.reacquired = r.u64();
-    intervals_.clear();
-    const std::uint64_t n = r.u64();
-    intervals_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const sim::TimePoint start = r.time();
-        const sim::TimePoint end = r.time();
-        intervals_.emplace_back(start, end);
-    }
-    watches_started_ = r.u64();
-    reacquire_s_sum_ = r.f64();
+template <typename Ar, typename Self>
+void FaultInjector::walk(Ar& ar, Self& f) {
+    ar.mark(kMarkFault);
+    ar(f.armed_, f.stats_, f.intervals_, f.watches_started_, f.reacquire_s_sum_);
     // Pending fault events come back through the kernel blob (see
     // register_rebuilders) and loss bursts through the medium's own state;
     // only the counter registrations have to be redone here.
-    if (armed_ && !plan_.empty()) register_counters();
+    if constexpr (Ar::loading) {
+        if (f.armed_ && !f.plan_.empty()) f.register_counters();
+    }
 }
+template void FaultInjector::walk(sim::ckpt::Writer&, const FaultInjector&);
+template void FaultInjector::walk(sim::ckpt::Reader&, FaultInjector&);
 
 void FaultInjector::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
     reg.add(sim::EventKind::kFaultStrike, [this](const sim::EventTag& tag) {

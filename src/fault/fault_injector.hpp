@@ -109,13 +109,13 @@ class FaultInjector {
     /// Computes the resilience metrics from a finished run's result.
     ResilienceReport report(const core::ScenarioResult& result) const;
 
-    /// Checkpoint hooks. save_state captures the armed flag, realized
-    /// intervals and counters; load_state restores them and re-registers the
-    /// fault.* counters (when armed on a non-empty plan) without scheduling
-    /// anything — pending fault events come back through the kernel blob via
+    /// Checkpoint walk (sim/checkpoint.hpp): the armed flag, realized
+    /// intervals and counters. A restore also re-registers the fault.*
+    /// counters (when armed on a non-empty plan) without scheduling anything
+    /// — pending fault events come back through the kernel blob via
     /// register_rebuilders, and loss bursts through the medium's own state.
-    void save_state(sim::ckpt::Writer& w) const;
-    void load_state(sim::ckpt::Reader& r);
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& f);
     void register_rebuilders(sim::ckpt::CallbackRegistry& reg);
 
   private:

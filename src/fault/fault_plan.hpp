@@ -20,6 +20,7 @@ enum class FaultKind {
     OdometryDegrade,  ///< odometry noise sigmas scaled by `scale`
     Battery,          ///< radio dies when its meter passes an energy budget
 };
+constexpr FaultKind last_enumerator(FaultKind) { return FaultKind::Battery; }
 
 const char* to_string(FaultKind kind);
 

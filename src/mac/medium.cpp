@@ -9,7 +9,6 @@
 #include <string>
 
 #include "mac/radio.hpp"
-#include "net/packet_io.hpp"
 #include "sim/checkpoint.hpp"
 
 namespace cocoa::mac {
@@ -377,190 +376,95 @@ void Medium::truncate_transmission(Radio& sender) {
 
 namespace {
 constexpr std::uint32_t kMarkMedium = 0x4d45444du;  // "MEDM"
-constexpr std::uint32_t kMarkPools = 0x4c4f4f50u;   // "POOL"
-
-void save_core_warmth(sim::ckpt::Writer& w, const sim::SlabCore& core) {
-    w.u64(core.free_count());
-    const sim::PoolStats& s = core.stats();
-    w.u64(s.reused);
-    w.u64(s.fresh);
-    w.u64(s.oversize);
-}
-
-void load_core_warmth(sim::ckpt::Reader& r, sim::SlabCore& core) {
-    const std::uint64_t free_blocks = r.u64();
-    core.add_free_blocks(static_cast<std::size_t>(free_blocks));
-    sim::PoolStats s;
-    s.reused = r.u64();
-    s.fresh = r.u64();
-    s.oversize = r.u64();
-    core.set_stats(s);
-}
 }  // namespace
 
-void Medium::save_state(sim::ckpt::Writer& w, net::PacketSaveCtx& pkts) const {
-    w.mark(kMarkMedium);
-    w.u64(frame_seq_);
-    const auto& bursts = loss_.bursts();
-    w.u64(bursts.size());
-    for (const phy::LossBurst& b : bursts) {
-        w.time(b.start);
-        w.time(b.end);
-        w.f64(b.drop_prob);
-        w.f64(b.attenuation_db);
-    }
-    w.u64(stats_.frames_sent);
-    w.u64(stats_.missed_asleep);
-    w.u64(stats_.radios_visited);
-    w.u64(stats_.radios_culled);
-    w.u64(stats_.frames_truncated);
-    w.u64(stats_.fault_rx_dropped);
+template <typename Ar, typename Self>
+void Medium::walk(Ar& ar, Self& m) {
+    ar.mark(kMarkMedium);
+    std::vector<phy::LossBurst> bursts = m.loss_.bursts();
     // Index and radius-cache bookkeeping: unregistered, but surfaced through
     // the swarm table / swarm-json line, so a restored run must report the
     // straight run's values.
-    const spatial::CellTreeStats& ts = tree_.stats();
-    w.u64(ts.inserts);
-    w.u64(ts.removes);
-    w.u64(ts.migrations);
-    w.u64(ts.in_cell_updates);
-    w.u64(ts.full_refreshes);
-    w.u64(ts.queries);
-    w.u64(ts.candidates_visited);
-    w.u64(ts.cells_pruned);
-    const spatial::RadiusCacheStats& rs = radius_cache_.stats();
-    w.u64(rs.lookups);
-    w.u64(rs.hits);
-    w.u64(rs.misses);
-    w.u64(rs.evictions);
-    w.u64(rs.cells_pruned);
-    w.u64(rs.sparse_bypass);
+    spatial::CellTreeStats tree_stats = m.tree_.stats();
+    spatial::RadiusCacheStats cache_stats = m.radius_cache_.stats();
     // Cache content (recency order): a restored cache must be exactly as
     // warm as the straight run's, or hit/miss counts diverge afterwards.
-    const auto entries = radius_cache_.export_entries();
-    w.u64(entries.size());
-    for (const auto& [key, mask] : entries) {
-        w.u64(key);
-        w.u32(mask);
-    }
-    // Learned block sizes come before the frames so load_state can pre-seed
+    auto cached = m.radius_cache_.export_entries();
+    // Learned block sizes come before the frames so a restore can pre-seed
     // the cores: the first restored allocation must classify exactly like the
     // straight run's did.
-    w.u64(frame_pool_.core()->block_size());
-    w.u64(sensed_core_->block_size());
-    w.u64(packet_pool_.core()->block_size());
+    std::array<std::size_t, 3> block_sizes = {m.frame_pool_.core()->block_size(),
+                                              m.sensed_core_->block_size(),
+                                              m.packet_pool_.core()->block_size()};
+    ar(m.frame_seq_, bursts, m.stats_, tree_stats, cache_stats, cached, block_sizes);
+    if constexpr (Ar::loading) {
+        for (std::size_t i = 0; i < bursts.size(); ++i) {
+            try {
+                m.loss_.add(bursts[i]);
+            } catch (const std::invalid_argument& e) {
+                throw std::runtime_error("checkpoint: loss burst " + std::to_string(i) +
+                                         " rejected (" + e.what() + ") — corrupt blob");
+            }
+        }
+        m.restore_tree_stats_ = tree_stats;
+        m.restore_cache_stats_ = cache_stats;
+        m.radius_cache_.import_entries(cached);
+        m.frame_pool_.core()->set_block_size(block_sizes[0]);
+        m.sensed_core_->set_block_size(block_sizes[1]);
+        m.packet_pool_.core()->set_block_size(block_sizes[2]);
+        // Inner packets come back into the pool live code builds them from.
+        ar.restore_shared_into(m.packet_pool_.core());
+        m.active_.clear();
+        m.launched_.clear();
+        m.restore_frames_.clear();
+    }
     // Every frame still referenced anywhere, in launch order (canonical form:
     // identical runs write identical blobs).
-    std::vector<std::pair<std::uint64_t, std::shared_ptr<AirFrame>>> alive;
-    for (const auto& [seq, weak] : launched_) {
-        if (auto frame = weak.lock()) alive.emplace_back(seq, std::move(frame));
-    }
-    std::sort(alive.begin(), alive.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.u64(alive.size());
-    for (const auto& [seq, frame] : alive) {
-        w.u64(seq);
-        net::save_packet(w, frame->packet, pkts);
-        w.u32(frame->sender);
-        w.f64(frame->sender_position.x);
-        w.f64(frame->sender_position.y);
-        w.time(frame->start);
-        w.time(frame->end);
-        w.b(frame->truncated);
-        w.u64(frame->sensed_by.size());
-        for (const std::uint32_t idx : frame->sensed_by) w.u32(idx);
-    }
-    w.u64(active_.size());
-    for (const auto& frame : active_) w.u64(frame->seq);
-}
-
-void Medium::load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts) {
-    r.expect(kMarkMedium);
-    frame_seq_ = r.u64();
-    const std::uint64_t nbursts = r.u64();
-    for (std::uint64_t i = 0; i < nbursts; ++i) {
-        phy::LossBurst b;
-        b.start = r.time();
-        b.end = r.time();
-        b.drop_prob = r.f64();
-        b.attenuation_db = r.f64();
-        try {
-            loss_.add(b);
-        } catch (const std::invalid_argument& e) {
-            throw std::runtime_error("checkpoint: loss burst " + std::to_string(i) +
-                                     " rejected (" + e.what() + ") — corrupt blob");
+    std::vector<std::shared_ptr<AirFrame>> frames;
+    if constexpr (!Ar::loading) {
+        for (const auto& [seq, weak] : m.launched_) {
+            if (auto frame = weak.lock()) frames.push_back(std::move(frame));
         }
+        std::sort(frames.begin(), frames.end(),
+                  [](const auto& a, const auto& b) { return a->seq < b->seq; });
     }
-    stats_.frames_sent = r.u64();
-    stats_.missed_asleep = r.u64();
-    stats_.radios_visited = r.u64();
-    stats_.radios_culled = r.u64();
-    stats_.frames_truncated = r.u64();
-    stats_.fault_rx_dropped = r.u64();
-    spatial::CellTreeStats& ts = restore_tree_stats_;
-    ts.inserts = r.u64();
-    ts.removes = r.u64();
-    ts.migrations = r.u64();
-    ts.in_cell_updates = r.u64();
-    ts.full_refreshes = r.u64();
-    ts.queries = r.u64();
-    ts.candidates_visited = r.u64();
-    ts.cells_pruned = r.u64();
-    spatial::RadiusCacheStats& rs = restore_cache_stats_;
-    rs.lookups = r.u64();
-    rs.hits = r.u64();
-    rs.misses = r.u64();
-    rs.evictions = r.u64();
-    rs.cells_pruned = r.u64();
-    rs.sparse_bypass = r.u64();
-    const std::uint64_t ncached = r.u64();
-    std::vector<std::pair<std::uint64_t, std::uint16_t>> entries;
-    entries.reserve(static_cast<std::size_t>(ncached));
-    for (std::uint64_t i = 0; i < ncached; ++i) {
-        const std::uint64_t key = r.u64();
-        const auto mask = static_cast<std::uint16_t>(r.u32());
-        entries.emplace_back(key, mask);
-    }
-    radius_cache_.import_entries(entries);
-    frame_pool_.core()->set_block_size(static_cast<std::size_t>(r.u64()));
-    sensed_core_->set_block_size(static_cast<std::size_t>(r.u64()));
-    packet_pool_.core()->set_block_size(static_cast<std::size_t>(r.u64()));
-    active_.clear();
-    launched_.clear();
-    restore_frames_.clear();
-    const std::uint64_t nframes = r.u64();
-    for (std::uint64_t i = 0; i < nframes; ++i) {
-        const std::uint64_t seq = r.u64();
-        net::Packet packet = net::load_packet(r, pkts);
-        const net::NodeId sender = r.u32();
-        geom::Vec2 pos;
-        pos.x = r.f64();
-        pos.y = r.f64();
-        const sim::TimePoint start = r.time();
-        const sim::TimePoint end = r.time();
-        const bool truncated = r.b();
-        const std::uint64_t nsensed = r.u64();
-        AirFrame::SensedBy sensed{sim::PoolAllocator<std::uint32_t>(sensed_core_)};
+    const std::size_t nframes = ar.count(frames);
+    for (std::size_t i = 0; i < nframes; ++i) {
+        if constexpr (Ar::loading) {
+            // A blank frame whose sensed list allocates from the sensed pool.
+            frames.push_back(m.frame_pool_.acquire(AirFrame{
+                {}, net::kInvalidId, {}, {}, {}, 0, false,
+                AirFrame::SensedBy{sim::PoolAllocator<std::uint32_t>(m.sensed_core_)}}));
+        }
+        AirFrame& f = *frames[i];
+        ar(f.seq, f.packet, f.sender, f.sender_position, f.start, f.end, f.truncated);
         // Mirror begin_transmission's reservation exactly, so the sensed
         // block classifies (pooled vs oversize) like the original did.
-        sensed.reserve(std::max<std::size_t>(kSensedReserve,
-                                             static_cast<std::size_t>(nsensed)));
-        for (std::uint64_t k = 0; k < nsensed; ++k) sensed.push_back(r.u32());
-        auto frame = frame_pool_.acquire(AirFrame{std::move(packet), sender, pos,
-                                                  start, end, seq, truncated,
-                                                  std::move(sensed)});
-        launched_.emplace_back(seq, frame);
-        restore_frames_.emplace(seq, std::move(frame));
+        const std::size_t nsensed = ar.count(f.sensed_by);
+        if constexpr (Ar::loading) {
+            f.sensed_by.reserve(std::max(kSensedReserve, nsensed));
+            f.sensed_by.resize(nsensed);
+        }
+        for (auto& idx : f.sensed_by) ar(idx);
+        if constexpr (Ar::loading) {
+            m.launched_.emplace_back(f.seq, frames[i]);
+            m.restore_frames_.emplace(f.seq, frames[i]);
+        }
     }
-    const std::uint64_t nactive = r.u64();
-    for (std::uint64_t i = 0; i < nactive; ++i) {
-        active_.push_back(restored_frame(r.u64()));
+    std::vector<std::uint64_t> active;
+    for (const auto& frame : m.active_) active.push_back(frame->seq);
+    ar(active);
+    if constexpr (Ar::loading) {
+        for (const std::uint64_t seq : active) m.active_.push_back(m.restored_frame(seq));
+        // Cached tree positions refresh wholesale before the next query;
+        // membership itself is rebuilt by the radios' availability restore.
+        // The churn perturbs only unregistered index stats, which
+        // finish_restore() stamps back to the saved values once it is over.
+        m.note_positions_moved();
     }
-    // Cached tree positions refresh wholesale before the next query;
-    // membership itself is rebuilt by the radios' availability restore. The
-    // churn perturbs only unregistered index stats, which finish_restore()
-    // stamps back to the saved values once it is over.
-    note_positions_moved();
 }
+template void Medium::walk(sim::ckpt::Writer&, const Medium&);
+template void Medium::walk(sim::ckpt::Reader&, Medium&);
 
 void Medium::finish_restore() {
     restore_frames_.clear();
@@ -580,20 +484,6 @@ const std::shared_ptr<AirFrame>& Medium::restored_frame(std::uint64_t seq) const
                                  std::to_string(seq));
     }
     return it->second;
-}
-
-void Medium::save_pool_warmth(sim::ckpt::Writer& w) const {
-    w.mark(kMarkPools);
-    save_core_warmth(w, *frame_pool_.core());
-    save_core_warmth(w, *sensed_core_);
-    save_core_warmth(w, *packet_pool_.core());
-}
-
-void Medium::load_pool_warmth(sim::ckpt::Reader& r) {
-    r.expect(kMarkPools);
-    load_core_warmth(r, *frame_pool_.core());
-    load_core_warmth(r, *sensed_core_);
-    load_core_warmth(r, *packet_pool_.core());
 }
 
 void Medium::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {

@@ -17,11 +17,6 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
-namespace cocoa::net {
-struct PacketSaveCtx;
-struct PacketLoadCtx;
-}  // namespace cocoa::net
-
 namespace cocoa::mac {
 
 class Radio;
@@ -195,7 +190,7 @@ class Medium {
     const obs::Obs& obs() const { return obs_; }
 
     // ------------------------------------------------------------------
-    // Checkpoint hooks (sim/checkpoint.hpp). save_state captures the frame
+    // Checkpoint hooks (sim/checkpoint.hpp). walk() covers the frame
     // counter, armed loss bursts, stats, and every *alive* AirFrame — a frame
     // is alive while anything still references it: the active list, a
     // receiver's lock, or a pending CCA / frame-end callback (a truncated
@@ -205,16 +200,16 @@ class Medium {
     // and the pool free-list lengths.
     // ------------------------------------------------------------------
 
-    void save_state(sim::ckpt::Writer& w, net::PacketSaveCtx& pkts) const;
-    void load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts);
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& m);
 
     /// Registers the MAC-layer event rebuilders (CCA delivery, CSMA attempt,
     /// tx end, frame end) for Simulator::load_kernel.
     void register_rebuilders(sim::ckpt::CallbackRegistry& reg);
 
-    /// Frame restored by load_state, by launch number. Throws
+    /// Frame restored by walk(), by launch number. Throws
     /// std::runtime_error for unknown seqs (blob inconsistency). Valid
-    /// between load_state and finish_restore.
+    /// between the restore walk and finish_restore.
     const std::shared_ptr<AirFrame>& restored_frame(std::uint64_t seq) const;
 
     /// Drops the restore table once every subsystem and the kernel have
@@ -225,10 +220,13 @@ class Medium {
     void finish_restore();
 
     /// Pool warmth (free-list lengths + stats) for the frame / sensed /
-    /// packet pools. Saved and loaded *after* every subsystem's state, since
-    /// later subsystems still acquire pooled packets during restore.
-    void save_pool_warmth(sim::ckpt::Writer& w) const;
-    void load_pool_warmth(sim::ckpt::Reader& r);
+    /// packet pools. Walked *after* every subsystem's state, since later
+    /// subsystems still acquire pooled packets during restore.
+    template <typename Ar, typename Self>
+    static void walk_pools(Ar& ar, Self& m) {
+        ar.mark(0x4c4f4f50u);  // "POOL"
+        ar(*m.frame_pool_.core(), *m.sensed_core_, *m.packet_pool_.core());
+    }
 
   private:
     void sweep_expired();
@@ -263,10 +261,10 @@ class Medium {
     /// anywhere (locks and pending callbacks hold strong refs the active
     /// list alone would miss).
     std::vector<std::pair<std::uint64_t, std::weak_ptr<AirFrame>>> launched_;
-    /// seq -> restored frame, populated by load_state so radios and event
-    /// rebuilders re-link references; cleared by finish_restore().
+    /// seq -> restored frame, populated by a restore walk so radios and
+    /// event rebuilders re-link references; cleared by finish_restore().
     std::unordered_map<std::uint64_t, std::shared_ptr<AirFrame>> restore_frames_;
-    /// Snapshot-time index bookkeeping, parked by load_state and stamped
+    /// Snapshot-time index bookkeeping, parked by a restore walk and stamped
     /// back by finish_restore() once the restore churn is over.
     spatial::CellTreeStats restore_tree_stats_;
     spatial::RadiusCacheStats restore_cache_stats_;

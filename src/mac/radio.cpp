@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "net/packet_io.hpp"
 #include "sim/checkpoint.hpp"
 
 namespace cocoa::mac {
@@ -184,61 +183,34 @@ void Radio::on_frame_end(const std::shared_ptr<const AirFrame>& frame) {
     try_start_csma();
 }
 
-void Radio::save_state(sim::ckpt::Writer& w, net::PacketSaveCtx& pkts) const {
-    w.mark(kMarkRadio);
-    w.u8(static_cast<std::uint8_t>(state_));
-    w.b(outage_);
-    w.b(csma_pending_);
-    w.time(sensed_until_);
-    w.b(lock_.has_value());
-    if (lock_.has_value()) {
-        w.u64(lock_->frame->seq);
-        w.f64(lock_->rssi_dbm);
-        w.b(lock_->corrupted);
+template <typename Ar, typename Self>
+void Radio::walk(Ar& ar, Self& r) {
+    ar.mark(kMarkRadio);
+    // The receive lock names its frame by launch number.
+    struct SavedLock {
+        std::uint64_t frame_seq;
+        double rssi_dbm;
+        bool corrupted;
+    };
+    std::optional<SavedLock> lock;
+    if (r.lock_) lock = SavedLock{r.lock_->frame->seq, r.lock_->rssi_dbm, r.lock_->corrupted};
+    ar(r.state_, r.outage_, r.csma_pending_, r.sensed_until_, lock, r.queue_, r.stats_,
+       r.backoff_rng_, r.meter_);
+    if constexpr (Ar::loading) {
+        r.lock_.reset();
+        if (lock) {
+            r.lock_ = RxLock{r.medium_.restored_frame(lock->frame_seq), lock->rssi_dbm,
+                             lock->corrupted};
+        }
+        r.attempt_event_ = sim::EventId{};  // re-learned via the placed hook
+        // Sync the medium's availability table (and spatial-index
+        // membership) with the restored power state — off / in-outage radios
+        // leave the tree.
+        r.publish_availability();
     }
-    w.u64(queue_.size());
-    for (const net::Packet& packet : queue_) net::save_packet(w, packet, pkts);
-    w.u64(stats_.tx_frames);
-    w.u64(stats_.rx_delivered);
-    w.u64(stats_.rx_corrupted);
-    w.u64(stats_.rx_captured);
-    w.u64(stats_.rx_aborted);
-    backoff_rng_.save(w);
-    meter_.save(w);
 }
-
-void Radio::load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts) {
-    r.expect(kMarkRadio);
-    state_ = r.enumerator(energy::RadioState::Tx);
-    outage_ = r.b();
-    csma_pending_ = r.b();
-    sensed_until_ = r.time();
-    attempt_event_ = sim::EventId{};  // re-learned via the placed hook
-    if (r.b()) {
-        RxLock lock;
-        lock.frame = medium_.restored_frame(r.u64());
-        lock.rssi_dbm = r.f64();
-        lock.corrupted = r.b();
-        lock_ = std::move(lock);
-    } else {
-        lock_.reset();
-    }
-    queue_.clear();
-    const std::uint64_t depth = r.u64();
-    for (std::uint64_t i = 0; i < depth; ++i) {
-        queue_.push_back(net::load_packet(r, pkts));
-    }
-    stats_.tx_frames = r.u64();
-    stats_.rx_delivered = r.u64();
-    stats_.rx_corrupted = r.u64();
-    stats_.rx_captured = r.u64();
-    stats_.rx_aborted = r.u64();
-    backoff_rng_.load(r);
-    meter_.load(r);
-    // Sync the medium's availability table (and spatial-index membership)
-    // with the restored power state — off / in-outage radios leave the tree.
-    publish_availability();
-}
+template void Radio::walk(sim::ckpt::Writer&, const Radio&);
+template void Radio::walk(sim::ckpt::Reader&, Radio&);
 
 void Radio::sleep() {
     if (state_ == energy::RadioState::Sleep || state_ == energy::RadioState::Off) {

@@ -138,15 +138,15 @@ class Radio {
 
     // --- checkpoint ---------------------------------------------------------
 
-    /// Serializes power state, CSMA progress, the receive lock (by frame
-    /// seq), the tx queue, stats, the backoff stream and the energy books.
-    /// The pending attempt / end-tx / frame-end events themselves live in the
-    /// kernel section; the attempt EventId is re-learned through the placed
-    /// hook Medium::register_rebuilders installs.
-    void save_state(sim::ckpt::Writer& w, net::PacketSaveCtx& pkts) const;
-    /// Restores save_state. Must run after Medium::load_state (the lock
-    /// re-links through Medium::restored_frame) and must not schedule.
-    void load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts);
+    /// Checkpoint walk (sim/checkpoint.hpp): power state, CSMA progress, the
+    /// receive lock (by frame seq), the tx queue, stats, the backoff stream
+    /// and the energy books. The pending attempt / end-tx / frame-end events
+    /// themselves live in the kernel section; the attempt EventId is
+    /// re-learned through the placed hook Medium::register_rebuilders
+    /// installs. A restore must run after the medium's (the lock re-links
+    /// through Medium::restored_frame) and schedules nothing.
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& r);
 
   private:
     /// Rebuilders re-enter the private CSMA/receive machinery and re-learn

@@ -3,25 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/checkpoint.hpp"
 
 namespace cocoa::metrics {
-
-void RunningStat::save(sim::ckpt::Writer& w) const {
-    w.u64(n_);
-    w.f64(mean_);
-    w.f64(m2_);
-    w.f64(min_);
-    w.f64(max_);
-}
-
-void RunningStat::load(sim::ckpt::Reader& r) {
-    n_ = static_cast<std::size_t>(r.u64());
-    mean_ = r.f64();
-    m2_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
-}
 
 void RunningStat::add(double x) {
     ++n_;

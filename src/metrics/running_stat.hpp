@@ -3,11 +3,6 @@
 #include <cstddef>
 #include <limits>
 
-namespace cocoa::sim::ckpt {
-class Writer;
-class Reader;
-}  // namespace cocoa::sim::ckpt
-
 namespace cocoa::metrics {
 
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).
@@ -38,9 +33,12 @@ class RunningStat {
 
     void reset() { *this = RunningStat{}; }
 
-    /// Checkpoints the accumulator verbatim (Welford state + extrema).
-    void save(sim::ckpt::Writer& w) const;
-    void load(sim::ckpt::Reader& r);
+    /// Checkpoint walk (sim/checkpoint.hpp): the Welford state and extrema
+    /// verbatim.
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& s) {
+        ar(s.n_, s.mean_, s.m2_, s.min_, s.max_);
+    }
 
   private:
     std::size_t n_ = 0;

@@ -3,31 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/checkpoint.hpp"
 
 namespace cocoa::metrics {
-
-void TimeSeries::save(sim::ckpt::Writer& w) const {
-    w.u64(samples_.size());
-    for (const Sample& s : samples_) {
-        w.time(s.time);
-        w.f64(s.value);
-    }
-    stats_.save(w);
-}
-
-void TimeSeries::load(sim::ckpt::Reader& r) {
-    samples_.clear();
-    const std::uint64_t n = r.u64();
-    samples_.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Sample s;
-        s.time = r.time();
-        s.value = r.f64();
-        samples_.push_back(s);
-    }
-    stats_.load(r);
-}
 
 void TimeSeries::push(sim::TimePoint t, double value) {
     if (!samples_.empty() && t < samples_.back().time) {

@@ -37,9 +37,12 @@ class TimeSeries {
     /// Mean of values with time in [from, to).
     double mean_in(sim::TimePoint from, sim::TimePoint to) const;
 
-    /// Checkpoints samples + summary stats verbatim.
-    void save(sim::ckpt::Writer& w) const;
-    void load(sim::ckpt::Reader& r);
+    /// Checkpoint walk (sim/checkpoint.hpp): samples and summary stats
+    /// verbatim.
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& s) {
+        ar(s.samples_, s.stats_);
+    }
 
   private:
     std::vector<Sample> samples_;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/checkpoint.hpp"
 
 namespace cocoa::mobility {
 
@@ -53,28 +52,6 @@ void OdometryEstimator::observe(const MotionIncrement& increment) {
         position_ += bias_ * dt_s;
         distance_ += measured_forward;
     }
-}
-
-void OdometryEstimator::save(sim::ckpt::Writer& w) const {
-    rng_.save(w);
-    w.f64(position_.x);
-    w.f64(position_.y);
-    w.f64(bias_.x);
-    w.f64(bias_.y);
-    w.f64(heading_);
-    w.f64(distance_);
-    w.f64(noise_scale_);
-}
-
-void OdometryEstimator::load(sim::ckpt::Reader& r) {
-    rng_.load(r);
-    position_.x = r.f64();
-    position_.y = r.f64();
-    bias_.x = r.f64();
-    bias_.y = r.f64();
-    heading_ = r.f64();
-    distance_ = r.f64();
-    noise_scale_ = r.f64();
 }
 
 }  // namespace cocoa::mobility

@@ -77,10 +77,12 @@ class OdometryEstimator {
     void set_noise_scale(double scale);
     double noise_scale() const { return noise_scale_; }
 
-    /// Checkpoints the dead-reckoned pose, the persistent bias, the noise
-    /// scale and the RNG position.
-    void save(sim::ckpt::Writer& w) const;
-    void load(sim::ckpt::Reader& r);
+    /// Checkpoint walk (sim/checkpoint.hpp): the RNG position, the
+    /// dead-reckoned pose, the persistent bias and the noise scale.
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& o) {
+        ar(o.rng_, o.position_, o.bias_, o.heading_, o.distance_, o.noise_scale_);
+    }
 
   private:
     OdometryConfig config_;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/checkpoint.hpp"
 
 namespace cocoa::mobility {
 
@@ -145,34 +144,6 @@ sim::Duration WaypointMobility::plan_remaining() const { return plan_end_ - now_
 
 geom::MotionState WaypointMobility::motion_state() const {
     return {position_, velocity(), plan_remaining().to_seconds()};
-}
-
-void WaypointMobility::save(sim::ckpt::Writer& w) const {
-    rng_.save(w);
-    w.time(now_);
-    w.f64(position_.x);
-    w.f64(position_.y);
-    w.f64(destination_.x);
-    w.f64(destination_.y);
-    w.f64(heading_);
-    w.f64(speed_);
-    w.b(resting_);
-    w.time(plan_end_);
-    w.f64(pending_turn_);
-}
-
-void WaypointMobility::load(sim::ckpt::Reader& r) {
-    rng_.load(r);
-    now_ = r.time();
-    position_.x = r.f64();
-    position_.y = r.f64();
-    destination_.x = r.f64();
-    destination_.y = r.f64();
-    heading_ = r.f64();
-    speed_ = r.f64();
-    resting_ = r.b();
-    plan_end_ = r.time();
-    pending_turn_ = r.f64();
 }
 
 }  // namespace cocoa::mobility

@@ -73,11 +73,14 @@ class WaypointMobility {
     /// time for which the current plan (leg or rest) remains valid.
     geom::MotionState motion_state() const;
 
-    /// Checkpoints the motion state and the RNG position: after load the
-    /// model continues the same leg and draws the same future commands the
-    /// saved instance would have.
-    void save(sim::ckpt::Writer& w) const;
-    void load(sim::ckpt::Reader& r);
+    /// Checkpoint walk (sim/checkpoint.hpp): the RNG position and the motion
+    /// state, so a restored model continues the same leg and draws the same
+    /// future commands the saved instance would have.
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& m) {
+        ar(m.rng_, m.now_, m.position_, m.destination_, m.heading_, m.speed_, m.resting_,
+           m.plan_end_, m.pending_turn_);
+    }
 
   private:
     void start_new_leg();

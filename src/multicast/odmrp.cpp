@@ -6,7 +6,6 @@
 #include <variant>
 
 #include "geom/motion.hpp"
-#include "net/packet_io.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/event_tag.hpp"
 
@@ -385,155 +384,15 @@ namespace {
 constexpr std::uint32_t kMarkMcast = 0x4d435354u;  // "MCST"
 }
 
-void MulticastNode::save_state(sim::ckpt::Writer& w, net::PacketSaveCtx& pkts) const {
-    w.mark(kMarkMcast);
-    w.u64(member_groups_.size());
-    for (const auto& [group, on] : member_groups_) {
-        w.u32(group);
-        w.b(on);
-    }
-    w.u64(sources_.size());
-    for (const auto& [group, src] : sources_) {
-        w.u32(group);
-        w.u32(src.next_query_seq);
-        w.u32(src.next_data_seq);
-    }
-    w.u64(forwarder_until_.size());
-    for (const auto& [group, until] : forwarder_until_) {
-        w.u32(group);
-        w.time(until);
-    }
-    w.u64(rounds_.size());
-    for (const auto& [key, round] : rounds_) {
-        w.u32(key.group);
-        w.u32(key.source);
-        w.u32(round.seq);
-        w.b(round.rebroadcast_done);
-        w.u8(round.best_hops);
-        w.u32(round.best_upstream);
-        w.f64(round.best_lifetime);
-        w.f64(round.best_path_lifetime);
-    }
-    w.u64(replied_seq_.size());
-    for (const auto& [key, seq] : replied_seq_) {
-        w.u32(key.group);
-        w.u32(key.source);
-        w.u32(seq);
-    }
-    w.u64(data_seen_.size());
-    for (const auto& [key, seen] : data_seen_) {
-        w.u32(key.group);
-        w.u32(key.source);
-        w.u64(seen.size());
-        for (const std::uint32_t seq : seen) w.u32(seq);
-    }
-    w.u64(pending_forwards_.size());
-    for (const auto& [pf_key, pending] : pending_forwards_) {
-        w.u32(pf_key.first.group);
-        w.u32(pf_key.first.source);
-        w.u32(pf_key.second);
-        w.i32(pending.copies_heard);
-        w.u64(pending.tx_id);
-    }
-    w.u64(pending_tx_.size());
-    for (const auto& [id, tx] : pending_tx_) {
-        w.u64(id);
-        w.u8(static_cast<std::uint8_t>(tx.kind));
-        w.u32(tx.key.group);
-        w.u32(tx.key.source);
-        w.u32(tx.data_seq);
-        net::save_packet(w, tx.packet, pkts);
-    }
-    w.u64(next_tx_id_);
-    w.u64(stats_.queries_sent);
-    w.u64(stats_.replies_sent);
-    w.u64(stats_.data_sent);
-    w.u64(stats_.data_suppressed);
-    w.u64(stats_.data_delivered);
-    w.u64(stats_.data_duplicates);
-    w.u64(stats_.dropped_asleep);
-    jitter_rng_.save(w);
+template <typename Ar, typename Self>
+void MulticastNode::walk(Ar& ar, Self& n) {
+    ar.mark(kMarkMcast);
+    ar(n.member_groups_, n.sources_, n.forwarder_until_, n.rounds_, n.replied_seq_,
+       n.data_seen_, n.pending_forwards_, n.pending_tx_, n.next_tx_id_, n.stats_,
+       n.jitter_rng_);
 }
-
-void MulticastNode::load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts) {
-    r.expect(kMarkMcast);
-    member_groups_.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) {
-        const net::GroupId group = r.u32();
-        member_groups_[group] = r.b();
-    }
-    sources_.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) {
-        const net::GroupId group = r.u32();
-        SourceState& src = sources_[group];
-        src.next_query_seq = r.u32();
-        src.next_data_seq = r.u32();
-    }
-    forwarder_until_.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) {
-        const net::GroupId group = r.u32();
-        forwarder_until_[group] = r.time();
-    }
-    rounds_.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) {
-        QueryKey key;
-        key.group = r.u32();
-        key.source = r.u32();
-        QueryRound& round = rounds_[key];
-        round.seq = r.u32();
-        round.rebroadcast_done = r.b();
-        round.best_hops = r.u8();
-        round.best_upstream = r.u32();
-        round.best_lifetime = r.f64();
-        round.best_path_lifetime = r.f64();
-    }
-    replied_seq_.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) {
-        QueryKey key;
-        key.group = r.u32();
-        key.source = r.u32();
-        replied_seq_[key] = r.u32();
-    }
-    data_seen_.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) {
-        QueryKey key;
-        key.group = r.u32();
-        key.source = r.u32();
-        std::set<std::uint32_t>& seen = data_seen_[key];
-        for (std::uint64_t m = r.u64(); m > 0; --m) seen.insert(r.u32());
-    }
-    pending_forwards_.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) {
-        QueryKey key;
-        key.group = r.u32();
-        key.source = r.u32();
-        const std::uint32_t seq = r.u32();
-        PendingForward pending;
-        pending.copies_heard = r.i32();
-        pending.tx_id = r.u64();
-        pending_forwards_[{key, seq}] = pending;
-    }
-    pending_tx_.clear();
-    for (std::uint64_t n = r.u64(); n > 0; --n) {
-        const std::uint64_t id = r.u64();
-        PendingTx tx;
-        tx.kind = r.enumerator(TxKind::DataForward);
-        tx.key.group = r.u32();
-        tx.key.source = r.u32();
-        tx.data_seq = r.u32();
-        tx.packet = net::load_packet(r, pkts);
-        pending_tx_.emplace(id, std::move(tx));
-    }
-    next_tx_id_ = r.u64();
-    stats_.queries_sent = r.u64();
-    stats_.replies_sent = r.u64();
-    stats_.data_sent = r.u64();
-    stats_.data_suppressed = r.u64();
-    stats_.data_delivered = r.u64();
-    stats_.data_duplicates = r.u64();
-    stats_.dropped_asleep = r.u64();
-    jitter_rng_.load(r);
-}
+template void MulticastNode::walk(sim::ckpt::Writer&, const MulticastNode&);
+template void MulticastNode::walk(sim::ckpt::Reader&, MulticastNode&);
 
 sim::InplaceCallback MulticastNode::rebuild_event(const sim::EventTag& tag) {
     switch (static_cast<sim::EventKind>(tag.kind)) {

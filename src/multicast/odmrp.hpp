@@ -21,11 +21,6 @@ class Reader;
 }  // namespace ckpt
 }  // namespace cocoa::sim
 
-namespace cocoa::net {
-struct PacketSaveCtx;
-struct PacketLoadCtx;
-}  // namespace cocoa::net
-
 namespace cocoa::multicast {
 
 /// Protocol variant. MRMM (Das et al., ICRA'05) is ODMRP extended with the
@@ -151,13 +146,14 @@ class MulticastNode {
     const Stats& stats() const { return stats_; }
     net::NodeId id() const { return node_.id(); }
 
-    /// Checkpoint: serializes all protocol soft state (rounds, forwarding
-    /// group, dedup caches, parked jittered transmissions with their packets)
-    /// plus the jitter RNG and stats. Pending kernel events are *not* saved
-    /// here — the kernel snapshot holds them; rebuild_event()/event_placed()
-    /// rebuild the callbacks and re-learn the EventIds on restore.
-    void save_state(sim::ckpt::Writer& w, net::PacketSaveCtx& pkts) const;
-    void load_state(sim::ckpt::Reader& r, net::PacketLoadCtx& pkts);
+    /// Checkpoint walk (sim/checkpoint.hpp): all protocol soft state
+    /// (rounds, forwarding group, dedup caches, parked jittered
+    /// transmissions with their packets) plus the stats and the jitter RNG.
+    /// Pending kernel events are *not* walked here — the kernel snapshot
+    /// holds them; rebuild_event()/event_placed() rebuild the callbacks and
+    /// re-learn the EventIds on restore.
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& n);
     /// Rebuilds the in-kernel callback for one of this node's tagged events
     /// (kMcastRefresh / kMcastDecision / kMcastJitteredTx).
     sim::InplaceCallback rebuild_event(const sim::EventTag& tag);
@@ -171,6 +167,8 @@ class MulticastNode {
         net::NodeId source;
         auto operator<=>(const QueryKey&) const = default;
     };
+    // The walks of the three structs below skip their EventIds, which
+    // event_placed() re-learns on restore.
     /// Pending upstream decision for one (group, source) refresh round.
     struct QueryRound {
         std::uint32_t seq = 0;
@@ -180,19 +178,36 @@ class MulticastNode {
         double best_lifetime = -1.0;
         double best_path_lifetime = -1.0;  ///< value to propagate if we rebroadcast
         sim::EventId decision_event;
+
+        template <typename Ar, typename Self>
+        static void walk(Ar& ar, Self& r) {
+            ar(r.seq, r.rebroadcast_done, r.best_hops, r.best_upstream, r.best_lifetime,
+               r.best_path_lifetime);
+        }
     };
     struct SourceState {
         std::uint32_t next_query_seq = 0;
         std::uint32_t next_data_seq = 0;
         sim::EventId refresh_event;
+
+        template <typename Ar, typename Self>
+        static void walk(Ar& ar, Self& s) {
+            ar(s.next_query_seq, s.next_data_seq);
+        }
     };
     struct PendingForward {
         sim::EventId event;
         int copies_heard = 0;
         std::uint64_t tx_id = 0;  ///< parked packet in pending_tx_
+
+        template <typename Ar, typename Self>
+        static void walk(Ar& ar, Self& f) {
+            ar(f.copies_heard, f.tx_id);
+        }
     };
     /// What a parked jittered transmission does when its timer fires.
     enum class TxKind : std::uint8_t { Query = 0, Reply = 1, DataForward = 2 };
+    friend constexpr TxKind last_enumerator(TxKind) { return TxKind::DataForward; }
     /// A fully-built packet waiting out its collision-avoidance jitter. The
     /// kernel event only carries the id, so the packet itself checkpoints
     /// with the rest of the protocol state.
@@ -201,6 +216,11 @@ class MulticastNode {
         TxKind kind = TxKind::Reply;
         QueryKey key{};             ///< DataForward: pending_forwards_ entry
         std::uint32_t data_seq = 0;
+
+        template <typename Ar, typename Self>
+        static void walk(Ar& ar, Self& t) {
+            ar(t.kind, t.key, t.data_seq, t.packet);
+        }
     };
 
     /// Sends unless the radio has gone to sleep in the meantime (window-edge

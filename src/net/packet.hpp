@@ -32,6 +32,7 @@ enum class Port : std::uint8_t {
     GeoData,        ///< geographic-routing unicast data
     Test,           ///< loopback traffic for unit tests
 };
+constexpr Port last_enumerator(Port) { return Port::Test; }
 
 struct Packet;
 
@@ -98,6 +99,7 @@ enum class GeoMode : std::uint8_t {
     Greedy,  ///< forward to the neighbour closest to the destination
     Face,    ///< right-hand traversal of the planarized neighbour graph
 };
+constexpr GeoMode last_enumerator(GeoMode) { return GeoMode::Face; }
 
 /// Geographic-routing unicast data (greedy + face recovery, after Bose et
 /// al.'s "routing with guaranteed delivery", the paper's citation [23]).

@@ -16,11 +16,12 @@
 /// Field lists: each config struct declares its fields once, beside its
 /// members, as `static constexpr auto fields()` returning a tuple of
 /// field("name", &Struct::member, rule) entries in checkpoint order, followed
-/// by `static_assert(sim::fields::lists_every_member<Struct>())`. From the
-/// list this header derives the checkpoint writer and reader and the
-/// per-field range check behind the struct's validate(). A member whose type
-/// has its own list is a nested struct: it is written, read and checked
-/// inline, and its fields are named by path ("channel.exponent_near").
+/// by `static_assert(sim::fields::lists_every_member<Struct>())`. The
+/// checkpoint walk (sim/checkpoint.hpp) saves and loads the fields in list
+/// order, and this header derives from the list the per-field range check
+/// behind the struct's validate(). A member whose type has its own list is a
+/// nested struct: it is walked and checked inline, and its fields are named
+/// by path ("channel.exponent_near").
 namespace cocoa::sim::fields {
 
 /// The range a field's value must lie in, compared as a double: a Duration
@@ -43,8 +44,8 @@ inline constexpr Rule finite{.finite = true};
 inline constexpr Rule non_negative{.lo = 0.0, .finite = true};
 inline constexpr Rule positive{.lo = 0.0, .lo_open = true, .finite = true};
 constexpr Rule at_least(double lo) { return {.lo = lo, .finite = true}; }
-/// An enum field: [0, last]. The reader rejects a value outside it through
-/// Reader::enumerator(last).
+/// An enum field: [0, last]. A checkpoint restore rejects a value outside
+/// it.
 template <typename E>
 constexpr Rule up_to(E last) {
     return {.lo = 0.0, .hi = static_cast<double>(last)};
@@ -140,64 +141,6 @@ consteval bool lists_every_member() {
 template <Listed S>
 void check(const S& s, std::string_view root, const std::string& prefix = "") {
     detail::check(s, root, prefix);
-}
-
-/// Appends every field of `s` to checkpoint writer `w` in list order, one
-/// primitive per type: int i32, double f64, bool b, Duration dur, uint8_t
-/// u8, other 64-bit unsigned u64, and an enum u32, which is what
-/// Reader::enumerator reads for a four-byte enum.
-template <Listed S, typename Writer>
-void write(Writer& w, const S& s) {
-    const auto one = [&w]<typename T>(const T& v) {
-        if constexpr (Listed<T>) {
-            write(w, v);
-        } else if constexpr (std::is_enum_v<T>) {
-            static_assert(sizeof(T) == 4);
-            w.u32(static_cast<std::uint32_t>(v));
-        } else if constexpr (std::is_same_v<T, bool>) {
-            w.b(v);
-        } else if constexpr (std::is_same_v<T, int>) {
-            w.i32(v);
-        } else if constexpr (std::is_same_v<T, double>) {
-            w.f64(v);
-        } else if constexpr (std::is_same_v<T, Duration>) {
-            w.dur(v);
-        } else if constexpr (std::is_same_v<T, std::uint8_t>) {
-            w.u8(v);
-        } else {
-            static_assert(std::is_unsigned_v<T> && sizeof(T) == 8);
-            w.u64(v);
-        }
-    };
-    std::apply([&](const auto&... f) { (one(s.*f.member), ...); }, S::fields());
-}
-
-/// Reads what write() wrote. Throws what the reader throws:
-/// std::runtime_error on truncation or an enum outside its rule.
-template <Listed S, typename Reader>
-S read(Reader& r) {
-    S s;
-    const auto one = [&r]<typename T>(T& v, const Rule& rule) {
-        if constexpr (Listed<T>) {
-            v = read<T>(r);
-        } else if constexpr (std::is_enum_v<T>) {
-            v = r.enumerator(static_cast<T>(rule.hi));
-        } else if constexpr (std::is_same_v<T, bool>) {
-            v = r.b();
-        } else if constexpr (std::is_same_v<T, int>) {
-            v = r.i32();
-        } else if constexpr (std::is_same_v<T, double>) {
-            v = r.f64();
-        } else if constexpr (std::is_same_v<T, Duration>) {
-            v = r.dur();
-        } else if constexpr (std::is_same_v<T, std::uint8_t>) {
-            v = r.u8();
-        } else {
-            v = r.u64();
-        }
-    };
-    std::apply([&](const auto&... f) { (one(s.*f.member, f.rule), ...); }, S::fields());
-    return s;
 }
 
 }  // namespace cocoa::sim::fields

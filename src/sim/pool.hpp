@@ -92,8 +92,8 @@ class SlabCore {
     // (block_size_, free-list length, stats_): restore sets the learned block
     // size, re-acquires the live objects (transiently perturbing stats_),
     // refills the free list to the saved length, then overwrites stats_
-    // verbatim — after which reuse/fresh/oversize counts evolve exactly as
-    // the straight run's would.
+    // verbatim (walk() below) — after which reuse/fresh/oversize counts
+    // evolve exactly as the straight run's would.
     // ------------------------------------------------------------------
 
     /// Length of the free list (O(free blocks); checkpoint path only).
@@ -128,7 +128,18 @@ class SlabCore {
         }
     }
 
-    void set_stats(const PoolStats& stats) { stats_ = stats; }
+    /// Checkpoint walk (sim/checkpoint.hpp): the free-list length and the
+    /// stats. A restore refills the free list and then stamps the stats.
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& core) {
+        std::size_t free_blocks = core.free_count();
+        PoolStats stats = core.stats_;
+        ar(free_blocks, stats);
+        if constexpr (Ar::loading) {
+            core.add_free_blocks(free_blocks);
+            core.stats_ = stats;
+        }
+    }
 
   private:
     struct FreeNode {

@@ -1,8 +1,5 @@
 #include "sim/random.hpp"
 
-#include <stdexcept>
-#include <string>
-
 #include "sim/checkpoint.hpp"
 
 namespace cocoa::sim {
@@ -50,21 +47,9 @@ void Mt19937_64::twist() {
     pos_ = 0;
 }
 
-void Mt19937_64::save(ckpt::Writer& w) const {
-    w.u64s(state_);
-    w.u64(pos_);
-}
+void RandomStream::save(ckpt::Writer& w) const { w(*this); }
 
-void Mt19937_64::load(ckpt::Reader& r) {
-    r.u64s(state_);
-    const std::uint64_t pos = r.u64();
-    if (pos > kStateWords) {
-        throw std::runtime_error("checkpoint: RNG position " + std::to_string(pos) +
-                                 " outside its valid range [0, " +
-                                 std::to_string(kStateWords) + "] — corrupt blob");
-    }
-    pos_ = static_cast<std::size_t>(pos);
-}
+void RandomStream::load(ckpt::Reader& r) { r(*this); }
 
 RandomStream RngManager::stream(std::string_view name) const {
     constexpr std::uint64_t kOffsetBasis = 14695981039346656037ull;

@@ -128,12 +128,16 @@ class Mt19937_64 {
         return z ^ (z >> 43);
     }
 
-    /// Writes the 312 state words, then the position: 313 little-endian
-    /// u64s, the state in one bulk append.
-    void save(ckpt::Writer& w) const;
-    /// Reads what save() wrote. Throws std::runtime_error naming the value
-    /// when the position lies above 312, which no engine can reach.
-    void load(ckpt::Reader& r);
+    /// Checkpoint walk (sim/checkpoint.hpp): the 312 state words, then the
+    /// position, as 313 little-endian u64s with the state in one bulk copy.
+    /// A restore rejects a position above 312, which no engine can reach.
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& e) {
+        ar(e.state_, e.pos_);
+        if constexpr (Ar::loading) {
+            if (e.pos_ > kStateWords) Ar::out_of_range("RNG position", e.pos_, kStateWords);
+        }
+    }
 
   private:
     /// Regenerates all 312 state words and rewinds the position to 0.
@@ -184,11 +188,16 @@ class RandomStream {
         return std::exponential_distribution<double>(1.0 / mean)(engine_);
     }
 
-    /// Checkpoints the engine position: draws after load() bitwise-match the
-    /// draws the saved stream would have produced. (All distributions here
-    /// are constructed per call, so the engine is the stream's entire state.)
-    void save(ckpt::Writer& w) const { engine_.save(w); }
-    void load(ckpt::Reader& r) { engine_.load(r); }
+    /// Checkpoints the engine position: draws after a restore bitwise-match
+    /// the draws the saved stream would have produced. (All distributions
+    /// here are constructed per call, so the engine is the stream's entire
+    /// state.)
+    template <typename Ar, typename Self>
+    static void walk(Ar& ar, Self& s) {
+        ar(s.engine_);
+    }
+    void save(ckpt::Writer& w) const;
+    void load(ckpt::Reader& r);
 
   private:
     Mt19937_64 engine_;

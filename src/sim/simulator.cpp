@@ -40,104 +40,84 @@ EventId Simulator::schedule_run(TimePoint t, RunCallback cb,
     return queue_.schedule_run(t, std::move(cb), tags);
 }
 
-void Simulator::save_kernel(ckpt::Writer& w) const {
-    w.mark(0x4b524e4cu);  // 'KRNL'
-    w.time(now_);
-    w.u64(executed_);
-    w.u64(queue_.next_seq());
-    const KernelStats& stats = queue_.stats();
-    w.u64(stats.scheduled);
-    w.u64(stats.cancelled);
-    w.u64(stats.sbo_misses);
-    w.u64(stats.peak_pending);
+namespace {
+/// One pending event as the kernel section records it.
+struct PendingEvent {
+    TimePoint time;
+    std::uint64_t seq = 0;
+    EventTag tag;
+};
+}  // namespace
 
-    struct PendingEvent {
-        TimePoint time;
-        std::uint64_t seq;
-        EventTag tag;
-    };
+template <typename Ar, typename Self>
+void Simulator::walk_kernel(Ar& ar, Self& s, const ckpt::CallbackRegistry& registry) {
+    ar.mark(0x4b524e4cu);  // 'KRNL'
+    if constexpr (Ar::loading) {
+        if (!s.queue_.empty()) {
+            throw std::logic_error("Simulator::load_kernel: clear_pending() first");
+        }
+    }
+    std::uint64_t next_seq = s.queue_.next_seq();
+    KernelStats stats = s.queue_.stats();
     std::vector<PendingEvent> events;
-    events.reserve(queue_.size());
-    queue_.for_each_pending(
-        [&events](TimePoint t, std::uint64_t seq, const EventTag& tag) {
-            if (!tag.tagged()) {
-                throw std::logic_error(
-                    "checkpoint: an untagged event is pending — every schedule "
-                    "site that can be live at a save point must attach an "
-                    "EventTag (see sim/event_tag.hpp)");
+    if constexpr (!Ar::loading) {
+        events.reserve(s.queue_.size());
+        s.queue_.for_each_pending(
+            [&events](TimePoint t, std::uint64_t seq, const EventTag& tag) {
+                if (!tag.tagged()) {
+                    throw std::logic_error(
+                        "checkpoint: an untagged event is pending — every schedule "
+                        "site that can be live at a save point must attach an "
+                        "EventTag (see sim/event_tag.hpp)");
+                }
+                events.push_back({t, seq, tag});
+            });
+        // Heap order is an implementation detail; seq order is canonical (it
+        // is schedule order, so two identical runs write identical blobs).
+        std::sort(events.begin(), events.end(),
+                  [](const PendingEvent& a, const PendingEvent& b) { return a.seq < b.seq; });
+    }
+    ar(s.now_, s.executed_, next_seq, stats, events);
+    if constexpr (Ar::loading) {
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            const PendingEvent& e = events[i];
+            // A save writes events at or after its clock, in strictly
+            // increasing seq order, every seq drawn below next_seq; anything
+            // else would run time backwards or break the FIFO tie-break.
+            if (e.time < s.now_) {
+                corrupt_event(i, "is due at " + std::to_string(e.time.to_nanos()) +
+                                     " ns, before the restored clock " +
+                                     std::to_string(s.now_.to_nanos()) + " ns");
             }
-            events.push_back({t, seq, tag});
-        });
-    // Heap order is an implementation detail; seq order is canonical (it is
-    // schedule order, so two identical runs write identical blobs).
-    std::sort(events.begin(), events.end(),
-              [](const PendingEvent& a, const PendingEvent& b) { return a.seq < b.seq; });
-    w.u64(events.size());
-    for (const PendingEvent& e : events) {
-        w.time(e.time);
-        w.u64(e.seq);
-        w.u32(e.tag.kind);
-        w.u32(e.tag.node);
-        w.u32(e.tag.x);
-        w.u32(e.tag.y);
-        w.u64(e.tag.a);
-        w.u64(e.tag.b);
+            if (i > 0 && e.seq <= events[i - 1].seq) {
+                corrupt_event(i, "has seq " + std::to_string(e.seq) +
+                                     ", not above the previous event's " +
+                                     std::to_string(events[i - 1].seq));
+            }
+            if (e.seq >= next_seq) {
+                corrupt_event(i, "has seq " + std::to_string(e.seq) +
+                                     ", not below the restored next seq " +
+                                     std::to_string(next_seq));
+            }
+            const EventId id =
+                s.queue_.schedule_with_seq(e.time, e.seq, registry.make(e.tag), e.tag);
+            registry.placed(e.tag, id);
+        }
+        // Verbatim counters last: the re-registration above must not leak
+        // into the restored run's observable kernel stats.
+        s.queue_.set_next_seq(next_seq);
+        s.queue_.set_stats(stats);
     }
 }
+template void Simulator::walk_kernel(ckpt::Writer&, const Simulator&,
+                                     const ckpt::CallbackRegistry&);
+template void Simulator::walk_kernel(ckpt::Reader&, Simulator&,
+                                     const ckpt::CallbackRegistry&);
+
+void Simulator::save_kernel(ckpt::Writer& w) const { walk_kernel(w, *this, {}); }
 
 void Simulator::load_kernel(ckpt::Reader& r, const ckpt::CallbackRegistry& registry) {
-    r.expect(0x4b524e4cu);  // 'KRNL'
-    if (!queue_.empty()) {
-        throw std::logic_error("Simulator::load_kernel: clear_pending() first");
-    }
-    now_ = r.time();
-    executed_ = r.u64();
-    const std::uint64_t next_seq = r.u64();
-    KernelStats stats;
-    stats.scheduled = r.u64();
-    stats.cancelled = r.u64();
-    stats.sbo_misses = r.u64();
-    stats.peak_pending = r.u64();
-
-    const std::uint64_t count = r.u64();
-    std::uint64_t prev_seq = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const TimePoint t = r.time();
-        const std::uint64_t seq = r.u64();
-        EventTag tag;
-        tag.kind = r.u32();
-        tag.node = r.u32();
-        tag.x = r.u32();
-        tag.y = r.u32();
-        tag.a = r.u64();
-        tag.b = r.u64();
-        // save_kernel writes events at or after its clock, in strictly
-        // increasing seq order, every seq drawn below next_seq; anything
-        // else would run time backwards or break the FIFO tie-break.
-        if (t < now_) {
-            corrupt_event(i, "is due at " + std::to_string(t.to_nanos()) +
-                                 " ns, before the restored clock " +
-                                 std::to_string(now_.to_nanos()) + " ns");
-        }
-        if (i > 0 && seq <= prev_seq) {
-            corrupt_event(i, "has seq " + std::to_string(seq) +
-                                 ", not above the previous event's " +
-                                 std::to_string(prev_seq));
-        }
-        if (seq >= next_seq) {
-            corrupt_event(i, "has seq " + std::to_string(seq) +
-                                 ", not below the restored next seq " +
-                                 std::to_string(next_seq));
-        }
-        prev_seq = seq;
-        const EventId id =
-            queue_.schedule_with_seq(t, seq, registry.make(tag), tag);
-        registry.placed(tag, id);
-    }
-    // Verbatim counters last: the re-registration above must not leak into
-    // the restored run's observable kernel stats.
-    queue_.set_next_seq(next_seq);
-    queue_.set_stats(stats);
+    walk_kernel(r, *this, registry);
 }
 
 void Simulator::run_until(TimePoint end) {

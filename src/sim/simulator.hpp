@@ -95,17 +95,19 @@ class Simulator {
     // run is byte-identical to a straight run.
     // ------------------------------------------------------------------
 
-    /// Serializes clock + counters + pending events. Throws std::logic_error
-    /// if any pending event is untagged (it could not be rebuilt).
-    void save_kernel(ckpt::Writer& w) const;
-
-    /// Restores what save_kernel wrote. Precondition: the queue holds only
-    /// construction-time events, which are dropped first (clear_pending).
-    /// Each blob event is rebuilt via `registry` and re-scheduled with its
+    /// The kernel section's one walk (sim/checkpoint.hpp): clock, counters
+    /// and pending events. A save throws std::logic_error if any pending
+    /// event is untagged (it could not be rebuilt). A restore requires a
+    /// queue emptied by clear_pending(), rebuilds each blob event via
+    /// `registry` (which a save ignores) and re-schedules it with its
     /// original seq; owners re-learn EventIds through the registry's placed
-    /// hooks. Kernel stats and next_seq are restored last, verbatim. Throws
-    /// std::runtime_error for an event due before the restored clock, seqs
-    /// out of save order, or a seq at or above the restored next seq.
+    /// hooks. Kernel stats and next_seq are restored last, verbatim. A
+    /// restore throws std::runtime_error for an event due before the
+    /// restored clock, seqs out of save order, or a seq at or above the
+    /// restored next seq.
+    template <typename Ar, typename Self>
+    static void walk_kernel(Ar& ar, Self& s, const ckpt::CallbackRegistry& registry);
+    void save_kernel(ckpt::Writer& w) const;
     void load_kernel(ckpt::Reader& r, const ckpt::CallbackRegistry& registry);
 
     /// Drops every pending event (fresh-construction events are replaced by

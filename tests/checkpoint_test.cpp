@@ -1,13 +1,14 @@
 // Checkpoint/fork engine tests: RNG stream round-trips and their raw-word
 // layout, rejection of blobs from other format versions, of out-of-range enum
-// fields and RNG positions, of truncated RNG words and of config fields
-// outside their rules, the config field lists (every leaf round-trips, the
-// layout is pinned), randomized
+// fields and RNG positions, of truncated RNG words, of config fields
+// outside their rules, of counts past the blob's end and of a series count
+// other than the robot count, the config field lists (every leaf
+// round-trips, the layout is pinned), the pinned packet layout, randomized
 // checkpoint-time fuzzing on the fig7 scenario and a 1k-node swarm
 // (snapshot mid-run, resume, diff full position traces + counters against
-// the straight run), blob file I/O, and the forked-sweep identity contract
-// (forked and unforked sweeps produce byte-identical records, with one PDF
-// calibration per replication seed).
+// the straight run), truncation at every section, blob file I/O, and the
+// forked-sweep identity contract (forked and unforked sweeps produce
+// byte-identical records, with one PDF calibration per replication seed).
 
 #include <bit>
 #include <cmath>
@@ -34,6 +35,8 @@
 #include "exp/replication.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
+#include "metrics/time_series.hpp"
+#include "net/packet.hpp"
 #include "obs/profile.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/fields.hpp"
@@ -299,6 +302,88 @@ TEST(CheckpointFormat, MediumRejectsAmplifyingLossBurst) {
     EXPECT_NE(what.find("checkpoint: loss burst 0 rejected"), std::string::npos) << what;
     EXPECT_NE(what.find("attenuation_db -20"), std::string::npos) << what;
     EXPECT_NE(what.find("corrupt blob"), std::string::npos) << what;
+}
+
+/// The u64 at `at` in `blob` replaced by `value`.
+std::string with_u64(const std::string& blob, std::size_t at, std::uint64_t value) {
+    sim::ckpt::Writer v;
+    v.u64(value);
+    std::string patched = blob;
+    patched.replace(at, 8, v.buffer());
+    return patched;
+}
+
+/// Every count a blob carries is checked against the bytes left before
+/// anything is allocated for it: a fault plan claiming 2^40 or 2^62 events
+/// (std::bad_alloc and "vector::reserve" before the check) and a metric
+/// series claiming 2^40 samples are rejected, naming the count and its byte
+/// offset.
+TEST(CheckpointFormat, RestoreRejectsCountsPastTheBlob) {
+    core::Scenario prefix(fuzz_config());
+    fault::FaultInjector injector(prefix, fuzz_plan());
+    injector.arm();
+    prefix.run_until(sim::TimePoint::from_seconds(10.0));
+    const std::string blob = exp::save_scenario_checkpoint(prefix, &injector);
+    const auto table = prefix.pdf_table_ptr();
+
+    // The plan section: "PLAN" mark (u32), then the u64 event count.
+    sim::ckpt::Writer mark;
+    mark.u32(0x504c414eu);
+    const std::size_t plan = blob.find(mark.buffer());
+    ASSERT_NE(plan, std::string::npos);
+    ASSERT_EQ(blob.find(mark.buffer(), plan + 1), std::string::npos);
+    const std::size_t at = plan + 4;
+    ASSERT_EQ(blob.substr(at, 8), with_u64(std::string(8, '\0'), 0, 3));
+    EXPECT_NE(exp::restore_scenario_checkpoint(blob, table).scenario, nullptr);
+    for (const std::uint64_t count : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+        const std::string what = runtime_error_of(
+            [&] { exp::restore_scenario_checkpoint(with_u64(blob, at, count), table); });
+        EXPECT_EQ(what.rfind("checkpoint: count " + std::to_string(count) + " at byte " +
+                                 std::to_string(at) + ": more elements than the ",
+                             0),
+                  0u)
+            << what;
+    }
+
+    metrics::TimeSeries series;
+    series.push(sim::TimePoint::from_seconds(1.0), 2.5);
+    series.push(sim::TimePoint::from_seconds(2.0), 3.5);
+    sim::ckpt::Writer w;
+    w(series);
+    const std::string bytes = with_u64(w.buffer(), 0, std::uint64_t{1} << 40);
+    metrics::TimeSeries back;
+    sim::ckpt::Reader r(bytes);
+    EXPECT_EQ(runtime_error_of([&] { r(back); }),
+              "checkpoint: count 1099511627776 at byte 0: more elements than the " +
+                  std::to_string(bytes.size() - 8) + " bytes left can hold — corrupt blob");
+}
+
+/// A scenario keeps one error series per robot, indexed by agent id, so a
+/// blob whose series count differs from the robot count is rejected even
+/// when the rest of its bytes are consistent. A shorter list used to
+/// restore and then write past its end at the next sample.
+TEST(CheckpointFormat, RestoreRejectsSeriesCountOtherThanRobots) {
+    const core::ScenarioConfig config = fuzz_config();
+    core::Scenario prefix(config);
+    prefix.run_until(sim::TimePoint::from_seconds(30.0));
+    const std::string blob = exp::save_scenario_checkpoint(prefix);
+    const auto table = prefix.pdf_table_ptr();
+
+    const std::vector<metrics::TimeSeries> series = prefix.result().node_error;
+    ASSERT_EQ(series.size(), static_cast<std::size_t>(config.num_robots));
+    sim::ckpt::Writer all, cut;
+    all(series);
+    cut(std::vector<metrics::TimeSeries>(series.begin(), series.begin() + 4));
+    const std::size_t at = blob.find(all.buffer());
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(blob.find(all.buffer(), at + 1), std::string::npos);
+    EXPECT_NE(exp::restore_scenario_checkpoint(blob, table).scenario, nullptr);
+
+    std::string bad = blob;
+    bad.replace(at, all.buffer().size(), cut.buffer());
+    EXPECT_EQ(runtime_error_of([&] { exp::restore_scenario_checkpoint(bad, table); }),
+              "checkpoint: count 4 at byte " + std::to_string(at) + ": the live object holds " +
+                  std::to_string(config.num_robots) + " — corrupt blob");
 }
 
 /// save_config's bytes key fork-group discovery in exp::run_sweep, and they
@@ -631,6 +716,69 @@ TEST(CheckpointFormat, ConfigLayoutIsPinned) {
     }
 }
 
+/// The bytes each packet appends when `packets` are written in order into
+/// one blob: an inner packet several of them share is written in full by
+/// the first and as its id by the rest.
+std::vector<std::string> packet_bytes(const std::vector<net::Packet>& packets) {
+    sim::ckpt::Writer w;
+    std::vector<std::string> out;
+    for (const net::Packet& p : packets) {
+        const std::size_t before = w.buffer().size();
+        w(p);
+        out.push_back(w.buffer().substr(before));
+    }
+    return out;
+}
+
+/// The packet layout, pinned: the size and FNV-1a of a hand-built packet
+/// for each of the nine payload alternatives, and of a second McastData
+/// packet sharing the first one's inner SYNC. No blob in the golden suite
+/// carries the Geo* or Test payloads, so only this test pins them.
+TEST(CheckpointFormat, PacketLayoutIsPinned) {
+    const auto packet = [](net::Port port, std::size_t bytes, net::Payload payload) {
+        net::Packet p;
+        p.src = 17;
+        p.port = port;
+        p.payload_bytes = bytes;
+        p.payload = std::move(payload);
+        return p;
+    };
+    const geom::Vec2 a{12.5, -3.25};
+    const geom::Vec2 b{-7.75, 40.0};
+    const auto sync = std::make_shared<const net::Packet>(packet(
+        net::Port::McastData, 24,
+        net::SyncPayload{100.0, 10.0, 9, sim::TimePoint::from_seconds(300.0)}));
+    const std::vector<net::Packet> packets = {
+        packet(net::Port::Beacon, 48, net::BeaconPayload{3, a, 11, 2}),
+        packet(net::Port::McastData, 24,
+               net::SyncPayload{50.0, 5.0, 4, sim::TimePoint::from_seconds(150.0)}),
+        packet(net::Port::McastControl, 64,
+               net::JoinQueryPayload{1, 0, 6, 21, 3, geom::MotionState{a, b, 2.5}, 8.75}),
+        packet(net::Port::McastControl, 32, net::JoinReplyPayload{1, 0, 6, 22, 21}),
+        packet(net::Port::McastData, 40, net::McastDataPayload{1, 0, 7, 23, sync}),
+        packet(net::Port::GeoHello, 16, net::GeoHelloPayload{b}),
+        packet(net::Port::GeoData, 96,
+               net::GeoDataPayload{4, 30, a, 5, 61, 31, 32, net::GeoMode::Face, b,
+                                   0x0123456789abcdefull}),
+        packet(net::Port::GeoData, 8, net::GeoAckPayload{4, 5, 31}),
+        packet(net::Port::Test, 1, net::TestPayload{0xfeedfacecafebeefull}),
+        packet(net::Port::McastData, 40, net::McastDataPayload{1, 0, 7, 24, sync}),
+    };
+    const std::vector<std::string> bytes = packet_bytes(packets);
+    const std::pair<std::size_t, std::uint64_t> pins[] = {
+        {39, 0x4469bafe004e565full}, {42, 0x6615e90167059558ull},
+        {79, 0xb67abad754193707ull}, {34, 0x5bcaa6edbf9fefa0ull},
+        {76, 0xd3fd3e8a23e4473dull}, {30, 0x9cd33b80bf5a1e33ull},
+        {76, 0x2aa45a542a58391eull}, {26, 0xa8ed9695aeaed0d3ull},
+        {22, 0xbb03507773cf5f90ull}, {34, 0x9dba5a5418872014ull},
+    };
+    ASSERT_EQ(bytes.size(), std::size(pins));
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        EXPECT_EQ(bytes[i].size(), pins[i].first) << "packet " << i;
+        EXPECT_EQ(fnv1a(bytes[i]), pins[i].second) << "packet " << i;
+    }
+}
+
 /// A kernel section is rejected, naming the event, when a pending event is
 /// due before the restored clock (it would fire with time running
 /// backwards), or when the seqs break the order save_kernel writes them in:
@@ -763,6 +911,44 @@ TEST(CheckpointFuzz, ScenarioRestoreSurvivesSecondHop) {
     exp::RestoredScenario fin = exp::restore_scenario_checkpoint(hop2);
     fin.scenario->run();
     EXPECT_EQ(scenario_digest(fin.scenario->result(), *fin.scenario), want);
+}
+
+/// Every strict prefix of a scenario blob fails to restore with
+/// std::runtime_error, whichever section the cut lands in: 200 seeded cut
+/// lengths, plus a cut at each section mark. The restores share the
+/// prefix's PDF table, so nothing calibrates.
+TEST(CheckpointFuzz, EveryTruncationThrows) {
+    core::Scenario prefix(fuzz_config());
+    fault::FaultInjector injector(prefix, fuzz_plan());
+    injector.arm();
+    prefix.run_until(sim::TimePoint::from_seconds(35.0));
+    const std::string blob = exp::save_scenario_checkpoint(prefix, &injector);
+    const auto table = prefix.pdf_table_ptr();
+
+    std::vector<std::size_t> cuts;
+    std::mt19937_64 fuzz(2027);
+    std::uniform_int_distribution<std::size_t> pick(0, blob.size() - 1);
+    for (int i = 0; i < 200; ++i) cuts.push_back(pick(fuzz));
+    // Config, plan, scenario, medium, radio, multicast, agent, kernel, pool,
+    // scenario-end and fault-injector marks.
+    for (const std::uint32_t section :
+         {0x53434647u, 0x504c414eu, 0x53434e4fu, 0x4d45444du, 0x4f494452u, 0x4d435354u,
+          0x41474e54u, 0x4b524e4cu, 0x4c4f4f50u, 0x4f4e4353u, 0x46414c54u}) {
+        sim::ckpt::Writer mark;
+        mark.u32(section);
+        const std::size_t first = blob.find(mark.buffer());
+        EXPECT_NE(first, std::string::npos) << std::hex << section;
+        for (std::size_t at = first; at != std::string::npos;
+             at = blob.find(mark.buffer(), at + 1)) {
+            cuts.push_back(at);
+        }
+    }
+    for (const std::size_t cut : cuts) {
+        SCOPED_TRACE("cut at byte " + std::to_string(cut) + " of " +
+                     std::to_string(blob.size()));
+        EXPECT_THROW(exp::restore_scenario_checkpoint(blob.substr(0, cut), table),
+                     std::runtime_error);
+    }
 }
 
 // ---------------------------------------------------------- swarm fuzzing

@@ -7,8 +7,10 @@
 # Each case has one straight run whose artifacts (filtered stdout plus the
 # CSVs it writes) are the digests.txt lines, and variant runs that must hash
 # to the same digests: other thread counts, a run restored in a fresh
-# process from a mid-run checkpoint, and the unculled medium. README.md in this directory says what
-# is pinned and how to accept a deliberate behaviour change.
+# process from a mid-run checkpoint, and the unculled medium. The mid-run
+# checkpoint blobs are digests.txt lines of their own (artifact `ckpt`), so
+# the blob layout is pinned byte for byte. README.md in this directory says
+# what is pinned and how to accept a deliberate behaviour change.
 
 foreach(var COCOA_SIM GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
@@ -34,7 +36,8 @@ set(swarm --nodes 1000 --duration 10 --seed 3 --quiet)
 # run(<case> <args>...): runs cocoa_sim in runs/<case> and leaves its stdout
 # there as stdout.txt, with the three run-dependent fields removed: the
 # wall-clock seconds of a --reps run and of a swarm-json line, and the
-# blob size of a --checkpoint-at run (the blob layout is not pinned).
+# line a --checkpoint-at run prints with the blob's size and path (the blob
+# itself is hashed as the variant's `ckpt` artifact).
 function(run case)
   set(dir "${runs}/${case}")
   file(MAKE_DIRECTORY "${dir}")
@@ -95,10 +98,12 @@ foreach(est grid ekf lincvx rf odom)
   hash_case(${case} "${single_artifacts}" actual)
   # One variant covers two contracts: window-end fixes batched on four
   # workers, and a mid-run checkpoint (the run then goes on to the end).
+  set(blob "${runs}/${case}@grid-threads=4/ckpt")
   run(${case}@grid-threads=4 ${args} --grid-threads 4
-      --checkpoint-at ${ckpt_at} --checkpoint-out "${runs}/${case}.ckpt")
+      --checkpoint-at ${ckpt_at} --checkpoint-out "${blob}")
   check_variant(${case} ${case}@grid-threads=4 "${single_artifacts}")
-  run(${case}@restored --restore "${runs}/${case}.ckpt" --quiet --counters
+  hash_case(${case}@grid-threads=4 ckpt actual)
+  run(${case}@restored --restore "${blob}" --quiet --counters
       --csv run --pos-trace 60)
   check_variant(${case} ${case}@restored "${single_artifacts}")
   if(est MATCHES "^(rf|odom)$")
@@ -145,10 +150,12 @@ endforeach()
 
 run(swarm_1k ${swarm} --swarm-threads 0)
 hash_case(swarm_1k stdout.txt actual)
+set(blob "${runs}/swarm_1k@swarm-threads=4/ckpt")
 run(swarm_1k@swarm-threads=4 ${swarm} --swarm-threads 4
-    --checkpoint-at 8 --checkpoint-out "${runs}/swarm_1k.ckpt")
+    --checkpoint-at 8 --checkpoint-out "${blob}")
 check_variant(swarm_1k swarm_1k@swarm-threads=4 stdout.txt)
-run(swarm_1k@restored --restore "${runs}/swarm_1k.ckpt" --quiet)
+hash_case(swarm_1k@swarm-threads=4 ckpt actual)
+run(swarm_1k@restored --restore "${blob}" --quiet)
 check_variant(swarm_1k swarm_1k@restored stdout.txt)
 
 # Compare with the committed digests; keep its comment header for the
