@@ -357,9 +357,11 @@ void BM_MediumFanoutMobile(benchmark::State& state) {
         sim.run_until(sim.now() + sim::Duration::millis(1));
     }
     state.SetItemsProcessed(state.iterations());
-    state.counters["visited_per_tx"] =
-        static_cast<double>(medium.stats().radios_visited) /
+    const auto frames =
         static_cast<double>(std::max<std::uint64_t>(1, medium.stats().frames_sent));
+    state.counters["visited_per_tx"] =
+        static_cast<double>(medium.stats().radios_visited) / frames;
+    state.counters["settled_per_tx"] = static_cast<double>(medium.settled_lanes()) / frames;
 }
 BENCHMARK(BM_MediumFanoutMobile)->Arg(256)->Arg(1024)->Arg(4096);
 

@@ -7,14 +7,17 @@
 // instantiations live in their own TUs with per-file -m flags and are only
 // referenced when CMake defines COCOA_FANOUT_X86_DISPATCH (COCOA_SIMD=ON on
 // an x86-64 host); the dispatcher picks the widest ISA the CPU reports at
-// first use.
+// first use (AVX-512 needs both avx512f and avx512dq).
 
 #define COCOA_FANOUT_ISA_NS baseline
 #include "mac/fanout_kernels_impl.hpp"
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace cocoa::mac::fanout {
 
@@ -35,29 +38,62 @@ struct Dispatch {
 };
 
 constexpr Dispatch kGeneric{&baseline::cull_and_prepare, "generic"};
-
-Dispatch resolve() {
 #if defined(COCOA_FANOUT_X86_DISPATCH)
-    if (__builtin_cpu_supports("avx512f")) {
-        return {&avx512::cull_and_prepare, "avx512"};
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        return {&avx2::cull_and_prepare, "avx2"};
+constexpr Dispatch kAvx2{&avx2::cull_and_prepare, "avx2"};
+constexpr Dispatch kAvx512{&avx512::cull_and_prepare, "avx512"};
+#endif
+
+/// Every instantiation the CPU runs, widest last.
+std::vector<const Dispatch*> runnable() {
+    std::vector<const Dispatch*> out{&kGeneric};
+#if defined(COCOA_FANOUT_X86_DISPATCH)
+    if (__builtin_cpu_supports("avx2")) out.push_back(&kAvx2);
+    // The AVX-512 TU is built with -mavx512f -mavx512dq (vpmullq for the
+    // settle pass's 64-bit multiplies).
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
+        out.push_back(&kAvx512);
     }
 #endif
-    return kGeneric;
+    return out;
 }
 
 const Dispatch& active() {
-    static const Dispatch dispatch = resolve();
-    return dispatch;
+    static const Dispatch* const dispatch = runnable().back();
+    return *dispatch;
 }
 
-// relaxed is enough: tests flip this from the same thread that next drives
-// the medium.
-std::atomic<bool> g_force_generic{false};
+// relaxed is enough: tests force an ISA from the same thread that next
+// drives the medium.
+std::atomic<const Dispatch*> g_forced{nullptr};
 
 }  // namespace
+
+GapTable::GapTable(const phy::Channel& ch, double r2_)
+    : channel(&ch),
+      r2(r2_),
+      inv_width(static_cast<double>(kGapBuckets) / r2_),
+      below_dq(std::numeric_limits<double>::infinity()),
+      buckets(kGapBuckets) {
+    const double width = r2 / static_cast<double>(kGapBuckets);
+    // The quiet test's threshold, in the association it computes the gap.
+    const double quiet_below = ch.config().carrier_sense_dbm - phy::Channel::kQuietMarginDb;
+    // The last distance the sigma ramp covers: from sigma_ramp_end_m on the
+    // far constant takes over, which can sit an ulp below the ramp's end.
+    const double ramp_last = std::nextafter(ch.config().sigma_ramp_end_m, 0.0);
+    for (std::size_t b = 0; b < kGapBuckets; ++b) {
+        const double inner = std::sqrt(static_cast<double>(b) * width) * (1.0 - 1e-9);
+        const double outer = std::sqrt(static_cast<double>(b + 1) * width) * (1.0 + 1e-9);
+        const double gap = quiet_below - (ch.mean_rssi_dbm(inner) + 1e-9);
+        double sigma = std::max(ch.shadowing_sigma_db(inner), ch.shadowing_sigma_db(outer));
+        if (inner <= ramp_last && ramp_last <= outer) {
+            sigma = std::max(sigma, ch.shadowing_sigma_db(ramp_last));
+        }
+        buckets[b] = {gap > 0.0 ? gap * gap : -1.0, sigma * sigma};
+        if (gap > 0.0 && below_dq == std::numeric_limits<double>::infinity()) {
+            below_dq = static_cast<double>(b) * width;
+        }
+    }
+}
 
 void Batch::grow() {
     const std::size_t new_cap = std::max<std::size_t>(64, 2 * idx.size());
@@ -65,6 +101,8 @@ void Batch::grow() {
     x.resize(new_cap);
     y.resize(new_cap);
     keep.resize(new_cap);
+    dq.resize(new_cap);
+    settled.resize(new_cap);
     dist.resize(new_cap);
     mean_dbm.resize(new_cap);
     sigma_db.resize(new_cap);
@@ -84,17 +122,21 @@ void Batch::seal() {
     }
 }
 
-CullPlan make_plan(Batch& b, geom::Vec2 tx_pos, double r2,
-                   const phy::Channel& channel) {
+CullPlan make_plan(Batch& b, geom::Vec2 tx_pos, const GapTable& gaps,
+                   const std::uint32_t* ids, std::uint64_t frame_key) {
     CullPlan p;
     p.x = b.x.data();
     p.y = b.y.data();
+    p.idx = b.idx.data();
     p.lanes = b.lanes();
     p.tx_x = tx_pos.x;
     p.tx_y = tx_pos.y;
-    p.r2 = r2;
-    p.channel = &channel;
+    p.gaps = &gaps;
+    p.ids = ids;
+    p.frame_key = frame_key;
     p.keep = b.keep.data();
+    p.dq = b.dq.data();
+    p.settled = b.settled.data();
     p.dist = b.dist.data();
     p.mean_dbm = b.mean_dbm.data();
     p.sigma_db = b.sigma_db.data();
@@ -104,13 +146,31 @@ CullPlan make_plan(Batch& b, geom::Vec2 tx_pos, double r2,
 }
 
 std::size_t cull_and_prepare(const CullPlan& plan) {
-    const Dispatch& d =
-        g_force_generic.load(std::memory_order_relaxed) ? kGeneric : active();
-    return d.cull(plan);
+    const Dispatch* forced = g_forced.load(std::memory_order_relaxed);
+    return (forced != nullptr ? *forced : active()).cull(plan);
 }
 
 const char* active_isa() { return active().isa; }
 
-void set_force_generic(bool on) { g_force_generic.store(on, std::memory_order_relaxed); }
+std::vector<const char*> runnable_isas() {
+    std::vector<const char*> names;
+    for (const Dispatch* d : runnable()) names.push_back(d->isa);
+    return names;
+}
+
+void force_isa(const char* isa) {
+    if (isa == nullptr) {
+        g_forced.store(nullptr, std::memory_order_relaxed);
+        return;
+    }
+    for (const Dispatch* d : runnable()) {
+        if (std::strcmp(d->isa, isa) == 0) {
+            g_forced.store(d, std::memory_order_relaxed);
+            return;
+        }
+    }
+    throw std::invalid_argument(std::string("fanout::force_isa: '") + isa +
+                                "' is not an instantiation this build and CPU run");
+}
 
 }  // namespace cocoa::mac::fanout

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -23,10 +24,11 @@ constexpr double kTruncateSlackM = 1.0;
 /// all draw the same-sized block from the slab pool (64 entries * 4 bytes);
 /// denser swarm neighbourhoods fall through to ordinary allocation.
 constexpr std::size_t kSensedReserve = 64;
-/// Radius-cache sizing: 4096 masks cover a ~16 km x 16 km active area of
-/// 126 m cells at the 4x4 sub-cell quantization before the LRU recycles, a
-/// few hundred KB; tiles below 16 radios skip the cache (scanning a handful
-/// of candidates outright is cheaper than the mask lookup).
+/// Radius-cache sizing: a key is one of a cell's 4x4 sub-cell quanta, so
+/// 4096 masks cover 256 cells, a ~2 km x 2 km active area of the swarm's
+/// ~128 m cells, before the LRU recycles, a few hundred KB; tiles below 16
+/// radios skip the cache (scanning a handful of candidates outright is
+/// cheaper than the mask lookup).
 constexpr std::size_t kRadiusCacheCapacity = 4096;
 constexpr std::uint32_t kRadiusCacheDensePopulation = 16;
 }  // namespace
@@ -64,6 +66,7 @@ Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig co
     truncate_radius_m_ = cull_radius_m_ + kTruncateSlackM;
     radius_cache_.configure(tree_.cell_side_m(), cull_radius_m_,
                             kRadiusCacheCapacity, kRadiusCacheDensePopulation);
+    gaps_ = fanout::GapTable(channel_, cull_radius_m_ * cull_radius_m_);
     // Steady-state scratch: sized once here so paper-scale neighbourhoods
     // never grow it again (swarm densities warm it within a few frames).
     cca_tags_.reserve(kSensedReserve);
@@ -161,36 +164,12 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
     // unavailable (off / in-outage) radios are invisible to propagation.
     cca_tags_.clear();
     std::uint64_t visited = 0;
-    // The stochastic tail of one receiver's evaluation, shared by the
-    // unculled sweep and the vectorized fanout: given the deterministic
-    // channel terms at the receiver's distance, perform the counter-based
-    // draws and record the sensed verdict. Keeping the draws here (scalar,
-    // ascending candidate order) is what makes the vectorized fanout
-    // bitwise-neutral — the kernels only batch the deterministic prefix.
-    //
-    // Where the mean RSSI lies below carrier sense, the channel's quiet draw
-    // mostly settles the verdict from the gaussian's polar pair alone (no
-    // log, no sqrt, no fade). The receiver id comes from ids_, so a quiet
-    // lane never touches its Radio. A quiet receiver stays unsensed, which
-    // is all the full draw would have recorded for it.
-    const auto draw = [&](std::size_t i, double mean_dbm, double sigma_db,
-                          double fade_db) {
+    // The tail of one visited receiver's evaluation once its RSSI is known
+    // (std::nullopt: quiet, it cannot sense the frame): loss bursts, then
+    // the sensed verdict. The receiver id comes from ids_, so a quiet lane
+    // never touches its Radio.
+    const auto record = [&](std::size_t i, std::uint64_t id, std::optional<double> rssi) {
         ++visited;
-        const auto id = static_cast<std::uint64_t>(ids_[i]);
-        const std::uint64_t key =
-            sim::splitmix64_mix(frame_key ^ sim::splitmix64_mix(id + 0x51ed2701));
-        sim::SplitMix64 rng(key);
-        std::optional<double> rssi =
-            channel_.sample_rssi_or_quiet(mean_dbm, sigma_db, fade_db, rng);
-#ifndef NDEBUG
-        if (!rssi) {
-            // Quiet-verdict invariant: the full draw from the same key stays
-            // below carrier sense (attenuation only lowers it further).
-            sim::SplitMix64 full(key);
-            assert(!channel_.sensed(
-                channel_.sample_rssi_from(mean_dbm, sigma_db, fade_db, full)));
-        }
-#endif
         if (loss_effect.active) {
             if (rssi) *rssi -= loss_effect.attenuation_db;
             if (loss_effect.drop_prob > 0.0) {
@@ -217,16 +196,40 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                 std::bit_cast<std::uint64_t>(*rssi)));
         }
     };
+    // The stochastic draw of one receiver, shared by the unculled sweep and
+    // the vectorized fanout: given the deterministic channel terms at the
+    // receiver's distance, perform the counter-based draws. Where the mean
+    // RSSI lies below carrier sense, the channel's quiet draw mostly settles
+    // the verdict from the gaussian's polar pair alone (no log, no sqrt, no
+    // fade).
+    const auto draw = [&](std::size_t i, double mean_dbm, double sigma_db,
+                          double fade_db) {
+        const auto id = static_cast<std::uint64_t>(ids_[i]);
+        const std::uint64_t key = fanout::rssi_key(frame_key, id);
+        sim::SplitMix64 rng(key);
+        std::optional<double> rssi =
+            channel_.sample_rssi_or_quiet(mean_dbm, sigma_db, fade_db, rng);
+#ifndef NDEBUG
+        if (!rssi) {
+            // Quiet-verdict invariant: the full draw from the same key stays
+            // below carrier sense (attenuation only lowers it further).
+            sim::SplitMix64 full(key);
+            assert(!channel_.sensed(
+                channel_.sample_rssi_from(mean_dbm, sigma_db, fade_db, full)));
+        }
+#endif
+        record(i, id, rssi);
+    };
 
     if (config_.interference_culling) {
         refresh_tree_if_stale();
         // Vectorized fanout: gather the window's candidates (cached slot
         // positions — equal to the live ones under the note_position_moved
         // contract the Debug sweep above just verified) into the SoA batch,
-        // run the blocked cull + channel-term kernel, then the scalar draw
-        // tail in ascending lane order. The radius cache prunes
-        // provably-out-of-disk window cells before the gather in dense
-        // neighbourhoods.
+        // run the blocked cull + settle + channel-term kernel, then the
+        // scalar draw tail in ascending lane order for the lanes the kernel
+        // could not settle. The radius cache prunes provably-out-of-disk
+        // window cells before the gather in dense neighbourhoods.
         fanout_batch_.clear();
         const auto sender_idx = static_cast<std::uint32_t>(sender.attach_index());
         // The sender is gathered like any candidate (no per-candidate branch
@@ -237,11 +240,31 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                                      fanout_batch_.push(i, cached.x, cached.y);
                                  });
         fanout_batch_.seal();
-        const std::size_t kept = fanout::cull_and_prepare(fanout::make_plan(
-            fanout_batch_, tx_pos, cull_radius_m_ * cull_radius_m_, channel_));
+        const std::size_t kept = fanout::cull_and_prepare(
+            fanout::make_plan(fanout_batch_, tx_pos, gaps_, ids_.data(), frame_key));
         for (std::size_t k = 0; k < kept; ++k) {
             const std::size_t l = fanout_batch_.kept_lanes[k];
-            if (fanout_batch_.idx[l] == sender_idx) continue;
+            const std::uint32_t i = fanout_batch_.idx[l];
+            if (i == sender_idx) continue;
+            if (fanout_batch_.settled[l] != 0) {
+                // The kernel proved this receiver's draw quiet (GapTable):
+                // it is visited, takes the loss-burst drop draw, and stays
+                // unsensed, exactly as the scalar draw would leave it.
+                ++settled_lanes_;
+#ifndef NDEBUG
+                const double d = std::sqrt(fanout_batch_.dq[l]);
+                const double mean = channel_.mean_rssi_dbm(d);
+                const double sigma = channel_.shadowing_sigma_db(d);
+                const double fade = channel_.fade_mean_db(d);
+                const std::uint64_t key = fanout::rssi_key(frame_key, ids_[i]);
+                sim::SplitMix64 quick(key);
+                sim::SplitMix64 full(key);
+                assert(!channel_.sample_rssi_or_quiet(mean, sigma, fade, quick));
+                assert(!channel_.sensed(channel_.sample_rssi_from(mean, sigma, fade, full)));
+#endif
+                record(i, ids_[i], std::nullopt);
+                continue;
+            }
 #ifndef NDEBUG
             // Decodability-threshold invariant: every kept lane lies within
             // the influence radius, where the mean plus the maximum clamped
@@ -253,8 +276,8 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                            fanout_batch_.sigma_db[l] >=
                    channel_.config().carrier_sense_dbm - 1e-2);
 #endif
-            draw(fanout_batch_.idx[l], fanout_batch_.mean_dbm[l],
-                 fanout_batch_.sigma_db[l], fanout_batch_.fade_db[l]);
+            draw(i, fanout_batch_.mean_dbm[l], fanout_batch_.sigma_db[l],
+                 fanout_batch_.fade_db[l]);
         }
         // The CCA run below fires its elements in tag order, which must be
         // attach order: the unculled sweep records receivers ascending, and

@@ -176,6 +176,12 @@ class Medium {
     /// fast path as allocation-free (capacity stops growing once warm).
     const fanout::Batch& fanout_scratch() const { return fanout_batch_; }
 
+    /// Visited receivers the fanout kernel settled as quiet (no channel
+    /// terms, no scalar draw) since this medium was built. A diagnostic:
+    /// neither registered nor checkpointed, so counter listings and blobs
+    /// keep their bytes, and a restored medium counts from zero.
+    std::uint64_t settled_lanes() const { return settled_lanes_; }
+
     /// Slab pool recycling net::Packet blocks, for components that build
     /// steady-state packets (CocoaAgent's SYNC payloads). Stats surface as
     /// kernel.pool.packet.* counters.
@@ -309,6 +315,9 @@ class Medium {
     /// cached positions in, per-lane cull verdicts and channel terms out);
     /// recycled across transmissions so steady-state fanout never allocates.
     fanout::Batch fanout_batch_;
+    /// Carrier-sense bounds over the cull disc, for the kernel's settle pass.
+    fanout::GapTable gaps_;
+    std::uint64_t settled_lanes_ = 0;
 
     /// See cull_radius_m().
     double cull_radius_m_ = 0.0;

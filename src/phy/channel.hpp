@@ -175,9 +175,12 @@ class Channel {
         return rssi;
     }
 
-    double solve_range(double threshold_dbm) const;
+    /// Distance at which the mean RSSI falls to `threshold_dbm`. Throws
+    /// std::invalid_argument naming `field` when no finite distance does.
+    double solve_range(double threshold_dbm, const char* field) const;
 
     ChannelConfig config_;
+    double at_break_dbm_ = 0.0;  ///< mean RSSI at the breakpoint
     double max_range_m_ = 0.0;
     double cs_range_m_ = 0.0;
     double influence_range_m_ = 0.0;

@@ -540,6 +540,32 @@ TEST(CheckpointFormat, RestoreRejectsOutOfRangeConfigFields) {
     }
 }
 
+/// A restored channel whose influence threshold no finite distance reaches
+/// is rejected by name, like a fresh one: each field is in range on its own,
+/// but the culling radius they imply does not exist.
+TEST(CheckpointFormat, RestoreRejectsUnreachableInfluenceRange) {
+    const double sentinel = 7.75;  // exact in binary, found once in the blob
+    core::ScenarioConfig config = fuzz_config();
+    config.channel.shadowing_clamp_sigmas = sentinel;
+    const auto table = core::Scenario(fuzz_config()).pdf_table_ptr();
+    std::string blob = exp::save_scenario_checkpoint(core::Scenario(config, table));
+
+    sim::ckpt::Writer good, bad;
+    good.f64(sentinel);
+    bad.f64(1e6);
+    const std::size_t at = blob.find(good.buffer());
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(blob.find(good.buffer(), at + 1), std::string::npos);
+    blob.replace(at, 8, bad.buffer());
+    try {
+        exp::restore_scenario_checkpoint(blob, table);
+        ADD_FAILURE() << "shadowing_clamp_sigmas = 1e6 restored";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("shadowing_clamp_sigmas"), std::string::npos)
+            << e.what();
+    }
+}
+
 // ------------------------------------------------------------- field lists
 
 /// The bytes of save_config for `c`.

@@ -1,5 +1,6 @@
-// Determinism gates of the swarm fanout, in-process: the vectorized fanout
-// kernels against the generic oracle on edge layouts, the batch path against
+// Determinism gates of the swarm fanout, in-process: every runnable fanout
+// kernel against the generic one on edge layouts, the settle verdict against
+// the exact draw on five channels, the batch path against
 // the unculled sweep over whole swarm runs, the sharded mobility tick at
 // several worker counts, the radius cache against brute force, and the
 // allocation-free steady state of the fanout scratch.
@@ -7,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/swarm.hpp"
@@ -36,19 +40,20 @@ using cocoa::sim::Duration;
 using cocoa::sim::Simulator;
 using cocoa::sim::TimePoint;
 
-/// Sets the portable-kernel override until scope exit so a failing test
-/// cannot leak it into later tests (the dispatcher is global).
-struct ForceGenericGuard {
-    explicit ForceGenericGuard(bool on) { fanout::set_force_generic(on); }
-    ~ForceGenericGuard() { fanout::set_force_generic(false); }
+/// Forces one fanout instantiation until scope exit so a failing test cannot
+/// leak it into later tests (the dispatcher is global).
+struct ForceIsaGuard {
+    explicit ForceIsaGuard(const char* isa) { fanout::force_isa(isa); }
+    ~ForceIsaGuard() { fanout::force_isa(nullptr); }
 };
 
 // --- kernel vs oracle on edge layouts ----------------------------------------
 
 struct KernelOutputs {
     std::size_t kept = 0;
-    std::vector<std::uint8_t> keep;
-    std::vector<double> dist, mean, sigma, fade;
+    std::vector<std::uint8_t> keep, settled;  ///< settled: kept lanes only
+    std::vector<double> dq;                   ///< kept lanes
+    std::vector<double> dist, mean, sigma, fade;  ///< unsettled kept lanes
 };
 
 /// Bitwise (not epsilon) equality — the byte-identity contract.
@@ -59,24 +64,41 @@ void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& 
     EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double))) << what;
 }
 
-/// Runs cull_and_prepare over `positions`, on the portable instantiation
-/// when `generic`, and snapshots per-lane outputs (kept lanes only carry
-/// defined values).
-KernelOutputs run_kernel(const std::vector<Vec2>& positions, Vec2 tx, double radius,
-                         const phy::Channel& channel, bool generic) {
-    ForceGenericGuard guard(generic);
-    fanout::Batch batch;
+void expect_same_outputs(const KernelOutputs& a, const KernelOutputs& b) {
+    EXPECT_EQ(a.kept, b.kept);
+    EXPECT_EQ(a.keep, b.keep);
+    EXPECT_EQ(a.settled, b.settled);
+    expect_bits_equal(a.dq, b.dq, "dq");
+    expect_bits_equal(a.dist, b.dist, "dist");
+    expect_bits_equal(a.mean, b.mean, "mean");
+    expect_bits_equal(a.sigma, b.sigma, "sigma");
+    expect_bits_equal(a.fade, b.fade, "fade");
+}
+
+/// Runs cull_and_prepare over `positions` (receiver ids `ids`, by lane) on
+/// the instantiation `isa`, and snapshots the per-lane outputs that carry
+/// defined values: dq and the settle verdict on kept lanes, the channel
+/// terms on kept lanes the kernel did not settle.
+KernelOutputs run_kernel(const std::vector<Vec2>& positions,
+                         const std::vector<std::uint32_t>& ids, Vec2 tx,
+                         const fanout::GapTable& gaps, std::uint64_t frame_key,
+                         const char* isa, fanout::Batch& batch) {
+    ForceIsaGuard guard(isa);
+    batch.clear();
     for (std::size_t i = 0; i < positions.size(); ++i) {
         batch.push(static_cast<std::uint32_t>(i), positions[i].x, positions[i].y);
     }
     batch.seal();
     KernelOutputs out;
-    out.kept = fanout::cull_and_prepare(
-        fanout::make_plan(batch, tx, radius * radius, channel));
+    out.kept =
+        fanout::cull_and_prepare(fanout::make_plan(batch, tx, gaps, ids.data(), frame_key));
     const std::size_t lanes = batch.lanes();
     for (std::size_t l = 0; l < lanes; ++l) {
         out.keep.push_back(batch.keep[l]);
         if (batch.keep[l] == 0) continue;
+        out.dq.push_back(batch.dq[l]);
+        out.settled.push_back(batch.settled[l]);
+        if (batch.settled[l] != 0) continue;
         out.dist.push_back(batch.dist[l]);
         out.mean.push_back(batch.mean_dbm[l]);
         out.sigma.push_back(batch.sigma_db[l]);
@@ -85,55 +107,171 @@ KernelOutputs run_kernel(const std::vector<Vec2>& positions, Vec2 tx, double rad
     return out;
 }
 
+/// The medium's draw for one receiver from exact channel terms at squared
+/// distance dq: quiet (nullopt) or the sampled RSSI.
+std::optional<double> exact_draw(const phy::Channel& channel, double dq, std::uint64_t key) {
+    const double d = std::sqrt(dq);
+    sim::SplitMix64 rng(key);
+    return channel.sample_rssi_or_quiet(channel.mean_rssi_dbm(d),
+                                        channel.shadowing_sigma_db(d),
+                                        channel.fade_mean_db(d), rng);
+}
+
+/// The full draw, with no quiet shortcut, from the same key.
+double full_draw(const phy::Channel& channel, double dq, std::uint64_t key) {
+    const double d = std::sqrt(dq);
+    sim::SplitMix64 rng(key);
+    return channel.sample_rssi_from(channel.mean_rssi_dbm(d), channel.shadowing_sigma_db(d),
+                                    channel.fade_mean_db(d), rng);
+}
+
+TEST(FanoutKernels, RunnableIsasStartWithGenericAndIncludeTheDispatched) {
+    const std::vector<const char*> isas = fanout::runnable_isas();
+    ASSERT_FALSE(isas.empty());
+    EXPECT_STREQ(isas.front(), "generic");
+    EXPECT_STREQ(isas.back(), fanout::active_isa());
+    EXPECT_THROW(fanout::force_isa("sse9"), std::invalid_argument);
+}
+
 /// Every candidate count that exercises a distinct lane-tail shape: empty
 /// batch, a lone candidate, one block minus one, exactly one block, one over,
-/// and a ragged multi-block tail.
+/// and a ragged multi-block tail. Every runnable instantiation must match the
+/// generic one bit for bit.
 TEST(FanoutKernels, SimdMatchesGenericOracleOnEdgeLayouts) {
     const phy::Channel channel{phy::ChannelConfig{.tx_power_dbm = -5.0}};
     const double radius = channel.max_influence_range_m() * (1.0 + 1e-9) + 1e-3;
+    const fanout::GapTable gaps(channel, radius * radius);
     const Vec2 tx{13.25, -7.5};
     Simulator sim(424242);
     sim::RandomStream rng = sim.rng().stream("fanout.fuzz");
+    fanout::Batch batch;
 
-    for (const std::size_t count : {0u, 1u, 7u, 8u, 9u, 17u}) {
+    for (const std::size_t count : {0u, 1u, 7u, 8u, 9u, 17u, 67u}) {
         SCOPED_TRACE(count);
         std::vector<Vec2> positions;
+        std::vector<std::uint32_t> ids;
         for (std::size_t i = 0; i < count; ++i) {
             // Mix of well inside, straddling the radius, and far outside.
             const double r = rng.uniform(0.0, 2.0 * radius);
             const double theta = rng.uniform(0.0, 6.283185307179586);
             positions.push_back(tx + Vec2::from_heading(theta) * r);
+            ids.push_back(static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 30)));
         }
         // Pin the boundary exactly once per non-empty layout: a candidate at
         // precisely the cull radius must be kept (the cull keeps <= r2).
         if (count > 0) positions[0] = tx + Vec2{radius, 0.0};
+        const std::uint64_t frame_key = sim::splitmix64_mix(count);
 
-        const KernelOutputs generic = run_kernel(positions, tx, radius, channel, true);
-        const KernelOutputs active = run_kernel(positions, tx, radius, channel, false);
+        const KernelOutputs generic =
+            run_kernel(positions, ids, tx, gaps, frame_key, "generic", batch);
+        for (const char* isa : fanout::runnable_isas()) {
+            SCOPED_TRACE(isa);
+            expect_same_outputs(
+                generic, run_kernel(positions, ids, tx, gaps, frame_key, isa, batch));
+        }
 
-        EXPECT_EQ(generic.kept, active.kept);
-        EXPECT_EQ(generic.keep, active.keep);
-        expect_bits_equal(generic.dist, active.dist, "dist");
-        expect_bits_equal(generic.mean, active.mean, "mean");
-        expect_bits_equal(generic.sigma, active.sigma, "sigma");
-        expect_bits_equal(generic.fade, active.fade, "fade");
-
-        // And both agree with the scalar expressions the unculled sweep uses.
+        // And the generic outputs agree with the scalar expressions the
+        // unculled sweep uses; every settled lane's draw is quiet.
         std::size_t k = 0;
+        std::size_t u = 0;
         for (std::size_t i = 0; i < positions.size(); ++i) {
             const bool in = geom::distance_sq(positions[i], tx) <= radius * radius;
             ASSERT_EQ(generic.keep[i] != 0, in) << "candidate " << i;
             if (!in) continue;
-            const double d = geom::distance(positions[i], tx);
-            EXPECT_EQ(generic.dist[k], d);
-            EXPECT_EQ(generic.mean[k], channel.mean_rssi_dbm(d));
-            EXPECT_EQ(generic.sigma[k], channel.shadowing_sigma_db(d));
-            EXPECT_EQ(generic.fade[k], channel.fade_mean_db(d));
+            const double dq = geom::distance_sq(positions[i], tx);
+            EXPECT_EQ(generic.dq[k], dq);
+            if (generic.settled[k] != 0) {
+                const std::uint64_t key = fanout::rssi_key(frame_key, ids[i]);
+                EXPECT_FALSE(exact_draw(channel, dq, key).has_value()) << "candidate " << i;
+            } else {
+                const double d = geom::distance(positions[i], tx);
+                EXPECT_EQ(generic.dist[u], d);
+                EXPECT_EQ(generic.mean[u], channel.mean_rssi_dbm(d));
+                EXPECT_EQ(generic.sigma[u], channel.shadowing_sigma_db(d));
+                EXPECT_EQ(generic.fade[u], channel.fade_mean_db(d));
+                ++u;
+            }
             ++k;
         }
+        EXPECT_EQ(k, generic.kept);
         // Padding lanes always cull.
         for (std::size_t l = positions.size(); l < generic.keep.size(); ++l) {
             EXPECT_EQ(generic.keep[l], 0) << "padding lane " << l;
+        }
+    }
+}
+
+/// The settle verdict against the exact draw over 10^7 random (key, squared
+/// distance) pairs spread uniformly over the cull disc of five channels:
+/// every settled lane's draw is quiet and its full draw unsensed, every
+/// runnable instantiation settles the same lanes, and on the swarm channel
+/// the kernel settles at least 99% of the lanes whose draw is quiet.
+TEST(FanoutKernels, SettledLanesDrawQuietOnEveryChannel) {
+    struct Case {
+        const char* name;
+        phy::ChannelConfig config;
+    };
+    const Case cases[] = {
+        {"default", {}},
+        {"swarm -5 dBm", {.tx_power_dbm = -5.0}},
+        {"sigma near != far",
+         {.tx_power_dbm = -5.0, .shadowing_sigma_near_db = 3.0, .shadowing_sigma_far_db = 1.0}},
+        {"zero near sigma", {.tx_power_dbm = -5.0, .shadowing_sigma_near_db = 0.0}},
+        {"zero fade", {.tx_power_dbm = -5.0, .fade_mean_far_db = 0.0}},
+    };
+    constexpr std::size_t kPerBatch = 4096;
+    constexpr std::size_t kBatches = 10'000'000 / (kPerBatch * std::size(cases)) + 1;
+    const std::vector<const char*> isas = fanout::runnable_isas();
+    sim::SplitMix64 rng(2026);
+    fanout::Batch batch;
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const phy::Channel channel{c.config};
+        const double radius = channel.max_influence_range_m() * (1.0 + 1e-9) + 1e-3;
+        const fanout::GapTable gaps(channel, radius * radius);
+        const Vec2 tx{-41.5, 7.25};
+        std::uint64_t lanes = 0, quiet = 0, settled = 0;
+        std::vector<Vec2> positions(kPerBatch);
+        std::vector<std::uint32_t> ids(kPerBatch);
+        for (std::size_t n = 0; n < kBatches; ++n) {
+            for (std::size_t i = 0; i < kPerBatch; ++i) {
+                const double r = radius * std::sqrt(rng.canonical());
+                const double theta = 6.283185307179586 * rng.canonical();
+                positions[i] = tx + Vec2::from_heading(theta) * r;
+                ids[i] = static_cast<std::uint32_t>(rng());
+            }
+            const std::uint64_t frame_key = rng();
+            const KernelOutputs out =
+                run_kernel(positions, ids, tx, gaps, frame_key, isas.front(), batch);
+            for (std::size_t v = 1; v < isas.size(); ++v) {
+                SCOPED_TRACE(isas[v]);
+                const KernelOutputs other =
+                    run_kernel(positions, ids, tx, gaps, frame_key, isas[v], batch);
+                ASSERT_EQ(out.settled, other.settled);
+                expect_bits_equal(out.mean, other.mean, "mean");
+            }
+            std::size_t k = 0;
+            for (std::size_t i = 0; i < kPerBatch; ++i) {
+                if (out.keep[i] == 0) continue;
+                const double dq = out.dq[k];
+                const std::uint64_t key = fanout::rssi_key(frame_key, ids[i]);
+                const bool is_quiet = !exact_draw(channel, dq, key).has_value();
+                ++lanes;
+                quiet += is_quiet;
+                if (out.settled[k] != 0) {
+                    ++settled;
+                    ASSERT_TRUE(is_quiet) << "dq=" << dq << " key=" << key;
+                    ASSERT_FALSE(channel.sensed(full_draw(channel, dq, key)))
+                        << "dq=" << dq << " key=" << key;
+                }
+                ++k;
+            }
+        }
+        EXPECT_GT(lanes, 1'900'000u);
+        EXPECT_GT(settled, 0u);
+        if (std::string(c.name) == "swarm -5 dBm") {
+            EXPECT_GE(static_cast<double>(settled), 0.99 * static_cast<double>(quiet))
+                << settled << " of " << quiet << " quiet lanes settled";
         }
     }
 }
@@ -313,9 +451,19 @@ Packet test_packet(std::uint64_t value = 0) {
     return p;
 }
 
+/// Where every array of the fanout scratch lives; equal snapshots mean no
+/// array was reallocated in between.
+std::vector<const void*> scratch_storage(const fanout::Batch& b) {
+    return {b.idx.data(),      b.x.data(),        b.y.data(),
+            b.keep.data(),     b.dq.data(),       b.settled.data(),
+            b.dist.data(),     b.mean_dbm.data(), b.sigma_db.data(),
+            b.fade_db.data(),  b.kept_lanes.data()};
+}
+
 /// S1: the fanout scratch and the pooled sensed/frame blocks are recycled
 /// across transmissions — after a warm-up frame, steady-state fanout does not
-/// grow the batch and pool blocks come off the free lists.
+/// grow or move any batch array (the settle pass's dq and settled arrays
+/// included) and pool blocks come off the free lists.
 TEST(ParallelSwarm, FanoutScratchStaysAllocationFreeOnceWarm) {
     Simulator sim(5);
     const phy::Channel channel{phy::ChannelConfig{.tx_power_dbm = -5.0}};
@@ -330,10 +478,12 @@ TEST(ParallelSwarm, FanoutScratchStaysAllocationFreeOnceWarm) {
     }
 
     std::size_t warm_capacity = 0;
+    std::vector<const void*> warm_storage;
     sim.schedule_at(TimePoint::from_seconds(1.0),
                     [&] { radios[0]->send(test_packet(0)); });
     sim.schedule_at(TimePoint::from_seconds(2.0), [&] {
         warm_capacity = medium.fanout_scratch().capacity();
+        warm_storage = scratch_storage(medium.fanout_scratch());
     });
     for (int burst = 0; burst < 40; ++burst) {
         sim.schedule_at(TimePoint::from_seconds(3.0 + burst),
@@ -346,7 +496,11 @@ TEST(ParallelSwarm, FanoutScratchStaysAllocationFreeOnceWarm) {
 
     EXPECT_GT(warm_capacity, 0u);
     EXPECT_EQ(medium.fanout_scratch().capacity(), warm_capacity);
+    EXPECT_EQ(scratch_storage(medium.fanout_scratch()), warm_storage);
     EXPECT_GT(medium.stats().frames_sent, 20u);
+    // The 100 m grid spans the -5 dBm carrier-sense range (~35 m), so the
+    // settle pass ran on these frames.
+    EXPECT_GT(medium.settled_lanes(), 0u);
     // Pooled frame + sensed blocks recycle too (the PR 5 contract, preserved
     // through the fanout restructure).
     EXPECT_GT(medium.frame_pool_stats().reused, 0u);

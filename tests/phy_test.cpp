@@ -6,6 +6,7 @@
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "phy/channel.hpp"
 #include "phy/loss.hpp"
@@ -367,6 +368,57 @@ TEST(Channel, InvalidClampThrows) {
     ChannelConfig cfg;
     cfg.shadowing_clamp_sigmas = 0.0;
     EXPECT_THROW(Channel{cfg}, std::invalid_argument);
+}
+
+/// Ranges past any fixed search bracket: a 100 dBm transmitter's influence
+/// range lies beyond 2e7 m, and the range returned must still put the mean
+/// at the threshold, not stop short where a clamped draw still reaches
+/// carrier sense.
+TEST(Channel, InfluenceRangeHoldsPastLargeDistances) {
+    const Channel ch{ChannelConfig{.tx_power_dbm = 100.0}};
+    const double threshold = ch.config().carrier_sense_dbm -
+                             ch.config().shadowing_clamp_sigmas *
+                                 ch.config().shadowing_sigma_far_db;
+    const double r = ch.max_influence_range_m();
+    EXPECT_GT(r, 2e7);
+    EXPECT_NEAR(ch.mean_rssi_dbm(r), threshold, 1e-6);
+    EXPECT_LE(ch.mean_rssi_dbm(r * (1.0 + 1e-9)), threshold);
+}
+
+/// A threshold no finite distance reaches is rejected by the field that set
+/// it, instead of returning a range where the mean is far above it.
+TEST(Channel, UnreachableRangeThrowsNamingTheField) {
+    ChannelConfig cfg;
+    cfg.shadowing_clamp_sigmas = 1e6;  // influence threshold -1.5e6 dBm
+    try {
+        const Channel ch{cfg};
+        FAIL() << "accepted an influence range of " << ch.max_influence_range_m() << " m";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("shadowing_clamp_sigmas"), std::string::npos)
+            << e.what();
+    }
+    cfg = ChannelConfig{};
+    cfg.rx_sensitivity_dbm = -1e5;
+    EXPECT_THROW(Channel{cfg}, std::invalid_argument);
+}
+
+/// The breakpoint mean is computed once in the constructor; every distance
+/// past the breakpoint keeps the bits of the per-call expression.
+TEST(Channel, HoistedBreakpointMeanKeepsEveryBit) {
+    const ChannelConfig c;
+    const Channel ch{c};
+    sim::SplitMix64 rng(99);
+    for (int i = 0; i < 100000; ++i) {
+        const double d = c.breakpoint_m + rng.canonical() * 2000.0;
+        const double at_ref = c.tx_power_dbm - c.ref_loss_db;
+        const double at_break =
+            at_ref - 10.0 * c.exponent_near * std::log10(c.breakpoint_m / c.ref_distance_m);
+        const double expected =
+            at_break - 10.0 * c.exponent_far * std::log10(d / c.breakpoint_m);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(ch.mean_rssi_dbm(d)),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "d=" << d;
+    }
 }
 
 TEST(Channel, SplitMixDrawsMatchStreamDistributions) {
