@@ -316,54 +316,107 @@ void BM_CellTree_query(benchmark::State& state) {
 }
 BENCHMARK(BM_CellTree_query)->Arg(1024)->Arg(16384);
 
-/// Mobile fan-out: BM_MediumFanout with every radio taking a random-walk step
-/// (and notifying the medium) before each transmission, the way the swarm
-/// family drives the index. The cell tree absorbs each move as an O(1)
-/// incremental migration.
+/// A medium with `n` radios placed uniformly on a `side`-metre square, all
+/// awake, transmitting in turn; with `walk`, each radio takes a random-walk
+/// step (and notifies the medium) before its turn, the way the swarm family
+/// drives the index.
+class FanoutRig {
+  public:
+    FanoutRig(int n, double side, const phy::ChannelConfig& channel, bool walk)
+        : medium_(sim_, phy::Channel{channel}), walk_(walk) {
+        sim::RandomStream place(42);
+        pos_.resize(static_cast<std::size_t>(n));
+        radios_.reserve(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i) {
+            pos_[static_cast<std::size_t>(i)] = {place.uniform(0.0, side),
+                                                 place.uniform(0.0, side)};
+            const geom::Vec2* p = &pos_[static_cast<std::size_t>(i)];
+            radios_.push_back(std::make_unique<mac::Radio>(
+                sim_, medium_, static_cast<net::NodeId>(i), [p] { return *p; },
+                energy::PowerProfile::wavelan(),
+                sim_.rng().stream("bench.backoff", static_cast<std::uint64_t>(i))));
+        }
+        packet_.payload_bytes = 24;
+    }
+    // The radios hold the medium, the simulator and their position slots.
+    FanoutRig(const FanoutRig&) = delete;
+    FanoutRig& operator=(const FanoutRig&) = delete;
+
+    /// The next radio's transmission, after its walk step; drains the CCA
+    /// and rx events and lets the frame expire.
+    void transmit() {
+        if (walk_) {
+            geom::Vec2& p = pos_[sender_];
+            p.x += steps_.uniform(-1.0, 1.0);
+            p.y += steps_.uniform(-1.0, 1.0);
+            medium_.note_position_moved(*radios_[sender_]);
+        }
+        medium_.begin_transmission(*radios_[sender_], packet_, sim::Duration::micros(100));
+        sender_ = (sender_ + 1) % radios_.size();
+        sim_.run_until(sim_.now() + sim::Duration::millis(1));
+    }
+
+    const mac::Medium& medium() const { return medium_; }
+
+  private:
+    sim::Simulator sim_{7};
+    mac::Medium medium_;
+    bool walk_;
+    std::vector<geom::Vec2> pos_;
+    std::vector<std::unique_ptr<mac::Radio>> radios_;
+    net::Packet packet_;
+    sim::RandomStream steps_{43};
+    std::size_t sender_ = 0;
+};
+
+/// Lane counters of a fresh rig over a fixed `transmissions`, so they read
+/// the same whatever iteration count google-benchmark picked for the timed
+/// rig: visited receivers per transmission, and how many the kernel settled
+/// from its bounds or drew.
+template <typename MakeRig>
+void report_lanes(benchmark::State& state, MakeRig make_rig, int transmissions) {
+    const std::unique_ptr<FanoutRig> rig = make_rig();
+    for (int i = 0; i < transmissions; ++i) rig->transmit();
+    const auto frames = static_cast<double>(transmissions);
+    const mac::Medium& medium = rig->medium();
+    const auto visited = static_cast<double>(medium.stats().radios_visited);
+    const auto settled = static_cast<double>(medium.settled_lanes());
+    state.counters["visited_per_tx"] = visited / frames;
+    state.counters["settled_per_tx"] = settled / frames;
+    state.counters["drawn_per_tx"] = (visited - settled) / frames;
+}
+
+/// Mobile fan-out at fig7 density on the swarm channel (-5 dBm, ~127 m
+/// influence radius): the cell tree absorbs each walk step as an O(1)
+/// incremental migration, and most visited receivers settle quiet.
 void BM_MediumFanoutMobile(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     const double side = std::sqrt(static_cast<double>(n) / (50.0 / 40'000.0));
-
-    sim::Simulator sim(7);
-    phy::ChannelConfig chcfg;
-    chcfg.tx_power_dbm = -5.0;  // swarm-family influence radius (~127 m)
-    mac::Medium medium(sim, phy::Channel{chcfg});
-    sim::RandomStream place(42);
-    std::vector<geom::Vec2> pos(static_cast<std::size_t>(n));
-    std::vector<std::unique_ptr<mac::Radio>> radios;
-    radios.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-        pos[static_cast<std::size_t>(i)] = {place.uniform(0.0, side),
-                                            place.uniform(0.0, side)};
-        const geom::Vec2* p = &pos[static_cast<std::size_t>(i)];
-        radios.push_back(std::make_unique<mac::Radio>(
-            sim, medium, static_cast<net::NodeId>(i), [p] { return *p; },
-            energy::PowerProfile::wavelan(),
-            sim.rng().stream("bench.backoff", static_cast<std::uint64_t>(i))));
-    }
-
-    net::Packet packet;
-    packet.payload_bytes = 24;
-    sim::RandomStream walk(43);
-    std::size_t sender = 0;
-    for (auto _ : state) {
-        geom::Vec2& p = pos[sender];
-        p.x += walk.uniform(-1.0, 1.0);
-        p.y += walk.uniform(-1.0, 1.0);
-        medium.note_position_moved(*radios[sender]);
-        medium.begin_transmission(*radios[sender], packet,
-                                  sim::Duration::micros(100));
-        sender = (sender + 1) % radios.size();
-        sim.run_until(sim.now() + sim::Duration::millis(1));
-    }
+    phy::ChannelConfig channel;
+    channel.tx_power_dbm = -5.0;  // swarm-family influence radius (~127 m)
+    const auto make_rig = [&] {
+        return std::make_unique<FanoutRig>(n, side, channel, /*walk=*/true);
+    };
+    const std::unique_ptr<FanoutRig> rig = make_rig();
+    for (auto _ : state) rig->transmit();
     state.SetItemsProcessed(state.iterations());
-    const auto frames =
-        static_cast<double>(std::max<std::uint64_t>(1, medium.stats().frames_sent));
-    state.counters["visited_per_tx"] =
-        static_cast<double>(medium.stats().radios_visited) / frames;
-    state.counters["settled_per_tx"] = static_cast<double>(medium.settled_lanes()) / frames;
+    report_lanes(state, make_rig, 4096);
 }
 BENCHMARK(BM_MediumFanoutMobile)->Arg(256)->Arg(1024)->Arg(4096);
+
+/// dense_lincvx's fanout shape: 300 awake radios on a 400 m square with the
+/// default channel, so every transmission reaches every radio, ~1/3 of the
+/// receivers settle from the kernel's bounds and the rest are drawn.
+void BM_MediumFanoutDense(benchmark::State& state) {
+    const auto make_rig = [] {
+        return std::make_unique<FanoutRig>(300, 400.0, phy::ChannelConfig{}, /*walk=*/false);
+    };
+    const std::unique_ptr<FanoutRig> rig = make_rig();
+    for (auto _ : state) rig->transmit();
+    state.SetItemsProcessed(state.iterations());
+    report_lanes(state, make_rig, 2048);
+}
+BENCHMARK(BM_MediumFanoutDense);
 
 /// The vectorized fanout on a dense hotspot: mobile fan-out from a small
 /// dense cluster ringed by `range(0)` radios that sit inside the sender's 3x3

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 namespace cocoa::core {
 
@@ -81,13 +82,19 @@ struct ScalePlan {
 Moments scale_and_moments(const ScalePlan& plan);
 
 /// The ISA the dispatcher selected at startup: "avx512", "avx2" or
-/// "generic". set_force_generic does not change this.
+/// "generic". force_isa does not change this.
 const char* active_isa();
 
-/// Test hook: while set, apply_and_sum and scale_and_moments run the
-/// portable blocked instantiation regardless of the dispatched ISA. Results
-/// stay byte-identical; that is the contract the bitwise tests pin.
-void set_force_generic(bool on);
+/// Every instantiation this build compiled and this CPU can run, "generic"
+/// first.
+std::vector<const char*> runnable_isas();
+
+/// Test hook: while set, apply_and_sum and scale_and_moments run the named
+/// instantiation (one of runnable_isas()) regardless of the dispatched ISA;
+/// nullptr restores the dispatch. Throws std::invalid_argument for any other
+/// name. Results stay byte-identical; that is the contract the bitwise tests
+/// pin.
+void force_isa(const char* isa);
 
 }  // namespace gridk
 }  // namespace cocoa::core

@@ -72,26 +72,30 @@ GapTable::GapTable(const phy::Channel& ch, double r2_)
     : channel(&ch),
       r2(r2_),
       inv_width(static_cast<double>(kGapBuckets) / r2_),
-      below_dq(std::numeric_limits<double>::infinity()),
       buckets(kGapBuckets) {
     const double width = r2 / static_cast<double>(kGapBuckets);
     // The quiet test's threshold, in the association it computes the gap.
     const double quiet_below = ch.config().carrier_sense_dbm - phy::Channel::kQuietMarginDb;
     // The last distance the sigma ramp covers: from sigma_ramp_end_m on the
-    // far constant takes over, which can sit an ulp below the ramp's end.
+    // far constant takes over, which can sit an ulp off the ramp's end.
     const double ramp_last = std::nextafter(ch.config().sigma_ramp_end_m, 0.0);
     for (std::size_t b = 0; b < kGapBuckets; ++b) {
         const double inner = std::sqrt(static_cast<double>(b) * width) * (1.0 - 1e-9);
         const double outer = std::sqrt(static_cast<double>(b + 1) * width) * (1.0 + 1e-9);
-        const double gap = quiet_below - (ch.mean_rssi_dbm(inner) + 1e-9);
-        double sigma = std::max(ch.shadowing_sigma_db(inner), ch.shadowing_sigma_db(outer));
+        const double mean_ub = ch.mean_rssi_dbm(inner) + 1e-9;
+        const double gap = quiet_below - mean_ub;
+        double sigma_ub = std::max(ch.shadowing_sigma_db(inner), ch.shadowing_sigma_db(outer));
+        double sigma_lb = std::min(ch.shadowing_sigma_db(inner), ch.shadowing_sigma_db(outer));
         if (inner <= ramp_last && ramp_last <= outer) {
-            sigma = std::max(sigma, ch.shadowing_sigma_db(ramp_last));
+            sigma_ub = std::max(sigma_ub, ch.shadowing_sigma_db(ramp_last));
+            sigma_lb = std::min(sigma_lb, ch.shadowing_sigma_db(ramp_last));
         }
-        buckets[b] = {gap > 0.0 ? gap * gap : -1.0, sigma * sigma};
-        if (gap > 0.0 && below_dq == std::numeric_limits<double>::infinity()) {
-            below_dq = static_cast<double>(b) * width;
-        }
+        buckets[b] = {.gap_sq = gap > 0.0 ? gap * gap : -1.0,
+                      .sigma_sq = sigma_ub * sigma_ub,
+                      .mean_ub = mean_ub,
+                      .sigma_ub = sigma_ub,
+                      .sigma_lb = sigma_lb,
+                      .fade_lb = std::max(0.0, ch.fade_mean_db(inner) * (1.0 - 1e-9))};
     }
 }
 
@@ -102,11 +106,8 @@ void Batch::grow() {
     y.resize(new_cap);
     keep.resize(new_cap);
     dq.resize(new_cap);
-    settled.resize(new_cap);
-    dist.resize(new_cap);
-    mean_dbm.resize(new_cap);
-    sigma_db.resize(new_cap);
-    fade_db.resize(new_cap);
+    verdict.resize(new_cap);
+    rssi_dbm.resize(new_cap);
     kept_lanes.resize(new_cap);
 }
 
@@ -136,11 +137,8 @@ CullPlan make_plan(Batch& b, geom::Vec2 tx_pos, const GapTable& gaps,
     p.frame_key = frame_key;
     p.keep = b.keep.data();
     p.dq = b.dq.data();
-    p.settled = b.settled.data();
-    p.dist = b.dist.data();
-    p.mean_dbm = b.mean_dbm.data();
-    p.sigma_db = b.sigma_db.data();
-    p.fade_db = b.fade_db.data();
+    p.verdict = b.verdict.data();
+    p.rssi_dbm = b.rssi_dbm.data();
     p.kept_lanes = b.kept_lanes.data();
     return p;
 }

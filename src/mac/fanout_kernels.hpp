@@ -17,30 +17,39 @@ namespace cocoa::mac {
 /// Vectorized transmission-fanout kernels behind Medium::begin_transmission.
 ///
 /// The medium's hot loop evaluates, for every spatial-index candidate around
-/// a transmitter: squared distance, the exact-radius cull, a settle verdict
-/// for receivers that provably stay below carrier sense, and the three
-/// deterministic channel terms (path-loss mean, shadowing sigma, fade mean)
-/// that feed the per-(frame, receiver) RSSI draw of every receiver it could
-/// not settle. fanout gathers candidates into a reusable SoA batch and runs
-/// that evaluation blocked over kBlock lanes, mirroring core/grid_kernels: a
-/// baseline instantiation compiled with default ISA flags plus AVX2/AVX-512
+/// a transmitter: squared distance, the exact-radius cull, and the
+/// per-(frame, receiver) RSSI draw of every kept receiver. fanout gathers
+/// candidates into a reusable SoA batch and finishes every kept lane in it,
+/// blocked over kBlock lanes, mirroring core/grid_kernels: a baseline
+/// instantiation compiled with default ISA flags plus AVX2/AVX-512
 /// instantiations behind a runtime dispatcher, all byte-identical by
-/// construction.
+/// construction. The medium only reads each lane's verdict and RSSI.
+///
+/// A kept lane ends in one of four verdicts (Verdict). Two settle it from
+/// per-bucket bounds (GapTable) without any channel term: the first
+/// accepted Marsaglia-polar pair proves the draw quiet (step 1), or a
+/// log-free bound on the whole draw proves it below carrier sense (step 2).
+/// The lanes left are compacted kBlock at a time and drawn exactly: the
+/// lane's own channel terms and quiet test, then the shadowing and fade in
+/// vector lanes, with only the libm logs called per lane.
 ///
 /// Determinism contract: the distance arithmetic is mul/add only with
 /// contraction disabled on every instantiation (no ISA gains an FMA another
-/// lacks), std::sqrt is correctly rounded on every path, and the channel
-/// terms are computed by out-of-line phy::Channel calls — the same functions
-/// the unculled sweep uses — in fixed ascending lane order. The settle pass
-/// draws each lane's first accepted Marsaglia-polar pair in vector lanes:
-/// the counter-based key (rssi_key), splitmix64 outputs and their exact
+/// lacks), std::sqrt and IEEE division are correctly rounded on every path,
+/// and the channel terms and logs are the out-of-line phy::Channel calls and
+/// the libm functions the scalar draw uses, called in ascending lane order.
+/// The counter-based key (rssi_key), the splitmix64 outputs and their exact
 /// u64-to-double conversion are integer and IEEE operations every ISA
-/// performs identically, so every instantiation settles the same lanes. A
-/// settled lane is one whose draw provably returns quiet (see GapTable), so
-/// the verdict changes no output either way; every lane the kernel leaves
-/// unsettled takes the medium's scalar counter-based draw unchanged. A
-/// -DCOCOA_SIMD=OFF build, every forced ISA, AVX2 and AVX-512 all produce
-/// byte-identical swarm output, which the golden digests pin.
+/// performs identically, so every instantiation draws the same pairs and
+/// uniforms as phy::Channel::sample_rssi_or_quiet. A drawn lane repeats
+/// that function's operation sequence in its own association, so its
+/// verdict and RSSI are the scalar draw's bits; a settled lane is one whose
+/// scalar draw provably ends unsensed, which is all the medium records for
+/// it. The rare lanes the vector draw cannot take (a polar pair not accepted
+/// within kPolarAttempts, a zero shadowing sigma) run the scalar
+/// sample_rssi_or_quiet inside the kernel. A -DCOCOA_SIMD=OFF build, every
+/// forced ISA, AVX2 and AVX-512 all produce byte-identical output, which the
+/// golden digests pin (dense_400m against the unculled sweep among them).
 namespace fanout {
 
 /// Lane count of the blocked layout — the unit the gather pads to. Fixed
@@ -51,8 +60,8 @@ inline constexpr std::size_t kBlock = 8;
 /// tight the carrier-sense bound is, not what any run computes).
 inline constexpr std::size_t kGapBuckets = 1024;
 
-/// Polar attempts the settle pass makes per lane before it leaves the lane
-/// to the scalar draw. Each attempt is accepted with probability pi/4, so
+/// Polar attempts the kernel makes per lane before it leaves the lane to
+/// the scalar draw. Each attempt is accepted with probability pi/4, so
 /// about 5 lanes in 10^6 run out.
 inline constexpr int kPolarAttempts = 8;
 
@@ -62,35 +71,69 @@ constexpr std::size_t padded(std::size_t n) {
 
 /// The counter-based key of one receiver's RSSI draw: a pure function of the
 /// frame key and the receiver id (never of attach order or of any other
-/// receiver). The settle pass computes the same mix in vector lanes.
+/// receiver). The kernel computes the same mix in vector lanes.
 constexpr std::uint64_t rssi_key(std::uint64_t frame_key, std::uint64_t id) {
     return sim::splitmix64_mix(frame_key ^ sim::splitmix64_mix(id + 0x51ed2701));
 }
 
-/// Carrier-sense bounds per squared-distance bucket, built once per medium.
+/// How the kernel finished one kept lane.
+enum class Verdict : std::uint8_t {
+    /// Step 1: the first accepted polar pair proves the draw quiet.
+    kSettledQuiet,
+    /// Step 2: the log-free bound proves the full draw below carrier sense.
+    kSettledUnsensed,
+    /// Drawn: Channel::sample_rssi_or_quiet returns quiet.
+    kQuiet,
+    /// Drawn: Channel::sample_rssi_or_quiet returns Batch::rssi_dbm.
+    kHeard,
+};
+
+/// Bounds per squared-distance bucket, built once per medium.
 ///
 /// Bucket b covers squared distances [b, b + 1) * r2 / kGapBuckets of the
-/// cull disc. For it the table holds
+/// cull disc. Its inner edge shrunk by 1e-9 relative, and its outer edge
+/// grown by as much, bracket the distance of every lane the bucket index
+/// sends there (the index's rounding stays far inside 1e-9). For it the
+/// table holds
+///  - mean_ub: the channel mean at the shrunk inner edge plus 1e-9 dB. The
+///    mean decreases with distance, and the 1e-9 dB absorbs the log's
+///    rounding, so no lane's mean exceeds it;
 ///  - gap_sq: gap_lb^2, where gap_lb = c - kQuietMarginDb - mean_ub is a
-///    lower bound on the quiet draw's carrier-sense gap: mean_ub is the
-///    channel mean at the bucket's inner edge shrunk by 1e-9 relative, plus
-///    1e-9 dB. The mean decreases with distance, and the two 1e-9 margins
-///    absorb the bucket index's rounding and the log's. gap_sq is -1 where
+///    lower bound on the quiet draw's carrier-sense gap, or -1 where
 ///    gap_lb <= 0 (the bucket is not provably below carrier sense);
-///  - sigma_sq: sigma_ub^2, with sigma_ub the largest shadowing sigma over
-///    the bucket: the computed sigma is monotone on each piece of its ramp,
-///    so its maximum lies at an edge or at the last ramp distance.
-/// Both come from the out-of-line phy::Channel functions the draws use.
+///  - sigma_ub, sigma_lb and sigma_sq = sigma_ub^2: the largest and smallest
+///    shadowing sigma over the bucket. The computed sigma is monotone on
+///    each piece of its ramp, so its extremes lie at an edge or at the last
+///    ramp distance;
+///  - fade_lb: the fade mean at the shrunk inner edge, shrunk by 1e-9
+///    relative (floored at 0): the fade mean never decreases with distance,
+///    and the shrink absorbs the rounding of the fade draw's log and
+///    division.
+/// All come from the out-of-line phy::Channel functions the draws use.
 ///
-/// A lane in a below bucket whose first accepted polar pair (y, r2) has
-/// y <= 0 or 2 y^2 (1 - r2) sigma_ub^2 <= gap_lb^2 r2^2 is *settled*:
-/// Channel::sample_rssi_or_quiet returns quiet for it, since its own sigma
-/// is <= sigma_ub and its own gap >= gap_lb, and a product of non-negative
-/// doubles is monotone under round-to-nearest.
+/// Step 1 settles a lane in a bucket with gap_sq > 0 whose first accepted
+/// polar pair (y, r2) has y <= 0 or 2 y^2 (1 - r2) sigma_ub^2 <= gap_lb^2
+/// r2^2: Channel::sample_rssi_or_quiet returns quiet for it, since its own
+/// sigma is <= sigma_ub and its own gap >= gap_lb, and a product of
+/// non-negative doubles is monotone under round-to-nearest.
+///
+/// Step 2 settles a lane in a bucket with sigma_lb > 0 (so the draw takes
+/// the polar branch and its fade uniform u follows the pair) when
+///   (mean_ub + min(sigma_ub z_ub, clamp sigma_ub)) - fade_lb x_lb
+/// lies below c - kQuietMarginDb, with z_ub = y sqrt(2 (1 - r2)) / r2 for
+/// y > 0 (0 otherwise) and x_lb = 2 (1 - v) / (1 + v), v = 1 - u. From
+/// -ln r2 <= (1 - r2) / r2 the deviate is at most z_ub, and from
+/// -ln v >= 2 (1 - v) / (1 + v) the fade is at least fade_lb x_lb, so the
+/// full draw stays below carrier sense. docs/performance.md ("Drawn lanes")
+/// carries the rounding proof.
 struct GapTable {
     struct Bucket {
         double gap_sq = -1.0;
         double sigma_sq = 0.0;
+        double mean_ub = 0.0;
+        double sigma_ub = 0.0;
+        double sigma_lb = 0.0;
+        double fade_lb = 0.0;
     };
 
     GapTable() = default;
@@ -99,14 +142,11 @@ struct GapTable {
     const phy::Channel* channel = nullptr;
     double r2 = 0.0;         ///< squared cull radius the buckets span
     double inv_width = 0.0;  ///< kGapBuckets / r2
-    /// Inner edge of the first below bucket (+inf when none is): blocks
-    /// whose lanes all lie closer skip the settle pass.
-    double below_dq = 0.0;
     std::vector<Bucket> buckets;
 };
 
 /// Reusable SoA gather target: candidate attach indices and cached positions
-/// in, per-lane cull and settle verdicts and channel terms out. Owned by the
+/// in, per-lane cull verdicts, draw verdicts and RSSI out. Owned by the
 /// medium and recycled across transmissions (capacity never shrinks), so
 /// steady-state fanout is allocation-free once warmed.
 struct Batch {
@@ -117,12 +157,8 @@ struct Batch {
     // Outputs of cull_and_prepare, valid for lanes [0, lanes()):
     std::vector<std::uint8_t> keep;  ///< 1 = within the cull radius
     std::vector<double> dq;          ///< squared distance (kept lanes only)
-    std::vector<std::uint8_t> settled;  ///< 1 = draw provably quiet (kept lanes)
-    // Channel terms, for kept lanes that are not settled only:
-    std::vector<double> dist;        ///< exact distance
-    std::vector<double> mean_dbm;    ///< Channel::mean_rssi_dbm(dist)
-    std::vector<double> sigma_db;    ///< Channel::shadowing_sigma_db(dist)
-    std::vector<double> fade_db;     ///< Channel::fade_mean_db(dist)
+    std::vector<Verdict> verdict;    ///< kept lanes only
+    std::vector<double> rssi_dbm;    ///< Verdict::kHeard lanes only
     /// Compacted ascending lane indices of the kept lanes — the first
     /// `cull_and_prepare(...)` entries are valid, so the consumer touches
     /// only survivors instead of re-scanning every lane (in a dense window
@@ -167,11 +203,8 @@ struct CullPlan {
     std::uint64_t frame_key = 0;
     std::uint8_t* keep = nullptr;
     double* dq = nullptr;
-    std::uint8_t* settled = nullptr;
-    double* dist = nullptr;
-    double* mean_dbm = nullptr;
-    double* sigma_db = nullptr;
-    double* fade_db = nullptr;
+    Verdict* verdict = nullptr;
+    double* rssi_dbm = nullptr;
     std::uint32_t* kept_lanes = nullptr;
 };
 
@@ -180,10 +213,10 @@ struct CullPlan {
 CullPlan make_plan(Batch& batch, geom::Vec2 tx_pos, const GapTable& gaps,
                    const std::uint32_t* ids, std::uint64_t frame_key);
 
-/// Culls every lane against gaps.r2 (blocked squared-distance pass), settles
-/// the kept lanes it can prove quiet, and computes dist/mean/sigma/fade for
-/// the other kept lanes in ascending lane order. Returns the number of kept
-/// lanes. Dispatched.
+/// Culls every lane against gaps.r2 (blocked squared-distance pass), then
+/// finishes every kept lane: settles the lanes whose draw provably ends
+/// unsensed and draws the rest exactly, each with its verdict and, for
+/// Verdict::kHeard, its RSSI. Returns the number of kept lanes. Dispatched.
 std::size_t cull_and_prepare(const CullPlan& plan);
 
 /// The ISA the dispatcher selected at startup: "avx512", "avx2" or

@@ -196,40 +196,14 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                 std::bit_cast<std::uint64_t>(*rssi)));
         }
     };
-    // The stochastic draw of one receiver, shared by the unculled sweep and
-    // the vectorized fanout: given the deterministic channel terms at the
-    // receiver's distance, perform the counter-based draws. Where the mean
-    // RSSI lies below carrier sense, the channel's quiet draw mostly settles
-    // the verdict from the gaussian's polar pair alone (no log, no sqrt, no
-    // fade).
-    const auto draw = [&](std::size_t i, double mean_dbm, double sigma_db,
-                          double fade_db) {
-        const auto id = static_cast<std::uint64_t>(ids_[i]);
-        const std::uint64_t key = fanout::rssi_key(frame_key, id);
-        sim::SplitMix64 rng(key);
-        std::optional<double> rssi =
-            channel_.sample_rssi_or_quiet(mean_dbm, sigma_db, fade_db, rng);
-#ifndef NDEBUG
-        if (!rssi) {
-            // Quiet-verdict invariant: the full draw from the same key stays
-            // below carrier sense (attenuation only lowers it further).
-            sim::SplitMix64 full(key);
-            assert(!channel_.sensed(
-                channel_.sample_rssi_from(mean_dbm, sigma_db, fade_db, full)));
-        }
-#endif
-        record(i, id, rssi);
-    };
-
     if (config_.interference_culling) {
         refresh_tree_if_stale();
         // Vectorized fanout: gather the window's candidates (cached slot
         // positions — equal to the live ones under the note_position_moved
         // contract the Debug sweep above just verified) into the SoA batch,
-        // run the blocked cull + settle + channel-term kernel, then the
-        // scalar draw tail in ascending lane order for the lanes the kernel
-        // could not settle. The radius cache prunes provably-out-of-disk
-        // window cells before the gather in dense neighbourhoods.
+        // and let the kernel cull them and finish every kept lane's draw.
+        // The radius cache prunes provably-out-of-disk window cells before
+        // the gather in dense neighbourhoods.
         fanout_batch_.clear();
         const auto sender_idx = static_cast<std::uint32_t>(sender.attach_index());
         // The sender is gathered like any candidate (no per-candidate branch
@@ -246,12 +220,14 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
             const std::size_t l = fanout_batch_.kept_lanes[k];
             const std::uint32_t i = fanout_batch_.idx[l];
             if (i == sender_idx) continue;
-            if (fanout_batch_.settled[l] != 0) {
-                // The kernel proved this receiver's draw quiet (GapTable):
-                // it is visited, takes the loss-burst drop draw, and stays
-                // unsensed, exactly as the scalar draw would leave it.
-                ++settled_lanes_;
+            const fanout::Verdict verdict = fanout_batch_.verdict[l];
+            const bool settled = verdict == fanout::Verdict::kSettledQuiet ||
+                                 verdict == fanout::Verdict::kSettledUnsensed;
 #ifndef NDEBUG
+            {
+                // Every lane against the scalar draw from the same key: a
+                // settled lane's draw ends unsensed (and a step-1 lane's is
+                // quiet), a drawn lane's verdict and RSSI are its bits.
                 const double d = std::sqrt(fanout_batch_.dq[l]);
                 const double mean = channel_.mean_rssi_dbm(d);
                 const double sigma = channel_.shadowing_sigma_db(d);
@@ -259,25 +235,36 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                 const std::uint64_t key = fanout::rssi_key(frame_key, ids_[i]);
                 sim::SplitMix64 quick(key);
                 sim::SplitMix64 full(key);
-                assert(!channel_.sample_rssi_or_quiet(mean, sigma, fade, quick));
-                assert(!channel_.sensed(channel_.sample_rssi_from(mean, sigma, fade, full)));
-#endif
-                record(i, ids_[i], std::nullopt);
-                continue;
+                const std::optional<double> want =
+                    channel_.sample_rssi_or_quiet(mean, sigma, fade, quick);
+                const double full_rssi = channel_.sample_rssi_from(mean, sigma, fade, full);
+                // Decodability-threshold invariant: every kept lane lies
+                // within the influence radius, where the mean plus the
+                // maximum clamped shadowing boost reaches carrier sense (the
+                // 1e-2 dB tolerance absorbs the radius inflation sliver the
+                // cull radius adds over the influence range).
+                assert(mean + channel_.config().shadowing_clamp_sigmas * sigma >=
+                       channel_.config().carrier_sense_dbm - 1e-2);
+                if (settled) {
+                    assert(!channel_.sensed(full_rssi));
+                    assert(verdict != fanout::Verdict::kSettledQuiet || !want);
+                } else if (verdict == fanout::Verdict::kQuiet) {
+                    assert(!want);
+                } else {
+                    assert(want && std::bit_cast<std::uint64_t>(*want) ==
+                                       std::bit_cast<std::uint64_t>(
+                                           fanout_batch_.rssi_dbm[l]));
+                }
             }
-#ifndef NDEBUG
-            // Decodability-threshold invariant: every kept lane lies within
-            // the influence radius, where the mean plus the maximum clamped
-            // shadowing boost reaches carrier sense (the 1e-2 dB tolerance
-            // absorbs the radius inflation sliver the cull radius adds over
-            // the influence range).
-            assert(fanout_batch_.mean_dbm[l] +
-                       channel_.config().shadowing_clamp_sigmas *
-                           fanout_batch_.sigma_db[l] >=
-                   channel_.config().carrier_sense_dbm - 1e-2);
 #endif
-            draw(i, fanout_batch_.mean_dbm[l], fanout_batch_.sigma_db[l],
-                 fanout_batch_.fade_db[l]);
+            // A settled lane is recorded as quiet: it is visited, takes the
+            // loss-burst drop draw, and stays unsensed, exactly as the
+            // scalar draw would leave it.
+            if (settled) ++settled_lanes_;
+            record(i, ids_[i],
+                   verdict == fanout::Verdict::kHeard
+                       ? std::optional<double>(fanout_batch_.rssi_dbm[l])
+                       : std::nullopt);
         }
         // The CCA run below fires its elements in tag order, which must be
         // attach order: the unculled sweep records receivers ascending, and
@@ -288,16 +275,35 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
                   });
     } else {
         // The unculled sweep, the batch fanout's whole-run reference:
-        // live-position distance, then the draw tail. The channel terms here
-        // and in the kernels are the same out-of-line functions over the
-        // same IEEE distance, so both routes feed draw() identical inputs.
+        // live-position distance, the channel terms, then the scalar
+        // counter-based draw. The channel terms here and in the kernels are
+        // the same out-of-line functions over the same IEEE distance, and
+        // the kernel's drawn lanes repeat this draw's operation sequence.
+        // Where the mean RSSI lies below carrier sense, the channel's quiet
+        // draw mostly settles the verdict from the gaussian's polar pair
+        // alone (no log, no sqrt, no fade).
         for (std::size_t i = 0; i < radios_.size(); ++i) {
             Radio* r = radios_[i];
             if (r == &sender) continue;
             if (available_[i] == 0) continue;  // dead air for dead radios
             const double dist = geom::distance(r->position(), tx_pos);
-            draw(i, channel_.mean_rssi_dbm(dist), channel_.shadowing_sigma_db(dist),
-                 channel_.fade_mean_db(dist));
+            const double mean = channel_.mean_rssi_dbm(dist);
+            const double sigma = channel_.shadowing_sigma_db(dist);
+            const double fade = channel_.fade_mean_db(dist);
+            const std::uint64_t key = fanout::rssi_key(frame_key, ids_[i]);
+            sim::SplitMix64 rng(key);
+            const std::optional<double> rssi =
+                channel_.sample_rssi_or_quiet(mean, sigma, fade, rng);
+#ifndef NDEBUG
+            if (!rssi) {
+                // Quiet-verdict invariant: the full draw from the same key
+                // stays below carrier sense (attenuation only lowers it
+                // further).
+                sim::SplitMix64 full(key);
+                assert(!channel_.sensed(channel_.sample_rssi_from(mean, sigma, fade, full)));
+            }
+#endif
+            record(i, ids_[i], rssi);
         }
     }
     stats_.radios_visited += visited;

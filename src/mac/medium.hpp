@@ -176,10 +176,11 @@ class Medium {
     /// fast path as allocation-free (capacity stops growing once warm).
     const fanout::Batch& fanout_scratch() const { return fanout_batch_; }
 
-    /// Visited receivers the fanout kernel settled as quiet (no channel
-    /// terms, no scalar draw) since this medium was built. A diagnostic:
-    /// neither registered nor checkpointed, so counter listings and blobs
-    /// keep their bytes, and a restored medium counts from zero.
+    /// Visited receivers the fanout kernel settled from its bounds (no
+    /// channel terms, no draw: fanout::Verdict's two settled kinds) since
+    /// this medium was built; the kernel drew every other visited receiver.
+    /// A diagnostic: neither registered nor checkpointed, so counter listings
+    /// and blobs keep their bytes, and a restored medium counts from zero.
     std::uint64_t settled_lanes() const { return settled_lanes_; }
 
     /// Slab pool recycling net::Packet blocks, for components that build
@@ -312,10 +313,11 @@ class Medium {
     /// cull_radius_m_.
     spatial::RadiusCache radius_cache_;
     /// SoA gather target of the vectorized fanout (candidate indices +
-    /// cached positions in, per-lane cull verdicts and channel terms out);
-    /// recycled across transmissions so steady-state fanout never allocates.
+    /// cached positions in, per-lane cull verdicts, draw verdicts and RSSI
+    /// out); recycled across transmissions so steady-state fanout never
+    /// allocates.
     fanout::Batch fanout_batch_;
-    /// Carrier-sense bounds over the cull disc, for the kernel's settle pass.
+    /// Per-bucket bounds over the cull disc, for the kernel's settle steps.
     fanout::GapTable gaps_;
     std::uint64_t settled_lanes_ = 0;
 

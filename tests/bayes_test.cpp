@@ -455,19 +455,28 @@ TEST(BayesGridKernel, MillionCellMassDrift) {
     EXPECT_TRUE(cfg.area.contains(g.mean()));
 }
 
-/// Forces the portable kernels until scope exit, so a failing assertion
-/// can't leak the override into later tests.
-struct ForceGenericGuard {
-    ForceGenericGuard() { gridk::set_force_generic(true); }
-    ~ForceGenericGuard() { gridk::set_force_generic(false); }
+/// Forces one grid instantiation until scope exit, so a failing assertion
+/// can't leak the override into later tests (the dispatcher is global).
+struct ForceIsaGuard {
+    explicit ForceIsaGuard(const char* isa) { gridk::force_isa(isa); }
+    ~ForceIsaGuard() { gridk::force_isa(nullptr); }
 };
+
+TEST(BayesGridKernel, RunnableIsasStartWithGenericAndIncludeTheDispatched) {
+    const std::vector<const char*> isas = gridk::runnable_isas();
+    ASSERT_FALSE(isas.empty());
+    EXPECT_STREQ(isas.front(), "generic");
+    EXPECT_STREQ(isas.back(), gridk::active_isa());
+    EXPECT_THROW(gridk::force_isa("sse9"), std::invalid_argument);
+}
 
 /// Randomized oracle equivalence of the blocked/SIMD apply path against
 /// apply_constraint_exact, across the layouts that stress its edge handling:
 /// widths that are not a multiple of the 8-lane block (tail blocks padded
 /// with +inf colq), non-square grids, floor_fraction = 0 (no in-band floor
 /// blending at the band edge) and near-degenerate sigmas that lean on the
-/// kernel's sigma floor and certified-exact region.
+/// kernel's sigma floor and certified-exact region. Runs on every runnable
+/// instantiation.
 TEST(BayesGridKernel, SimdMatchesExactOracleOnEdgeLayouts) {
     struct Layout {
         double w, h, cell, floor_frac;
@@ -478,88 +487,96 @@ TEST(BayesGridKernel, SimdMatchesExactOracleOnEdgeLayouts) {
         {61.0, 200.0, 3.1, 0.05},    // 20 x 65: narrow, block-and-a-half rows
         {200.0, 200.0, 25.0, 0.01},  // 8 x 8: single block per row
     };
-    sim::RandomStream rng(4242);
-    for (const Layout& l : layouts) {
-        GridConfig cfg;
-        cfg.area = Rect{{0.0, 0.0}, {l.w, l.h}};
-        cfg.cell_m = l.cell;
-        cfg.floor_fraction = l.floor_frac;
-        for (int rep = 0; rep < 6; ++rep) {
-            BayesGrid fast(cfg);
-            BayesGrid exact(cfg);
-            // Mutually consistent constraints (rings through one truth
-            // point): the posterior keeps real mass, so normalization can't
-            // amplify the kernel's designed 8.5-sigma band truncation into
-            // a visible disagreement with the untruncated oracle.
-            const Vec2 truth{rng.uniform(0.1 * l.w, 0.9 * l.w),
-                             rng.uniform(0.1 * l.h, 0.9 * l.h)};
-            const int constraints = 1 + static_cast<int>(rng.uniform_int(0, 2));
-            for (int c = 0; c < constraints; ++c) {
-                const Vec2 anchor{rng.uniform(-0.2 * l.w, 1.2 * l.w),
-                                  rng.uniform(-0.2 * l.h, 1.2 * l.h)};
-                // Sigmas down to 0.05 m: far below cell size, deep into the
-                // kernel's sigma-floor/exact-evaluation regime.
-                const double d = geom::distance(anchor, truth);
-                const phy::DistancePdf pdf =
-                    make_pdf(std::max(0.5, d * rng.uniform(0.95, 1.05)),
-                             rng.uniform(0.05, 20.0));
-                fast.apply_constraint(anchor, pdf);
-                exact.apply_constraint_exact(anchor, pdf);
-            }
-            EXPECT_NEAR(fast.total_mass(), 1.0, 1e-10);
-            // Absolute slack 1e-12: beyond the band edge the kernel returns
-            // the floor while the oracle keeps an exp tail ~2e-16 of the
-            // ring peak — by design, not an equivalence failure.
-            for (std::size_t iy = 0; iy < fast.ny(); ++iy) {
-                for (std::size_t ix = 0; ix < fast.nx(); ++ix) {
-                    const double want = exact.mass_at(ix, iy);
-                    ASSERT_NEAR(fast.mass_at(ix, iy), want, 1e-9 * want + 1e-12)
-                        << "cell (" << ix << ", " << iy << ") cell_m=" << l.cell
-                        << " floor=" << l.floor_frac;
+    for (const char* isa : gridk::runnable_isas()) {
+        SCOPED_TRACE(isa);
+        const ForceIsaGuard guard(isa);
+        sim::RandomStream rng(4242);
+        for (const Layout& l : layouts) {
+            GridConfig cfg;
+            cfg.area = Rect{{0.0, 0.0}, {l.w, l.h}};
+            cfg.cell_m = l.cell;
+            cfg.floor_fraction = l.floor_frac;
+            for (int rep = 0; rep < 6; ++rep) {
+                BayesGrid fast(cfg);
+                BayesGrid exact(cfg);
+                // Mutually consistent constraints (rings through one truth
+                // point): the posterior keeps real mass, so normalization can't
+                // amplify the kernel's designed 8.5-sigma band truncation into
+                // a visible disagreement with the untruncated oracle.
+                const Vec2 truth{rng.uniform(0.1 * l.w, 0.9 * l.w),
+                                 rng.uniform(0.1 * l.h, 0.9 * l.h)};
+                const int constraints = 1 + static_cast<int>(rng.uniform_int(0, 2));
+                for (int c = 0; c < constraints; ++c) {
+                    const Vec2 anchor{rng.uniform(-0.2 * l.w, 1.2 * l.w),
+                                      rng.uniform(-0.2 * l.h, 1.2 * l.h)};
+                    // Sigmas down to 0.05 m: far below cell size, deep into the
+                    // kernel's sigma-floor/exact-evaluation regime.
+                    const double d = geom::distance(anchor, truth);
+                    const phy::DistancePdf pdf =
+                        make_pdf(std::max(0.5, d * rng.uniform(0.95, 1.05)),
+                                 rng.uniform(0.05, 20.0));
+                    fast.apply_constraint(anchor, pdf);
+                    exact.apply_constraint_exact(anchor, pdf);
                 }
+                EXPECT_NEAR(fast.total_mass(), 1.0, 1e-10);
+                // Absolute slack 1e-12: beyond the band edge the kernel returns
+                // the floor while the oracle keeps an exp tail ~2e-16 of the
+                // ring peak — by design, not an equivalence failure.
+                for (std::size_t iy = 0; iy < fast.ny(); ++iy) {
+                    for (std::size_t ix = 0; ix < fast.nx(); ++ix) {
+                        const double want = exact.mass_at(ix, iy);
+                        ASSERT_NEAR(fast.mass_at(ix, iy), want, 1e-9 * want + 1e-12)
+                            << "cell (" << ix << ", " << iy << ") cell_m=" << l.cell
+                            << " floor=" << l.floor_frac;
+                    }
+                }
+                const double scale = cfg.area.diagonal();
+                EXPECT_NEAR(fast.mean().x, exact.mean().x, 1e-9 * scale);
+                EXPECT_NEAR(fast.mean().y, exact.mean().y, 1e-9 * scale);
+                EXPECT_NEAR(fast.spread(), exact.spread(),
+                            1e-9 * std::max(scale, exact.spread()));
             }
-            const double scale = cfg.area.diagonal();
-            EXPECT_NEAR(fast.mean().x, exact.mean().x, 1e-9 * scale);
-            EXPECT_NEAR(fast.mean().y, exact.mean().y, 1e-9 * scale);
-            EXPECT_NEAR(fast.spread(), exact.spread(),
-                        1e-9 * std::max(scale, exact.spread()));
         }
     }
 }
 
-/// The determinism half of the SIMD contract: the runtime-dispatched ISA
-/// instantiation and the portable Generic instantiation produce bitwise
-/// identical grids and statistics — this is what lets CI diff fig7 output
-/// between -DCOCOA_SIMD=ON and OFF builds byte-for-byte. (On hardware where
-/// dispatch resolves to the baseline anyway, it degenerates to self-vs-self
-/// and stays green.)
+/// The determinism half of the SIMD contract: every runnable ISA
+/// instantiation (the dispatched one among them) and the portable generic
+/// instantiation produce bitwise identical grids and statistics — this is
+/// what lets CI diff fig7 output between -DCOCOA_SIMD=ON and OFF builds
+/// byte-for-byte. (On hardware that runs only the baseline, it degenerates
+/// to self-vs-self and stays green.)
 TEST(BayesGridKernel, DispatchedAndGenericPathsAreBitwiseIdentical) {
     GridConfig cfg;
     cfg.area = Rect::square(200.0);
     cfg.cell_m = 1.7;  // odd width: exercises the padded tail block
-    BayesGrid dispatched(cfg);
-    BayesGrid generic(cfg);
-
     const Vec2 anchor{37.0, 141.0};
     const std::vector<phy::DistancePdf> pdfs = {
         make_pdf(40.0, 3.0), make_pdf(3.0, 4.0), make_pdf(120.0, 15.0),
         make_pdf(1.0, 0.7)};
-    for (const auto& pdf : pdfs) dispatched.apply_constraint(anchor, pdf);
+    BayesGrid generic(cfg);
     {
-        ForceGenericGuard guard;
+        const ForceIsaGuard guard("generic");
         for (const auto& pdf : pdfs) generic.apply_constraint(anchor, pdf);
     }
 
-    for (std::size_t iy = 0; iy < dispatched.ny(); ++iy) {
-        for (std::size_t ix = 0; ix < dispatched.nx(); ++ix) {
-            ASSERT_EQ(dispatched.mass_at(ix, iy), generic.mass_at(ix, iy))
-                << "cell (" << ix << ", " << iy << ") differs bitwise under "
-                << gridk::active_isa();
+    for (const char* isa : gridk::runnable_isas()) {
+        SCOPED_TRACE(isa);
+        BayesGrid other(cfg);
+        {
+            const ForceIsaGuard guard(isa);
+            for (const auto& pdf : pdfs) other.apply_constraint(anchor, pdf);
         }
+        for (std::size_t iy = 0; iy < other.ny(); ++iy) {
+            for (std::size_t ix = 0; ix < other.nx(); ++ix) {
+                ASSERT_EQ(other.mass_at(ix, iy), generic.mass_at(ix, iy))
+                    << "cell (" << ix << ", " << iy << ") differs bitwise under " << isa;
+            }
+        }
+        EXPECT_EQ(other.mean().x, generic.mean().x);
+        EXPECT_EQ(other.mean().y, generic.mean().y);
+        EXPECT_EQ(other.spread(), generic.spread());
     }
-    EXPECT_EQ(dispatched.mean().x, generic.mean().x);
-    EXPECT_EQ(dispatched.mean().y, generic.mean().y);
-    EXPECT_EQ(dispatched.spread(), generic.spread());
 }
 
 // mean()/spread() are one fused cached pass; mutation invalidates the cache.

@@ -130,6 +130,17 @@ hash_case(sparse_3k stdout.txt actual)
 run(sparse_3k@no-culling ${sparse} --no-culling)
 check_variant(sparse_3k sparse_3k@no-culling stdout.txt)
 
+# A dense team on a 400 m square, where every frame reaches every radio and
+# the fanout kernel settles or draws ~150 receivers per frame: the full
+# sweep, which takes the scalar draw for each, must reproduce it byte for
+# byte.
+set(dense --robots 100 --anchors 50 --area 400 --period 20 --duration 300
+          --estimator lincvx --seed 5 --quiet --counters)
+run(dense_400m ${dense})
+hash_case(dense_400m stdout.txt actual)
+run(dense_400m@no-culling ${dense} --no-culling)
+check_variant(dense_400m dense_400m@no-culling stdout.txt)
+
 # Every fault kind over four replications, folded at one and at four threads.
 set(case faults_all_kinds_reps)
 set(args --robots 16 --anchors 6 --duration 240 --period 25 --seed 11 --reps 4

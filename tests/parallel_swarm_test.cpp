@@ -1,6 +1,6 @@
 // Determinism gates of the swarm fanout, in-process: every runnable fanout
-// kernel against the generic one on edge layouts, the settle verdict against
-// the exact draw on five channels, the batch path against
+// kernel against the generic one on edge layouts, the settled and drawn
+// verdicts against the exact draw on five channels, the batch path against
 // the unculled sweep over whole swarm runs, the sharded mobility tick at
 // several worker counts, the radius cache against brute force, and the
 // allocation-free steady state of the fanout scratch.
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -51,9 +52,10 @@ struct ForceIsaGuard {
 
 struct KernelOutputs {
     std::size_t kept = 0;
-    std::vector<std::uint8_t> keep, settled;  ///< settled: kept lanes only
-    std::vector<double> dq;                   ///< kept lanes
-    std::vector<double> dist, mean, sigma, fade;  ///< unsettled kept lanes
+    std::vector<std::uint8_t> keep;
+    std::vector<fanout::Verdict> verdict;  ///< kept lanes
+    std::vector<double> dq;                ///< kept lanes
+    std::vector<double> rssi;              ///< Verdict::kHeard lanes
 };
 
 /// Bitwise (not epsilon) equality — the byte-identity contract.
@@ -67,18 +69,15 @@ void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& 
 void expect_same_outputs(const KernelOutputs& a, const KernelOutputs& b) {
     EXPECT_EQ(a.kept, b.kept);
     EXPECT_EQ(a.keep, b.keep);
-    EXPECT_EQ(a.settled, b.settled);
+    EXPECT_EQ(a.verdict, b.verdict);
     expect_bits_equal(a.dq, b.dq, "dq");
-    expect_bits_equal(a.dist, b.dist, "dist");
-    expect_bits_equal(a.mean, b.mean, "mean");
-    expect_bits_equal(a.sigma, b.sigma, "sigma");
-    expect_bits_equal(a.fade, b.fade, "fade");
+    expect_bits_equal(a.rssi, b.rssi, "rssi");
 }
 
 /// Runs cull_and_prepare over `positions` (receiver ids `ids`, by lane) on
 /// the instantiation `isa`, and snapshots the per-lane outputs that carry
-/// defined values: dq and the settle verdict on kept lanes, the channel
-/// terms on kept lanes the kernel did not settle.
+/// defined values: dq and the verdict on kept lanes, the RSSI on kept lanes
+/// the kernel drew as heard.
 KernelOutputs run_kernel(const std::vector<Vec2>& positions,
                          const std::vector<std::uint32_t>& ids, Vec2 tx,
                          const fanout::GapTable& gaps, std::uint64_t frame_key,
@@ -97,12 +96,8 @@ KernelOutputs run_kernel(const std::vector<Vec2>& positions,
         out.keep.push_back(batch.keep[l]);
         if (batch.keep[l] == 0) continue;
         out.dq.push_back(batch.dq[l]);
-        out.settled.push_back(batch.settled[l]);
-        if (batch.settled[l] != 0) continue;
-        out.dist.push_back(batch.dist[l]);
-        out.mean.push_back(batch.mean_dbm[l]);
-        out.sigma.push_back(batch.sigma_db[l]);
-        out.fade.push_back(batch.fade_db[l]);
+        out.verdict.push_back(batch.verdict[l]);
+        if (batch.verdict[l] == fanout::Verdict::kHeard) out.rssi.push_back(batch.rssi_dbm[l]);
     }
     return out;
 }
@@ -170,8 +165,10 @@ TEST(FanoutKernels, SimdMatchesGenericOracleOnEdgeLayouts) {
                 generic, run_kernel(positions, ids, tx, gaps, frame_key, isa, batch));
         }
 
-        // And the generic outputs agree with the scalar expressions the
-        // unculled sweep uses; every settled lane's draw is quiet.
+        // And the generic outputs agree with the scalar draw the unculled
+        // sweep makes: every settled lane's full draw is unsensed (a step-1
+        // lane's draw quiet), every drawn lane has the draw's verdict and
+        // bits.
         std::size_t k = 0;
         std::size_t u = 0;
         for (std::size_t i = 0; i < positions.size(); ++i) {
@@ -180,20 +177,31 @@ TEST(FanoutKernels, SimdMatchesGenericOracleOnEdgeLayouts) {
             if (!in) continue;
             const double dq = geom::distance_sq(positions[i], tx);
             EXPECT_EQ(generic.dq[k], dq);
-            if (generic.settled[k] != 0) {
-                const std::uint64_t key = fanout::rssi_key(frame_key, ids[i]);
-                EXPECT_FALSE(exact_draw(channel, dq, key).has_value()) << "candidate " << i;
-            } else {
-                const double d = geom::distance(positions[i], tx);
-                EXPECT_EQ(generic.dist[u], d);
-                EXPECT_EQ(generic.mean[u], channel.mean_rssi_dbm(d));
-                EXPECT_EQ(generic.sigma[u], channel.shadowing_sigma_db(d));
-                EXPECT_EQ(generic.fade[u], channel.fade_mean_db(d));
-                ++u;
+            const std::uint64_t key = fanout::rssi_key(frame_key, ids[i]);
+            const std::optional<double> want = exact_draw(channel, dq, key);
+            switch (generic.verdict[k]) {
+                case fanout::Verdict::kSettledQuiet:
+                    EXPECT_FALSE(want.has_value()) << "candidate " << i;
+                    [[fallthrough]];
+                case fanout::Verdict::kSettledUnsensed:
+                    EXPECT_FALSE(channel.sensed(full_draw(channel, dq, key)))
+                        << "candidate " << i;
+                    break;
+                case fanout::Verdict::kQuiet:
+                    EXPECT_FALSE(want.has_value()) << "candidate " << i;
+                    break;
+                case fanout::Verdict::kHeard:
+                    ASSERT_TRUE(want.has_value()) << "candidate " << i;
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(*want),
+                              std::bit_cast<std::uint64_t>(generic.rssi[u]))
+                        << "candidate " << i;
+                    ++u;
+                    break;
             }
             ++k;
         }
         EXPECT_EQ(k, generic.kept);
+        EXPECT_EQ(u, generic.rssi.size());
         // Padding lanes always cull.
         for (std::size_t l = positions.size(); l < generic.keep.size(); ++l) {
             EXPECT_EQ(generic.keep[l], 0) << "padding lane " << l;
@@ -201,77 +209,140 @@ TEST(FanoutKernels, SimdMatchesGenericOracleOnEdgeLayouts) {
     }
 }
 
-/// The settle verdict against the exact draw over 10^7 random (key, squared
-/// distance) pairs spread uniformly over the cull disc of five channels:
-/// every settled lane's draw is quiet and its full draw unsensed, every
-/// runnable instantiation settles the same lanes, and on the swarm channel
-/// the kernel settles at least 99% of the lanes whose draw is quiet.
-TEST(FanoutKernels, SettledLanesDrawQuietOnEveryChannel) {
-    struct Case {
-        const char* name;
-        phy::ChannelConfig config;
-    };
-    const Case cases[] = {
-        {"default", {}},
-        {"swarm -5 dBm", {.tx_power_dbm = -5.0}},
-        {"sigma near != far",
-         {.tx_power_dbm = -5.0, .shadowing_sigma_near_db = 3.0, .shadowing_sigma_far_db = 1.0}},
-        {"zero near sigma", {.tx_power_dbm = -5.0, .shadowing_sigma_near_db = 0.0}},
-        {"zero fade", {.tx_power_dbm = -5.0, .fade_mean_far_db = 0.0}},
-    };
+/// The five channels the randomized kernel tests draw on: the default, the
+/// swarm's -5 dBm, a sigma ramp that falls, a zero near sigma (the draw
+/// skips the polar pair below the breakpoint) and no fade.
+struct FuzzChannel {
+    const char* name;
+    phy::ChannelConfig config;
+};
+const FuzzChannel kFuzzChannels[] = {
+    {"default", {}},
+    {"swarm -5 dBm", {.tx_power_dbm = -5.0}},
+    {"sigma near != far",
+     {.tx_power_dbm = -5.0, .shadowing_sigma_near_db = 3.0, .shadowing_sigma_far_db = 1.0}},
+    {"zero near sigma", {.tx_power_dbm = -5.0, .shadowing_sigma_near_db = 0.0}},
+    {"zero fade", {.tx_power_dbm = -5.0, .fade_mean_far_db = 0.0}},
+};
+
+/// Runs the kernel over ~10^7 / 5 random (key, squared distance) pairs
+/// spread uniformly over `channel`'s cull disc, on every runnable
+/// instantiation, and requires each to match the first (generic) bit for
+/// bit. Calls check(dq, key, verdict, rssi) for every kept lane of the
+/// generic run (rssi is the kernel's value for Verdict::kHeard lanes, 0
+/// otherwise).
+template <typename Check>
+void fuzz_lanes(const phy::Channel& channel, sim::SplitMix64& rng, Check check) {
     constexpr std::size_t kPerBatch = 4096;
-    constexpr std::size_t kBatches = 10'000'000 / (kPerBatch * std::size(cases)) + 1;
+    constexpr std::size_t kBatches =
+        10'000'000 / (kPerBatch * std::size(kFuzzChannels)) + 1;
     const std::vector<const char*> isas = fanout::runnable_isas();
-    sim::SplitMix64 rng(2026);
+    const double radius = channel.max_influence_range_m() * (1.0 + 1e-9) + 1e-3;
+    const fanout::GapTable gaps(channel, radius * radius);
+    const Vec2 tx{-41.5, 7.25};
     fanout::Batch batch;
-    for (const Case& c : cases) {
+    std::vector<Vec2> positions(kPerBatch);
+    std::vector<std::uint32_t> ids(kPerBatch);
+    for (std::size_t n = 0; n < kBatches; ++n) {
+        for (std::size_t i = 0; i < kPerBatch; ++i) {
+            const double r = radius * std::sqrt(rng.canonical());
+            const double theta = 6.283185307179586 * rng.canonical();
+            positions[i] = tx + Vec2::from_heading(theta) * r;
+            ids[i] = static_cast<std::uint32_t>(rng());
+        }
+        const std::uint64_t frame_key = rng();
+        const KernelOutputs out =
+            run_kernel(positions, ids, tx, gaps, frame_key, isas.front(), batch);
+        for (std::size_t v = 1; v < isas.size(); ++v) {
+            SCOPED_TRACE(isas[v]);
+            const KernelOutputs other =
+                run_kernel(positions, ids, tx, gaps, frame_key, isas[v], batch);
+            ASSERT_EQ(out.verdict, other.verdict);
+            expect_bits_equal(out.rssi, other.rssi, "rssi");
+        }
+        std::size_t k = 0;
+        std::size_t heard = 0;
+        for (std::size_t i = 0; i < kPerBatch; ++i) {
+            if (out.keep[i] == 0) continue;
+            const fanout::Verdict verdict = out.verdict[k];
+            const double rssi = verdict == fanout::Verdict::kHeard ? out.rssi[heard++] : 0.0;
+            check(out.dq[k], fanout::rssi_key(frame_key, ids[i]), verdict, rssi);
+            ++k;
+        }
+    }
+}
+
+/// The step-1 settle verdict against the exact draw over 10^7 random (key,
+/// squared distance) pairs spread uniformly over the cull disc of five
+/// channels: every lane step 1 settles has a quiet draw and an unsensed full
+/// draw, every runnable instantiation settles the same lanes, and on the
+/// swarm channel step 1 settles at least 99% of the lanes whose draw is
+/// quiet.
+TEST(FanoutKernels, SettledLanesDrawQuietOnEveryChannel) {
+    sim::SplitMix64 rng(2026);
+    for (const FuzzChannel& c : kFuzzChannels) {
         SCOPED_TRACE(c.name);
         const phy::Channel channel{c.config};
-        const double radius = channel.max_influence_range_m() * (1.0 + 1e-9) + 1e-3;
-        const fanout::GapTable gaps(channel, radius * radius);
-        const Vec2 tx{-41.5, 7.25};
         std::uint64_t lanes = 0, quiet = 0, settled = 0;
-        std::vector<Vec2> positions(kPerBatch);
-        std::vector<std::uint32_t> ids(kPerBatch);
-        for (std::size_t n = 0; n < kBatches; ++n) {
-            for (std::size_t i = 0; i < kPerBatch; ++i) {
-                const double r = radius * std::sqrt(rng.canonical());
-                const double theta = 6.283185307179586 * rng.canonical();
-                positions[i] = tx + Vec2::from_heading(theta) * r;
-                ids[i] = static_cast<std::uint32_t>(rng());
-            }
-            const std::uint64_t frame_key = rng();
-            const KernelOutputs out =
-                run_kernel(positions, ids, tx, gaps, frame_key, isas.front(), batch);
-            for (std::size_t v = 1; v < isas.size(); ++v) {
-                SCOPED_TRACE(isas[v]);
-                const KernelOutputs other =
-                    run_kernel(positions, ids, tx, gaps, frame_key, isas[v], batch);
-                ASSERT_EQ(out.settled, other.settled);
-                expect_bits_equal(out.mean, other.mean, "mean");
-            }
-            std::size_t k = 0;
-            for (std::size_t i = 0; i < kPerBatch; ++i) {
-                if (out.keep[i] == 0) continue;
-                const double dq = out.dq[k];
-                const std::uint64_t key = fanout::rssi_key(frame_key, ids[i]);
-                const bool is_quiet = !exact_draw(channel, dq, key).has_value();
-                ++lanes;
-                quiet += is_quiet;
-                if (out.settled[k] != 0) {
-                    ++settled;
-                    ASSERT_TRUE(is_quiet) << "dq=" << dq << " key=" << key;
-                    ASSERT_FALSE(channel.sensed(full_draw(channel, dq, key)))
-                        << "dq=" << dq << " key=" << key;
-                }
-                ++k;
-            }
-        }
+        fuzz_lanes(channel, rng,
+                   [&](double dq, std::uint64_t key, fanout::Verdict verdict, double) {
+                       const bool is_quiet = !exact_draw(channel, dq, key).has_value();
+                       ++lanes;
+                       quiet += is_quiet;
+                       if (verdict == fanout::Verdict::kSettledQuiet) {
+                           ++settled;
+                           ASSERT_TRUE(is_quiet) << "dq=" << dq << " key=" << key;
+                           ASSERT_FALSE(channel.sensed(full_draw(channel, dq, key)))
+                               << "dq=" << dq << " key=" << key;
+                       }
+                   });
         EXPECT_GT(lanes, 1'900'000u);
         EXPECT_GT(settled, 0u);
         if (std::string(c.name) == "swarm -5 dBm") {
             EXPECT_GE(static_cast<double>(settled), 0.99 * static_cast<double>(quiet))
                 << settled << " of " << quiet << " quiet lanes settled";
+        }
+    }
+}
+
+/// Every other verdict against the exact draw, over 10^7 more random (key,
+/// squared distance) pairs on the same five channels: every lane step 2
+/// settles has an unsensed full draw, every drawn lane has
+/// sample_rssi_or_quiet's verdict and RSSI bit for bit, and every runnable
+/// instantiation agrees. On the default channel (dense_lincvx's) step 2
+/// must keep settling its share of the lanes.
+TEST(FanoutKernels, DrawnLanesMatchTheScalarDrawOnEveryChannel) {
+    sim::SplitMix64 rng(2027);
+    for (const FuzzChannel& c : kFuzzChannels) {
+        SCOPED_TRACE(c.name);
+        const phy::Channel channel{c.config};
+        std::uint64_t lanes = 0, unsensed = 0, drawn = 0;
+        fuzz_lanes(channel, rng,
+                   [&](double dq, std::uint64_t key, fanout::Verdict verdict, double rssi) {
+                       ++lanes;
+                       if (verdict == fanout::Verdict::kSettledQuiet ||
+                           verdict == fanout::Verdict::kSettledUnsensed) {
+                           unsensed += verdict == fanout::Verdict::kSettledUnsensed;
+                           ASSERT_FALSE(channel.sensed(full_draw(channel, dq, key)))
+                               << "dq=" << dq << " key=" << key;
+                           return;
+                       }
+                       ++drawn;
+                       const std::optional<double> want = exact_draw(channel, dq, key);
+                       ASSERT_EQ(want.has_value(), verdict == fanout::Verdict::kHeard)
+                           << "dq=" << dq << " key=" << key;
+                       if (want) {
+                           ASSERT_EQ(std::bit_cast<std::uint64_t>(*want),
+                                     std::bit_cast<std::uint64_t>(rssi))
+                               << "dq=" << dq << " key=" << key;
+                       }
+                   });
+        EXPECT_GT(lanes, 1'900'000u);
+        EXPECT_GT(drawn, 0u);
+        if (std::string(c.name) == "default") {
+            // 110,103 of 2,002,944 lanes (5.50%) when this floor was set.
+            EXPECT_GE(static_cast<double>(unsensed), 0.05 * static_cast<double>(lanes))
+                << unsensed << " of " << lanes << " lanes settled by step 2";
         }
     }
 }
@@ -454,10 +525,9 @@ Packet test_packet(std::uint64_t value = 0) {
 /// Where every array of the fanout scratch lives; equal snapshots mean no
 /// array was reallocated in between.
 std::vector<const void*> scratch_storage(const fanout::Batch& b) {
-    return {b.idx.data(),      b.x.data(),        b.y.data(),
-            b.keep.data(),     b.dq.data(),       b.settled.data(),
-            b.dist.data(),     b.mean_dbm.data(), b.sigma_db.data(),
-            b.fade_db.data(),  b.kept_lanes.data()};
+    return {b.idx.data(),     b.x.data(),        b.y.data(),
+            b.keep.data(),    b.dq.data(),       b.verdict.data(),
+            b.rssi_dbm.data(), b.kept_lanes.data()};
 }
 
 /// S1: the fanout scratch and the pooled sensed/frame blocks are recycled
