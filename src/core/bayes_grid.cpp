@@ -7,6 +7,7 @@
 
 #include "metrics/sum.hpp"
 #include "obs/profile.hpp"
+#include "sim/isa.hpp"
 
 namespace cocoa::core {
 
@@ -25,14 +26,14 @@ BayesGrid::BayesGrid(const GridConfig& config) : config_(config) {
     // value past the integer's range is undefined.
     const double nx = std::max(1.0, std::ceil(config_.area.width() / config_.cell_m));
     const double ny = std::max(1.0, std::ceil(config_.area.height() / config_.cell_m));
-    if (!((nx + static_cast<double>(gridk::kBlock)) * ny <=
+    if (!((nx + static_cast<double>(sim::isa::kBlock)) * ny <=
           static_cast<double>(cells_.max_size()))) {
         throw std::invalid_argument("BayesGrid: cell size too small for the area");
     }
     if (config_.kernels == nullptr) config_.kernels = std::make_shared<KernelCache>();
     nx_ = static_cast<std::size_t>(nx);
     ny_ = static_cast<std::size_t>(ny);
-    stride_ = gridk::padded(nx_);
+    stride_ = sim::isa::padded(nx_);
     cell_w_ = config_.area.width() / static_cast<double>(nx_);
     cell_h_ = config_.area.height() / static_cast<double>(ny_);
     cells_.assign(stride_ * ny_, 0.0);
@@ -57,8 +58,8 @@ BayesGrid::BayesGrid(const GridConfig& config) : config_(config) {
         row_y2_[iy] = y * y;
     }
     colq_.resize(stride_);
-    blk_qmin_.resize(stride_ / gridk::kBlock);
-    blk_qmax_.resize(stride_ / gridk::kBlock);
+    blk_qmin_.resize(stride_ / sim::isa::kBlock);
+    blk_qmax_.resize(stride_ / sim::isa::kBlock);
     row_qy_.resize(ny_);
 
     // Seed the uniform prior and compute its statistics once through the
@@ -134,10 +135,10 @@ void BayesGrid::apply_blocked(const geom::Vec2& anchor_position,
     std::fill(colq_.begin() + static_cast<std::ptrdiff_t>(nx_), colq_.end(),
               std::numeric_limits<double>::infinity());
     for (std::size_t b = 0; b < blk_qmin_.size(); ++b) {
-        double lo = colq_[b * gridk::kBlock];
+        double lo = colq_[b * sim::isa::kBlock];
         double hi = lo;
-        for (std::size_t l = 1; l < gridk::kBlock; ++l) {
-            const double q = colq_[b * gridk::kBlock + l];
+        for (std::size_t l = 1; l < sim::isa::kBlock; ++l) {
+            const double q = colq_[b * sim::isa::kBlock + l];
             lo = std::min(lo, q);
             hi = std::max(hi, q);
         }

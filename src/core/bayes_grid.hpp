@@ -42,7 +42,7 @@ struct GridConfig {
 ///
 /// apply_constraint runs on precomputed radial kernels (see RadialKernel)
 /// through the blocked SIMD-dispatched kernels in core/grid_kernels: rows are
-/// padded to a multiple of gridk::kBlock doubles (padding cells carry zero
+/// padded to a multiple of sim::isa::kBlock doubles (padding cells carry zero
 /// mass forever), per-column/per-row operands live in separate SoA arrays,
 /// and the constraint sweep and the fused normalize+moments pass both run
 /// whole blocks at a time. Kernels come from the config's KernelCache, shared
@@ -120,7 +120,7 @@ class BayesGrid {
     GridConfig config_;
     std::size_t nx_ = 0;
     std::size_t ny_ = 0;
-    std::size_t stride_ = 0;  ///< row stride: nx_ padded to gridk::kBlock
+    std::size_t stride_ = 0;  ///< row stride: nx_ padded to sim::isa::kBlock
     double cell_w_ = 0.0;
     double cell_h_ = 0.0;
     std::vector<double> cells_;  ///< row-major [iy * stride + ix]; padding == 0

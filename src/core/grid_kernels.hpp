@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace cocoa::core {
 
@@ -10,12 +9,13 @@ class RadialKernel;
 /// Blocked grid kernels behind BayesGrid's hot loops.
 ///
 /// BayesGrid stores its masses in a blocked SoA layout: rows are padded to a
-/// multiple of kBlock doubles (padding cells carry zero mass forever), and all
-/// per-column operands the loops need — squared x-offsets for the constraint
-/// sweep, centred x and x² for the moment pass — live in separate padded
-/// arrays. Every hot loop then works on whole blocks of kBlock lanes with
-/// per-lane accumulators, which is exactly the shape both the portable
-/// implementation and the AVX2/AVX-512 instantiations execute.
+/// multiple of sim::isa::kBlock doubles (padding cells carry zero mass
+/// forever), and all per-column operands the loops need — squared x-offsets
+/// for the constraint sweep, centred x and x² for the moment pass — live in
+/// separate padded arrays. Every hot loop then works on whole blocks of
+/// kBlock lanes with per-lane accumulators, which is exactly the shape both
+/// the portable implementation and the AVX2/AVX-512 instantiations execute
+/// (sim::isa selects one).
 ///
 /// Determinism contract: every variant performs the *identical* sequence of
 /// IEEE double operations per lane (same expressions, same blend semantics,
@@ -26,15 +26,6 @@ class RadialKernel;
 /// generic path, AVX2 and AVX-512 therefore produce byte-identical grids —
 /// the golden digests, rerun in the portable build, pin this down.
 namespace gridk {
-
-/// Lane count of the blocked layout. Fixed (not the hardware vector width):
-/// it defines the reduction tree, so it must not change across ISAs.
-inline constexpr std::size_t kBlock = 8;
-
-/// Rows are padded to this stride.
-constexpr std::size_t padded(std::size_t n) {
-    return (n + kBlock - 1) / kBlock * kBlock;
-}
 
 /// Inputs of the constraint sweep. All pointers come from BayesGrid-owned
 /// arrays sized `stride` (per column) or `ny` (per row); `stride` is a
@@ -81,20 +72,8 @@ struct ScalePlan {
 /// Dispatched.
 Moments scale_and_moments(const ScalePlan& plan);
 
-/// The ISA the dispatcher selected at startup: "avx512", "avx2" or
-/// "generic". force_isa does not change this.
+/// sim::isa::active(), the name the benchmarks stamp.
 const char* active_isa();
-
-/// Every instantiation this build compiled and this CPU can run, "generic"
-/// first.
-std::vector<const char*> runnable_isas();
-
-/// Test hook: while set, apply_and_sum and scale_and_moments run the named
-/// instantiation (one of runnable_isas()) regardless of the dispatched ISA;
-/// nullptr restores the dispatch. Throws std::invalid_argument for any other
-/// name. Results stay byte-identical; that is the contract the bitwise tests
-/// pin.
-void force_isa(const char* isa);
 
 }  // namespace gridk
 }  // namespace cocoa::core

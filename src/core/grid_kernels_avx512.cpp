@@ -1,6 +1,6 @@
 // AVX-512 instantiation of the blocked grid kernels. Compiled with -mavx512f
-// (per file, from src/core/CMakeLists.txt) and only ever called after the
-// runtime dispatcher has checked __builtin_cpu_supports("avx512f"). See
+// -mavx512dq (per file, by cocoa_simd_kernel in src/CMakeLists.txt) and only
+// ever called after sim::isa has found both on the CPU. See
 // grid_kernels_impl.hpp for the byte-identity contract.
 #if defined(__x86_64__) || defined(_M_X64)
 

@@ -34,31 +34,14 @@
 #include "core/grid_kernels.hpp"
 #include "core/radial_kernel.hpp"
 #include "metrics/sum.hpp"
-
-// Vectors wider than the baseline ISA are passed via memory; that is fine
-// (everything here inlines into the two entry points) but gcc notes the ABI
-// difference per function otherwise.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
+#include "sim/lanes.hpp"
 
 namespace cocoa::core::gridk {
 namespace COCOA_GRIDK_ISA_NS {
 
+using namespace sim::lanes;
+
 namespace {
-
-typedef double vd __attribute__((vector_size(kBlock * sizeof(double))));
-typedef std::int64_t vm __attribute__((vector_size(kBlock * sizeof(std::int64_t))));
-typedef std::int32_t vi __attribute__((vector_size(kBlock * sizeof(std::int32_t))));
-
-inline vd load(const double* p) {
-    vd v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-inline void store(double* p, vd v) { std::memcpy(p, &v, sizeof(v)); }
-
-inline vd bcast(double x) { return vd{x, x, x, x, x, x, x, x}; }
 
 /// Per-lane compensated accumulator using branch-free TwoSum (Knuth): the
 /// error term is exact for any operand magnitudes, so like Neumaier the
@@ -252,5 +235,3 @@ Moments scale_and_moments(const ScalePlan& p) {
 
 }  // namespace COCOA_GRIDK_ISA_NS
 }  // namespace cocoa::core::gridk
-
-#pragma GCC diagnostic pop

@@ -42,61 +42,6 @@ std::uint64_t replication_seed(std::uint64_t master_seed, int index) {
 
 namespace {
 
-ReplicationRecord make_record(const core::ScenarioConfig& run_config, int index,
-                              sim::Duration warmup_slack, double wall_seconds,
-                              const core::ScenarioResult& result,
-                              std::optional<fault::ResilienceReport> resilience) {
-    ReplicationRecord record;
-    record.index = index;
-    record.seed = run_config.seed;
-    record.avg_error_m = result.avg_error.stats().mean();
-    record.steady_error_m = result.avg_error.mean_in(
-        sim::TimePoint::origin() + run_config.period + warmup_slack,
-        sim::TimePoint::max());
-    record.total_energy_kj = result.team_energy.total_mj() / 1e6;
-    record.executed_events = result.executed_events;
-    record.wall_seconds = wall_seconds;
-    record.counters = result.counters;
-    record.resilience = std::move(resilience);
-    return record;
-}
-
-}  // namespace
-
-ReplicationRecord run_single_replication(const core::ScenarioConfig& config,
-                                         int index, sim::Duration warmup_slack,
-                                         core::ScenarioResult* result_out,
-                                         const fault::FaultPlan* plan) {
-    core::ScenarioConfig run_config = config;
-    run_config.seed = replication_seed(config.seed, index);
-
-    obs::ProfileScope profile("exp.replication");
-    const auto t0 = std::chrono::steady_clock::now();
-    core::ScenarioResult result;
-    std::optional<fault::ResilienceReport> resilience;
-    if (plan != nullptr && !plan->empty()) {
-        core::Scenario scenario(run_config);
-        fault::FaultInjector injector(scenario, *plan);
-        injector.arm();
-        scenario.run();
-        result = scenario.result();
-        resilience = injector.report(result);
-    } else {
-        // No plan: the exact pre-fault code path, bit for bit.
-        result = core::run_scenario(run_config);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-
-    ReplicationRecord record = make_record(
-        run_config, index, warmup_slack,
-        std::chrono::duration<double>(t1 - t0).count(), result,
-        std::move(resilience));
-    if (result_out != nullptr) *result_out = std::move(result);
-    return record;
-}
-
-namespace {
-
 /// One set of sweep cells sharing a warm prefix: identical (config,
 /// replication index), differing only in fault plan. The prefix runs once to
 /// t_fork (just before the group's earliest fault), is checkpointed in
@@ -110,53 +55,64 @@ struct ForkGroup {
     std::exception_ptr error;
 };
 
-/// Runs one member of a fork group: restore the shared prefix, late-arm the
-/// member's plan with reserved sequence numbers (arm_forked), run the
-/// divergent future. Byte-identical to run_single_replication — the restore
-/// identity is CI-gated. Falls back to a full straight run when the prefix
-/// left no seq room to arm under (arm_forked() == false).
-ReplicationRecord run_forked_member(const core::ScenarioConfig& config, int index,
-                                    sim::Duration warmup_slack,
-                                    core::ScenarioResult* result_out,
-                                    const fault::FaultPlan& plan,
-                                    const ForkGroup& group) {
+/// run_single_replication, or with `group` one member of a fork group:
+/// restore the shared prefix, late-arm the member's plan with reserved
+/// sequence numbers (arm_forked) and run the divergent future, byte-identical
+/// to the straight run. Falls back to the straight run when the prefix left
+/// no seq room to arm under (arm_forked() == false).
+ReplicationRecord run_replication(const core::ScenarioConfig& config, int index,
+                                  sim::Duration warmup_slack,
+                                  core::ScenarioResult* result_out,
+                                  const fault::FaultPlan* plan, const ForkGroup* group) {
     core::ScenarioConfig run_config = config;
     run_config.seed = replication_seed(config.seed, index);
 
     obs::ProfileScope profile("exp.replication");
     const auto t0 = std::chrono::steady_clock::now();
-    core::Scenario scenario(run_config, group.table);
-    {
-        sim::ckpt::Reader r(group.blob);
+    core::Scenario scenario(run_config, group != nullptr ? group->table : nullptr);
+    if (group != nullptr) {
+        sim::ckpt::Reader r(group->blob);
         scenario.load_state(r);
         r.expect_end();
     }
-    core::ScenarioResult result;
-    std::optional<fault::ResilienceReport> resilience;
-    if (!plan.empty()) {
-        fault::FaultInjector injector(scenario, plan);
-        if (!injector.arm_forked()) {
-            return run_single_replication(config, index, warmup_slack, result_out,
-                                          &plan);
+    // A null or empty plan arms nothing: the exact pre-fault code path.
+    std::optional<fault::FaultInjector> injector;
+    if (plan != nullptr && !plan->empty()) {
+        injector.emplace(scenario, *plan);
+        if (group == nullptr) {
+            injector->arm();
+        } else if (!injector->arm_forked()) {
+            return run_replication(config, index, warmup_slack, result_out, plan, nullptr);
         }
-        scenario.run();
-        result = scenario.result();
-        resilience = injector.report(result);
-    } else {
-        scenario.run();
-        result = scenario.result();
     }
-    const auto t1 = std::chrono::steady_clock::now();
+    scenario.run();
+    core::ScenarioResult result = scenario.result();
+    ReplicationRecord record;
+    if (injector) record.resilience = injector->report(result);
+    record.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-    ReplicationRecord record = make_record(
-        run_config, index, warmup_slack,
-        std::chrono::duration<double>(t1 - t0).count(), result,
-        std::move(resilience));
+    record.index = index;
+    record.seed = run_config.seed;
+    record.avg_error_m = result.avg_error.stats().mean();
+    record.steady_error_m = result.avg_error.mean_in(
+        sim::TimePoint::origin() + run_config.period + warmup_slack,
+        sim::TimePoint::max());
+    record.total_energy_kj = result.team_energy.total_mj() / 1e6;
+    record.executed_events = result.executed_events;
+    record.counters = result.counters;
     if (result_out != nullptr) *result_out = std::move(result);
     return record;
 }
 
 }  // namespace
+
+ReplicationRecord run_single_replication(const core::ScenarioConfig& config,
+                                         int index, sim::Duration warmup_slack,
+                                         core::ScenarioResult* result_out,
+                                         const fault::FaultPlan* plan) {
+    return run_replication(config, index, warmup_slack, result_out, plan, nullptr);
+}
 
 std::vector<ReplicationSet> run_sweep(const std::vector<core::ScenarioConfig>& configs,
                                       const ReplicationOptions& options) {
@@ -279,20 +235,15 @@ std::vector<ReplicationSet> run_sweep(const std::vector<core::ScenarioConfig>& c
             // printing; the rest only when the caller asked for them.
             const bool want_result = keep_result_for || ri + 1 == options.n_reps;
             const long gi = task_group[task];
-            if (gi >= 0) {
-                const ForkGroup& group = groups[static_cast<std::size_t>(gi)];
-                if (group.error) {
-                    errors[task] = group.error;
-                    return;
-                }
-                records[task] = run_forked_member(
-                    configs[ci], ri, options.warmup_slack,
-                    want_result ? &results[task] : nullptr, plans[ci], group);
-            } else {
-                records[task] = run_single_replication(
-                    configs[ci], ri, options.warmup_slack,
-                    want_result ? &results[task] : nullptr, &plans[ci]);
+            const ForkGroup* group =
+                gi >= 0 ? &groups[static_cast<std::size_t>(gi)] : nullptr;
+            if (group != nullptr && group->error) {
+                errors[task] = group->error;
+                return;
             }
+            records[task] = run_replication(configs[ci], ri, options.warmup_slack,
+                                            want_result ? &results[task] : nullptr,
+                                            &plans[ci], group);
         } catch (...) {
             errors[task] = std::current_exception();
         }

@@ -52,27 +52,9 @@ void FaultInjector::arm() {
     if (plan_.empty()) return;  // zero-overhead contract: nothing to do at all
 
     register_counters();
-    for (std::size_t i = 0; i < plan_.events.size(); ++i) schedule_event(i);
-}
-
-std::uint64_t FaultInjector::kernel_event_count() const {
-    std::uint64_t n = 0;
-    for (const FaultEvent& e : plan_.events) {
-        const auto nodes =
-            static_cast<std::uint64_t>(e.last_node() - e.first_node() + 1);
-        switch (e.kind) {
-            case FaultKind::Crash: n += nodes; break;
-            case FaultKind::Reboot: n += 2 * nodes; break;
-            case FaultKind::Outage: n += 2 * nodes; break;
-            case FaultKind::Loss: n += 1; break;
-            case FaultKind::ClockDrift: n += nodes; break;
-            case FaultKind::OdometryDegrade:
-                n += nodes * (e.duration > sim::Duration::zero() ? 2 : 1);
-                break;
-            case FaultKind::Battery: n += nodes; break;
-        }
-    }
-    return n;
+    record_static_faults();
+    sim::Simulator& sim = scenario_.simulator();
+    for (const auto& [at, tag] : kernel_events()) sim.schedule_at(at, callback(tag), tag);
 }
 
 bool FaultInjector::arm_forked() {
@@ -82,7 +64,8 @@ bool FaultInjector::arm_forked() {
         return true;
     }
     sim::Simulator& sim = scenario_.simulator();
-    const std::uint64_t need = kernel_event_count();
+    const std::vector<KernelEvent> events = kernel_events();
+    const std::uint64_t need = events.size();
     const std::uint64_t min_seq = sim.min_pending_seq();
     // Reserving below the pending window reproduces the straight run's
     // fault-before-runtime FIFO order exactly, because every event pending at
@@ -94,10 +77,10 @@ bool FaultInjector::arm_forked() {
     if (min_seq == UINT64_MAX || min_seq < need) return false;
     armed_ = true;
     register_counters();
+    record_static_faults();
     const std::uint64_t prefix_peak = sim.kernel_stats().peak_pending;
-    forked_seq_ = min_seq - need;
-    for (std::size_t i = 0; i < plan_.events.size(); ++i) schedule_event(i);
-    forked_seq_.reset();
+    std::uint64_t seq = min_seq - need;
+    for (const auto& [at, tag] : events) sim.schedule_with_seq(at, seq++, callback(tag), tag);
     // A straight faulted run carries the armed events in its pending count
     // from t=0, so its high-water mark up to the fork point is exactly
     // `need` above the prefix's. scheduled/sbo_misses already match: the
@@ -108,89 +91,68 @@ bool FaultInjector::arm_forked() {
     return true;
 }
 
-void FaultInjector::schedule_fault(sim::TimePoint t, sim::InplaceCallback cb,
-                                   const sim::EventTag& tag) {
-    sim::Simulator& sim = scenario_.simulator();
-    if (forked_seq_.has_value()) {
-        sim.schedule_with_seq(t, (*forked_seq_)++, std::move(cb), tag);
-    } else {
-        sim.schedule_at(t, std::move(cb), tag);
+std::vector<FaultInjector::KernelEvent> FaultInjector::kernel_events() const {
+    const sim::TimePoint now = scenario_.simulator().now();
+    std::vector<KernelEvent> events;
+    for (std::size_t idx = 0; idx < plan_.events.size(); ++idx) {
+        const FaultEvent& e = plan_.events[idx];
+        const sim::TimePoint at = std::max(now, e.at);
+        const sim::EventKind first = e.kind == FaultKind::Battery
+                                         ? sim::EventKind::kFaultBatteryWatch
+                                         : sim::EventKind::kFaultStrike;
+        const bool recovers = e.kind == FaultKind::Reboot || e.kind == FaultKind::Outage ||
+                              (e.kind == FaultKind::OdometryDegrade &&
+                               e.duration > sim::Duration::zero());
+        const auto x = static_cast<std::uint32_t>(idx);
+        // A loss burst targets no node: first_node() == last_node() == -1.
+        for (int id = e.first_node(); id <= e.last_node(); ++id) {
+            const auto node = static_cast<std::uint32_t>(id);
+            events.push_back({at, sim::make_tag(first, node, x)});
+            if (recovers) {
+                events.push_back(
+                    {at + e.duration, sim::make_tag(sim::EventKind::kFaultRecover, node, x)});
+            }
+        }
+    }
+    return events;
+}
+
+void FaultInjector::record_static_faults() {
+    const sim::TimePoint now = scenario_.simulator().now();
+    for (const FaultEvent& e : plan_.events) {
+        const sim::TimePoint at = std::max(now, e.at);
+        const sim::TimePoint until = at + e.duration;
+        switch (e.kind) {
+            case FaultKind::Crash:
+                intervals_.emplace_back(at, sim::TimePoint::max());
+                break;
+            case FaultKind::Reboot:
+            case FaultKind::Outage:
+                intervals_.emplace_back(at, until);
+                break;
+            case FaultKind::Loss:
+                intervals_.emplace_back(at, until);
+                scenario_.world().medium().add_loss_burst(
+                    {at, until, e.drop_prob, e.attenuation_db});
+                break;
+            default:
+                break;
+        }
     }
 }
 
-void FaultInjector::schedule_event(std::size_t idx) {
-    const FaultEvent& event = plan_.events[idx];
-    sim::Simulator& sim = scenario_.simulator();
-    const sim::TimePoint at = std::max(sim.now(), event.at);
-    const sim::TimePoint until = at + event.duration;
-
-    switch (event.kind) {
-        case FaultKind::Crash:
-            intervals_.emplace_back(at, sim::TimePoint::max());
-            for (int id = event.first_node(); id <= event.last_node(); ++id) {
-                schedule_fault(at, sim::InplaceCallback([this, idx, id] { strike(idx, id); }),
-                               sim::make_tag(sim::EventKind::kFaultStrike,
-                                             static_cast<std::uint32_t>(id),
-                                             static_cast<std::uint32_t>(idx)));
-            }
-            break;
-
-        case FaultKind::Reboot:
-        case FaultKind::Outage:
-            intervals_.emplace_back(at, until);
-            for (int id = event.first_node(); id <= event.last_node(); ++id) {
-                schedule_fault(at, sim::InplaceCallback([this, idx, id] { strike(idx, id); }),
-                               sim::make_tag(sim::EventKind::kFaultStrike,
-                                             static_cast<std::uint32_t>(id),
-                                             static_cast<std::uint32_t>(idx)));
-                schedule_fault(until,
-                               sim::InplaceCallback([this, idx, id] { recover(idx, id); }),
-                               sim::make_tag(sim::EventKind::kFaultRecover,
-                                             static_cast<std::uint32_t>(id),
-                                             static_cast<std::uint32_t>(idx)));
-            }
-            break;
-
-        case FaultKind::Loss:
-            intervals_.emplace_back(at, until);
-            scenario_.world().medium().add_loss_burst(
-                {at, until, event.drop_prob, event.attenuation_db});
-            schedule_fault(at, sim::InplaceCallback([this, idx] { strike(idx, -1); }),
-                           sim::make_tag(sim::EventKind::kFaultStrike,
-                                         static_cast<std::uint32_t>(-1),
-                                         static_cast<std::uint32_t>(idx)));
-            break;
-
-        case FaultKind::ClockDrift:
-            for (int id = event.first_node(); id <= event.last_node(); ++id) {
-                schedule_fault(at, sim::InplaceCallback([this, idx, id] { strike(idx, id); }),
-                               sim::make_tag(sim::EventKind::kFaultStrike,
-                                             static_cast<std::uint32_t>(id),
-                                             static_cast<std::uint32_t>(idx)));
-            }
-            break;
-
-        case FaultKind::OdometryDegrade:
-            for (int id = event.first_node(); id <= event.last_node(); ++id) {
-                schedule_fault(at, sim::InplaceCallback([this, idx, id] { strike(idx, id); }),
-                               sim::make_tag(sim::EventKind::kFaultStrike,
-                                             static_cast<std::uint32_t>(id),
-                                             static_cast<std::uint32_t>(idx)));
-                if (event.duration > sim::Duration::zero()) {
-                    schedule_fault(until,
-                                   sim::InplaceCallback([this, idx, id] { recover(idx, id); }),
-                                   sim::make_tag(sim::EventKind::kFaultRecover,
-                                                 static_cast<std::uint32_t>(id),
-                                                 static_cast<std::uint32_t>(idx)));
-                }
-            }
-            break;
-
-        case FaultKind::Battery:
-            for (int id = event.first_node(); id <= event.last_node(); ++id) {
-                schedule_battery_watch(idx, id, at);
-            }
-            break;
+sim::InplaceCallback FaultInjector::callback(const sim::EventTag& tag) {
+    const auto idx = static_cast<std::size_t>(tag.x);
+    const int id = static_cast<int>(tag.node);
+    switch (static_cast<sim::EventKind>(tag.kind)) {
+        case sim::EventKind::kFaultStrike:
+            return sim::InplaceCallback([this, idx, id] { strike(idx, id); });
+        case sim::EventKind::kFaultRecover:
+            return sim::InplaceCallback([this, idx, id] { recover(idx, id); });
+        case sim::EventKind::kFaultBatteryWatch:
+            return sim::InplaceCallback([this, idx, id] { battery_watch(idx, id); });
+        default:
+            throw std::logic_error("FaultInjector::callback: not a plan event tag");
     }
 }
 
@@ -286,15 +248,6 @@ void FaultInjector::recover(std::size_t idx, int id) {
     }
 }
 
-void FaultInjector::schedule_battery_watch(std::size_t idx, int id,
-                                           sim::TimePoint from) {
-    schedule_fault(from,
-                   sim::InplaceCallback([this, idx, id] { battery_watch(idx, id); }),
-                   sim::make_tag(sim::EventKind::kFaultBatteryWatch,
-                                 static_cast<std::uint32_t>(id),
-                                 static_cast<std::uint32_t>(idx)));
-}
-
 void FaultInjector::battery_watch(std::size_t idx, int id) {
     mac::Radio& radio = scenario_.world().node(static_cast<net::NodeId>(id)).radio();
     if (radio.is_off()) return;  // dead already; stop watching
@@ -309,8 +262,11 @@ void FaultInjector::battery_watch(std::size_t idx, int id) {
                                       {{"mj", radio.meter().total_mj()}});
         return;
     }
-    schedule_battery_watch(idx, id,
-                           scenario_.simulator().now() + plan_.battery_check);
+    const sim::EventTag tag = sim::make_tag(sim::EventKind::kFaultBatteryWatch,
+                                            static_cast<std::uint32_t>(id),
+                                            static_cast<std::uint32_t>(idx));
+    scenario_.simulator().schedule_at(scenario_.simulator().now() + plan_.battery_check,
+                                      callback(tag), tag);
 }
 
 void FaultInjector::start_reacquire_watch(int node) {
@@ -368,21 +324,10 @@ template void FaultInjector::walk(sim::ckpt::Writer&, const FaultInjector&);
 template void FaultInjector::walk(sim::ckpt::Reader&, FaultInjector&);
 
 void FaultInjector::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
-    reg.add(sim::EventKind::kFaultStrike, [this](const sim::EventTag& tag) {
-        const auto idx = static_cast<std::size_t>(tag.x);
-        const int id = static_cast<int>(tag.node);
-        return sim::InplaceCallback([this, idx, id] { strike(idx, id); });
-    });
-    reg.add(sim::EventKind::kFaultRecover, [this](const sim::EventTag& tag) {
-        const auto idx = static_cast<std::size_t>(tag.x);
-        const int id = static_cast<int>(tag.node);
-        return sim::InplaceCallback([this, idx, id] { recover(idx, id); });
-    });
-    reg.add(sim::EventKind::kFaultBatteryWatch, [this](const sim::EventTag& tag) {
-        const auto idx = static_cast<std::size_t>(tag.x);
-        const int id = static_cast<int>(tag.node);
-        return sim::InplaceCallback([this, idx, id] { battery_watch(idx, id); });
-    });
+    for (const sim::EventKind kind : {sim::EventKind::kFaultStrike, sim::EventKind::kFaultRecover,
+                                      sim::EventKind::kFaultBatteryWatch}) {
+        reg.add(kind, [this](const sim::EventTag& tag) { return callback(tag); });
+    }
     reg.add(sim::EventKind::kFaultReacquirePoll, [this](const sim::EventTag& tag) {
         const auto nid = static_cast<net::NodeId>(tag.node);
         const sim::TimePoint recovered_at =

@@ -84,16 +84,13 @@ class FaultInjector {
 
     /// Arms against a scenario restored from a shared warm prefix: identical
     /// to arm() except the plan's kernel events take sequence numbers
-    /// reserved *below* every pending event's, reproducing the straight
-    /// run's arm-before-run FIFO order, and peak_pending is bumped by the
-    /// armed count (a straight run carries those events as pending from
-    /// t=0). Returns false — caller must fall back to an unforked run —
-    /// when the prefix left too few seqs below its pending window.
+    /// reserved *below* every pending event's, one per kernel_events()
+    /// entry, reproducing the straight run's arm-before-run FIFO order, and
+    /// peak_pending is bumped by the armed count (a straight run carries
+    /// those events as pending from t=0). Returns false — caller must fall
+    /// back to an unforked run, nothing is armed — when the prefix left too
+    /// few seqs below its pending window.
     bool arm_forked();
-
-    /// Number of kernel events arm() realizes this plan as (the seq span
-    /// arm_forked() must reserve).
-    std::uint64_t kernel_event_count() const;
 
     const FaultPlan& plan() const { return plan_; }
     const Stats& stats() const { return stats_; }
@@ -119,16 +116,26 @@ class FaultInjector {
     void register_rebuilders(sim::ckpt::CallbackRegistry& reg);
 
   private:
+    struct KernelEvent {
+        sim::TimePoint at;
+        sim::EventTag tag;
+    };
+
     void register_counters();
-    void schedule_event(std::size_t idx);
-    /// Routes one plan-event callback to the kernel: schedule_at normally,
-    /// schedule_with_seq from the reserved window during arm_forked().
-    void schedule_fault(sim::TimePoint t, sim::InplaceCallback cb,
-                        const sim::EventTag& tag);
+    /// The plan's kernel events in scheduling order: per plan event, per
+    /// target node, its strike (a watch for battery faults), then its
+    /// recovery for reboots, outages and timed odometry faults. Times before
+    /// now() are clamped to it.
+    std::vector<KernelEvent> kernel_events() const;
+    /// The intervals and loss bursts known at arm time, once per plan event
+    /// in plan order.
+    void record_static_faults();
+    /// The callback behind a strike, recovery or battery-watch tag: one
+    /// function for arming, the battery re-watch and checkpoint rebuilding.
+    sim::InplaceCallback callback(const sim::EventTag& tag);
     void strike(std::size_t idx, int id);
     void recover(std::size_t idx, int id);
     void battery_watch(std::size_t idx, int id);
-    void schedule_battery_watch(std::size_t idx, int id, sim::TimePoint from);
     void start_reacquire_watch(int node);
     void schedule_reacquire_poll(net::NodeId nid, sim::TimePoint recovered_at,
                                  std::uint64_t fixes_before);
@@ -138,7 +145,6 @@ class FaultInjector {
     core::Scenario& scenario_;
     FaultPlan plan_;
     bool armed_ = false;
-    std::optional<std::uint64_t> forked_seq_;
     Stats stats_;
     std::vector<std::pair<sim::TimePoint, sim::TimePoint>> intervals_;
     std::uint64_t watches_started_ = 0;

@@ -1,27 +1,27 @@
-// Baseline instantiation of the fanout kernels + runtime dispatch.
+// Baseline instantiation of the fanout kernels + their entry table.
 //
 // This TU is compiled with the project's default ISA flags, so the vector-
 // extension code lowers to SSE2 on x86-64 and NEON on aarch64 — that is the
 // "generic" path, and the arithmetic every other instantiation must match
 // byte-for-byte (see fanout_kernels_impl.hpp). The AVX2/AVX-512
 // instantiations live in their own TUs with per-file -m flags and are only
-// referenced when CMake defines COCOA_FANOUT_X86_DISPATCH (COCOA_SIMD=ON on
-// an x86-64 host); the dispatcher picks the widest ISA the CPU reports at
-// first use (AVX-512 needs both avx512f and avx512dq).
+// referenced when CMake defines COCOA_X86_DISPATCH; sim::isa picks the entry.
+// The table stays in this TU so a static link pulls the ISA objects in only
+// after it: at -O0 they also emit weak copies of shared inline functions
+// (such as SplitMix64::canonical) built for their ISA, and the linker keeps
+// the first copy it loads.
 
 #define COCOA_FANOUT_ISA_NS baseline
 #include "mac/fanout_kernels_impl.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
 #include <limits>
-#include <stdexcept>
-#include <string>
+
+#include "sim/isa.hpp"
 
 namespace cocoa::mac::fanout {
 
-#if defined(COCOA_FANOUT_X86_DISPATCH)
+#if defined(COCOA_X86_DISPATCH)
 namespace avx2 {
 std::size_t cull_and_prepare(const CullPlan& plan);
 }
@@ -32,39 +32,14 @@ std::size_t cull_and_prepare(const CullPlan& plan);
 
 namespace {
 
-struct Dispatch {
-    std::size_t (*cull)(const CullPlan&) = nullptr;
-    const char* isa = "generic";
+/// One entry per sim::isa instantiation, in its compile order.
+constexpr std::size_t (*kCull[])(const CullPlan&) = {
+    &baseline::cull_and_prepare,
+#if defined(COCOA_X86_DISPATCH)
+    &avx2::cull_and_prepare,
+    &avx512::cull_and_prepare,
+#endif
 };
-
-constexpr Dispatch kGeneric{&baseline::cull_and_prepare, "generic"};
-#if defined(COCOA_FANOUT_X86_DISPATCH)
-constexpr Dispatch kAvx2{&avx2::cull_and_prepare, "avx2"};
-constexpr Dispatch kAvx512{&avx512::cull_and_prepare, "avx512"};
-#endif
-
-/// Every instantiation the CPU runs, widest last.
-std::vector<const Dispatch*> runnable() {
-    std::vector<const Dispatch*> out{&kGeneric};
-#if defined(COCOA_FANOUT_X86_DISPATCH)
-    if (__builtin_cpu_supports("avx2")) out.push_back(&kAvx2);
-    // The AVX-512 TU is built with -mavx512f -mavx512dq (vpmullq for the
-    // settle pass's 64-bit multiplies).
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
-        out.push_back(&kAvx512);
-    }
-#endif
-    return out;
-}
-
-const Dispatch& active() {
-    static const Dispatch* const dispatch = runnable().back();
-    return *dispatch;
-}
-
-// relaxed is enough: tests force an ISA from the same thread that next
-// drives the medium.
-std::atomic<const Dispatch*> g_forced{nullptr};
 
 }  // namespace
 
@@ -144,31 +119,9 @@ CullPlan make_plan(Batch& b, geom::Vec2 tx_pos, const GapTable& gaps,
 }
 
 std::size_t cull_and_prepare(const CullPlan& plan) {
-    const Dispatch* forced = g_forced.load(std::memory_order_relaxed);
-    return (forced != nullptr ? *forced : active()).cull(plan);
+    return kCull[sim::isa::selected()](plan);
 }
 
-const char* active_isa() { return active().isa; }
-
-std::vector<const char*> runnable_isas() {
-    std::vector<const char*> names;
-    for (const Dispatch* d : runnable()) names.push_back(d->isa);
-    return names;
-}
-
-void force_isa(const char* isa) {
-    if (isa == nullptr) {
-        g_forced.store(nullptr, std::memory_order_relaxed);
-        return;
-    }
-    for (const Dispatch* d : runnable()) {
-        if (std::strcmp(d->isa, isa) == 0) {
-            g_forced.store(d, std::memory_order_relaxed);
-            return;
-        }
-    }
-    throw std::invalid_argument(std::string("fanout::force_isa: '") + isa +
-                                "' is not an instantiation this build and CPU run");
-}
+const char* active_isa() { return sim::isa::active(); }
 
 }  // namespace cocoa::mac::fanout

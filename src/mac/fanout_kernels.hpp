@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "geom/vec2.hpp"
+#include "sim/isa.hpp"
 #include "sim/random.hpp"
 
 namespace cocoa::phy {
@@ -20,9 +21,9 @@ namespace cocoa::mac {
 /// a transmitter: squared distance, the exact-radius cull, and the
 /// per-(frame, receiver) RSSI draw of every kept receiver. fanout gathers
 /// candidates into a reusable SoA batch and finishes every kept lane in it,
-/// blocked over kBlock lanes, mirroring core/grid_kernels: a baseline
+/// blocked over sim::isa::kBlock lanes like core/grid_kernels: a baseline
 /// instantiation compiled with default ISA flags plus AVX2/AVX-512
-/// instantiations behind a runtime dispatcher, all byte-identical by
+/// instantiations, one of which sim::isa selects, all byte-identical by
 /// construction. The medium only reads each lane's verdict and RSSI.
 ///
 /// A kept lane ends in one of four verdicts (Verdict). Two settle it from
@@ -52,10 +53,6 @@ namespace cocoa::mac {
 /// golden digests pin (dense_400m against the unculled sweep among them).
 namespace fanout {
 
-/// Lane count of the blocked layout — the unit the gather pads to. Fixed
-/// across ISAs (it defines the evaluation order, not the vector width).
-inline constexpr std::size_t kBlock = 8;
-
 /// Squared-distance buckets of a GapTable (fixed, like kBlock: it sets how
 /// tight the carrier-sense bound is, not what any run computes).
 inline constexpr std::size_t kGapBuckets = 1024;
@@ -64,10 +61,6 @@ inline constexpr std::size_t kGapBuckets = 1024;
 /// the scalar draw. Each attempt is accepted with probability pi/4, so
 /// about 5 lanes in 10^6 run out.
 inline constexpr int kPolarAttempts = 8;
-
-constexpr std::size_t padded(std::size_t n) {
-    return (n + kBlock - 1) / kBlock * kBlock;
-}
 
 /// The counter-based key of one receiver's RSSI draw: a pure function of the
 /// frame key and the receiver id (never of attach order or of any other
@@ -176,7 +169,7 @@ struct Batch {
     }
 
     /// Lanes the kernel evaluates: count rounded up to whole blocks.
-    std::size_t lanes() const { return padded(count); }
+    std::size_t lanes() const { return sim::isa::padded(count); }
 
     /// Pads the position tail with +inf (squared distance overflows past any
     /// radius, so padding lanes always cull) and sizes the output arrays.
@@ -219,19 +212,8 @@ CullPlan make_plan(Batch& batch, geom::Vec2 tx_pos, const GapTable& gaps,
 /// Verdict::kHeard, its RSSI. Returns the number of kept lanes. Dispatched.
 std::size_t cull_and_prepare(const CullPlan& plan);
 
-/// The ISA the dispatcher selected at startup: "avx512", "avx2" or
-/// "generic". force_isa does not change this.
+/// sim::isa::active(), the name the benchmarks stamp.
 const char* active_isa();
-
-/// Every instantiation this build compiled and this CPU can run, "generic"
-/// first.
-std::vector<const char*> runnable_isas();
-
-/// Test hook: while set, cull_and_prepare runs the named instantiation (one
-/// of runnable_isas()) regardless of the dispatched ISA; nullptr restores
-/// the dispatch. Throws std::invalid_argument for any other name. Results
-/// stay byte-identical; that is the contract the bitwise tests pin.
-void force_isa(const char* isa);
 
 }  // namespace fanout
 }  // namespace cocoa::mac

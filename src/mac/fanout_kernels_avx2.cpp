@@ -1,7 +1,7 @@
 // AVX2 instantiation of the fanout kernels. Compiled with -mavx2 (per file,
-// from src/mac/CMakeLists.txt) and only ever called after the runtime
-// dispatcher has checked __builtin_cpu_supports("avx2"). See
-// fanout_kernels_impl.hpp for the byte-identity contract.
+// by cocoa_simd_kernel in src/CMakeLists.txt) and only ever called after
+// sim::isa has found avx2 on the CPU. See fanout_kernels_impl.hpp for the
+// byte-identity contract.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #define COCOA_FANOUT_ISA_NS avx2

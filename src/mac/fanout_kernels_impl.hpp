@@ -23,36 +23,14 @@
 
 #include "mac/fanout_kernels.hpp"
 #include "phy/channel.hpp"
-
-// Vectors wider than the baseline ISA are passed via memory; benign here
-// (everything inlines into the entry point) but gcc notes the ABI difference
-// per function without the pragma.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
+#include "sim/lanes.hpp"
 
 namespace cocoa::mac::fanout {
 namespace COCOA_FANOUT_ISA_NS {
 
+using namespace sim::lanes;
+
 namespace {
-
-typedef double vd __attribute__((vector_size(kBlock * sizeof(double))));
-typedef std::uint64_t vu __attribute__((vector_size(kBlock * sizeof(std::uint64_t))));
-/// What a vd compare yields: all-ones lanes where true.
-typedef std::int64_t vm __attribute__((vector_size(kBlock * sizeof(std::int64_t))));
-
-inline vd load(const double* p) {
-    vd v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-inline vd bcast(double x) { return vd{x, x, x, x, x, x, x, x}; }
-
-inline bool any(vm m) {
-    std::int64_t a = m[0];
-    for (std::size_t l = 1; l < kBlock; ++l) a |= m[l];
-    return a != 0;
-}
 
 inline vd as_double(vu u) {
     vd d;
@@ -337,5 +315,3 @@ std::size_t cull_and_prepare(const CullPlan& p) {
 
 }  // namespace COCOA_FANOUT_ISA_NS
 }  // namespace cocoa::mac::fanout
-
-#pragma GCC diagnostic pop

@@ -39,9 +39,14 @@ Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig co
       config_(config),
       rssi_seed_base_(sim.rng().derive_seed("medium.rssi", 0)),
       loss_seed_base_(sim.rng().derive_seed("fault.loss", 0)),
+      // Inflate the influence radius by a hair so the bisection rounding in
+      // solve_range can never put a should-be-visited radio on the culled
+      // side.
+      cull_radius_m_(channel_.max_influence_range_m() * (1.0 + 1e-9) + 1e-3),
+      truncate_radius_m_(cull_radius_m_ + kTruncateSlackM),
       // Cell side = the largest radius ever queried (the truncation fan-out),
       // so every query stays within the tree's exact 3x3 neighbourhood bound.
-      tree_((channel.max_influence_range_m() * (1.0 + 1e-9) + 1e-3) + kTruncateSlackM) {
+      tree_(truncate_radius_m_) {
     obs_.counters.add("medium.frames_sent", &stats_.frames_sent);
     obs_.counters.add("medium.missed_asleep", &stats_.missed_asleep);
     // Kernel observability: event-queue stats and slab-pool recycling.
@@ -60,10 +65,6 @@ Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig co
     add_pool("frame", frame_pool_.stats());
     add_pool("sensed", sensed_core_->stats());
     add_pool("packet", packet_pool_.stats());
-    // Inflate the influence radius by a hair so the bisection rounding in
-    // solve_range can never put a should-be-visited radio on the culled side.
-    cull_radius_m_ = channel_.max_influence_range_m() * (1.0 + 1e-9) + 1e-3;
-    truncate_radius_m_ = cull_radius_m_ + kTruncateSlackM;
     radius_cache_.configure(tree_.cell_side_m(), cull_radius_m_,
                             kRadiusCacheCapacity, kRadiusCacheDensePopulation);
     gaps_ = fanout::GapTable(channel_, cull_radius_m_ * cull_radius_m_);

@@ -299,6 +299,12 @@ class Medium {
     std::shared_ptr<sim::SlabCore> sensed_core_ = std::make_shared<sim::SlabCore>();
 
     // --- spatial index -------------------------------------------------------
+    /// See cull_radius_m().
+    double cull_radius_m_ = 0.0;
+    /// Receivers farther than this from a truncated frame's transmit
+    /// position cannot have sensed it (cull radius + slack for the distance
+    /// a robot can travel during one frame's airtime).
+    double truncate_radius_m_ = 0.0;
     /// Cell side is the cull radius plus the truncation slack, so both the
     /// fan-out query (radius == cull radius) and the truncation fan-out
     /// (radius == cull radius + slack) stay within the tree's exact 3x3
@@ -320,13 +326,6 @@ class Medium {
     /// Per-bucket bounds over the cull disc, for the kernel's settle steps.
     fanout::GapTable gaps_;
     std::uint64_t settled_lanes_ = 0;
-
-    /// See cull_radius_m().
-    double cull_radius_m_ = 0.0;
-    /// Receivers farther than this from a truncated frame's transmit
-    /// position cannot have sensed it (cull radius + slack for the distance
-    /// a robot can travel during one frame's airtime).
-    double truncate_radius_m_ = 0.0;
 
     /// Per-transmission scratch, reused across frames: the sensed receivers
     /// of the frame under construction, as the tags of their CCA deliveries

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
+#include <string>
 
 namespace cocoa::mobility {
 
@@ -80,11 +80,12 @@ void WaypointMobility::finish_plan() {
     }
 }
 
-std::vector<MotionIncrement> WaypointMobility::advance_to(sim::TimePoint t) {
+template <typename Step>
+void WaypointMobility::advance(sim::TimePoint t, const char* caller, Step&& step) {
     if (t < now_) {
-        throw std::logic_error("WaypointMobility::advance_to: time went backwards");
+        throw std::logic_error(std::string("WaypointMobility::") + caller +
+                               ": time went backwards");
     }
-    std::vector<MotionIncrement> out;
     while (now_ < t) {
         const sim::TimePoint until = std::min(t, plan_end_);
         const sim::Duration dt = until - now_;
@@ -98,40 +99,24 @@ std::vector<MotionIncrement> WaypointMobility::advance_to(sim::TimePoint t) {
                     position_ += geom::Vec2::from_heading(heading_) * forward;
                 }
             }
-            out.push_back({forward, pending_turn_, dt});
+            step(MotionIncrement{forward, pending_turn_, dt});
             pending_turn_ = 0.0;
             now_ = until;
         }
         if (now_ == plan_end_) finish_plan();
     }
+}
+
+std::vector<MotionIncrement> WaypointMobility::advance_to(sim::TimePoint t) {
+    std::vector<MotionIncrement> out;
+    advance(t, "advance_to", [&out](const MotionIncrement& inc) { out.push_back(inc); });
     return out;
 }
 
 bool WaypointMobility::advance_position_to(sim::TimePoint t) {
-    if (t < now_) {
-        throw std::logic_error("WaypointMobility::advance_position_to: time went backwards");
-    }
-    // Mirrors advance_to exactly (same plan boundaries, same FP position
-    // updates, same finish_plan RNG draws) minus the increment vector.
     bool moved = false;
-    while (now_ < t) {
-        const sim::TimePoint until = std::min(t, plan_end_);
-        const sim::Duration dt = until - now_;
-        if (dt > sim::Duration::zero()) {
-            if (!resting_) {
-                const double forward = speed_ * dt.to_seconds();
-                if (until == plan_end_) {
-                    position_ = destination_;  // land exactly, no numeric drift
-                } else {
-                    position_ += geom::Vec2::from_heading(heading_) * forward;
-                }
-                moved = moved || forward != 0.0;
-            }
-            pending_turn_ = 0.0;
-            now_ = until;
-        }
-        if (now_ == plan_end_) finish_plan();
-    }
+    advance(t, "advance_position_to",
+            [&moved](const MotionIncrement& inc) { moved = moved || inc.forward_m != 0.0; });
     return moved;
 }
 

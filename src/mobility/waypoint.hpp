@@ -83,6 +83,12 @@ class WaypointMobility {
     }
 
   private:
+    /// The motion loop behind advance_to and advance_position_to: moves
+    /// through every plan boundary up to `t` (finish_plan draws the next
+    /// commands) and hands each segment travelled to `step`. `caller` names
+    /// the public function in the time-went-backwards error.
+    template <typename Step>
+    void advance(sim::TimePoint t, const char* caller, Step&& step);
     void start_new_leg();
     /// Ends the current plan at now_: leaves rest into a new leg, or handles
     /// arrival (optional task pause, then a new random command).

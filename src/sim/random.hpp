@@ -50,12 +50,12 @@ class SplitMix64 {
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~std::uint64_t{0}; }
 
+    /// splitmix64_mix(state) of the state before the step: the mix's own
+    /// increment is the generator's step.
     result_type operator()() {
+        const std::uint64_t x = state_;
         state_ += 0x9e3779b97f4a7c15ull;
-        std::uint64_t x = state_;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return x ^ (x >> 31);
+        return splitmix64_mix(x);
     }
 
     /// One accepted Marsaglia-polar pair: y and r2 = x^2 + y^2 in (0, 1].

@@ -11,6 +11,7 @@
 #include "core/bayes_grid.hpp"
 #include "core/grid_kernels.hpp"
 #include "core/kernel_cache.hpp"
+#include "sim/isa.hpp"
 #include "sim/random.hpp"
 
 namespace cocoa::core {
@@ -455,19 +456,22 @@ TEST(BayesGridKernel, MillionCellMassDrift) {
     EXPECT_TRUE(cfg.area.contains(g.mean()));
 }
 
-/// Forces one grid instantiation until scope exit, so a failing assertion
+/// Forces one kernel instantiation until scope exit, so a failing assertion
 /// can't leak the override into later tests (the dispatcher is global).
 struct ForceIsaGuard {
-    explicit ForceIsaGuard(const char* isa) { gridk::force_isa(isa); }
-    ~ForceIsaGuard() { gridk::force_isa(nullptr); }
+    explicit ForceIsaGuard(const char* isa) { sim::isa::force(isa); }
+    ~ForceIsaGuard() { sim::isa::force(nullptr); }
 };
 
+/// The grid kernel runs on the shared ISA layer: generic always runs, the
+/// instantiation the grid dispatches to is the widest, and a name no build
+/// compiles is rejected.
 TEST(BayesGridKernel, RunnableIsasStartWithGenericAndIncludeTheDispatched) {
-    const std::vector<const char*> isas = gridk::runnable_isas();
+    const std::vector<const char*> isas = sim::isa::runnable();
     ASSERT_FALSE(isas.empty());
     EXPECT_STREQ(isas.front(), "generic");
     EXPECT_STREQ(isas.back(), gridk::active_isa());
-    EXPECT_THROW(gridk::force_isa("sse9"), std::invalid_argument);
+    EXPECT_THROW(sim::isa::force("sse9"), std::invalid_argument);
 }
 
 /// Randomized oracle equivalence of the blocked/SIMD apply path against
@@ -487,7 +491,7 @@ TEST(BayesGridKernel, SimdMatchesExactOracleOnEdgeLayouts) {
         {61.0, 200.0, 3.1, 0.05},    // 20 x 65: narrow, block-and-a-half rows
         {200.0, 200.0, 25.0, 0.01},  // 8 x 8: single block per row
     };
-    for (const char* isa : gridk::runnable_isas()) {
+    for (const char* isa : sim::isa::runnable()) {
         SCOPED_TRACE(isa);
         const ForceIsaGuard guard(isa);
         sim::RandomStream rng(4242);
@@ -560,7 +564,7 @@ TEST(BayesGridKernel, DispatchedAndGenericPathsAreBitwiseIdentical) {
         for (const auto& pdf : pdfs) generic.apply_constraint(anchor, pdf);
     }
 
-    for (const char* isa : gridk::runnable_isas()) {
+    for (const char* isa : sim::isa::runnable()) {
         SCOPED_TRACE(isa);
         BayesGrid other(cfg);
         {

@@ -1035,6 +1035,51 @@ TEST(CheckpointFuzz, SwarmRestoreMatchesStraightRun) {
 
 // ------------------------------------------------------ forked sweep runs
 
+/// arm_forked() on a restored fault-free prefix reproduces the straight run
+/// for a plan holding every fault kind: each kind's kernel events (strikes,
+/// recoveries, timed odometry restores, battery watches) must take exactly
+/// the seqs the straight run's arm() gave them, or the FIFO order of
+/// same-instant events, the event count or peak_pending drifts.
+TEST(CheckpointFork, ArmForkedMatchesStraightRunForEveryFaultKind) {
+    const core::ScenarioConfig config = fuzz_config();
+    const fault::FaultPlan plan = fault::FaultPlan::parse(
+        "crash@70:node=7;reboot@40+20:node=6;outage@45+15:nodes=8-9;"
+        "loss@50+25:p=0.5,db=3;drift@35:node=9,s=0.2;"
+        "odo@42+30:nodes=8-9,scale=4;battery@36:node=5,budget_mj=50");
+
+    core::Scenario straight(config);
+    fault::FaultInjector straight_injector(straight, plan);
+    straight_injector.arm();
+    straight.enable_position_trace(sim::Duration::seconds(5.0));
+    straight.run();
+    const std::string want = scenario_digest(straight.result(), straight);
+
+    core::Scenario prefix(config);
+    prefix.enable_position_trace(sim::Duration::seconds(5.0));
+    prefix.run_until(sim::TimePoint::origin() + sim::Duration::seconds(30.0));
+    sim::ckpt::Writer w;
+    prefix.save_state(w);
+    const std::string blob = w.take();
+
+    core::Scenario forked(config, prefix.pdf_table_ptr());
+    sim::ckpt::Reader r(blob);
+    forked.load_state(r);
+    r.expect_end();
+    fault::FaultInjector injector(forked, plan);
+    ASSERT_TRUE(injector.arm_forked());
+    forked.run();
+    EXPECT_EQ(scenario_digest(forked.result(), forked), want);
+
+    const fault::FaultInjector::Stats& s = injector.stats();
+    EXPECT_GT(s.crashes, 0u);
+    EXPECT_GT(s.reboots, 0u);
+    EXPECT_GT(s.outages, 0u);
+    EXPECT_GT(s.loss_bursts, 0u);
+    EXPECT_GT(s.clock_drifts, 0u);
+    EXPECT_GT(s.odometry_degrades, 0u);
+    EXPECT_GT(s.battery_deaths, 0u);
+}
+
 TEST(CheckpointFork, ForkedSweepMatchesUnforked) {
     core::ScenarioConfig config = fuzz_config();
     config.duration = sim::Duration::seconds(90.0);

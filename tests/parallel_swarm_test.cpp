@@ -26,6 +26,7 @@
 #include "mac/spatial.hpp"
 #include "net/packet.hpp"
 #include "phy/channel.hpp"
+#include "sim/isa.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -44,8 +45,8 @@ using cocoa::sim::TimePoint;
 /// Forces one fanout instantiation until scope exit so a failing test cannot
 /// leak it into later tests (the dispatcher is global).
 struct ForceIsaGuard {
-    explicit ForceIsaGuard(const char* isa) { fanout::force_isa(isa); }
-    ~ForceIsaGuard() { fanout::force_isa(nullptr); }
+    explicit ForceIsaGuard(const char* isa) { sim::isa::force(isa); }
+    ~ForceIsaGuard() { sim::isa::force(nullptr); }
 };
 
 // --- kernel vs oracle on edge layouts ----------------------------------------
@@ -120,12 +121,15 @@ double full_draw(const phy::Channel& channel, double dq, std::uint64_t key) {
                                     channel.fade_mean_db(d), rng);
 }
 
+/// The fanout kernel runs on the shared ISA layer: generic always runs, the
+/// instantiation the fanout dispatches to is the widest, and a name no build
+/// compiles is rejected.
 TEST(FanoutKernels, RunnableIsasStartWithGenericAndIncludeTheDispatched) {
-    const std::vector<const char*> isas = fanout::runnable_isas();
+    const std::vector<const char*> isas = sim::isa::runnable();
     ASSERT_FALSE(isas.empty());
     EXPECT_STREQ(isas.front(), "generic");
     EXPECT_STREQ(isas.back(), fanout::active_isa());
-    EXPECT_THROW(fanout::force_isa("sse9"), std::invalid_argument);
+    EXPECT_THROW(sim::isa::force("sse9"), std::invalid_argument);
 }
 
 /// Every candidate count that exercises a distinct lane-tail shape: empty
@@ -159,7 +163,7 @@ TEST(FanoutKernels, SimdMatchesGenericOracleOnEdgeLayouts) {
 
         const KernelOutputs generic =
             run_kernel(positions, ids, tx, gaps, frame_key, "generic", batch);
-        for (const char* isa : fanout::runnable_isas()) {
+        for (const char* isa : sim::isa::runnable()) {
             SCOPED_TRACE(isa);
             expect_same_outputs(
                 generic, run_kernel(positions, ids, tx, gaps, frame_key, isa, batch));
@@ -236,7 +240,7 @@ void fuzz_lanes(const phy::Channel& channel, sim::SplitMix64& rng, Check check) 
     constexpr std::size_t kPerBatch = 4096;
     constexpr std::size_t kBatches =
         10'000'000 / (kPerBatch * std::size(kFuzzChannels)) + 1;
-    const std::vector<const char*> isas = fanout::runnable_isas();
+    const std::vector<const char*> isas = sim::isa::runnable();
     const double radius = channel.max_influence_range_m() * (1.0 + 1e-9) + 1e-3;
     const fanout::GapTable gaps(channel, radius * radius);
     const Vec2 tx{-41.5, 7.25};
