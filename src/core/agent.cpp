@@ -157,7 +157,7 @@ void CocoaAgent::schedule_period(std::uint32_t seq) {
     const sim::TimePoint wake_at =
         period_start_ + clock_offset() - config_.wake_guard;
     node_.simulator().schedule_at(
-        std::max(node_.simulator().now(), wake_at), [this, seq] { on_wake(seq); },
+        std::max(node_.simulator().now(), wake_at),
         sim::make_tag(sim::EventKind::kAgentWake, node_.id(), 0, 0, seq));
 }
 
@@ -175,7 +175,6 @@ void CocoaAgent::on_wake(std::uint32_t seq) {
         mcast_->refresh_now(config_.sync_group);
         sim.schedule_at(
             std::max(sim.now(), start + config_.sync_settle),
-            [this, seq] { send_sync(seq); },
             sim::make_tag(sim::EventKind::kAgentSyncSettle, node_.id(), 0, 0, seq));
     }
 
@@ -193,18 +192,15 @@ void CocoaAgent::on_wake(std::uint32_t seq) {
             const sim::Duration offset =
                 config_.window * static_cast<std::int64_t>(i + 1) /
                 static_cast<std::int64_t>(config_.beacons_per_window + 1);
-            sim.schedule_at(
-                std::max(sim.now(), start + offset),
-                [this, seq, i] { send_beacon(seq, i); },
-                sim::make_tag(sim::EventKind::kAgentBeacon, node_.id(),
-                              static_cast<std::uint32_t>(i), 0, seq));
+            sim.schedule_at(std::max(sim.now(), start + offset),
+                            sim::make_tag(sim::EventKind::kAgentBeacon, node_.id(),
+                                          static_cast<std::uint32_t>(i), 0, seq));
         }
     }
 
     const sim::TimePoint window_end = start + config_.window + config_.window_slack;
-    sim.schedule_at(
-        std::max(sim.now(), window_end), [this, seq] { on_window_end(seq); },
-        sim::make_tag(sim::EventKind::kAgentWindowEnd, node_.id(), 0, 0, seq));
+    sim.schedule_at(std::max(sim.now(), window_end),
+                    sim::make_tag(sim::EventKind::kAgentWindowEnd, node_.id(), 0, 0, seq));
 }
 
 void CocoaAgent::send_sync(std::uint32_t seq) {
@@ -441,12 +437,17 @@ void CocoaAgent::walk(Ar& ar, Self& a) {
 template void CocoaAgent::walk(sim::ckpt::Writer&, const CocoaAgent&);
 template void CocoaAgent::walk(sim::ckpt::Reader&, CocoaAgent&);
 
-sim::InplaceCallback CocoaAgent::rebuild_event(const sim::EventTag& tag) {
+sim::InplaceCallback CocoaAgent::event(const sim::EventTag& tag) {
     const auto seq = static_cast<std::uint32_t>(tag.a);
     switch (static_cast<sim::EventKind>(tag.kind)) {
         case sim::EventKind::kAgentWake:
             return sim::InplaceCallback([this, seq] { on_wake(seq); });
         case sim::EventKind::kAgentSyncSettle:
+            // Only the sync robot, which sources the SYNC group, sends one.
+            if (!is_sync_robot_ || mcast_ == nullptr) {
+                throw std::runtime_error("robot " + std::to_string(node_.id()) +
+                                         " is not the sync robot");
+            }
             return sim::InplaceCallback([this, seq] { send_sync(seq); });
         case sim::EventKind::kAgentBeacon: {
             const int i = static_cast<int>(tag.x);
@@ -455,7 +456,7 @@ sim::InplaceCallback CocoaAgent::rebuild_event(const sim::EventTag& tag) {
         case sim::EventKind::kAgentWindowEnd:
             return sim::InplaceCallback([this, seq] { on_window_end(seq); });
         default:
-            throw std::logic_error("CocoaAgent::rebuild_event: unexpected tag kind");
+            throw std::logic_error("CocoaAgent::event: not an agent event kind");
     }
 }
 

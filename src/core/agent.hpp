@@ -197,9 +197,10 @@ class CocoaAgent {
     /// resolution point anyway.
     template <typename Ar, typename Self>
     static void walk(Ar& ar, Self& a);
-    /// Rebuilds the in-kernel callback for one of this agent's tagged events
-    /// (kAgentWake / kAgentSyncSettle / kAgentBeacon / kAgentWindowEnd).
-    sim::InplaceCallback rebuild_event(const sim::EventTag& tag);
+    /// The callback of one of this agent's tagged events (kAgentWake /
+    /// kAgentSyncSettle / kAgentBeacon / kAgentWindowEnd), live or restored;
+    /// the scenario's handlers route each tag here by node id.
+    sim::InplaceCallback event(const sim::EventTag& tag);
 
   private:
     void schedule_period(std::uint32_t seq);

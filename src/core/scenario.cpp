@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/checkpoint.hpp"
@@ -116,15 +117,41 @@ Scenario::Scenario(const ScenarioConfig& config,
 
     node_error_.resize(static_cast<std::size_t>(config_.num_robots));
 
+    // One handler per kind this scenario owns, the agents' kinds routed by
+    // node id; each builds the live event and the one a restore re-creates.
+    sim_.on(sim::EventKind::kScenarioTick, [this](const sim::EventTag&) {
+        return sim::InplaceCallback([this] { on_tick(); });
+    });
+    sim_.on(sim::EventKind::kScenarioSample, [this](const sim::EventTag&) {
+        return sim::InplaceCallback([this] { on_sample(); });
+    });
+    sim_.on(sim::EventKind::kScenarioTrace, [this](const sim::EventTag&) {
+        if (trace_interval_ <= sim::Duration::zero()) {
+            throw std::runtime_error("the position trace interval " +
+                                     std::to_string(trace_interval_.to_nanos()) +
+                                     " ns is not positive");
+        }
+        return sim::InplaceCallback([this] { on_trace(); });
+    });
+    for (const sim::EventKind kind :
+         {sim::EventKind::kAgentWake, sim::EventKind::kAgentSyncSettle,
+          sim::EventKind::kAgentBeacon, sim::EventKind::kAgentWindowEnd}) {
+        sim_.on(kind, [this](const sim::EventTag& tag) {
+            if (tag.node >= agents_.size()) {
+                throw std::runtime_error("robot " + std::to_string(tag.node) +
+                                         " does not exist");
+            }
+            return agents_[tag.node]->event(tag);
+        });
+    }
+
     for (auto& agent : agents_) agent->start();
 
     // Tick loop (mobility/odometry granularity) and metric sampling. The tick
     // event is scheduled first so that at coinciding times motion is advanced
     // before errors are read.
-    sim_.schedule_in(config_.tick, [this] { on_tick(); },
-                     sim::make_tag(sim::EventKind::kScenarioTick));
-    sim_.schedule_in(config_.sample_interval, [this] { on_sample(); },
-                     sim::make_tag(sim::EventKind::kScenarioSample));
+    sim_.schedule_in(config_.tick, sim::make_tag(sim::EventKind::kScenarioTick));
+    sim_.schedule_in(config_.sample_interval, sim::make_tag(sim::EventKind::kScenarioSample));
 }
 
 multicast::MulticastNode* Scenario::multicast_node(net::NodeId id) {
@@ -138,8 +165,7 @@ bool Scenario::is_anchor(net::NodeId id) const {
 
 void Scenario::on_tick() {
     for (auto& agent : agents_) agent->tick();
-    sim_.schedule_in(config_.tick, [this] { on_tick(); },
-                     sim::make_tag(sim::EventKind::kScenarioTick));
+    sim_.schedule_in(config_.tick, sim::make_tag(sim::EventKind::kScenarioTick));
 }
 
 void Scenario::on_sample() {
@@ -154,8 +180,7 @@ void Scenario::on_sample() {
     if (!blind_errors.empty()) {
         avg_error_.push(sim_.now(), blind_errors.mean());
     }
-    sim_.schedule_in(config_.sample_interval, [this] { on_sample(); },
-                     sim::make_tag(sim::EventKind::kScenarioSample));
+    sim_.schedule_in(config_.sample_interval, sim::make_tag(sim::EventKind::kScenarioSample));
 }
 
 void Scenario::enable_position_trace(sim::Duration interval) {
@@ -165,8 +190,7 @@ void Scenario::enable_position_trace(sim::Duration interval) {
     const bool was_enabled = trace_interval_ > sim::Duration::zero();
     trace_interval_ = interval;
     if (!was_enabled) {
-        sim_.schedule_in(trace_interval_, [this] { on_trace(); },
-                         sim::make_tag(sim::EventKind::kScenarioTrace));
+        sim_.schedule_in(trace_interval_, sim::make_tag(sim::EventKind::kScenarioTrace));
     }
 }
 
@@ -176,8 +200,7 @@ void Scenario::on_trace() {
         trace_.push_back(
             {sim_.now(), agent->id(), agent->true_position(), agent->estimate()});
     }
-    sim_.schedule_in(trace_interval_, [this] { on_trace(); },
-                     sim::make_tag(sim::EventKind::kScenarioTrace));
+    sim_.schedule_in(trace_interval_, sim::make_tag(sim::EventKind::kScenarioTrace));
 }
 
 void Scenario::write_position_trace_csv(std::ostream& os) const {
@@ -246,7 +269,7 @@ constexpr std::uint32_t kMarkScenarioEnd = 0x4f4e4353u;
 }  // namespace
 
 template <typename Ar, typename Self>
-void Scenario::walk(Ar& ar, Self& s, const RebuilderHook& extra_rebuilders) {
+void Scenario::walk(Ar& ar, Self& s) {
     ar.mark(kMarkScenario);
     for (const auto& node : s.world_->nodes()) ar(node->mobility());
     // Medium before radios: a radio's restore re-links its locked frame
@@ -264,12 +287,7 @@ void Scenario::walk(Ar& ar, Self& s, const RebuilderHook& extra_rebuilders) {
     for (const auto& agent : s.agents_) ar(*agent);
     // One metric series per robot: on_sample indexes them by agent id.
     ar(s.avg_error_, sim::ckpt::fixed(s.node_error_), s.trace_, s.trace_interval_);
-    sim::ckpt::CallbackRegistry reg;
-    if constexpr (Ar::loading) {
-        s.register_rebuilders(reg);
-        if (extra_rebuilders) extra_rebuilders(reg);
-    }
-    sim::Simulator::walk_kernel(ar, s.sim_, reg);
+    sim::Simulator::walk_kernel(ar, s.sim_);
     // Pool warmth last: the restores above acquire pooled packets
     // themselves, and the warmth refill must top up the free lists after all
     // of them.
@@ -278,47 +296,13 @@ void Scenario::walk(Ar& ar, Self& s, const RebuilderHook& extra_rebuilders) {
     ar.mark(kMarkScenarioEnd);
 }
 
-void Scenario::save_state(sim::ckpt::Writer& w) const { walk(w, *this, nullptr); }
+void Scenario::save_state(sim::ckpt::Writer& w) const { walk(w, *this); }
 
-void Scenario::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
-    reg.add(sim::EventKind::kScenarioTick, [this](const sim::EventTag&) {
-        return sim::InplaceCallback([this] { on_tick(); });
-    });
-    reg.add(sim::EventKind::kScenarioSample, [this](const sim::EventTag&) {
-        return sim::InplaceCallback([this] { on_sample(); });
-    });
-    reg.add(sim::EventKind::kScenarioTrace, [this](const sim::EventTag&) {
-        return sim::InplaceCallback([this] { on_trace(); });
-    });
-    const sim::ckpt::CallbackRegistry::Make agent_make =
-        [this](const sim::EventTag& tag) {
-            return agents_.at(tag.node)->rebuild_event(tag);
-        };
-    reg.add(sim::EventKind::kAgentWake, agent_make);
-    reg.add(sim::EventKind::kAgentSyncSettle, agent_make);
-    reg.add(sim::EventKind::kAgentBeacon, agent_make);
-    reg.add(sim::EventKind::kAgentWindowEnd, agent_make);
-    if (mcast_.has_value()) {
-        const sim::ckpt::CallbackRegistry::Make mcast_make =
-            [this](const sim::EventTag& tag) {
-                return mcast_->at(tag.node).rebuild_event(tag);
-            };
-        const sim::ckpt::CallbackRegistry::Placed mcast_placed =
-            [this](const sim::EventTag& tag, sim::EventId id) {
-                mcast_->at(tag.node).event_placed(tag, id);
-            };
-        reg.add(sim::EventKind::kMcastRefresh, mcast_make, mcast_placed);
-        reg.add(sim::EventKind::kMcastDecision, mcast_make, mcast_placed);
-        reg.add(sim::EventKind::kMcastJitteredTx, mcast_make, mcast_placed);
-    }
-    world_->medium().register_rebuilders(reg);
-}
-
-void Scenario::load_state(sim::ckpt::Reader& r, const RebuilderHook& extra_rebuilders) {
+void Scenario::load_state(sim::ckpt::Reader& r) {
     // Construction-time events (first tick/sample, agent period zero) are
     // superseded by the blob's pending-event list.
     sim_.clear_pending();
-    walk(r, *this, extra_rebuilders);
+    walk(r, *this);
 }
 
 std::vector<double> ScenarioResult::errors_at(sim::TimePoint t) const {

@@ -18,10 +18,6 @@
 #include "sim/fields.hpp"
 #include "sim/thread_pool.hpp"
 
-namespace cocoa::sim::ckpt {
-class CallbackRegistry;
-}  // namespace cocoa::sim::ckpt
-
 namespace cocoa::core {
 
 /// Full experiment configuration: one of the paper's simulation runs.
@@ -236,17 +232,16 @@ class Scenario {
     /// the multicast fleet, every agent, the metric series and the kernel's
     /// pending-event queue — so a restored run is byte-identical to the
     /// straight run. Call only between events (after run_until returns).
-    /// `extra_rebuilders` lets the caller register additional event kinds
-    /// (the armed FaultInjector) before the kernel reloads. Both run one walk
-    /// (sim/checkpoint.hpp).
-    using RebuilderHook = std::function<void(sim::ckpt::CallbackRegistry&)>;
+    /// The kernel's pending events are rebuilt by the handlers their owners
+    /// registered with the simulator, so every owner of a pending kind (an
+    /// attached FaultInjector too) must exist before load_state. Both run one
+    /// walk (sim/checkpoint.hpp).
     void save_state(sim::ckpt::Writer& w) const;
-    void load_state(sim::ckpt::Reader& r, const RebuilderHook& extra_rebuilders = {});
+    void load_state(sim::ckpt::Reader& r);
 
   private:
     template <typename Ar, typename Self>
-    static void walk(Ar& ar, Self& s, const RebuilderHook& extra_rebuilders);
-    void register_rebuilders(sim::ckpt::CallbackRegistry& reg);
+    static void walk(Ar& ar, Self& s);
     void on_tick();
     void on_sample();
     void on_trace();

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "mobility/waypoint.hpp"
 #include "sim/checkpoint.hpp"
@@ -48,6 +49,23 @@ Swarm::Swarm(const SwarmConfig& config)
         world_->add_node(mobility_config, config_.power);
     }
 
+    // One handler per swarm kind; a tag's node must be one of the swarm's.
+    const auto node = [this](const sim::EventTag& tag) {
+        if (tag.node >= static_cast<std::uint32_t>(config_.nodes)) {
+            throw std::runtime_error("swarm node " + std::to_string(tag.node) + " does not exist");
+        }
+        return static_cast<int>(tag.node);
+    };
+    sim_.on(sim::EventKind::kSwarmBeacon, [this, node](const sim::EventTag& tag) {
+        return sim::InplaceCallback([this, i = node(tag)] { beacon(i); });
+    });
+    sim_.on(sim::EventKind::kSwarmDoze, [this, node](const sim::EventTag& tag) {
+        return sim::InplaceCallback([this, i = node(tag)] { doze(i); });
+    });
+    sim_.on(sim::EventKind::kSwarmMobilityTick, [this](const sim::EventTag&) {
+        return sim::InplaceCallback([this] { on_mobility_tick(); });
+    });
+
     // One beacon per node per period, phases spread deterministically across
     // the period so the air (and the event queue) never sees a global spike.
     sim::RandomStream phase_rng = sim_.rng().stream("swarm.phase");
@@ -56,9 +74,8 @@ Swarm::Swarm(const SwarmConfig& config)
         const double phase_s =
             phase_rng.uniform(0.0, config_.beacon_period.to_seconds());
         sim_.schedule_in(
-            sim::Duration::seconds(phase_s), [this, i] { beacon(i); },
-            sim::make_tag(sim::EventKind::kSwarmBeacon,
-                          static_cast<std::uint32_t>(i)));
+            sim::Duration::seconds(phase_s),
+            sim::make_tag(sim::EventKind::kSwarmBeacon, static_cast<std::uint32_t>(i)));
         // Nodes are born asleep: the duty cycle owns all wake windows.
         node.radio().sleep();
     }
@@ -71,17 +88,15 @@ Swarm::Swarm(const SwarmConfig& config)
             sim::ThreadPool::resolve_threads(config_.mobility_threads));
         moved_flags_.resize(static_cast<std::size_t>(config_.nodes), 0);
     }
-    sim_.schedule_in(config_.mobility_tick, [this] { on_mobility_tick(); },
-                     sim::make_tag(sim::EventKind::kSwarmMobilityTick));
+    sim_.schedule_in(config_.mobility_tick, sim::make_tag(sim::EventKind::kSwarmMobilityTick));
 }
 
 /// Drives one node's duty cycle: wake at its beacon phase, transmit one
 /// beacon, sleep again once the radio drained its queue. Self-rescheduling.
 void Swarm::beacon(int i) {
     net::Node& node = world_->node(static_cast<net::NodeId>(i));
-    sim_.schedule_in(config_.beacon_period, [this, i] { beacon(i); },
-                     sim::make_tag(sim::EventKind::kSwarmBeacon,
-                                   static_cast<std::uint32_t>(i)));
+    sim_.schedule_in(config_.beacon_period,
+                     sim::make_tag(sim::EventKind::kSwarmBeacon, static_cast<std::uint32_t>(i)));
     mac::Radio& radio = node.radio();
     if (radio.is_off() || radio.in_outage()) return;  // fault subsystem owns it
     radio.wake();
@@ -93,9 +108,8 @@ void Swarm::beacon(int i) {
     packet.payload_bytes = config_.beacon_bytes;
     packet.payload = payload;
     radio.send(std::move(packet));
-    sim_.schedule_in(config_.awake_window, [this, i] { doze(i); },
-                     sim::make_tag(sim::EventKind::kSwarmDoze,
-                                   static_cast<std::uint32_t>(i)));
+    sim_.schedule_in(config_.awake_window,
+                     sim::make_tag(sim::EventKind::kSwarmDoze, static_cast<std::uint32_t>(i)));
 }
 
 void Swarm::doze(int i) {
@@ -105,9 +119,8 @@ void Swarm::doze(int i) {
         // Congested neighbourhood: the beacon is still queued or on the
         // air (sleep() mid-transmission is a logic error). Check back in
         // a little while.
-        sim_.schedule_in(config_.awake_window, [this, i] { doze(i); },
-                         sim::make_tag(sim::EventKind::kSwarmDoze,
-                                       static_cast<std::uint32_t>(i)));
+        sim_.schedule_in(config_.awake_window,
+                         sim::make_tag(sim::EventKind::kSwarmDoze, static_cast<std::uint32_t>(i)));
         return;
     }
     radio.sleep();
@@ -152,8 +165,7 @@ void Swarm::on_mobility_tick() {
             }
         }
     }
-    sim_.schedule_in(config_.mobility_tick, [this] { on_mobility_tick(); },
-                     sim::make_tag(sim::EventKind::kSwarmMobilityTick));
+    sim_.schedule_in(config_.mobility_tick, sim::make_tag(sim::EventKind::kSwarmMobilityTick));
 }
 
 void Swarm::run() { run_until(sim::TimePoint::origin() + config_.duration); }
@@ -192,30 +204,13 @@ void Swarm::walk(Ar& ar, Self& s) {
     for (const auto& node : s.world_->nodes()) ar(node->mobility());
     ar(s.world_->medium());
     for (const auto& node : s.world_->nodes()) ar(node->radio());
-    sim::ckpt::CallbackRegistry reg;
-    if constexpr (Ar::loading) s.register_rebuilders(reg);
-    sim::Simulator::walk_kernel(ar, s.sim_, reg);
+    sim::Simulator::walk_kernel(ar, s.sim_);
     mac::Medium::walk_pools(ar, s.world_->medium());
     if constexpr (Ar::loading) s.world_->medium().finish_restore();
     ar.mark(kMarkSwarmEnd);
 }
 
 void Swarm::save_state(sim::ckpt::Writer& w) const { walk(w, *this); }
-
-void Swarm::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
-    reg.add(sim::EventKind::kSwarmBeacon, [this](const sim::EventTag& tag) {
-        const int i = static_cast<int>(tag.node);
-        return sim::InplaceCallback([this, i] { beacon(i); });
-    });
-    reg.add(sim::EventKind::kSwarmDoze, [this](const sim::EventTag& tag) {
-        const int i = static_cast<int>(tag.node);
-        return sim::InplaceCallback([this, i] { doze(i); });
-    });
-    reg.add(sim::EventKind::kSwarmMobilityTick, [this](const sim::EventTag&) {
-        return sim::InplaceCallback([this] { on_mobility_tick(); });
-    });
-    world_->medium().register_rebuilders(reg);
-}
 
 void Swarm::load_state(sim::ckpt::Reader& r) {
     sim_.clear_pending();

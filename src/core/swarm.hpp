@@ -16,7 +16,6 @@
 namespace cocoa::sim::ckpt {
 class Writer;
 class Reader;
-class CallbackRegistry;
 }  // namespace cocoa::sim::ckpt
 
 namespace cocoa::core {
@@ -146,8 +145,9 @@ class Swarm {
 
     /// Checkpoint: mobility, radios, medium (frames in flight, pool warmth)
     /// and the kernel's pending events. The duty-cycle and mobility-tick
-    /// callbacks themselves carry no state beyond their tags, so restore
-    /// rebuilds them wholesale. Call only between events.
+    /// callbacks themselves carry no state beyond their tags, so the
+    /// handlers that build the live events rebuild them on restore. Call
+    /// only between events.
     void save_state(sim::ckpt::Writer& w) const;
     void load_state(sim::ckpt::Reader& r);
 
@@ -157,7 +157,6 @@ class Swarm {
     void beacon(int i);
     void doze(int i);
     void on_mobility_tick();
-    void register_rebuilders(sim::ckpt::CallbackRegistry& reg);
 
     SwarmConfig config_;
     sim::Simulator sim_;

@@ -134,6 +134,9 @@ std::vector<BackendCell> run_backend_sweep(const core::ScenarioConfig& base,
     if (options.backends.empty()) {
         throw std::invalid_argument("backend sweep: need at least one backend");
     }
+    if (!(options.fault_at_frac >= 0.0 && options.fault_at_frac < 1.0)) {
+        throw std::invalid_argument("backend sweep: fault_at_frac must be in [0, 1)");
+    }
     const auto named_plans = standard_backend_plans(base, options);
 
     // One shared fan-out over every (backend, plan) cell: the replication

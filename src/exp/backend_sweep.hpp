@@ -49,7 +49,7 @@ struct BackendSweepOptions {
     /// value becomes one plan (plus the fault-free "baseline" plan).
     std::vector<int> crashed_anchors = {5, 10};
     std::vector<double> loss_probs = {0.25, 0.5, 0.9};
-    /// Faults strike at this fraction of the run.
+    /// Faults strike at this fraction of the run, in [0, 1).
     double fault_at_frac = 0.25;
     /// Loss bursts last this long.
     double loss_duration_s = 90.0;

@@ -51,18 +51,14 @@ RestoredScenario restore_scenario_checkpoint(
 
     RestoredScenario out;
     out.scenario = std::make_unique<core::Scenario>(config, std::move(shared_table));
+    // The blob's kernel may hold pending fault events, which the injector's
+    // handlers build: it must exist before the scenario's state loads.
     if (has_injector) {
         out.injector =
             std::make_unique<fault::FaultInjector>(*out.scenario, std::move(plan));
-        // The blob's kernel may hold pending fault events; the injector's
-        // rebuilders join the scenario's own registry for load_kernel.
-        out.scenario->load_state(r, [&](sim::ckpt::CallbackRegistry& reg) {
-            out.injector->register_rebuilders(reg);
-        });
-        r(*out.injector);
-    } else {
-        out.scenario->load_state(r);
     }
+    out.scenario->load_state(r);
+    if (has_injector) r(*out.injector);
     r.expect_end();
     return out;
 }

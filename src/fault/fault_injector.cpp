@@ -13,6 +13,20 @@ namespace {
 
 constexpr std::uint32_t kMarkFault = 0x46414c54u;  // "FALT"
 
+/// The kernel event that strikes `e` for each target: a watch for a battery
+/// fault, else a strike.
+sim::EventKind first_kind(const FaultEvent& e) {
+    return e.kind == FaultKind::Battery ? sim::EventKind::kFaultBatteryWatch
+                                        : sim::EventKind::kFaultStrike;
+}
+
+/// Whether `e` also schedules a recovery: reboots, outages and timed
+/// odometry faults end.
+bool recovers(const FaultEvent& e) {
+    return e.kind == FaultKind::Reboot || e.kind == FaultKind::Outage ||
+           (e.kind == FaultKind::OdometryDegrade && e.duration > sim::Duration::zero());
+}
+
 }  // namespace
 
 FaultInjector::FaultInjector(core::Scenario& scenario, FaultPlan plan)
@@ -26,6 +40,11 @@ FaultInjector::FaultInjector(core::Scenario& scenario, FaultPlan plan)
                 std::to_string(e.last_node()) + " but the scenario has " +
                 std::to_string(n) + " robots");
         }
+    }
+    for (const sim::EventKind kind :
+         {sim::EventKind::kFaultStrike, sim::EventKind::kFaultRecover,
+          sim::EventKind::kFaultBatteryWatch, sim::EventKind::kFaultReacquirePoll}) {
+        scenario_.simulator().on(kind, [this](const sim::EventTag& tag) { return event(tag); });
     }
 }
 
@@ -54,7 +73,7 @@ void FaultInjector::arm() {
     register_counters();
     record_static_faults();
     sim::Simulator& sim = scenario_.simulator();
-    for (const auto& [at, tag] : kernel_events()) sim.schedule_at(at, callback(tag), tag);
+    for (const auto& [at, tag] : kernel_events()) sim.schedule_at(at, tag);
 }
 
 bool FaultInjector::arm_forked() {
@@ -80,7 +99,7 @@ bool FaultInjector::arm_forked() {
     record_static_faults();
     const std::uint64_t prefix_peak = sim.kernel_stats().peak_pending;
     std::uint64_t seq = min_seq - need;
-    for (const auto& [at, tag] : events) sim.schedule_with_seq(at, seq++, callback(tag), tag);
+    for (const auto& [at, tag] : events) sim.schedule_with_seq(at, seq++, tag);
     // A straight faulted run carries the armed events in its pending count
     // from t=0, so its high-water mark up to the fork point is exactly
     // `need` above the prefix's. scheduled/sbo_misses already match: the
@@ -97,18 +116,12 @@ std::vector<FaultInjector::KernelEvent> FaultInjector::kernel_events() const {
     for (std::size_t idx = 0; idx < plan_.events.size(); ++idx) {
         const FaultEvent& e = plan_.events[idx];
         const sim::TimePoint at = std::max(now, e.at);
-        const sim::EventKind first = e.kind == FaultKind::Battery
-                                         ? sim::EventKind::kFaultBatteryWatch
-                                         : sim::EventKind::kFaultStrike;
-        const bool recovers = e.kind == FaultKind::Reboot || e.kind == FaultKind::Outage ||
-                              (e.kind == FaultKind::OdometryDegrade &&
-                               e.duration > sim::Duration::zero());
         const auto x = static_cast<std::uint32_t>(idx);
         // A loss burst targets no node: first_node() == last_node() == -1.
         for (int id = e.first_node(); id <= e.last_node(); ++id) {
             const auto node = static_cast<std::uint32_t>(id);
-            events.push_back({at, sim::make_tag(first, node, x)});
-            if (recovers) {
+            events.push_back({at, sim::make_tag(first_kind(e), node, x)});
+            if (recovers(e)) {
                 events.push_back(
                     {at + e.duration, sim::make_tag(sim::EventKind::kFaultRecover, node, x)});
             }
@@ -141,18 +154,40 @@ void FaultInjector::record_static_faults() {
     }
 }
 
-sim::InplaceCallback FaultInjector::callback(const sim::EventTag& tag) {
-    const auto idx = static_cast<std::size_t>(tag.x);
+sim::InplaceCallback FaultInjector::event(const sim::EventTag& tag) {
+    const auto kind = static_cast<sim::EventKind>(tag.kind);
     const int id = static_cast<int>(tag.node);
-    switch (static_cast<sim::EventKind>(tag.kind)) {
+    if (kind == sim::EventKind::kFaultReacquirePoll) {
+        if (tag.node >= scenario_.agent_count()) {
+            throw std::runtime_error("robot " + std::to_string(tag.node) + " does not exist");
+        }
+        return sim::InplaceCallback([this, tag] { poll_reacquire(tag); });
+    }
+    // A plan event's strike, recovery or battery watch: the tag must name a
+    // plan event, one of its targets, and a kernel event that plan event has.
+    const auto idx = static_cast<std::size_t>(tag.x);
+    if (idx >= plan_.events.size()) {
+        throw std::runtime_error("fault plan event " + std::to_string(idx) +
+                                 " does not exist (the plan has " +
+                                 std::to_string(plan_.events.size()) + ")");
+    }
+    const FaultEvent& e = plan_.events[idx];
+    if (id < e.first_node() || id > e.last_node()) {
+        throw std::runtime_error("node " + std::to_string(id) +
+                                 " is not a target of fault plan event " + std::to_string(idx));
+    }
+    if (kind == sim::EventKind::kFaultRecover ? !recovers(e) : kind != first_kind(e)) {
+        throw std::runtime_error("fault plan event " + std::to_string(idx) + " (" +
+                                 to_string(e.kind) + ") schedules no event of kind " +
+                                 std::to_string(tag.kind));
+    }
+    switch (kind) {
         case sim::EventKind::kFaultStrike:
             return sim::InplaceCallback([this, idx, id] { strike(idx, id); });
         case sim::EventKind::kFaultRecover:
             return sim::InplaceCallback([this, idx, id] { recover(idx, id); });
-        case sim::EventKind::kFaultBatteryWatch:
-            return sim::InplaceCallback([this, idx, id] { battery_watch(idx, id); });
         default:
-            throw std::logic_error("FaultInjector::callback: not a plan event tag");
+            return sim::InplaceCallback([this, idx, id] { battery_watch(idx, id); });
     }
 }
 
@@ -262,11 +297,10 @@ void FaultInjector::battery_watch(std::size_t idx, int id) {
                                       {{"mj", radio.meter().total_mj()}});
         return;
     }
-    const sim::EventTag tag = sim::make_tag(sim::EventKind::kFaultBatteryWatch,
-                                            static_cast<std::uint32_t>(id),
-                                            static_cast<std::uint32_t>(idx));
-    scenario_.simulator().schedule_at(scenario_.simulator().now() + plan_.battery_check,
-                                      callback(tag), tag);
+    scenario_.simulator().schedule_in(
+        plan_.battery_check,
+        sim::make_tag(sim::EventKind::kFaultBatteryWatch, static_cast<std::uint32_t>(id),
+                      static_cast<std::uint32_t>(idx)));
 }
 
 void FaultInjector::start_reacquire_watch(int node) {
@@ -279,65 +313,39 @@ void FaultInjector::start_reacquire_watch(int node) {
     ++watches_started_;
     // Poll at the metric sampling granularity until the first post-recovery
     // fix lands; unfinished watches count as never_reacquired in report().
-    schedule_reacquire_poll(nid, scenario_.simulator().now(),
-                            scenario_.agent(nid).stats().fixes);
-}
-
-void FaultInjector::schedule_reacquire_poll(net::NodeId nid,
-                                            sim::TimePoint recovered_at,
-                                            std::uint64_t fixes_before) {
     scenario_.simulator().schedule_in(
         scenario_.config().sample_interval,
-        sim::InplaceCallback([this, nid, recovered_at, fixes_before] {
-            poll_reacquire(nid, recovered_at, fixes_before);
-        }),
         sim::make_tag(sim::EventKind::kFaultReacquirePoll, nid, 0, 0,
-                      static_cast<std::uint64_t>(recovered_at.to_nanos()),
-                      fixes_before));
+                      static_cast<std::uint64_t>(scenario_.simulator().now().to_nanos()),
+                      scenario_.agent(nid).stats().fixes));
 }
 
-void FaultInjector::poll_reacquire(net::NodeId nid, sim::TimePoint recovered_at,
-                                   std::uint64_t fixes_before) {
-    if (scenario_.agent(nid).stats().fixes > fixes_before) {
+void FaultInjector::poll_reacquire(const sim::EventTag& poll) {
+    const sim::TimePoint now = scenario_.simulator().now();
+    if (scenario_.agent(poll.node).stats().fixes > poll.b) {
         ++stats_.reacquired;
         reacquire_s_sum_ +=
-            (scenario_.simulator().now() - recovered_at).to_seconds();
-        scenario_.obs().trace.instant(scenario_.simulator().now(), "fault",
-                                      "reacquired", static_cast<std::int64_t>(nid));
+            (now - sim::TimePoint::from_nanos(static_cast<std::int64_t>(poll.a))).to_seconds();
+        scenario_.obs().trace.instant(now, "fault", "reacquired",
+                                      static_cast<std::int64_t>(poll.node));
         return;
     }
-    schedule_reacquire_poll(nid, recovered_at, fixes_before);
+    scenario_.simulator().schedule_in(scenario_.config().sample_interval, poll);
 }
 
 template <typename Ar, typename Self>
 void FaultInjector::walk(Ar& ar, Self& f) {
     ar.mark(kMarkFault);
     ar(f.armed_, f.stats_, f.intervals_, f.watches_started_, f.reacquire_s_sum_);
-    // Pending fault events come back through the kernel blob (see
-    // register_rebuilders) and loss bursts through the medium's own state;
-    // only the counter registrations have to be redone here.
+    // Pending fault events come back through the kernel blob (see event())
+    // and loss bursts through the medium's own state; only the counter
+    // registrations have to be redone here.
     if constexpr (Ar::loading) {
         if (f.armed_ && !f.plan_.empty()) f.register_counters();
     }
 }
 template void FaultInjector::walk(sim::ckpt::Writer&, const FaultInjector&);
 template void FaultInjector::walk(sim::ckpt::Reader&, FaultInjector&);
-
-void FaultInjector::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
-    for (const sim::EventKind kind : {sim::EventKind::kFaultStrike, sim::EventKind::kFaultRecover,
-                                      sim::EventKind::kFaultBatteryWatch}) {
-        reg.add(kind, [this](const sim::EventTag& tag) { return callback(tag); });
-    }
-    reg.add(sim::EventKind::kFaultReacquirePoll, [this](const sim::EventTag& tag) {
-        const auto nid = static_cast<net::NodeId>(tag.node);
-        const sim::TimePoint recovered_at =
-            sim::TimePoint::from_nanos(static_cast<std::int64_t>(tag.a));
-        const std::uint64_t fixes_before = tag.b;
-        return sim::InplaceCallback([this, nid, recovered_at, fixes_before] {
-            poll_reacquire(nid, recovered_at, fixes_before);
-        });
-    });
-}
 
 ResilienceReport FaultInjector::report(const core::ScenarioResult& result) const {
     ResilienceReport rep;

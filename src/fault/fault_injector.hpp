@@ -11,7 +11,6 @@
 namespace cocoa::sim::ckpt {
 class Writer;
 class Reader;
-class CallbackRegistry;
 }  // namespace cocoa::sim::ckpt
 
 namespace cocoa::fault {
@@ -55,8 +54,10 @@ struct ResilienceReport {
 /// — no events, no counters, no registry entries — so a plan-less run is
 /// byte-identical to one without the injector (the zero-overhead contract).
 ///
-/// The injector must outlive the scenario run (its scheduled callbacks point
-/// back into it); construct both on the same scope.
+/// The injector registers the fault kinds' handlers with the scenario's
+/// simulator, so at most one injector serves a scenario. It must outlive the
+/// scenario run (its handlers and scheduled callbacks point back into it);
+/// construct both on the same scope.
 class FaultInjector {
   public:
     struct Stats {
@@ -70,8 +71,10 @@ class FaultInjector {
         std::uint64_t reacquired = 0;         ///< post-recovery fixes observed
     };
 
-    /// Validates the plan against the scenario (node ids in range); throws
-    /// std::invalid_argument on a bad plan.
+    /// Validates the plan against the scenario (node ids in range), then
+    /// registers the handlers of the four fault kinds, which a restore needs
+    /// before the scenario's kernel reloads. Throws std::invalid_argument on
+    /// a bad plan.
     FaultInjector(core::Scenario& scenario, FaultPlan plan);
 
     FaultInjector(const FaultInjector&) = delete;
@@ -109,11 +112,10 @@ class FaultInjector {
     /// Checkpoint walk (sim/checkpoint.hpp): the armed flag, realized
     /// intervals and counters. A restore also re-registers the fault.*
     /// counters (when armed on a non-empty plan) without scheduling anything
-    /// — pending fault events come back through the kernel blob via
-    /// register_rebuilders, and loss bursts through the medium's own state.
+    /// — pending fault events come back through the kernel blob via the
+    /// handlers, and loss bursts through the medium's own state.
     template <typename Ar, typename Self>
     static void walk(Ar& ar, Self& f);
-    void register_rebuilders(sim::ckpt::CallbackRegistry& reg);
 
   private:
     struct KernelEvent {
@@ -130,17 +132,17 @@ class FaultInjector {
     /// The intervals and loss bursts known at arm time, once per plan event
     /// in plan order.
     void record_static_faults();
-    /// The callback behind a strike, recovery or battery-watch tag: one
-    /// function for arming, the battery re-watch and checkpoint rebuilding.
-    sim::InplaceCallback callback(const sim::EventTag& tag);
+    /// The handler of the four fault kinds, live and restored. Throws
+    /// std::runtime_error for a tag naming no robot, no plan event, a node
+    /// the plan event does not target, or a kind the plan event lacks.
+    sim::InplaceCallback event(const sim::EventTag& tag);
     void strike(std::size_t idx, int id);
     void recover(std::size_t idx, int id);
     void battery_watch(std::size_t idx, int id);
     void start_reacquire_watch(int node);
-    void schedule_reacquire_poll(net::NodeId nid, sim::TimePoint recovered_at,
-                                 std::uint64_t fixes_before);
-    void poll_reacquire(net::NodeId nid, sim::TimePoint recovered_at,
-                        std::uint64_t fixes_before);
+    /// One poll of a watch (node = robot, a = recovery time in ns, b = its
+    /// fix count then); re-arms itself with the same tag until a fix lands.
+    void poll_reacquire(const sim::EventTag& poll);
 
     core::Scenario& scenario_;
     FaultPlan plan_;

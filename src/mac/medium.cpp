@@ -71,6 +71,39 @@ Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig co
     // Steady-state scratch: sized once here so paper-scale neighbourhoods
     // never grow it again (swarm densities warm it within a few frames).
     cca_tags_.reserve(kSensedReserve);
+
+    // The MAC kinds' handlers, each tag naming a radio by attach index. Live
+    // CCA deliveries and frame-ends travel in runs that hold their frame;
+    // those two handlers rebuild a restored run element as a single event.
+    const auto radio = [this](const sim::EventTag& tag) {
+        if (tag.node >= radios_.size()) {
+            throw std::runtime_error("radio " + std::to_string(tag.node) + " is not attached");
+        }
+        return radios_[tag.node];
+    };
+    sim_.on(sim::EventKind::kMediumCca, [this, radio](const sim::EventTag& tag) {
+        Radio* r = radio(tag);
+        std::shared_ptr<const AirFrame> frame = restored_frame(tag.a);
+        const double rssi = std::bit_cast<double>(tag.b);
+        const bool decodable = tag.x != 0;
+        return sim::InplaceCallback(
+            [this, r, frame, rssi, decodable] { cca_fire(r, frame, rssi, decodable); });
+    });
+    sim_.on(
+        sim::EventKind::kRadioAttempt,
+        [radio](const sim::EventTag& tag) {
+            return sim::InplaceCallback([r = radio(tag)] { r->attempt_tx(); });
+        },
+        [radio](const sim::EventTag& tag, sim::EventId id) { radio(tag)->attempt_event_ = id; });
+    sim_.on(sim::EventKind::kRadioEndTx, [radio](const sim::EventTag& tag) {
+        return sim::InplaceCallback([r = radio(tag)] { r->end_tx(); });
+    });
+    sim_.on(sim::EventKind::kRadioFrameEnd, [this, radio](const sim::EventTag& tag) {
+        return sim::InplaceCallback(
+            [r = radio(tag), frame = std::shared_ptr<const AirFrame>(restored_frame(tag.a))] {
+                r->on_frame_end(frame);
+            });
+    });
 }
 
 std::size_t Medium::attach(Radio& radio) {
@@ -119,22 +152,15 @@ void Medium::sweep_expired() {
     std::erase_if(launched_, [](const auto& e) { return e.second.expired(); });
 }
 
-void Medium::refresh_tree_if_stale() {
-    if (!bulk_stale_) {
+void Medium::check_position_contract() const {
 #ifndef NDEBUG
-        for (std::size_t i = 0; i < radios_.size(); ++i) {
-            // A mismatch means something moved a radio without calling
-            // note_position[s]_moved() — the position contract.
-            assert(!available_[i] ||
-                   tree_.cached_position(static_cast<std::uint32_t>(i)) ==
-                       radios_[i]->position());
-        }
-#endif
-        return;
+    for (std::size_t i = 0; i < radios_.size(); ++i) {
+        // A mismatch means something moved a radio without calling
+        // note_position_moved() — the position contract.
+        assert(!available_[i] ||
+               tree_.cached_position(static_cast<std::uint32_t>(i)) == radios_[i]->position());
     }
-    tree_.refresh_all(
-        [this](std::uint32_t id) { return radios_[id]->position(); });
-    bulk_stale_ = false;
+#endif
 }
 
 void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
@@ -198,7 +224,7 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
         }
     };
     if (config_.interference_culling) {
-        refresh_tree_if_stale();
+        check_position_contract();
         // Vectorized fanout: gather the window's candidates (cached slot
         // positions — equal to the live ones under the note_position_moved
         // contract the Debug sweep above just verified) into the SoA batch,
@@ -394,7 +420,7 @@ void Medium::truncate_transmission(Radio& sender) {
         // ascending attach order — the FIFO tie-break same-timestamp events
         // rely on.
         std::vector<std::uint32_t> targets;
-        refresh_tree_if_stale();
+        check_position_contract();
         tree_.for_each_in_radius(frame->sender_position, truncate_radius_m_,
                                  [&](std::uint32_t i, geom::Vec2 /*cached*/) {
                                      if (in_range(i)) targets.push_back(i);
@@ -486,11 +512,6 @@ void Medium::walk(Ar& ar, Self& m) {
     ar(active);
     if constexpr (Ar::loading) {
         for (const std::uint64_t seq : active) m.active_.push_back(m.restored_frame(seq));
-        // Cached tree positions refresh wholesale before the next query;
-        // membership itself is rebuilt by the radios' availability restore.
-        // The churn perturbs only unregistered index stats, which
-        // finish_restore() stamps back to the saved values once it is over.
-        m.note_positions_moved();
     }
 }
 template void Medium::walk(sim::ckpt::Writer&, const Medium&);
@@ -498,11 +519,13 @@ template void Medium::walk(sim::ckpt::Reader&, Medium&);
 
 void Medium::finish_restore() {
     restore_frames_.clear();
-    // Run the post-load refresh sweep NOW, while it is still attributable to
-    // the restore, then overwrite the bookkeeping with the snapshot values.
-    // From here on the index counters advance exactly as the straight run's
-    // would — a restored run's swarm table diffs clean.
-    refresh_tree_if_stale();
+    // Cached tree positions refresh wholesale from the restored mobility;
+    // membership itself was rebuilt by the radios' availability restore.
+    // The sweep and that churn perturb only unregistered index stats, which
+    // are overwritten with the snapshot values here: from now on the index
+    // counters advance exactly as the straight run's would — a restored
+    // run's swarm table diffs clean.
+    tree_.refresh_all([this](std::uint32_t id) { return radios_[id]->position(); });
     tree_.set_stats(restore_tree_stats_);
     radius_cache_.set_stats(restore_cache_stats_);
 }
@@ -514,36 +537,6 @@ const std::shared_ptr<AirFrame>& Medium::restored_frame(std::uint64_t seq) const
                                  std::to_string(seq));
     }
     return it->second;
-}
-
-void Medium::register_rebuilders(sim::ckpt::CallbackRegistry& reg) {
-    reg.add(sim::EventKind::kMediumCca, [this](const sim::EventTag& tag) {
-        Radio* r = radios_.at(tag.node);
-        std::shared_ptr<const AirFrame> frame = restored_frame(tag.a);
-        const double rssi = std::bit_cast<double>(tag.b);
-        const bool decodable = tag.x != 0;
-        return sim::InplaceCallback([this, r, frame, rssi, decodable] {
-            cca_fire(r, frame, rssi, decodable);
-        });
-    });
-    reg.add(
-        sim::EventKind::kRadioAttempt,
-        [this](const sim::EventTag& tag) {
-            Radio* r = radios_.at(tag.node);
-            return sim::InplaceCallback([r] { r->attempt_tx(); });
-        },
-        [this](const sim::EventTag& tag, sim::EventId id) {
-            radios_.at(tag.node)->attempt_event_ = id;
-        });
-    reg.add(sim::EventKind::kRadioEndTx, [this](const sim::EventTag& tag) {
-        Radio* r = radios_.at(tag.node);
-        return sim::InplaceCallback([r] { r->end_tx(); });
-    });
-    reg.add(sim::EventKind::kRadioFrameEnd, [this](const sim::EventTag& tag) {
-        Radio* r = radios_.at(tag.node);
-        std::shared_ptr<const AirFrame> frame = restored_frame(tag.a);
-        return sim::InplaceCallback([r, frame] { r->on_frame_end(frame); });
-    });
 }
 
 sim::TimePoint Medium::sensed_until_for(const Radio& listener) const {

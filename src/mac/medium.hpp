@@ -127,21 +127,13 @@ class Medium {
     /// after a radio wakes mid-frame, consistent with the live receive path.
     sim::TimePoint sensed_until_for(const Radio& listener) const;
 
-    /// One radio moved: the incremental path behind the position contract.
-    /// Migrates just that radio's cell-tree entry (an integer compare when it
-    /// stayed in its cell).
-    /// CocoaAgent::tick calls this right after advancing its own mobility.
-    /// Duplicate notes for the same radio within one simulation instant are
-    /// coalesced (a position changes at most once per instant — callers that
-    /// move a radio twice at one timestamp must use note_positions_moved()).
+    /// One radio moved: the position contract. Any code that moves a
+    /// position visible through Radio::position() calls this, which migrates
+    /// just that radio's cell-tree entry (an integer compare when it stayed
+    /// in its cell). CocoaAgent::tick calls it right after advancing its own
+    /// mobility. Duplicate notes for the same radio within one simulation
+    /// instant are coalesced (a position changes at most once per instant).
     void note_position_moved(const Radio& radio);
-
-    /// Coarse fallback: invalidates every cached position at once. Any code
-    /// that moves positions visible through Radio::position() without saying
-    /// whose must call this; the next transmission then runs a full
-    /// cell-tree sweep (tests pin those to zero in steady state). Prefer
-    /// note_position_moved().
-    void note_positions_moved() { bulk_stale_ = true; }
 
     /// Radio availability transitions, called by Radio's power state
     /// machine: an off / in-outage radio is invisible to propagation (no
@@ -210,20 +202,16 @@ class Medium {
     template <typename Ar, typename Self>
     static void walk(Ar& ar, Self& m);
 
-    /// Registers the MAC-layer event rebuilders (CCA delivery, CSMA attempt,
-    /// tx end, frame end) for Simulator::load_kernel.
-    void register_rebuilders(sim::ckpt::CallbackRegistry& reg);
-
     /// Frame restored by walk(), by launch number. Throws
     /// std::runtime_error for unknown seqs (blob inconsistency). Valid
     /// between the restore walk and finish_restore.
     const std::shared_ptr<AirFrame>& restored_frame(std::uint64_t seq) const;
 
     /// Drops the restore table once every subsystem and the kernel have
-    /// re-linked their frame references, then re-syncs the spatial caches
-    /// and stamps the straight run's index/radius-cache bookkeeping back on
-    /// (construction and availability-restore churned them). Must run LAST:
-    /// it reads the radios' restored positions.
+    /// re-linked their frame references, then refreshes every cached
+    /// cell-tree position and stamps the straight run's index/radius-cache
+    /// bookkeeping back on (construction and availability-restore churned
+    /// them). Must run LAST: it reads the radios' restored positions.
     void finish_restore();
 
     /// Pool warmth (free-list lengths + stats) for the frame / sensed /
@@ -237,12 +225,14 @@ class Medium {
 
   private:
     void sweep_expired();
-    /// CCA-delay delivery tail, shared by the live schedule in
-    /// begin_transmission and the kMediumCca checkpoint rebuilder so a
-    /// restored callback behaves identically to the one it replaces.
+    /// CCA-delay delivery tail, shared by the live CCA run and the kMediumCca
+    /// handler so a restored callback behaves identically to the one it
+    /// replaces.
     void cca_fire(Radio* r, const std::shared_ptr<const AirFrame>& frame,
                   double rssi_dbm, bool decodable);
-    void refresh_tree_if_stale();
+    /// Debug builds: every available radio's cached cell-tree position is its
+    /// live one (the note_position_moved contract). No-op in Release.
+    void check_position_contract() const;
 
     sim::Simulator& sim_;
     phy::Channel channel_;
@@ -268,8 +258,8 @@ class Medium {
     /// anywhere (locks and pending callbacks hold strong refs the active
     /// list alone would miss).
     std::vector<std::pair<std::uint64_t, std::weak_ptr<AirFrame>>> launched_;
-    /// seq -> restored frame, populated by a restore walk so radios and
-    /// event rebuilders re-link references; cleared by finish_restore().
+    /// seq -> restored frame, populated by a restore walk so radios and the
+    /// CCA / frame-end handlers re-link references; cleared by finish_restore().
     std::unordered_map<std::uint64_t, std::shared_ptr<AirFrame>> restore_frames_;
     /// Snapshot-time index bookkeeping, parked by a restore walk and stamped
     /// back by finish_restore() once the restore churn is over.
@@ -310,10 +300,6 @@ class Medium {
     /// (radius == cull radius + slack) stay within the tree's exact 3x3
     /// neighbourhood bound.
     spatial::CellTree tree_;
-    /// Set by note_positions_moved(); the next transmission runs a full
-    /// refresh_all sweep. Steady-state traffic uses note_position_moved()
-    /// and never sets it.
-    bool bulk_stale_ = false;
     /// LRU-cached 3x3 window masks for the hot cull-radius query (the
     /// density-adaptive query radius); armed in the constructor for exactly
     /// cull_radius_m_.

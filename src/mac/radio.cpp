@@ -85,9 +85,8 @@ void Radio::schedule_attempt() {
     const sim::Duration backoff =
         config_.slot * backoff_rng_.uniform_int(0, config_.cw_min);
     attempt_event_ = sim_.schedule_at(
-        idle_at + config_.difs + backoff, [this] { attempt_tx(); },
-        sim::make_tag(sim::EventKind::kRadioAttempt,
-                      static_cast<std::uint32_t>(attach_index_)));
+        idle_at + config_.difs + backoff,
+        sim::make_tag(sim::EventKind::kRadioAttempt, static_cast<std::uint32_t>(attach_index_)));
 }
 
 void Radio::attempt_tx() {
@@ -110,9 +109,8 @@ void Radio::begin_tx() {
     const sim::Duration on_air = airtime(packet);
     set_state(energy::RadioState::Tx);
     medium_.begin_transmission(*this, packet, on_air);
-    sim_.schedule_in(on_air, [this] { end_tx(); },
-                     sim::make_tag(sim::EventKind::kRadioEndTx,
-                                   static_cast<std::uint32_t>(attach_index_)));
+    sim_.schedule_in(on_air, sim::make_tag(sim::EventKind::kRadioEndTx,
+                                           static_cast<std::uint32_t>(attach_index_)));
 }
 
 void Radio::end_tx() {

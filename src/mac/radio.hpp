@@ -142,15 +142,15 @@ class Radio {
     /// receive lock (by frame seq), the tx queue, stats, the backoff stream
     /// and the energy books. The pending attempt / end-tx / frame-end events
     /// themselves live in the kernel section; the attempt EventId is
-    /// re-learned through the placed hook Medium::register_rebuilders
-    /// installs. A restore must run after the medium's (the lock re-links
+    /// re-learned through the placed hook of the medium's kRadioAttempt
+    /// handler. A restore must run after the medium's (the lock re-links
     /// through Medium::restored_frame) and schedules nothing.
     template <typename Ar, typename Self>
     static void walk(Ar& ar, Self& r);
 
   private:
-    /// Rebuilders re-enter the private CSMA/receive machinery and re-learn
-    /// attempt_event_ on behalf of each radio.
+    /// The medium's MAC event handlers enter the private CSMA/receive
+    /// machinery and re-learn attempt_event_ on behalf of each radio.
     friend class Medium;
     void set_state(energy::RadioState next);
     bool channel_busy() const { return sim_.now() < sensed_until_; }

@@ -24,8 +24,8 @@ struct CellTreeStats {
     std::uint64_t migrations = 0;
     /// update() calls that stayed inside the entry's current cell.
     std::uint64_t in_cell_updates = 0;
-    /// refresh_all() sweeps (the coarse note_positions_moved() fallback —
-    /// steady-state simulation traffic must never trigger one).
+    /// refresh_all() sweeps (a checkpoint restore runs one — steady-state
+    /// simulation traffic must never trigger one).
     std::uint64_t full_refreshes = 0;
     std::uint64_t queries = 0;
     /// Candidate entries inspected by queries before the exact radius test.
@@ -259,9 +259,9 @@ class CellTree {
     }
 
     /// Re-reads every present entry's position through `pos_of(id)` and
-    /// migrates the stale ones — the coarse fallback behind the medium's
-    /// bulk note_positions_moved() contract. O(entries); steady-state code
-    /// paths use update() instead and tests pin full_refreshes to zero.
+    /// migrates the stale ones — the medium's post-restore sweep.
+    /// O(entries); steady-state code paths use update() instead and tests
+    /// pin full_refreshes to zero.
     template <typename PosFn>
     void refresh_all(PosFn&& pos_of) {
         ++stats_.full_refreshes;

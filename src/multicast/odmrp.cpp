@@ -73,8 +73,7 @@ void MulticastNode::schedule_refresh(net::GroupId group) {
     auto it = sources_.find(group);
     if (it == sources_.end() || !config_.auto_refresh) return;
     it->second.refresh_event = node_.simulator().schedule_in(
-        config_.refresh_interval, [this, group] { do_refresh(group); },
-        sim::make_tag(sim::EventKind::kMcastRefresh, node_.id(), group));
+        config_.refresh_interval, sim::make_tag(sim::EventKind::kMcastRefresh, node_.id(), group));
 }
 
 void MulticastNode::do_refresh(net::GroupId group) {
@@ -133,9 +132,8 @@ void MulticastNode::handle_query(const net::JoinQueryPayload& query,
         round.seq = query.seq;
         if (config_.variant == Variant::Mrmm && !config_.query_aggregation.is_zero()) {
             round.decision_event = node_.simulator().schedule_in(
-                config_.query_aggregation, [this, key] { decide_upstream(key); },
-                sim::make_tag(sim::EventKind::kMcastDecision, node_.id(), key.group,
-                              key.source));
+                config_.query_aggregation,
+                sim::make_tag(sim::EventKind::kMcastDecision, node_.id(), key.group, key.source));
         }
     } else if (query.seq != round.seq || round.rebroadcast_done) {
         // A late copy of the round we already acted on.
@@ -197,8 +195,7 @@ void MulticastNode::decide_upstream(QueryKey key) {
             jitter_rng_.uniform_int(0, config_.reply_jitter_max.to_nanos()));
         const std::uint64_t id = park_tx(std::move(packet), TxKind::Query);
         node_.simulator().schedule_in(
-            jitter, [this, id] { fire_pending_tx(id); },
-            sim::make_tag(sim::EventKind::kMcastJitteredTx, node_.id(), 0, 0, id));
+            jitter, sim::make_tag(sim::EventKind::kMcastJitteredTx, node_.id(), 0, 0, id));
     }
 }
 
@@ -227,8 +224,7 @@ void MulticastNode::send_reply(net::GroupId group, net::NodeId source, std::uint
         jitter_rng_.uniform_int(0, config_.reply_jitter_max.to_nanos()));
     const std::uint64_t id = park_tx(std::move(packet), TxKind::Reply);
     node_.simulator().schedule_in(
-        jitter, [this, id] { fire_pending_tx(id); },
-        sim::make_tag(sim::EventKind::kMcastJitteredTx, node_.id(), 0, 0, id));
+        jitter, sim::make_tag(sim::EventKind::kMcastJitteredTx, node_.id(), 0, 0, id));
 }
 
 void MulticastNode::handle_reply(const net::JoinReplyPayload& reply) {
@@ -342,8 +338,7 @@ void MulticastNode::on_data(const net::Packet& packet, const net::RxInfo& info) 
         jitter_rng_.uniform_int(0, config_.data_jitter_max.to_nanos()));
     const std::uint64_t id = park_tx(std::move(fwd), TxKind::DataForward, key, data->seq);
     const sim::EventId event = node_.simulator().schedule_in(
-        jitter, [this, id] { fire_pending_tx(id); },
-        sim::make_tag(sim::EventKind::kMcastJitteredTx, node_.id(), 0, 0, id));
+        jitter, sim::make_tag(sim::EventKind::kMcastJitteredTx, node_.id(), 0, 0, id));
     pending_forwards_[pf_key] = PendingForward{event, 0, id};
 }
 
@@ -394,7 +389,7 @@ void MulticastNode::walk(Ar& ar, Self& n) {
 template void MulticastNode::walk(sim::ckpt::Writer&, const MulticastNode&);
 template void MulticastNode::walk(sim::ckpt::Reader&, MulticastNode&);
 
-sim::InplaceCallback MulticastNode::rebuild_event(const sim::EventTag& tag) {
+sim::InplaceCallback MulticastNode::event(const sim::EventTag& tag) {
     switch (static_cast<sim::EventKind>(tag.kind)) {
         case sim::EventKind::kMcastRefresh: {
             const net::GroupId group = tag.x;
@@ -409,7 +404,7 @@ sim::InplaceCallback MulticastNode::rebuild_event(const sim::EventTag& tag) {
             return sim::InplaceCallback([this, id] { fire_pending_tx(id); });
         }
         default:
-            throw std::logic_error("MulticastNode::rebuild_event: unexpected tag kind");
+            throw std::logic_error("MulticastNode::event: not a multicast event kind");
     }
 }
 
@@ -437,6 +432,21 @@ MulticastFleet::MulticastFleet(net::World& world, const MulticastConfig& config)
     nodes_.reserve(world.size());
     for (const auto& node : world.nodes()) {
         nodes_.push_back(std::make_unique<MulticastNode>(*node, config));
+    }
+    // One handler per multicast kind, routed by node id.
+    const auto node = [this](const sim::EventTag& tag) -> MulticastNode& {
+        if (tag.node >= nodes_.size()) {
+            throw std::runtime_error("multicast node " + std::to_string(tag.node) +
+                                     " does not exist");
+        }
+        return *nodes_[tag.node];
+    };
+    for (const sim::EventKind kind : {sim::EventKind::kMcastRefresh,
+                                      sim::EventKind::kMcastDecision,
+                                      sim::EventKind::kMcastJitteredTx}) {
+        world.simulator().on(
+            kind, [node](const sim::EventTag& tag) { return node(tag).event(tag); },
+            [node](const sim::EventTag& tag, sim::EventId id) { node(tag).event_placed(tag, id); });
     }
 }
 

@@ -150,13 +150,14 @@ class MulticastNode {
     /// (rounds, forwarding group, dedup caches, parked jittered
     /// transmissions with their packets) plus the stats and the jitter RNG.
     /// Pending kernel events are *not* walked here — the kernel snapshot
-    /// holds them; rebuild_event()/event_placed() rebuild the callbacks and
-    /// re-learn the EventIds on restore.
+    /// holds them; event()/event_placed() rebuild the callbacks and re-learn
+    /// the EventIds on restore.
     template <typename Ar, typename Self>
     static void walk(Ar& ar, Self& n);
-    /// Rebuilds the in-kernel callback for one of this node's tagged events
-    /// (kMcastRefresh / kMcastDecision / kMcastJitteredTx).
-    sim::InplaceCallback rebuild_event(const sim::EventTag& tag);
+    /// The callback of one of this node's tagged events (kMcastRefresh /
+    /// kMcastDecision / kMcastJitteredTx), live or restored; the fleet's
+    /// handlers route each tag here by node id.
+    sim::InplaceCallback event(const sim::EventTag& tag);
     /// Invoked after the kernel re-schedules a rebuilt event, so the state
     /// maps can re-learn the EventId (for later cancel()).
     void event_placed(const sim::EventTag& tag, sim::EventId id);
@@ -263,10 +264,16 @@ class MulticastNode {
     Stats stats_;
 };
 
-/// Bundles per-node instances for a whole world (used by scenarios/benches).
+/// Bundles per-node instances for a whole world (used by scenarios/benches)
+/// and registers the multicast kinds' handlers with the world's simulator,
+/// so at most one fleet serves a simulator.
 class MulticastFleet {
   public:
     MulticastFleet(net::World& world, const MulticastConfig& config);
+
+    /// Not copyable: the registered handlers hold `this`.
+    MulticastFleet(const MulticastFleet&) = delete;
+    MulticastFleet& operator=(const MulticastFleet&) = delete;
 
     MulticastNode& at(net::NodeId id) { return *nodes_.at(id); }
     const MulticastNode& at(net::NodeId id) const { return *nodes_.at(id); }

@@ -90,34 +90,6 @@ Flavor read_header(Reader& r) {
     return static_cast<Flavor>(raw);
 }
 
-void CallbackRegistry::add(EventKind kind, Make make, Placed placed) {
-    const auto [it, inserted] = entries_.emplace(
-        static_cast<std::uint32_t>(kind), Entry{std::move(make), std::move(placed)});
-    if (!inserted) {
-        throw std::logic_error("CallbackRegistry: kind " +
-                               std::to_string(static_cast<std::uint32_t>(kind)) +
-                               " registered twice");
-    }
-}
-
-const CallbackRegistry::Entry& CallbackRegistry::entry(const EventTag& tag) const {
-    const auto it = entries_.find(tag.kind);
-    if (it == entries_.end()) {
-        throw std::runtime_error("checkpoint: no rebuilder for event kind " +
-                                 std::to_string(tag.kind));
-    }
-    return it->second;
-}
-
-InplaceCallback CallbackRegistry::make(const EventTag& tag) const {
-    return entry(tag).make(tag);
-}
-
-void CallbackRegistry::placed(const EventTag& tag, EventId id) const {
-    const Entry& e = entry(tag);
-    if (e.placed) e.placed(tag, id);
-}
-
 void write_blob_file(const std::string& path, std::string_view blob) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("checkpoint: cannot open " + path);

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,9 +21,6 @@
 #include <vector>
 
 #include "geom/vec2.hpp"
-#include "sim/callback.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/event_tag.hpp"
 #include "sim/fields.hpp"
 #include "sim/pool.hpp"
 #include "sim/time.hpp"
@@ -483,41 +479,6 @@ void walk(Ar& ar, T& v) {
 void write_header(Writer& w, Flavor flavor);
 /// Throws std::runtime_error on bad magic or version mismatch.
 Flavor read_header(Reader& r);
-
-/// Maps EventKind values back to executable callbacks at restore time.
-///
-/// Subsystems register one rebuilder per kind they schedule (via their
-/// register_rebuilders hook); Simulator::load_kernel then walks the blob's
-/// pending-event list and re-creates each callback with its original
-/// (time, seq) — which is what makes the restored run's pop order, and
-/// therefore its physics, byte-identical to the straight run.
-class CallbackRegistry {
-  public:
-    /// Builds the callback for one tagged event.
-    using Make = std::function<InplaceCallback(const EventTag&)>;
-    /// Optional: invoked with the EventId the rebuilt event received, so
-    /// owners that track their timer (Radio::attempt_event_, ODMRP decision
-    /// events) re-learn the handle.
-    using Placed = std::function<void(const EventTag&, EventId)>;
-
-    /// Throws std::logic_error on duplicate registration of a kind.
-    void add(EventKind kind, Make make, Placed placed = nullptr);
-
-    bool contains(EventKind kind) const {
-        return entries_.contains(static_cast<std::uint32_t>(kind));
-    }
-    /// Throws std::runtime_error for unknown kinds (blob/binary mismatch).
-    InplaceCallback make(const EventTag& tag) const;
-    void placed(const EventTag& tag, EventId id) const;
-
-  private:
-    struct Entry {
-        Make make;
-        Placed placed;
-    };
-    const Entry& entry(const EventTag& tag) const;
-    std::unordered_map<std::uint32_t, Entry> entries_;
-};
 
 /// File helpers for the cross-process path (`cocoa_sim --checkpoint-out` /
 /// `--restore`). Throw std::runtime_error on I/O failure.

@@ -1,17 +1,20 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace cocoa::sim {
 
 /// Identifies what a scheduled callback *does*, so a checkpoint can rebuild
 /// it. Callbacks are type-erased closures; their captures cannot be walked at
-/// save time. Instead every schedule site that can be live at a checkpoint
-/// attaches an EventTag describing the callback in terms of durable state
-/// (node ids, sequence numbers, frame keys), and registers a matching
-/// rebuilder with ckpt::CallbackRegistry that turns the tag back into an
-/// equivalent closure on restore. Values are part of the checkpoint format;
-/// never renumber, only append.
+/// save time. Instead every event that can be pending at a checkpoint is
+/// scheduled by its EventTag alone, which describes it in terms of durable
+/// state (node ids, sequence numbers, frame keys). Each kind has one handler,
+/// registered with Simulator::on by the component that owns the kind, which
+/// builds the callback from the tag: the same handler serves the live event
+/// and the one a restore re-creates, and it rejects a tag that names no live
+/// owner. Values are part of the checkpoint format; never renumber, only
+/// append.
 enum class EventKind : std::uint32_t {
     kUntagged = 0,  ///< not restorable; save_checkpoint throws if one is pending
 
@@ -44,7 +47,7 @@ enum class EventKind : std::uint32_t {
     kMcastRefresh = 40,     ///< x = group
     kMcastDecision = 41,    ///< x = group, y = source (query-round decision)
     kMcastJitteredTx = 42,  ///< a = pending-tx id (packet parked in the node)
-    kMcastDataForward = 43, ///< x = group, y = source, a = data seq, b = from
+    // 43 is retired (a data-forward kind nothing scheduled); never reuse it.
 
     // fault::FaultInjector   (x = index into the armed plan's event list)
     kFaultStrike = 50,         ///< the plan event's `at` callback (node = id)
@@ -57,6 +60,10 @@ enum class EventKind : std::uint32_t {
     kSwarmDoze = 61,
     kSwarmMobilityTick = 62,
 };
+
+/// One past the largest EventKind: the size of a table indexed by kind.
+/// Appending a kind past it makes Simulator::on throw until this grows.
+inline constexpr std::size_t kEventKinds = 63;
 
 /// Compact, POD description of one pending callback. Field meaning depends on
 /// EventKind (see the enum comments); unused fields stay zero so blobs diff

@@ -18,18 +18,51 @@ namespace {
 }
 }  // namespace
 
-EventId Simulator::schedule_at(TimePoint t, Callback cb, const EventTag& tag) {
+void Simulator::on(EventKind kind, Make make, Placed placed) {
+    // std::out_of_range, a std::logic_error, for a kind past the table.
+    Handler& h = handlers_.at(static_cast<std::size_t>(kind));
+    if (h.make) {
+        throw std::logic_error("Simulator::on: event kind " +
+                               std::to_string(static_cast<std::uint32_t>(kind)) +
+                               " already has a handler");
+    }
+    h = {std::move(make), std::move(placed)};
+}
+
+const Simulator::Handler& Simulator::handler(const EventTag& tag) const {
+    if (tag.kind >= handlers_.size() || !handlers_[tag.kind].make) {
+        throw std::logic_error("Simulator: no handler for event kind " +
+                               std::to_string(tag.kind));
+    }
+    return handlers_[tag.kind];
+}
+
+EventId Simulator::schedule_at(TimePoint t, Callback cb) {
     if (t < now_) {
         throw std::logic_error("Simulator::schedule_at: time is in the past");
     }
-    return queue_.schedule(t, std::move(cb), tag);
+    return queue_.schedule(t, std::move(cb));
 }
 
-EventId Simulator::schedule_in(Duration d, Callback cb, const EventTag& tag) {
+EventId Simulator::schedule_at(TimePoint t, const EventTag& tag) {
+    if (t < now_) {
+        throw std::logic_error("Simulator::schedule_at: time is in the past");
+    }
+    return queue_.schedule(t, make(tag), tag);
+}
+
+EventId Simulator::schedule_in(Duration d, Callback cb) {
     if (d.is_negative()) {
         throw std::logic_error("Simulator::schedule_in: negative delay");
     }
-    return queue_.schedule(now_ + d, std::move(cb), tag);
+    return queue_.schedule(now_ + d, std::move(cb));
+}
+
+EventId Simulator::schedule_in(Duration d, const EventTag& tag) {
+    if (d.is_negative()) {
+        throw std::logic_error("Simulator::schedule_in: negative delay");
+    }
+    return queue_.schedule(now_ + d, make(tag), tag);
 }
 
 EventId Simulator::schedule_run(TimePoint t, RunCallback cb,
@@ -50,7 +83,7 @@ struct PendingEvent {
 }  // namespace
 
 template <typename Ar, typename Self>
-void Simulator::walk_kernel(Ar& ar, Self& s, const ckpt::CallbackRegistry& registry) {
+void Simulator::walk_kernel(Ar& ar, Self& s) {
     ar.mark(0x4b524e4cu);  // 'KRNL'
     if constexpr (Ar::loading) {
         if (!s.queue_.empty()) {
@@ -99,9 +132,17 @@ void Simulator::walk_kernel(Ar& ar, Self& s, const ckpt::CallbackRegistry& regis
                                      ", not below the restored next seq " +
                                      std::to_string(next_seq));
             }
-            const EventId id =
-                s.queue_.schedule_with_seq(e.time, e.seq, registry.make(e.tag), e.tag);
-            registry.placed(e.tag, id);
+            // The live handler builds the event, so a tag naming no node,
+            // plan event or interval fails here, before any event runs.
+            try {
+                const Handler& h = s.handler(e.tag);
+                const EventId id = s.queue_.schedule_with_seq(e.time, e.seq, h.make(e.tag), e.tag);
+                if (h.placed) h.placed(e.tag, id);
+            } catch (const std::exception& ex) {
+                corrupt_event(i, "(kind " + std::to_string(e.tag.kind) + ", node " +
+                                     std::to_string(e.tag.node) + ") cannot be rebuilt: " +
+                                     ex.what());
+            }
         }
         // Verbatim counters last: the re-registration above must not leak
         // into the restored run's observable kernel stats.
@@ -109,16 +150,12 @@ void Simulator::walk_kernel(Ar& ar, Self& s, const ckpt::CallbackRegistry& regis
         s.queue_.set_stats(stats);
     }
 }
-template void Simulator::walk_kernel(ckpt::Writer&, const Simulator&,
-                                     const ckpt::CallbackRegistry&);
-template void Simulator::walk_kernel(ckpt::Reader&, Simulator&,
-                                     const ckpt::CallbackRegistry&);
+template void Simulator::walk_kernel(ckpt::Writer&, const Simulator&);
+template void Simulator::walk_kernel(ckpt::Reader&, Simulator&);
 
-void Simulator::save_kernel(ckpt::Writer& w) const { walk_kernel(w, *this, {}); }
+void Simulator::save_kernel(ckpt::Writer& w) const { walk_kernel(w, *this); }
 
-void Simulator::load_kernel(ckpt::Reader& r, const ckpt::CallbackRegistry& registry) {
-    walk_kernel(r, *this, registry);
-}
+void Simulator::load_kernel(ckpt::Reader& r) { walk_kernel(r, *this); }
 
 void Simulator::run_until(TimePoint end) {
     stop_requested_ = false;

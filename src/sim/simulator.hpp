@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "sim/callback.hpp"
@@ -14,7 +16,6 @@ namespace cocoa::sim {
 namespace ckpt {
 class Writer;
 class Reader;
-class CallbackRegistry;
 }  // namespace ckpt
 
 /// The discrete-event simulation engine.
@@ -26,6 +27,13 @@ class Simulator {
   public:
     using Callback = EventQueue::Callback;
     using RunCallback = EventQueue::RunCallback;
+    /// Builds a tagged event's callback from its tag. Throws when the tag
+    /// names no live owner (a node, plan event or interval that does not
+    /// exist).
+    using Make = std::function<Callback(const EventTag&)>;
+    /// Hands a restored event's EventId back to its owner, for owners that
+    /// track their timer (Radio::attempt_event_, the ODMRP timers).
+    using Placed = std::function<void(const EventTag&, EventId)>;
 
     explicit Simulator(std::uint64_t master_seed = 1) : rng_(master_seed) {}
 
@@ -37,15 +45,25 @@ class Simulator {
 
     const RngManager& rng() const { return rng_; }
 
-    /// Schedules a callback at absolute virtual time `t`.
-    /// Scheduling in the past throws std::logic_error (it would silently
-    /// reorder causality); scheduling exactly at now() is allowed.
-    /// The optional tag makes the event checkpointable (sim/event_tag.hpp);
-    /// untagged events are fine as long as none is pending at a save point.
-    EventId schedule_at(TimePoint t, Callback cb, const EventTag& tag = {});
+    /// Registers the one handler of `kind`, which builds every event of that
+    /// kind, live or restored, from its tag (sim/event_tag.hpp). The owner
+    /// of the kind registers it before scheduling its first event. Throws
+    /// std::logic_error on a second registration for the same kind.
+    void on(EventKind kind, Make make, Placed placed = nullptr);
 
-    /// Schedules a callback `d` after the current time. Negative d throws.
-    EventId schedule_in(Duration d, Callback cb, const EventTag& tag = {});
+    /// Schedules an event at absolute virtual time `t`: an untagged
+    /// callback, or a tagged event that its kind's handler builds (a tag
+    /// without a handler throws std::logic_error). Only tagged events are
+    /// checkpointable; untagged ones are fine as long as none is pending at
+    /// a save point. Scheduling in the past throws std::logic_error (it
+    /// would silently reorder causality); scheduling exactly at now() is
+    /// allowed.
+    EventId schedule_at(TimePoint t, Callback cb);
+    EventId schedule_at(TimePoint t, const EventTag& tag);
+
+    /// Schedules an event `d` after the current time. Negative d throws.
+    EventId schedule_in(Duration d, Callback cb);
+    EventId schedule_in(Duration d, const EventTag& tag);
 
     /// Schedules tags.size() events at `t` in one heap slot, element i
     /// firing `cb(tags[i])`: the same events, seqs and stats as one
@@ -98,17 +116,18 @@ class Simulator {
     /// The kernel section's one walk (sim/checkpoint.hpp): clock, counters
     /// and pending events. A save throws std::logic_error if any pending
     /// event is untagged (it could not be rebuilt). A restore requires a
-    /// queue emptied by clear_pending(), rebuilds each blob event via
-    /// `registry` (which a save ignores) and re-schedules it with its
-    /// original seq; owners re-learn EventIds through the registry's placed
+    /// queue emptied by clear_pending(), builds each blob event through its
+    /// kind's handler, exactly as a live schedule does, and re-schedules it
+    /// with its original seq; owners re-learn EventIds through the placed
     /// hooks. Kernel stats and next_seq are restored last, verbatim. A
-    /// restore throws std::runtime_error for an event due before the
-    /// restored clock, seqs out of save order, or a seq at or above the
-    /// restored next seq.
+    /// restore throws std::runtime_error, naming the event, for an event due
+    /// before the restored clock, seqs out of save order, a seq at or above
+    /// the restored next seq, or a tag its handler rejects (or that has no
+    /// handler).
     template <typename Ar, typename Self>
-    static void walk_kernel(Ar& ar, Self& s, const ckpt::CallbackRegistry& registry);
+    static void walk_kernel(Ar& ar, Self& s);
     void save_kernel(ckpt::Writer& w) const;
-    void load_kernel(ckpt::Reader& r, const ckpt::CallbackRegistry& registry);
+    void load_kernel(ckpt::Reader& r);
 
     /// Drops every pending event (fresh-construction events are replaced by
     /// the blob's on restore).
@@ -124,15 +143,27 @@ class Simulator {
     /// from t=0; a forked run arms late and compensates here).
     void set_kernel_stats(const KernelStats& stats) { queue_.set_stats(stats); }
 
-    /// Schedule with an explicit seq (restore/fork paths only).
-    EventId schedule_with_seq(TimePoint t, std::uint64_t seq, Callback cb,
-                              const EventTag& tag) {
-        return queue_.schedule_with_seq(t, seq, std::move(cb), tag);
+    /// Schedules a tagged event with an explicit seq (the fork path), built
+    /// by its kind's handler like schedule_at.
+    EventId schedule_with_seq(TimePoint t, std::uint64_t seq, const EventTag& tag) {
+        return queue_.schedule_with_seq(t, seq, make(tag), tag);
     }
 
   private:
+    struct Handler {
+        Make make;
+        Placed placed;
+    };
+    /// The handler of tag.kind; throws std::logic_error when it has none.
+    const Handler& handler(const EventTag& tag) const;
+    Callback make(const EventTag& tag) const { return handler(tag).make(tag); }
+
     TimePoint now_ = TimePoint::origin();
     EventQueue queue_;
+    /// Indexed by EventKind; an empty make marks a kind with no handler.
+    /// Fixed, so registering allocates nothing: a vector grown by a swarm's
+    /// registrations churned the heap and slowed large swarm builds.
+    std::array<Handler, kEventKinds> handlers_;
     RngManager rng_;
     bool stop_requested_ = false;
     std::uint64_t executed_ = 0;

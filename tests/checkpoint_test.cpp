@@ -6,9 +6,10 @@
 // round-trips, the layout is pinned), the pinned packet layout, randomized
 // checkpoint-time fuzzing on the fig7 scenario and a 1k-node swarm
 // (snapshot mid-run, resume, diff full position traces + counters against
-// the straight run), truncation at every section, blob file I/O, and the
-// forked-sweep identity contract (forked and unforked sweeps produce
-// byte-identical records, with one PDF calibration per replication seed).
+// the straight run), truncation at every section, pending event tags that
+// name no live owner, blob file I/O, and the forked-sweep identity contract
+// (forked and unforked sweeps produce byte-identical records, with one PDF
+// calibration per replication seed).
 
 #include <bit>
 #include <cmath>
@@ -811,22 +812,22 @@ TEST(CheckpointFormat, PacketLayoutIsPinned) {
 /// strictly increasing, all below the restored next seq.
 TEST(CheckpointFormat, KernelRejectsEventsThatRunTimeBackwards) {
     const sim::EventTag tick = sim::make_tag(sim::EventKind::kScenarioTick);
+    const auto nothing = [](const sim::EventTag&) { return sim::InplaceCallback([] {}); };
     sim::Simulator straight;
-    straight.schedule_at(sim::TimePoint::from_nanos(9'000), [] {}, tick);   // seq 1
-    straight.schedule_at(sim::TimePoint::from_nanos(9'500), [] {}, tick);   // seq 2
-    straight.run_until(sim::TimePoint::from_nanos(6'000));                  // next seq 3
+    straight.on(sim::EventKind::kScenarioTick, nothing);
+    straight.schedule_at(sim::TimePoint::from_nanos(9'000), tick);   // seq 1
+    straight.schedule_at(sim::TimePoint::from_nanos(9'500), tick);   // seq 2
+    straight.run_until(sim::TimePoint::from_nanos(6'000));           // next seq 3
     sim::ckpt::Writer w;
     straight.save_kernel(w);
     const std::string blob = w.take();
 
-    sim::ckpt::CallbackRegistry registry;
-    registry.add(sim::EventKind::kScenarioTick,
-                 [](const sim::EventTag&) { return sim::InplaceCallback([] {}); });
     const auto load = [&](const std::string& b) {
         return runtime_error_of([&] {
             sim::Simulator restored;
+            restored.on(sim::EventKind::kScenarioTick, nothing);
             sim::ckpt::Reader r(b);
-            restored.load_kernel(r, registry);
+            restored.load_kernel(r);
         });
     };
     EXPECT_EQ(load(blob), "");
@@ -1030,6 +1031,176 @@ TEST(CheckpointFuzz, SwarmRestoreMatchesStraightRun) {
         ASSERT_NE(restored, nullptr);
         restored->run();
         EXPECT_EQ(swarm_digest(restored->result()), want);
+    }
+}
+
+// --------------------------------------- restored tags name live owners
+
+/// The offset of the one occurrence of `needle` in `blob`; a test failure if
+/// it occurs other than once.
+std::size_t unique_offset(const std::string& blob, const std::string& needle) {
+    const std::size_t at = blob.find(needle);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(blob.find(needle, at + 1), std::string::npos);
+    return at;
+}
+
+/// `value`'s encoding, as a blob holds it.
+template <typename T>
+std::string encoded(const T& value) {
+    sim::ckpt::Writer w;
+    w(value);
+    return w.take();
+}
+
+/// `blob` with `value`'s encoding written over the bytes at `at`.
+template <typename T>
+std::string patched(std::string blob, std::size_t at, const T& value) {
+    const std::string bytes = encoded(value);
+    return blob.replace(at, bytes.size(), bytes);
+}
+
+/// The restore failed on a kernel event whose handler rejected its tag, with
+/// `why` (kind, node, the handler's reason).
+void expect_unbuildable(const std::string& message, const std::string& why) {
+    SCOPED_TRACE(message);
+    EXPECT_EQ(message.rfind("checkpoint: kernel event ", 0), 0u);
+    EXPECT_TRUE(message.ends_with(why + " — corrupt blob"));
+}
+
+/// A pending swarm beacon whose tag names a node past the swarm fails the
+/// restore: before the handler checked it, the blob restored and run()
+/// threw std::out_of_range when the beacon fired.
+TEST(CheckpointFormat, SwarmRestoreRejectsATagNamingNoNode) {
+    core::SwarmConfig config;
+    config.nodes = 8;
+    config.seed = 3;
+    config.duration = sim::Duration::seconds(5.0);
+    config.collect_final_positions = true;
+    core::Swarm straight(config);
+    straight.run();
+
+    core::Swarm prefix(config);
+    prefix.run_until(sim::TimePoint::from_seconds(2.0));
+    const std::string blob = exp::save_swarm_checkpoint(prefix);
+    std::unique_ptr<core::Swarm> restored = exp::restore_swarm_checkpoint(blob);
+    restored->run();
+    EXPECT_EQ(swarm_digest(restored->result()), swarm_digest(straight.result()));
+
+    // Node 5's one pending beacon; the tag's node word follows its kind.
+    const std::size_t at =
+        unique_offset(blob, encoded(sim::make_tag(sim::EventKind::kSwarmBeacon, 5)));
+    for (const std::uint32_t node : {8u, 1'000'000u}) {
+        const std::string n = std::to_string(node);
+        expect_unbuildable(
+            runtime_error_of([&] { exp::restore_swarm_checkpoint(patched(blob, at + 4, node)); }),
+            "(kind 60, node " + n + ") cannot be rebuilt: swarm node " + n + " does not exist");
+    }
+}
+
+/// A pending fault strike must name a plan event, one of its targets, and a
+/// kernel event that plan event schedules. Before the handler checked, an
+/// index past the one-event plan restored and FaultInjector::strike read
+/// past the plan, and the run ended with no crash.
+TEST(CheckpointFormat, FaultRestoreRejectsATagNamingNoPlanEvent) {
+    const core::ScenarioConfig config = fuzz_config();
+    const fault::FaultPlan plan = fault::FaultPlan::parse("crash@40:node=2");
+    core::Scenario straight(config);
+    fault::FaultInjector straight_injector(straight, plan);
+    straight_injector.arm();
+    straight.run();
+
+    core::Scenario prefix(config);
+    fault::FaultInjector injector(prefix, plan);
+    injector.arm();
+    prefix.run_until(sim::TimePoint::from_seconds(30.0));
+    const std::string blob = exp::save_scenario_checkpoint(prefix, &injector);
+    const auto table = prefix.pdf_table_ptr();
+    exp::RestoredScenario restored = exp::restore_scenario_checkpoint(blob, table);
+    restored.scenario->run();
+    EXPECT_EQ(scenario_digest(restored.scenario->result(), *restored.scenario),
+              scenario_digest(straight.result(), straight));
+    EXPECT_EQ(restored.injector->stats().crashes, 1u);
+
+    // The crash's one pending strike: kind, node (its target), x (its plan
+    // event index), each a u32.
+    const std::size_t at =
+        unique_offset(blob, encoded(sim::make_tag(sim::EventKind::kFaultStrike, 2)));
+    const auto rejected = [&](std::size_t word, std::uint32_t value) {
+        return runtime_error_of([&] {
+            exp::restore_scenario_checkpoint(patched(blob, at + 4 * word, value), table);
+        });
+    };
+    expect_unbuildable(rejected(2, 1), "(kind 50, node 2) cannot be rebuilt: fault plan "
+                                       "event 1 does not exist (the plan has 1)");
+    expect_unbuildable(rejected(2, 1000), "(kind 50, node 2) cannot be rebuilt: fault plan "
+                                          "event 1000 does not exist (the plan has 1)");
+    expect_unbuildable(rejected(1, 3), "(kind 50, node 3) cannot be rebuilt: node 3 is not a "
+                                       "target of fault plan event 0");
+    // A crash neither recovers nor is watched.
+    expect_unbuildable(rejected(0, 51), "(kind 51, node 2) cannot be rebuilt: fault plan "
+                                        "event 0 (crash) schedules no event of kind 51");
+    expect_unbuildable(rejected(0, 52), "(kind 52, node 2) cannot be rebuilt: fault plan "
+                                        "event 0 (crash) schedules no event of kind 52");
+}
+
+/// A SYNC is sent only by the sync robot, the source of the SYNC group.
+/// Before the handler checked, a sync-settle event restored on another
+/// robot threw "not a source for group" from the multicast layer mid-run
+/// (and, without a fleet, dereferenced a null multicast node).
+TEST(CheckpointFormat, AgentRestoreRejectsASyncOffTheSyncRobot) {
+    core::Scenario prefix(fuzz_config());
+    prefix.run_until(sim::TimePoint::from_seconds(30.0));
+    const std::string blob = exp::save_scenario_checkpoint(prefix);
+    const auto table = prefix.pdf_table_ptr();
+    EXPECT_EQ(runtime_error_of([&] { exp::restore_scenario_checkpoint(blob, table); }), "");
+
+    // Robot 3's one pending wake, found by its kind, node, x and y words;
+    // its kind becomes kAgentSyncSettle.
+    const std::size_t at = unique_offset(
+        blob, encoded(sim::make_tag(sim::EventKind::kAgentWake, 3)).substr(0, 16));
+    expect_unbuildable(runtime_error_of([&] {
+                           exp::restore_scenario_checkpoint(
+                               patched(blob, at, std::uint32_t{11}), table);
+                       }),
+                       "(kind 11, node 3) cannot be rebuilt: robot 3 is not the sync robot");
+}
+
+/// A pending position-trace event needs a positive interval. Before the
+/// handler checked it, a restored interval of 0 re-fired the trace at one
+/// instant until the trace rows exhausted memory, and -5 ns threw
+/// "negative delay" mid-run.
+TEST(CheckpointFormat, ScenarioRestoreRejectsANonPositiveTraceInterval) {
+    const core::ScenarioConfig config = fuzz_config();
+    const sim::Duration interval = sim::Duration::seconds(1.0);
+    core::Scenario straight(config);
+    straight.enable_position_trace(interval);
+    straight.run();
+
+    core::Scenario prefix(config);
+    prefix.enable_position_trace(interval);
+    prefix.run_until(sim::TimePoint::from_seconds(10.5));
+    const std::string blob = exp::save_scenario_checkpoint(prefix);
+    const auto table = prefix.pdf_table_ptr();
+    exp::RestoredScenario restored = exp::restore_scenario_checkpoint(blob, table);
+    restored.scenario->run();
+    EXPECT_EQ(scenario_digest(restored.scenario->result(), *restored.scenario),
+              scenario_digest(straight.result(), straight));
+
+    // The interval is the scenario section's last field before the kernel
+    // section's mark.
+    sim::ckpt::Writer mark;
+    mark.u32(0x4b524e4cu);  // 'KRNL'
+    const std::size_t at = unique_offset(blob, mark.buffer()) - 8;
+    ASSERT_EQ(blob.substr(at, 8), encoded(interval));
+    for (const std::int64_t ns : {0, -5}) {
+        expect_unbuildable(
+            runtime_error_of([&] {
+                exp::restore_scenario_checkpoint(patched(blob, at, sim::Duration::nanos(ns)),
+                                                 table);
+            }),
+            "(kind 3, node 0) cannot be rebuilt: the position trace interval " +
+                std::to_string(ns) + " ns is not positive");
     }
 }
 

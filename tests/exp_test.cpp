@@ -1,7 +1,8 @@
 // Tests for the parallel replication engine (src/exp): the determinism
 // contract (bit-identical results at any thread count, replications
 // independent of each other), the aggregation maths (95% CI against
-// hand-computed values), and the thread pool underneath.
+// hand-computed values), the backend sweep's fault-fraction check, and the
+// thread pool underneath.
 
 #include <atomic>
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bayes_grid.hpp"
+#include "exp/backend_sweep.hpp"
 #include "exp/replication.hpp"
 #include "sim/random.hpp"
 #include "sim/thread_pool.hpp"
@@ -198,6 +200,22 @@ TEST(ReplicationEngine, InvalidInputsThrow) {
     parallel.n_reps = 2;
     parallel.n_threads = 2;
     EXPECT_THROW(exp::run_replications(bad, parallel), std::exception);
+}
+
+/// A fault strike fraction outside [0, 1) would strike before the run or
+/// after it ends (a crash that never fires, reported as one): the sweep
+/// refuses it by field name before simulating anything.
+TEST(BackendSweep, RejectsFaultFractionOutsideTheRun) {
+    for (const double frac : {-0.5, 1.0, 3.0, std::nan("")}) {
+        exp::BackendSweepOptions opt;
+        opt.fault_at_frac = frac;
+        try {
+            exp::run_backend_sweep(tiny_config(), opt);
+            ADD_FAILURE() << "fault_at_frac " << frac << " accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_STREQ(e.what(), "backend sweep: fault_at_frac must be in [0, 1)");
+        }
+    }
 }
 
 TEST(ReplicationEngine, EmptySweepReturnsEmpty) {

@@ -630,8 +630,14 @@ TEST(Simulator, RunSavesTheSameKernelAsSingleEvents) {
             fired.push_back(tag.node);
             if (tag.node == 2) sim.stop();
         };
+        const auto nothing = [](const EventTag&) { return InplaceCallback([] {}); };
+        sim.on(EventKind::kScenarioTick, nothing);
+        sim.on(EventKind::kScenarioSample, nothing);
+        sim.on(EventKind::kMediumCca, [&element](const EventTag& tag) {
+            return InplaceCallback([&element, tag] { element(tag); });
+        });
         sim.schedule_at(TimePoint::from_nanos(1'000), [] {});
-        sim.schedule_at(t, [] {}, make_tag(EventKind::kScenarioTick, 7));
+        sim.schedule_at(t, make_tag(EventKind::kScenarioTick, 7));
         std::vector<EventTag> tags;
         for (std::uint32_t i = 0; i < 6; ++i) tags.push_back(element_tag(i));
         if (as_run) {
@@ -639,14 +645,10 @@ TEST(Simulator, RunSavesTheSameKernelAsSingleEvents) {
             EXPECT_TRUE(sim.extend_run(run, t, element_tag(6)));
             EXPECT_TRUE(sim.extend_run(run, t, element_tag(7)));
         } else {
-            for (std::uint32_t i = 0; i < 8; ++i) {
-                sim.schedule_at(t, [&element, tag = element_tag(i)] { element(tag); },
-                                element_tag(i));
-            }
+            for (std::uint32_t i = 0; i < 8; ++i) sim.schedule_at(t, element_tag(i));
         }
-        sim.schedule_at(t, [] {}, make_tag(EventKind::kScenarioSample, 9));
-        sim.schedule_at(TimePoint::from_nanos(8'000), [] {},
-                        make_tag(EventKind::kScenarioSample, 3));
+        sim.schedule_at(t, make_tag(EventKind::kScenarioSample, 9));
+        sim.schedule_at(TimePoint::from_nanos(8'000), make_tag(EventKind::kScenarioSample, 3));
         sim.run_until(TimePoint::from_nanos(6'000));
         EXPECT_EQ(fired, (std::vector<std::uint32_t>{0, 1, 2}));
         EXPECT_EQ(sim.now(), t);
@@ -803,6 +805,62 @@ TEST(Simulator, CancelledEventDoesNotFire) {
     EXPECT_TRUE(sim.cancel(id));
     sim.run();
     EXPECT_FALSE(fired);
+}
+
+// ------------------------------------------------- one handler per event kind
+
+/// A tagged event is built by its kind's handler, so a tag whose kind has
+/// none is refused at the schedule site, and nothing is queued.
+TEST(Simulator, TaggedScheduleWithoutHandlerThrows) {
+    Simulator sim;
+    sim.on(EventKind::kScenarioSample, [](const EventTag&) { return InplaceCallback([] {}); });
+    const EventTag tick = make_tag(EventKind::kScenarioTick);
+    EXPECT_THROW(sim.schedule_at(TimePoint::from_nanos(10), tick), std::logic_error);
+    EXPECT_THROW(sim.schedule_in(Duration::nanos(10), tick), std::logic_error);
+    EXPECT_THROW(sim.schedule_with_seq(TimePoint::from_nanos(10), 1, tick), std::logic_error);
+    EXPECT_THROW(sim.schedule_at(TimePoint::from_nanos(10), make_tag(EventKind::kSwarmDoze)),
+                 std::logic_error);
+    EXPECT_THROW(sim.schedule_at(TimePoint::from_nanos(10), EventTag{.kind = 1000}),
+                 std::logic_error);  // past every kind
+    EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+/// Each kind has exactly one handler: a second registration throws and
+/// leaves the first in place.
+TEST(Simulator, SecondHandlerForAKindThrows) {
+    Simulator sim;
+    int first = 0;
+    sim.on(EventKind::kScenarioTick,
+           [&first](const EventTag&) { return InplaceCallback([&first] { ++first; }); });
+    EXPECT_THROW(
+        sim.on(EventKind::kScenarioTick, [](const EventTag&) { return InplaceCallback([] {}); }),
+        std::logic_error);
+    sim.schedule_in(Duration::nanos(5), make_tag(EventKind::kScenarioTick));
+    sim.run();
+    EXPECT_EQ(first, 1);
+}
+
+/// schedule_with_seq builds its event through the handler from the tag, and
+/// the explicit seqs order same-instant events; the placed hook is a
+/// restore-only step the fork path does not take.
+TEST(Simulator, ScheduleWithSeqBuildsTheEventThroughItsHandler) {
+    Simulator sim;
+    std::vector<std::uint64_t> fired;
+    int placed = 0;
+    sim.on(
+        EventKind::kFaultStrike,
+        [&fired](const EventTag& tag) {
+            return InplaceCallback([&fired, a = tag.a] { fired.push_back(a); });
+        },
+        [&placed](const EventTag&, EventId) { ++placed; });
+    const auto strike = [](std::uint64_t a) {
+        return make_tag(EventKind::kFaultStrike, 0, 0, 0, a);
+    };
+    sim.schedule_with_seq(TimePoint::from_nanos(5), 7, strike(70));
+    sim.schedule_with_seq(TimePoint::from_nanos(5), 3, strike(30));
+    sim.run();
+    EXPECT_EQ(fired, (std::vector<std::uint64_t>{30, 70}));
+    EXPECT_EQ(placed, 0);
 }
 
 }  // namespace

@@ -261,30 +261,6 @@ TEST_F(SpatialMediumFixture, RevivedRadiosReenterTheIndex) {
     EXPECT_EQ(medium_->index_stats().removes, 2u);   // power_off + outage
 }
 
-/// The bulk note_positions_moved() fallback still works under the cell tree:
-/// one full refresh, then correct delivery from the new position.
-TEST_F(SpatialMediumFixture, BulkInvalidationTriggersExactlyOneRefresh) {
-    auto tx_pos = std::make_shared<Vec2>(Vec2{0.0, 0.0});
-    const auto id = static_cast<net::NodeId>(radios_.size());
-    radios_.push_back(std::make_unique<Radio>(
-        sim_, *medium_, id, [tx_pos] { return *tx_pos; }, PowerProfile::wavelan(),
-        sim_.rng().stream("backoff", id)));
-    Radio& tx = *radios_.back();
-    Radio& rx = add_radio({1000.0, 0.0});  // out of range of the origin
-    int delivered = 0;
-    rx.set_receive_handler([&](const Packet&, const net::RxInfo&) { ++delivered; });
-
-    sim_.schedule_at(TimePoint::from_seconds(1.0), [&] {
-        *tx_pos = {980.0, 0.0};  // teleport next to the receiver
-        medium_->note_positions_moved();
-        tx.send(test_packet(7));
-    });
-    sim_.run();
-
-    EXPECT_EQ(delivered, 1);
-    EXPECT_EQ(medium_->index_stats().full_refreshes, 1u);
-}
-
 /// Duplicate note_position_moved calls within one simulation instant are
 /// coalesced: a radio's position changes at most once per instant, so the
 /// index does that radio's update work at most once per timestamp (repeated

@@ -422,6 +422,12 @@ int main(int argc, char** argv) {
     if (checkpoint_at_s < 0.0) {
         return fail("--checkpoint-at must be positive");
     }
+    if (pos_trace_interval_s < 0.0) {
+        return fail("--pos-trace must be >= 0 (0 records no trace)");
+    }
+    if (!(fault_at_frac >= 0.0 && fault_at_frac < 1.0)) {
+        return fail("--fault-at-frac must be in [0, 1)");
+    }
     // Seconds become int64 nanoseconds; a value past ~291 years would
     // overflow that conversion.
     const std::pair<const char*, double> times[] = {{"--duration", duration_s},
@@ -580,12 +586,9 @@ int main(int argc, char** argv) {
     if (!trace_file.empty() && reps > 1) {
         return fail("--trace requires --reps 1 (one scenario to trace)");
     }
-    obs::TraceSink::Format event_trace_format = obs::TraceSink::Format::ChromeTrace;
-    if (trace_format == "jsonl") {
-        event_trace_format = obs::TraceSink::Format::Jsonl;
-    } else if (trace_format != "chrome") {
-        return fail("unknown --trace-format '" + trace_format + "' (chrome | jsonl)");
-    }
+    const obs::TraceSink::Format event_trace_format = trace_format == "jsonl"
+                                                          ? obs::TraceSink::Format::Jsonl
+                                                          : obs::TraceSink::Format::ChromeTrace;
     if (profile) {
         obs::Profiler::set_enabled(true);
     }
