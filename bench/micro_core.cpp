@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -527,6 +528,54 @@ void BM_ChannelSample(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_ChannelSample);
+
+// ---- RNG streams (sim::Mt19937_64, sim::RandomStream::park)
+
+/// Seeding one engine: the fixed part of a stream's first draw and of every
+/// rebuild past a parked window.
+void BM_StreamSeed(benchmark::State& state) {
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        sim::Mt19937_64 engine(++seed);
+        benchmark::DoNotOptimize(engine);
+    }
+}
+BENCHMARK(BM_StreamSeed);
+
+/// One twist, the 312-word refill a rebuild replays once per block.
+void BM_Mt19937Twist(benchmark::State& state) {
+    sim::Mt19937_64 engine(5);
+    for (auto _ : state) {
+        engine.discard(sim::Mt19937_64::kStateWords);
+        benchmark::DoNotOptimize(engine);
+    }
+}
+BENCHMARK(BM_Mt19937Twist);
+
+/// The first draw past a parked stream's window when the rebuild replays
+/// range(0) twists: one seeding, range(0) twists and one output. At 16 it
+/// is the longest replay park() allows. The stream is built, parked and its
+/// window drained untimed.
+void BM_StreamResumeParked(benchmark::State& state) {
+    const auto twists = static_cast<std::uint64_t>(state.range(0));
+    // Parked 40 words before the end of its last block, so the window ends
+    // 8 words short of it and the rebuild twists exactly `twists` times.
+    const std::uint64_t drawn = twists * sim::Mt19937_64::kStateWords - 40;
+    std::optional<sim::RandomStream> stream;
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        stream.emplace(++seed);
+        for (std::uint64_t i = 0; i < drawn; ++i) (void)stream->uniform(0.0, 1.0);
+        stream->park();
+        for (std::size_t i = 0; i < sim::RandomStream::kWindowWords; ++i) {
+            (void)stream->uniform(0.0, 1.0);
+        }
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(stream->uniform(0.0, 1.0));
+    }
+}
+BENCHMARK(BM_StreamResumeParked)->Arg(1)->Arg(16);
 
 void BM_LinkLifetime(benchmark::State& state) {
     sim::RandomStream rng(4);

@@ -105,7 +105,7 @@ void Radio::attempt_tx() {
 
 void Radio::begin_tx() {
     net::Packet packet = std::move(queue_.front());
-    queue_.pop_front();
+    queue_.erase(queue_.begin());
     const sim::Duration on_air = airtime(packet);
     set_state(energy::RadioState::Tx);
     medium_.begin_transmission(*this, packet, on_air);
@@ -228,6 +228,7 @@ void Radio::sleep() {
         attempt_event_ = sim::EventId{};
     }
     csma_pending_ = false;
+    backoff_rng_.park();  // a sleeping radio draws no backoff
     set_state(energy::RadioState::Sleep);
     medium_.obs().trace.instant(sim_.now(), "mac", "sleep",
                                 static_cast<std::int64_t>(id_));

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "energy/energy.hpp"
 #include "mac/airframe.hpp"
@@ -182,7 +182,10 @@ class Radio {
     sim::RandomStream backoff_rng_;
     ReceiveHandler handler_;
 
-    std::deque<net::Packet> queue_;
+    /// Sent packets awaiting the air, oldest first. A vector: an empty deque
+    /// already allocates 544 bytes (its map and a first block of five
+    /// packets), and most radios' queues stay empty.
+    std::vector<net::Packet> queue_;
     bool outage_ = false;  ///< transient fault: asleep and wake()-proof
     bool csma_pending_ = false;
     sim::EventId attempt_event_;

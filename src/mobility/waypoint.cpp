@@ -41,6 +41,7 @@ WaypointMobility::WaypointMobility(const WaypointConfig& config, sim::RandomStre
     // The robot's initial orientation is taken to be its first leg's heading,
     // so construction itself produces no turn.
     pending_turn_ = 0.0;
+    rng_.park();
 }
 
 void WaypointMobility::start_new_leg() {
@@ -103,7 +104,11 @@ void WaypointMobility::advance(sim::TimePoint t, const char* caller, Step&& step
             pending_turn_ = 0.0;
             now_ = until;
         }
-        if (now_ == plan_end_) finish_plan();
+        if (now_ == plan_end_) {
+            finish_plan();
+            // The next draw is a leg or a rest away.
+            rng_.park();
+        }
     }
 }
 

@@ -5,7 +5,6 @@
 #include <iomanip>
 #include <istream>
 #include <limits>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -86,29 +85,41 @@ PdfTable PdfTable::calibrate(const Channel& channel, const CalibrationConfig& co
 
     // Sweep the field: many RSSI observations at each distance, binned by
     // integer dBm. Under a uniform sweep this collects, per bin, samples of
-    // the distance distribution conditioned on that RSSI.
-    std::map<int, std::vector<double>> samples_by_bin;
+    // the distance distribution conditioned on that RSSI. samples[k] holds
+    // bin min_rssi + k; a bin below the lowest so far grows the front.
+    std::vector<std::vector<double>> samples;
+    int min_rssi = 0;
     for (double d = config.min_distance_m; d <= config.max_distance_m;
          d += config.distance_step_m) {
+        const double mean_dbm = channel.mean_rssi_dbm(d);
+        const double sigma_db = channel.shadowing_sigma_db(d);
+        const double fade_db = channel.fade_mean_db(d);
         for (int i = 0; i < config.samples_per_distance; ++i) {
-            const double rssi = channel.sample_rssi_dbm(d, rng);
+            const double rssi = channel.sample_rssi_from(mean_dbm, sigma_db, fade_db, rng);
             const int bin = static_cast<int>(std::lround(rssi));
-            samples_by_bin[bin].push_back(d);
+            if (samples.empty()) {
+                min_rssi = bin;
+            } else if (bin < min_rssi) {
+                samples.insert(samples.begin(), static_cast<std::size_t>(min_rssi - bin), {});
+                min_rssi = bin;
+            }
+            const auto k = static_cast<std::size_t>(bin - min_rssi);
+            if (k >= samples.size()) samples.resize(k + 1);
+            samples[k].push_back(d);
         }
     }
-    if (samples_by_bin.empty()) {
+    if (samples.empty()) {
         throw std::logic_error("PdfTable: calibration produced no samples");
     }
 
-    const int min_rssi = samples_by_bin.begin()->first;
-    const int max_rssi = samples_by_bin.rbegin()->first;
-    std::vector<DistancePdf> bins(static_cast<std::size_t>(max_rssi - min_rssi + 1));
-    for (const auto& [bin, samples] : samples_by_bin) {
-        DistancePdf& pdf = bins[static_cast<std::size_t>(bin - min_rssi)];
-        const Moments m = compute_moments(samples);
+    std::vector<DistancePdf> bins(samples.size());
+    for (std::size_t k = 0; k < samples.size(); ++k) {
+        if (samples[k].empty()) continue;
+        DistancePdf& pdf = bins[k];
+        const Moments m = compute_moments(samples[k]);
         pdf.mean_m = m.mean;
         pdf.sigma_m = m.sigma;
-        pdf.sample_count = static_cast<int>(samples.size());
+        pdf.sample_count = static_cast<int>(samples[k].size());
         pdf.skewness = m.skewness;
         pdf.excess_kurtosis = m.excess_kurtosis;
         // Thresholds widen to 3 standard errors (SE(skew) ~ sqrt(6/n),

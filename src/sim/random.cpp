@@ -1,5 +1,7 @@
 #include "sim/random.hpp"
 
+#include <algorithm>
+
 #include "sim/checkpoint.hpp"
 
 namespace cocoa::sim {
@@ -35,7 +37,9 @@ void Mt19937_64::twist() {
     // word's lower 31 bits ([rand.eng.mers]).
     const auto mix = [](std::uint64_t word, std::uint64_t next, std::uint64_t far) {
         const std::uint64_t y = (word & kUpper) | (next & ~kUpper);
-        return far ^ (y >> 1) ^ ((y & 1) != 0 ? 0xb5026f5aa96619e9ull : 0);
+        // The matrix constant under an all-ones-or-zero mask: a branch on
+        // y's low bit mispredicts half the time.
+        return far ^ (y >> 1) ^ (-(y & 1) & 0xb5026f5aa96619e9ull);
     };
     for (std::size_t k = 0; k < kN - kM; ++k) {
         state_[k] = mix(state_[k], state_[k + 1], state_[k + kM]);
@@ -45,6 +49,31 @@ void Mt19937_64::twist() {
     }
     state_[kN - 1] = mix(state_[kN - 1], state_[0], state_[kM - 1]);
     pos_ = 0;
+    ++twists_;
+}
+
+void Mt19937_64::discard(std::uint64_t n) {
+    while (n > 0) {
+        if (pos_ >= kStateWords) twist();
+        const std::uint64_t step = std::min<std::uint64_t>(n, kStateWords - pos_);
+        pos_ += step;
+        n -= step;
+    }
+}
+
+void RandomStream::park() {
+    if (!engine_ || restored_ || engine_->twists() > kParkTwistBound) return;
+    for (std::uint64_t& word : window_) word = (*engine_)();
+    window_at_ = 0;
+    resume_at_ = engine_->outputs();
+    engine_.reset();
+}
+
+std::uint64_t RandomStream::next_unheld() {
+    if (window_at_ < kWindowWords) return window_[window_at_++];
+    engine_ = std::make_unique<Mt19937_64>(seed_);
+    engine_->discard(resume_at_);
+    return (*engine_)();
 }
 
 void RandomStream::save(ckpt::Writer& w) const { w(*this); }

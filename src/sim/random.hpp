@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <string_view>
@@ -128,6 +129,19 @@ class Mt19937_64 {
         return z ^ (z >> 43);
     }
 
+    /// Advances the engine as `n` draws would, twisting where they would
+    /// but tempering nothing: from a fresh seeding this is the engine after
+    /// its first n outputs, state and position alike.
+    void discard(std::uint64_t n);
+
+    /// Twists since seeding, and the outputs drawn since seeding. A restore
+    /// carries neither (the blob holds the state words and the position
+    /// only), so both count from the seeding in this process.
+    std::uint64_t twists() const { return twists_; }
+    std::uint64_t outputs() const {
+        return twists_ == 0 ? 0 : (twists_ - 1) * kStateWords + pos_;
+    }
+
     /// Checkpoint walk (sim/checkpoint.hpp): the 312 state words, then the
     /// position, as 313 little-endian u64s with the state in one bulk copy.
     /// A restore rejects a position above 312, which no engine can reach.
@@ -147,6 +161,7 @@ class Mt19937_64 {
     /// Index of the next state word to temper; kStateWords means "twist
     /// first", as after seeding.
     std::size_t pos_ = kStateWords;
+    std::uint64_t twists_ = 0;
 };
 
 /// A deterministic pseudo-random stream.
@@ -156,51 +171,119 @@ class Mt19937_64 {
 /// from a master seed plus a stable name. This keeps parameter sweeps
 /// variance-controlled: changing, say, the beacon period does not perturb the
 /// random numbers the mobility model draws.
+///
+/// The 2.5 KB engine exists only while the stream draws. A new stream holds
+/// just its seed and seeds the engine on its first draw. park() moves the
+/// engine's next kWindowWords outputs into an inline window and frees the
+/// engine; a draw past the window rebuilds it by re-seeding and replaying
+/// its twists (Mt19937_64::discard). Every draw and every checkpoint byte
+/// is what an engine that never parked would give. See docs/performance.md,
+/// "Parked streams".
 class RandomStream {
   public:
-    explicit RandomStream(std::uint64_t seed) : engine_(seed) {}
+    /// Outputs a parked stream keeps inline.
+    static constexpr std::size_t kWindowWords = 32;
+    /// park() does nothing once the engine has twisted more often than this,
+    /// which bounds a rebuild to one seeding and kParkTwistBound + 1 twists.
+    static constexpr std::uint64_t kParkTwistBound = 16;
+
+    explicit RandomStream(std::uint64_t seed) : seed_(seed) {}
 
     /// Uniform double in [lo, hi).
     double uniform(double lo, double hi) {
-        return std::uniform_real_distribution<double>(lo, hi)(engine_);
+        Bits bits{*this};
+        return std::uniform_real_distribution<double>(lo, hi)(bits);
     }
 
     /// Uniform integer in [lo, hi] (inclusive).
     std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-        return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+        Bits bits{*this};
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(bits);
     }
 
     /// Zero-mean-unless-specified Gaussian.
     double gaussian(double mean, double stddev) {
         if (stddev <= 0.0) return mean;
-        return std::normal_distribution<double>(mean, stddev)(engine_);
+        Bits bits{*this};
+        return std::normal_distribution<double>(mean, stddev)(bits);
     }
 
     /// Bernoulli trial with success probability p.
     bool chance(double p) {
         if (p <= 0.0) return false;
         if (p >= 1.0) return true;
-        return std::bernoulli_distribution(p)(engine_);
+        Bits bits{*this};
+        return std::bernoulli_distribution(p)(bits);
     }
 
     /// Exponentially distributed value with the given mean.
     double exponential(double mean) {
-        return std::exponential_distribution<double>(1.0 / mean)(engine_);
+        Bits bits{*this};
+        return std::exponential_distribution<double>(1.0 / mean)(bits);
     }
 
-    /// Checkpoints the engine position: draws after a restore bitwise-match
-    /// the draws the saved stream would have produced. (All distributions
-    /// here are constructed per call, so the engine is the stream's entire
-    /// state.)
+    /// Frees the engine of a stream that is about to go quiet, keeping its
+    /// next kWindowWords outputs inline. Does nothing when no engine is held
+    /// (a new or already parked stream), when the engine has twisted more
+    /// than kParkTwistBound times, or after a restore.
+    void park();
+
+    /// Whether the engine is allocated (the stream has drawn since it was
+    /// created or last parked, or was restored).
+    bool holds_engine() const { return engine_ != nullptr; }
+
+    /// Checkpoints the engine at the stream's logical position: draws after
+    /// a restore bitwise-match the draws the saved stream would have
+    /// produced. A parked stream writes the engine rebuilt at its rebuild
+    /// position minus the window words not yet read, so the bytes do not
+    /// depend on parking. (All distributions here are constructed per call,
+    /// so the engine is the stream's entire state.) A restored stream holds
+    /// its engine for good: the blob carries no twist count to replay to.
     template <typename Ar, typename Self>
     static void walk(Ar& ar, Self& s) {
-        ar(s.engine_);
+        if constexpr (Ar::loading) {
+            if (!s.engine_) s.engine_ = std::make_unique<Mt19937_64>(s.seed_);
+            s.window_at_ = kWindowWords;
+            s.restored_ = true;
+            ar(*s.engine_);
+        } else if (s.engine_) {
+            ar(*s.engine_);
+        } else {
+            Mt19937_64 at(s.seed_);
+            at.discard(s.resume_at_ - (kWindowWords - s.window_at_));
+            ar(at);
+        }
     }
     void save(ckpt::Writer& w) const;
     void load(ckpt::Reader& r);
 
   private:
-    Mt19937_64 engine_;
+    /// The URBG the std distributions draw through.
+    struct Bits {
+        using result_type = std::uint64_t;
+        static constexpr result_type min() { return Mt19937_64::min(); }
+        static constexpr result_type max() { return Mt19937_64::max(); }
+        RandomStream& stream;
+        result_type operator()() {
+            if (stream.engine_) [[likely]] return (*stream.engine_)();
+            return stream.next_unheld();
+        }
+    };
+
+    /// The next output while no engine is held: a window word, else the
+    /// first output of an engine rebuilt at resume_at_.
+    std::uint64_t next_unheld();
+
+    std::unique_ptr<Mt19937_64> engine_;
+    std::uint64_t seed_;
+    /// Outputs drawn from the engine before it was last freed: where a
+    /// rebuild resumes, just past the window.
+    std::uint64_t resume_at_ = 0;
+    /// Next window word to read; kWindowWords when the window is empty, as
+    /// it always is while the engine is held.
+    std::uint8_t window_at_ = kWindowWords;
+    bool restored_ = false;
+    std::array<std::uint64_t, kWindowWords> window_{};
 };
 
 /// Derives independent named RandomStreams from a single master seed.

@@ -2,10 +2,15 @@
 // kernel against the generic one on edge layouts, the settled and drawn
 // verdicts against the exact draw on five channels, the batch path against
 // the unculled sweep over whole swarm runs, the sharded mobility tick at
-// several worker counts, the radius cache against brute force, and the
-// allocation-free steady state of the fanout scratch.
+// several worker counts, the radius cache against brute force, the
+// allocation-free steady state of the fanout scratch, and the heap a swarm
+// holds per node.
 
 #include <gtest/gtest.h>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <bit>
@@ -579,6 +584,51 @@ TEST(ParallelSwarm, FanoutScratchStaysAllocationFreeOnceWarm) {
     // through the fanout restructure).
     EXPECT_GT(medium.frame_pool_stats().reused, 0u);
     EXPECT_GT(medium.sensed_pool_stats().reused, 0u);
+}
+
+// --- per-node footprint --------------------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define COCOA_SANITIZED_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define COCOA_SANITIZED_HEAP 1
+#endif
+#endif
+// glibc's in-use count, readable and meaningful.
+#if defined(__GLIBC__) && !defined(COCOA_SANITIZED_HEAP)
+#if __GLIBC_PREREQ(2, 33)
+#define COCOA_HEAP_IN_USE 1
+#endif
+#endif
+
+/// The heap a swarm holds per node, which is what bounds the largest swarm
+/// that fits. Parked RNG streams (sim::RandomStream::park) and the radios'
+/// vector tx queues keep a 4,096-node swarm at ~1.9 KiB per node after 10
+/// simulated seconds; two always-held MT19937-64 engines and an empty deque
+/// per node made it ~6.7 KiB. Reads glibc's in-use count, so it skips where
+/// there is no glibc and under sanitizers, whose redzones change the count.
+TEST(SwarmFootprint, FourThousandNodesHoldUnderTwoAndAHalfKiBEach) {
+#ifndef COCOA_HEAP_IN_USE
+    GTEST_SKIP() << "needs glibc's mallinfo2() and an unsanitized heap";
+#else
+    const auto in_use = [] {
+        const struct mallinfo2 m = mallinfo2();
+        return m.uordblks + m.hblkhd;
+    };
+    core::SwarmConfig config;
+    config.nodes = 4096;
+    config.duration = Duration::seconds(10.0);
+    const std::size_t before = in_use();
+    core::Swarm swarm(config);
+    swarm.run();
+    const std::size_t after = in_use();
+    ASSERT_GT(swarm.result().medium_stats.frames_sent, 0u);
+    const double per_node =
+        static_cast<double>(after - before) / static_cast<double>(config.nodes);
+    RecordProperty("bytes_per_node", std::to_string(per_node));
+    EXPECT_LE(per_node, 2.5 * 1024) << "heap bytes held per node";
+#endif
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -176,6 +177,128 @@ TEST(RandomStream, ChanceExtremes) {
     RandomStream rng(1);
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
+}
+
+// ------------------------------------------------------- parked streams
+
+/// One draw of kind `kind` (every RandomStream draw, one small and one
+/// full-range uniform_int), as raw bits so doubles compare exactly.
+std::uint64_t draw_bits(RandomStream& s, int kind, int i) {
+    switch (kind) {
+        case 0: return std::bit_cast<std::uint64_t>(s.uniform(-1.0 - i % 7, 3.0));
+        case 1: return static_cast<std::uint64_t>(s.uniform_int(0, 31));
+        case 2:
+            return static_cast<std::uint64_t>(
+                s.uniform_int(0, std::numeric_limits<std::int64_t>::max()));
+        case 3: return std::bit_cast<std::uint64_t>(s.gaussian(2.0, 0.5 + i % 3));
+        case 4: return s.chance(0.3 + 0.1 * (i % 5)) ? 1 : 0;
+        default: return std::bit_cast<std::uint64_t>(s.exponential(1.0 + i % 4));
+    }
+}
+
+std::string blob_of(const RandomStream& s) {
+    ckpt::Writer w;
+    s.save(w);
+    return w.take();
+}
+
+/// A stream parked after `n` one-output draws (uniform() consumes exactly
+/// one engine output) against a twin that never parks: the blobs match, and
+/// so do the draws that follow, across the window and the rebuild. `parks`
+/// says whether park() should free the engine.
+void expect_parks_like_twin(std::uint64_t n, bool parks) {
+    SCOPED_TRACE("park at position " + std::to_string(n));
+    RandomStream s(0x5eedull + n);
+    RandomStream twin(0x5eedull + n);
+    for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(s.uniform(0, 1), twin.uniform(0, 1));
+    s.park();
+    EXPECT_EQ(s.holds_engine(), !parks && n > 0);
+    ASSERT_EQ(blob_of(s), blob_of(twin));
+    for (int i = 0; i < 400; ++i) {
+        ASSERT_EQ(draw_bits(s, i % 6, i), draw_bits(twin, i % 6, i)) << "draw " << i;
+        if (i % 50 == 7) {
+            ASSERT_EQ(blob_of(s), blob_of(twin)) << "draw " << i;
+        }
+    }
+}
+
+TEST(RandomStream, ParkAtEdgePositionsMatchesTwin) {
+    constexpr std::uint64_t kWords = Mt19937_64::kStateWords;
+    constexpr std::uint64_t kBound = RandomStream::kParkTwistBound;
+    ASSERT_NO_FATAL_FAILURE(expect_parks_like_twin(1, true));
+    ASSERT_NO_FATAL_FAILURE(expect_parks_like_twin(150, true));  // mid-block
+    // The window straddles a twist.
+    ASSERT_NO_FATAL_FAILURE(expect_parks_like_twin(kWords - 20, true));
+    ASSERT_NO_FATAL_FAILURE(expect_parks_like_twin(kWords - 1, true));
+    ASSERT_NO_FATAL_FAILURE(expect_parks_like_twin(kWords, true));  // block spent
+    ASSERT_NO_FATAL_FAILURE(expect_parks_like_twin(kWords + 1, true));
+    // The bound: 16 twists still park (their rebuild replays 17), 17 do not.
+    ASSERT_NO_FATAL_FAILURE(expect_parks_like_twin(kBound * kWords, true));
+    ASSERT_NO_FATAL_FAILURE(expect_parks_like_twin(kBound * kWords + 1, false));
+    ASSERT_NO_FATAL_FAILURE(expect_parks_like_twin(40 * kWords + 5, false));
+    // A new stream: nothing to park.
+    ASSERT_NO_FATAL_FAILURE(expect_parks_like_twin(0, true));
+}
+
+/// Randomized interleavings of every draw kind, save() and park() against
+/// an unparked twin: every draw and every blob byte equal. At random points
+/// the blob is loaded into a stream of another seed, which must continue
+/// bit for bit and never park (the blob carries no twist count).
+TEST(RandomStream, ParkedStreamMatchesUnparkedTwin) {
+    std::mt19937_64 script(20260);
+    std::size_t parks = 0, refused = 0, rebuilds = 0, loads = 0;
+    for (int trial = 0; trial < 48; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        const std::uint64_t seed = script();
+        RandomStream s(seed);
+        RandomStream twin(seed);
+        // Long draw runs in some trials carry the engine past the bound.
+        const int burst = trial % 3 == 0 ? 600 : 12;
+        for (int step = 0; step < 600; ++step) {
+            const auto action = script() % 100;
+            if (action < 8) {
+                const bool held = s.holds_engine();
+                s.park();
+                parks += held && !s.holds_engine();
+                refused += held && s.holds_engine();
+            } else if (action < 12) {
+                ASSERT_EQ(blob_of(s), blob_of(twin)) << "step " << step;
+            } else if (action < 13) {
+                const std::string blob = blob_of(twin);
+                RandomStream loaded(script());
+                ckpt::Reader r(blob);
+                loaded.load(r);
+                ASSERT_TRUE(r.at_end());
+                for (int i = 0; i < 100; ++i) {
+                    if (i % 25 == 0) {
+                        loaded.park();
+                        ASSERT_TRUE(loaded.holds_engine());
+                        ASSERT_EQ(blob_of(loaded), blob_of(twin)) << "draw " << i;
+                    }
+                    const std::uint64_t want = draw_bits(twin, i % 6, i);
+                    ASSERT_EQ(draw_bits(loaded, i % 6, i), want)
+                        << "step " << step << " loaded draw " << i;
+                    ASSERT_EQ(draw_bits(s, i % 6, i), want) << "step " << step << " draw " << i;
+                }
+                ++loads;
+            } else {
+                const int n = 1 + static_cast<int>(script() % burst);
+                for (int i = 0; i < n; ++i) {
+                    const int kind = static_cast<int>(script() % 6);
+                    const bool held = s.holds_engine();
+                    ASSERT_EQ(draw_bits(s, kind, i), draw_bits(twin, kind, i))
+                        << "step " << step << " draw " << i << " kind " << kind;
+                    rebuilds += !held && s.holds_engine();
+                }
+            }
+        }
+        ASSERT_EQ(blob_of(s), blob_of(twin));
+    }
+    // The script reached every path it is meant to cover.
+    EXPECT_GT(parks, 500u);
+    EXPECT_GT(refused, 300u);  // past the twist bound
+    EXPECT_GT(rebuilds, 500u);
+    EXPECT_GT(loads, 150u);
 }
 
 TEST(RngManager, SameNameSameStream) {
