@@ -137,7 +137,8 @@ void BM_EventQueue_churn(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * 64 * 3);  // schedule+cancel+pop
 }
-BENCHMARK(BM_EventQueue_churn)->Arg(256);
+// 16384: a working set as deep as a 16k-node swarm's pending queue.
+BENCHMARK(BM_EventQueue_churn)->Arg(256)->Arg(16384);
 
 // The radial-kernel fast path (blocked SIMD-dispatched kernels) and the
 // sqrt+exp reference path, at three grid resolutions (the range arg is the
@@ -316,6 +317,55 @@ void BM_CellTree_query(benchmark::State& state) {
         static_cast<double>(std::max<std::uint64_t>(1, stats.queries));
 }
 BENCHMARK(BM_CellTree_query)->Arg(1024)->Arg(16384);
+
+/// One RadiusCache lookup in a full cache of the medium's capacity, on a
+/// swarm-like key stream: ~32% of lookups revisit one of 512 hot quanta
+/// (which stay cached), the rest bring a quantum never seen within the last
+/// capacity misses, so the cache misses, classifies and evicts. The stream
+/// is precomputed and the cache warmed untimed.
+void BM_RadiusCacheWindowMask(benchmark::State& state) {
+    constexpr double kCell = 128.0;
+    constexpr double kQuantum = kCell / mac::spatial::RadiusCache::kQuantaPerSide;
+    struct Query {
+        std::int64_t cx, cy;
+        geom::Vec2 center;
+    };
+    sim::RandomStream rng(27);
+    const auto quantum_query = [](std::int64_t q) {
+        // Quantum q of a 4096-cell-wide strip, at the centre of its square.
+        const std::int64_t cell = q / 16;
+        const std::int64_t cx = cell % 4096;
+        const std::int64_t cy = cell / 4096;
+        const auto sx = static_cast<double>(q % 4);
+        const auto sy = static_cast<double>(q / 4 % 4);
+        return Query{cx, cy,
+                     {static_cast<double>(cx) * kCell + (sx + 0.5) * kQuantum,
+                      static_cast<double>(cy) * kCell + (sy + 0.5) * kQuantum}};
+    };
+    std::vector<Query> stream(1 << 16);
+    std::int64_t cold = 1 << 20;  // fresh quanta, past every hot one
+    for (Query& q : stream) {
+        q = rng.chance(0.32) ? quantum_query(rng.uniform_int(0, 511)) : quantum_query(cold++);
+    }
+    mac::spatial::RadiusCache cache;
+    cache.configure(kCell, 120.0, mac::Medium::kRadiusCacheCapacity, 1);
+    for (const Query& q : stream) {
+        benchmark::DoNotOptimize(cache.window_mask(q.cx, q.cy, q.center));
+    }
+    const mac::spatial::RadiusCacheStats warm = cache.stats();
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const Query& q = stream[i];
+        benchmark::DoNotOptimize(cache.window_mask(q.cx, q.cy, q.center));
+        i = (i + 1) & (stream.size() - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+    const mac::spatial::RadiusCacheStats& stats = cache.stats();
+    state.counters["hit_pct"] =
+        100.0 * static_cast<double>(stats.hits - warm.hits) /
+        static_cast<double>(std::max<std::uint64_t>(1, stats.lookups - warm.lookups));
+}
+BENCHMARK(BM_RadiusCacheWindowMask);
 
 /// A medium with `n` radios placed uniformly on a `side`-metre square, all
 /// awake, transmitting in turn; with `walk`, each radio takes a random-walk

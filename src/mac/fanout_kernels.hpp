@@ -149,7 +149,7 @@ struct Batch {
     std::vector<double> y;
     // Outputs of cull_and_prepare, valid for lanes [0, lanes()):
     std::vector<std::uint8_t> keep;  ///< 1 = within the cull radius
-    std::vector<double> dq;          ///< squared distance (kept lanes only)
+    std::vector<double> dq;          ///< squared distance (defined on kept lanes)
     std::vector<Verdict> verdict;    ///< kept lanes only
     std::vector<double> rssi_dbm;    ///< Verdict::kHeard lanes only
     /// Compacted ascending lane indices of the kept lanes — the first

@@ -288,13 +288,17 @@ std::size_t cull_and_prepare(const CullPlan& p) {
             std::memset(p.keep + base, 0, kBlock);
             continue;
         }
+        // Kept lanes compacted without a branch per lane (which lanes fall
+        // inside the radius is data-dependent), the way settle() compacts its
+        // draw queue: every lane stores its squared distance and writes its
+        // index at the kept list's end, and only a kept lane advances it.
+        // kept <= base + l, so the write stays inside the batch.
+        store(p.dq + base, dq);
         for (std::size_t l = 0; l < kBlock; ++l) {
-            const std::size_t i = base + l;
-            p.keep[i] = within[l] != 0;
-            if (within[l] == 0) continue;
-            p.dq[i] = dq[l];
-            p.kept_lanes[kept] = static_cast<std::uint32_t>(i);
-            ++kept;
+            const auto in = static_cast<std::uint8_t>(within[l] & 1);
+            p.keep[base + l] = in;
+            p.kept_lanes[kept] = static_cast<std::uint32_t>(base + l);
+            kept += in;
         }
     }
     // Settle kBlock kept lanes at a time, and draw the lanes left whenever

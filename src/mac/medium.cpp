@@ -24,13 +24,6 @@ constexpr double kTruncateSlackM = 1.0;
 /// all draw the same-sized block from the slab pool (64 entries * 4 bytes);
 /// denser swarm neighbourhoods fall through to ordinary allocation.
 constexpr std::size_t kSensedReserve = 64;
-/// Radius-cache sizing: a key is one of a cell's 4x4 sub-cell quanta, so
-/// 4096 masks cover 256 cells, a ~2 km x 2 km active area of the swarm's
-/// ~128 m cells, before the LRU recycles, a few hundred KB; tiles below 16
-/// radios skip the cache (scanning a handful of candidates outright is
-/// cheaper than the mask lookup).
-constexpr std::size_t kRadiusCacheCapacity = 4096;
-constexpr std::uint32_t kRadiusCacheDensePopulation = 16;
 }  // namespace
 
 Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig config)
@@ -82,12 +75,13 @@ Medium::Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig co
         return radios_[tag.node];
     };
     sim_.on(sim::EventKind::kMediumCca, [this, radio](const sim::EventTag& tag) {
-        Radio* r = radio(tag);
+        radio(tag);  // rejects a tag that names no attached radio
         std::shared_ptr<const AirFrame> frame = restored_frame(tag.a);
         const double rssi = std::bit_cast<double>(tag.b);
         const bool decodable = tag.x != 0;
-        return sim::InplaceCallback(
-            [this, r, frame, rssi, decodable] { cca_fire(r, frame, rssi, decodable); });
+        return sim::InplaceCallback([this, i = tag.node, frame, rssi, decodable] {
+            cca_fire(i, frame, rssi, decodable);
+        });
     });
     sim_.on(
         sim::EventKind::kRadioAttempt,
@@ -111,6 +105,7 @@ std::size_t Medium::attach(Radio& radio) {
     radios_.push_back(&radio);
     ids_.push_back(radio.id());
     available_.push_back(1);
+    awake_.push_back(radio.awake() ? 1 : 0);
     note_stamp_.push_back(kNeverNoted);
     tree_.insert(static_cast<std::uint32_t>(index), radio.position());
     return index;
@@ -359,7 +354,7 @@ void Medium::begin_transmission(Radio& sender, const net::Packet& packet,
     sim_.schedule_run(
         start + config_.cca_delay,
         [this, frame = std::shared_ptr<const AirFrame>(frame)](const sim::EventTag& tag) {
-            cca_fire(radios_[tag.node], frame, std::bit_cast<double>(tag.b), tag.x != 0);
+            cca_fire(tag.node, frame, std::bit_cast<double>(tag.b), tag.x != 0);
         },
         cca_tags_);
 }
@@ -384,16 +379,18 @@ void Medium::schedule_frame_end(const Radio& radio,
         std::span<const sim::EventTag>(&tag, 1));
 }
 
-void Medium::cca_fire(Radio* r, const std::shared_ptr<const AirFrame>& frame,
+void Medium::cca_fire(std::uint32_t i, const std::shared_ptr<const AirFrame>& frame,
                       double rssi_dbm, bool decodable) {
+    assert((awake_[i] != 0) == radios_[i]->awake() &&
+           "the medium's awake map disagrees with the radio's power state");
     // A frame whose transmitter died within the CCA window never registers
     // at the receiver (its end may already be in the past).
     if (frame->truncated) return;
-    if (!r->awake()) {
+    if (awake_[i] == 0) {
         if (decodable) ++stats_.missed_asleep;
         return;
     }
-    r->on_frame_start(frame, rssi_dbm, decodable);
+    radios_[i]->on_frame_start(frame, rssi_dbm, decodable);
 }
 
 void Medium::truncate_transmission(Radio& sender) {
@@ -464,7 +461,12 @@ void Medium::walk(Ar& ar, Self& m) {
         }
         m.restore_tree_stats_ = tree_stats;
         m.restore_cache_stats_ = cache_stats;
-        m.radius_cache_.import_entries(cached);
+        try {
+            m.radius_cache_.import_entries(cached);
+        } catch (const std::invalid_argument& e) {
+            throw std::runtime_error(std::string("checkpoint: radius-cache section rejected (") +
+                                     e.what() + ") — corrupt blob");
+        }
         m.frame_pool_.core()->set_block_size(block_sizes[0]);
         m.sensed_core_->set_block_size(block_sizes[1]);
         m.packet_pool_.core()->set_block_size(block_sizes[2]);

@@ -84,6 +84,14 @@ class Medium {
         std::uint64_t fault_rx_dropped = 0;
     };
 
+    /// Radius-cache sizing: a key is one of a cell's 4x4 sub-cell quanta, so
+    /// 4096 masks cover 256 cells, a ~2 km x 2 km active area of the swarm's
+    /// ~128 m cells, before the LRU recycles, ~220 KB once full; tiles below
+    /// 16 radios skip the cache (scanning a handful of candidates outright
+    /// is cheaper than the mask lookup).
+    static constexpr std::size_t kRadiusCacheCapacity = 4096;
+    static constexpr std::uint32_t kRadiusCacheDensePopulation = 16;
+
     Medium(sim::Simulator& sim, const phy::Channel& channel, MediumConfig config = {});
 
     Medium(const Medium&) = delete;
@@ -143,6 +151,13 @@ class Medium {
     void set_radio_available(const Radio& radio, bool available);
     bool radio_available(std::size_t attach_index) const {
         return available_[attach_index] != 0;
+    }
+
+    /// Radio power-state transitions, called by Radio::set_state and after a
+    /// radio's restore: whether the radio at `attach_index` is awake, so a
+    /// CCA delivery to a sleeping radio is counted without loading it.
+    void set_radio_awake(std::size_t attach_index, bool awake) {
+        awake_[attach_index] = awake ? 1 : 0;
     }
 
     /// The culling radius actually in use (slightly inflated over the
@@ -225,10 +240,10 @@ class Medium {
 
   private:
     void sweep_expired();
-    /// CCA-delay delivery tail, shared by the live CCA run and the kMediumCca
-    /// handler so a restored callback behaves identically to the one it
-    /// replaces.
-    void cca_fire(Radio* r, const std::shared_ptr<const AirFrame>& frame,
+    /// CCA-delay delivery tail to the radio at attach index `i`, shared by
+    /// the live CCA run and the kMediumCca handler so a restored callback
+    /// behaves identically to the one it replaces.
+    void cca_fire(std::uint32_t i, const std::shared_ptr<const AirFrame>& frame,
                   double rssi_dbm, bool decodable);
     /// Debug builds: every available radio's cached cell-tree position is its
     /// live one (the note_position_moved contract). No-op in Release.
@@ -245,6 +260,10 @@ class Medium {
     /// in outage); kept here so the medium can gate propagation and index
     /// membership without poking radio internals per receiver.
     std::vector<std::uint8_t> available_;
+    /// awake_[i] mirrors radios_[i]->awake(). Coordinated sleep keeps most
+    /// swarm radios asleep when a CCA delivery reaches them, and this byte
+    /// settles such a delivery without touching the Radio.
+    std::vector<std::uint8_t> awake_;
     /// note_stamp_[i]: sim time (ns) of radio i's last note_position_moved,
     /// for coalescing duplicate same-timestamp notes (a position changes at
     /// most once per instant). kNeverNoted never collides with a real time.

@@ -50,6 +50,7 @@ void Radio::publish_availability() {
 void Radio::set_state(energy::RadioState next) {
     meter_.change_state(sim_.now(), next);
     state_ = next;
+    medium_.set_radio_awake(attach_index_, awake());
 }
 
 sim::Duration Radio::airtime(const net::Packet& packet) const {
@@ -201,9 +202,10 @@ void Radio::walk(Ar& ar, Self& r) {
                              lock->corrupted};
         }
         r.attempt_event_ = sim::EventId{};  // re-learned via the placed hook
-        // Sync the medium's availability table (and spatial-index
-        // membership) with the restored power state — off / in-outage radios
-        // leave the tree.
+        // Sync the medium's awake map and availability table (and
+        // spatial-index membership) with the restored power state — off /
+        // in-outage radios leave the tree.
+        r.medium_.set_radio_awake(r.attach_index_, r.awake());
         r.publish_availability();
     }
 }

@@ -152,6 +152,8 @@ class Radio {
     /// The medium's MAC event handlers enter the private CSMA/receive
     /// machinery and re-learn attempt_event_ on behalf of each radio.
     friend class Medium;
+    /// Books the energy meter, switches state and mirrors awake() into the
+    /// medium's awake map.
     void set_state(energy::RadioState next);
     bool channel_busy() const { return sim_.now() < sensed_until_; }
     void try_start_csma();

@@ -1,9 +1,11 @@
 #include "mac/spatial.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace cocoa::mac::spatial {
 
@@ -17,15 +19,14 @@ namespace {
 /// invisible against the ~100 m cull radius.
 constexpr double kGeometryPadM = 1e-6;
 
-/// Packs (cell, sub-cell quantum) into the LRU key: 28 signed bits per cell
-/// coordinate (aliasing would need ~2.7e8 cells of ~100 m each — a 2.7e10 m
-/// world), 2 bits per quantum axis.
-std::uint64_t mask_key(std::int64_t ccx, std::int64_t ccy, int sx, int sy) {
-    const std::uint64_t x = static_cast<std::uint64_t>(ccx) & 0xfffffffull;
-    const std::uint64_t y = static_cast<std::uint64_t>(ccy) & 0xfffffffull;
-    return (x << 36) | (y << 8) | (static_cast<std::uint64_t>(sx) << 2) |
-           static_cast<std::uint64_t>(sy);
+/// The 28-bit cell coordinate at bit `shift` of a key, sign-extended.
+std::int64_t key_cell(std::uint64_t key, int shift) {
+    return static_cast<std::int64_t>(((key >> shift) & 0xfffffffull) << 36) >> 36;
 }
+
+/// Key-table size at configure and after a restore clears the cache; the
+/// table doubles from here while the LRU fills.
+constexpr std::size_t kMinBuckets = 64;
 
 }  // namespace
 
@@ -35,8 +36,7 @@ void RadiusCache::configure(double cell_side_m, double radius_m,
     if (capacity == 0) {  // disarm
         capacity_ = 0;
         radius_m_ = -1.0;
-        lru_.clear();
-        map_.clear();
+        clear();
         return;
     }
     if (!(cell_side_m > 0.0) || !(radius_m > 0.0) || radius_m > cell_side_m) {
@@ -48,8 +48,140 @@ void RadiusCache::configure(double cell_side_m, double radius_m,
     radius_m_ = radius_m;
     capacity_ = capacity;
     dense_population_ = dense_population;
-    lru_.clear();
-    map_.clear();
+    clear();
+    nodes_.reserve(capacity_);
+}
+
+void RadiusCache::clear() {
+    nodes_.clear();
+    head_ = kNone;
+    tail_ = kNone;
+    table_.assign(kMinBuckets, Bucket{});
+    table_shift_ = 64 - std::countr_zero(kMinBuckets);
+}
+
+std::size_t RadiusCache::home(std::uint64_t key) const {
+    // Fibonacci hashing: the top bits of key * 2^64/phi spread the packed
+    // (cell, quantum) keys over the table.
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> table_shift_);
+}
+
+std::size_t RadiusCache::find_bucket(std::uint64_t key) const {
+    const std::size_t m = table_.size() - 1;
+    std::size_t i = home(key);
+    while (table_[i].node != kNone && table_[i].key != key) i = (i + 1) & m;
+    return i;
+}
+
+void RadiusCache::insert_key(std::uint64_t key, std::uint32_t node) {
+    // nodes_ already holds `node`, so after this insertion the table maps
+    // nodes_.size() keys.
+    if (2 * nodes_.size() > table_.size()) {
+        table_.assign(2 * table_.size(), Bucket{});
+        --table_shift_;
+        for (std::uint32_t n = head_; n != kNone; n = nodes_[n].next) {
+            table_[find_bucket(nodes_[n].key)] = Bucket{nodes_[n].key, n};
+        }
+    }
+    table_[find_bucket(key)] = Bucket{key, node};
+}
+
+void RadiusCache::erase_key(std::uint64_t key) {
+    const std::size_t m = table_.size() - 1;
+    std::size_t hole = find_bucket(key);
+    assert(table_[hole].node != kNone && "RadiusCache::erase_key: key not mapped");
+    // Backward shift: a later slot of the probe run moves into the hole when
+    // the hole lies on its probe path (no farther from it than its home).
+    for (std::size_t j = (hole + 1) & m; table_[j].node != kNone; j = (j + 1) & m) {
+        if (((j - home(table_[j].key)) & m) >= ((j - hole) & m)) {
+            table_[hole] = table_[j];
+            hole = j;
+        }
+    }
+    table_[hole] = Bucket{};
+}
+
+void RadiusCache::unlink(std::uint32_t n) {
+    const Node& x = nodes_[n];
+    if (x.prev != kNone) {
+        nodes_[x.prev].next = x.next;
+    } else {
+        head_ = x.next;
+    }
+    if (x.next != kNone) {
+        nodes_[x.next].prev = x.prev;
+    } else {
+        tail_ = x.prev;
+    }
+}
+
+void RadiusCache::push_front(std::uint32_t n) {
+    nodes_[n].prev = kNone;
+    nodes_[n].next = head_;
+    if (head_ != kNone) {
+        nodes_[head_].prev = n;
+    } else {
+        tail_ = n;
+    }
+    head_ = n;
+}
+
+void RadiusCache::push_back(std::uint64_t key, std::uint16_t mask) {
+    const auto n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(Node{key, tail_, kNone, mask});
+    insert_key(key, n);
+    if (tail_ != kNone) {
+        nodes_[tail_].next = n;
+    } else {
+        head_ = n;
+    }
+    tail_ = n;
+}
+
+std::vector<RadiusCache::Entry> RadiusCache::export_entries() const {
+    std::vector<Entry> out;
+    out.reserve(nodes_.size());
+    for (std::uint32_t n = head_; n != kNone; n = nodes_[n].next) {
+        out.emplace_back(nodes_[n].key, nodes_[n].mask);
+    }
+    return out;
+}
+
+void RadiusCache::import_entries(const std::vector<Entry>& entries) {
+    clear();
+    if (entries.size() > capacity_) {
+        throw std::invalid_argument(std::to_string(entries.size()) +
+                                    " entries exceed the capacity of " +
+                                    std::to_string(capacity_));
+    }
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const auto [key, mask] = entries[i];
+        const std::int64_t ccx = key_cell(key, 36);
+        const std::int64_t ccy = key_cell(key, 8);
+        const int sx = static_cast<int>((key >> 2) & 3);
+        const int sy = static_cast<int>(key & 3);
+        std::string why;
+        if (mask_key(ccx, ccy, sx, sy) != key) {
+            why = "is no (cell, quantum) key";
+        } else if (table_[find_bucket(key)].node != kNone) {
+            why = "repeats an earlier key";
+        } else if (classify(ccx, ccy, sx, sy) != mask) {
+            why = "holds mask " + std::to_string(mask) + " where its key classifies to " +
+                  std::to_string(classify(ccx, ccy, sx, sy));
+        }
+        if (!why.empty()) {
+            clear();
+            throw std::invalid_argument("entry " + std::to_string(i) + " " + why);
+        }
+        push_back(key, mask);
+    }
+}
+
+std::uint64_t RadiusCache::mask_key(std::int64_t ccx, std::int64_t ccy, int sx, int sy) {
+    const std::uint64_t x = static_cast<std::uint64_t>(ccx) & 0xfffffffull;
+    const std::uint64_t y = static_cast<std::uint64_t>(ccy) & 0xfffffffull;
+    return (x << 36) | (y << 8) | (static_cast<std::uint64_t>(sx) << 2) |
+           static_cast<std::uint64_t>(sy);
 }
 
 std::uint16_t RadiusCache::window_mask(std::int64_t ccx, std::int64_t ccy,
@@ -67,20 +199,31 @@ std::uint16_t RadiusCache::window_mask(std::int64_t ccx, std::int64_t ccy,
             (center.y - static_cast<double>(ccy) * cell_side_m_) / quantum_m_)),
         0, kQuantaPerSide - 1);
     const std::uint64_t key = mask_key(ccx, ccy, sx, sy);
-    if (const auto it = map_.find(key); it != map_.end()) {
+    if (const std::uint32_t n = table_[find_bucket(key)].node; n != kNone) {
         ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return it->second->second;
+        if (n != head_) {
+            unlink(n);
+            push_front(n);
+        }
+        return nodes_[n].mask;
     }
     ++stats_.misses;
     const std::uint16_t mask = classify(ccx, ccy, sx, sy);
-    lru_.emplace_front(key, mask);
-    map_.emplace(key, lru_.begin());
-    if (map_.size() > capacity_) {
+    // At capacity the least recent node is evicted and reused in place.
+    std::uint32_t n;
+    if (nodes_.size() < capacity_) {
+        n = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back(Node{key, kNone, kNone, mask});
+    } else {
         ++stats_.evictions;
-        map_.erase(lru_.back().first);
-        lru_.pop_back();
+        n = tail_;
+        erase_key(nodes_[n].key);
+        unlink(n);
+        nodes_[n].key = key;
+        nodes_[n].mask = mask;
     }
+    insert_key(key, n);
+    push_front(n);
     return mask;
 }
 

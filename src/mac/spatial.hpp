@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -64,6 +63,12 @@ struct RadiusCacheStats {
 /// neighbourhoods skip straight to scanning their few candidates
 /// (note_sparse_bypass) — that is the density adaptation.
 ///
+/// The LRU is flat: a node array with index links (reserved at configure,
+/// filled as keys arrive) plus an open-addressing key table (linear probing,
+/// at most half full, grown by doubling while the cache warms). Once the
+/// cache is warm a lookup allocates nothing, and a hit or miss touches only
+/// a few 16- and 24-byte records.
+///
 /// Debug builds re-verify every pruned cell against the live slots (the
 /// exact-radius oracle assertion in CellTree::for_each_in_radius).
 class RadiusCache {
@@ -101,44 +106,77 @@ class RadiusCache {
     /// quantum square.
     std::uint16_t window_mask(std::int64_t ccx, std::int64_t ccy, geom::Vec2 center);
 
+    /// The LRU key of cell (ccx, ccy)'s sub-cell quantum (sx, sy), each in
+    /// [0, kQuantaPerSide): 28 signed bits per cell coordinate (aliasing
+    /// would need ~2.7e8 cells of ~100 m each — a 2.7e10 m world), 2 bits
+    /// per quantum axis.
+    static std::uint64_t mask_key(std::int64_t ccx, std::int64_t ccy, int sx, int sy);
+
     void note_sparse_bypass() { ++stats_.sparse_bypass; }
     void note_cells_pruned(std::uint64_t n) { stats_.cells_pruned += n; }
 
     const RadiusCacheStats& stats() const { return stats_; }
     /// Checkpoint restore only — see CellTree::set_stats.
     void set_stats(const RadiusCacheStats& s) { stats_ = s; }
-    std::size_t size() const { return map_.size(); }
+    std::size_t size() const { return nodes_.size(); }
+
+    using Entry = std::pair<std::uint64_t, std::uint16_t>;  ///< (key, mask)
 
     /// Cached (key, mask) pairs in recency order, most recent first —
     /// checkpointing serializes these so a restored cache is exactly as warm
     /// (same hit/miss/eviction future) as the straight run's was.
-    std::vector<std::pair<std::uint64_t, std::uint16_t>> export_entries() const {
-        return {lru_.begin(), lru_.end()};
-    }
+    std::vector<Entry> export_entries() const;
     /// Rebuilds the LRU from export_entries() output (most recent first).
-    /// Restore only; assumes the cache was configure()d identically.
-    void import_entries(
-        const std::vector<std::pair<std::uint64_t, std::uint16_t>>& entries) {
-        lru_.clear();
-        map_.clear();
-        for (const auto& e : entries) {
-            lru_.push_back(e);
-            map_.emplace(e.first, std::prev(lru_.end()));
-        }
-    }
+    /// Restore only; assumes the cache was configure()d identically. Throws
+    /// std::invalid_argument, and leaves the cache empty, unless the list
+    /// fits the capacity, its keys are distinct keys window_mask() can
+    /// produce, and each mask is the one its key classifies to.
+    void import_entries(const std::vector<Entry>& entries);
 
   private:
-    using LruList = std::list<std::pair<std::uint64_t, std::uint16_t>>;
+    static constexpr std::uint32_t kNone = 0xffffffffu;
+
+    /// One cached mask: an LRU list node linked by node index.
+    struct Node {
+        std::uint64_t key;
+        std::uint32_t prev;  ///< toward the most recent; kNone at the head
+        std::uint32_t next;  ///< toward the least recent; kNone at the tail
+        std::uint16_t mask;
+    };
+    /// A key-table slot; node == kNone marks it empty.
+    struct Bucket {
+        std::uint64_t key = 0;
+        std::uint32_t node = kNone;
+    };
 
     std::uint16_t classify(std::int64_t ccx, std::int64_t ccy, int sx, int sy) const;
+    void clear();
+    /// The table slot `key` probes first.
+    std::size_t home(std::uint64_t key) const;
+    /// Table slot holding `key`, or the empty slot that ends its probe run.
+    std::size_t find_bucket(std::uint64_t key) const;
+    /// Maps `key` to `node` (key absent), doubling the table first when the
+    /// insertion would leave it more than half full.
+    void insert_key(std::uint64_t key, std::uint32_t node);
+    /// Unmaps `key` (present) by backward-shift deletion: no tombstones.
+    void erase_key(std::uint64_t key);
+    void unlink(std::uint32_t n);
+    void push_front(std::uint32_t n);
+    /// Appends a node at the least-recent end (restore order).
+    void push_back(std::uint64_t key, std::uint16_t mask);
 
     double cell_side_m_ = 0.0;
     double quantum_m_ = 0.0;  ///< cell_side / kQuantaPerSide (exact in FP)
     double radius_m_ = -1.0;
     std::size_t capacity_ = 0;
     std::uint32_t dense_population_ = 0;
-    LruList lru_;  ///< front = most recently used
-    std::unordered_map<std::uint64_t, LruList::iterator> map_;
+    /// The LRU's nodes, one per cached key, reused in place on eviction.
+    std::vector<Node> nodes_;
+    std::uint32_t head_ = kNone;  ///< most recently used
+    std::uint32_t tail_ = kNone;  ///< least recently used, evicted next
+    /// Open-addressing key -> node table, a power of two in size.
+    std::vector<Bucket> table_;
+    int table_shift_ = 64;  ///< 64 - log2(table size): the hash keeps the top bits
     RadiusCacheStats stats_;
 };
 

@@ -19,12 +19,8 @@ std::uint32_t EventQueue::acquire_slot() {
 
 EventId EventQueue::push(std::uint32_t si, TimePoint t, std::uint64_t seq,
                          std::size_t events) {
-    Slot& slot = slots_[si];
-    slot.time = t;
-    slot.seq = seq;
-    heap_.push_back(si);
-    slot.heap_index = static_cast<std::uint32_t>(heap_.size() - 1);
-    sift_up(heap_.size() - 1);
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, t, seq, si);
 
     stats_.scheduled += events;
     pending_ += events;
@@ -71,9 +67,10 @@ EventId EventQueue::schedule_run(TimePoint t, RunCallback cb,
 bool EventQueue::extend_run(EventId id, TimePoint t, const EventTag& tag) {
     if (!pending(id)) return false;
     const Slot& slot = slots_[id.slot_];
-    if (slot.run == kNoRun || slot.time != t) return false;
+    const HeapEntry& key = heap_[slot.heap_index];
+    if (slot.run == kNoRun || key.time != t) return false;
     Run& run = runs_[slot.run];
-    if (slot.seq + run.remaining() != next_seq_) return false;
+    if (key.seq + run.remaining() != next_seq_) return false;
     run.tags.push_back(tag);
     ++next_seq_;
     ++stats_.scheduled;
@@ -88,24 +85,22 @@ EventId EventQueue::schedule_with_seq(TimePoint t, std::uint64_t seq, Callback c
 }
 
 void EventQueue::for_each_pending(const PendingVisitor& fn) const {
-    for (const std::uint32_t si : heap_) {
-        const Slot& slot = slots_[si];
+    for (const HeapEntry& e : heap_) {
+        const Slot& slot = slots_[e.slot];
         if (slot.run == kNoRun) {
-            fn(slot.time, slot.seq, tags_[si]);
+            fn(e.time, e.seq, tags_[e.slot]);
             continue;
         }
         const Run& run = runs_[slot.run];
         for (std::size_t i = run.head; i < run.tags.size(); ++i) {
-            fn(slot.time, slot.seq + (i - run.head), run.tags[i]);
+            fn(e.time, e.seq + (i - run.head), run.tags[i]);
         }
     }
 }
 
 std::uint64_t EventQueue::min_pending_seq() const {
     std::uint64_t min_seq = UINT64_MAX;
-    for (const std::uint32_t si : heap_) {
-        min_seq = std::min(min_seq, slots_[si].seq);
-    }
+    for (const HeapEntry& e : heap_) min_seq = std::min(min_seq, e.seq);
     return min_seq;
 }
 
@@ -126,7 +121,7 @@ bool EventQueue::cancel(EventId id) {
 
 void EventQueue::fire_next() {
     assert(!heap_.empty() && "fire_next() on empty EventQueue");
-    const std::uint32_t si = heap_[0];
+    const auto si = static_cast<std::uint32_t>(heap_[0].slot);
     Slot& slot = slots_[si];
     --pending_;
     if (slot.run == kNoRun) {
@@ -143,7 +138,7 @@ void EventQueue::fire_next() {
         // The next element's key (time, seq + 1) still precedes every other
         // pending event, none of which can hold a seq inside this run's block:
         // the slot stays at the root, no sift.
-        ++slot.seq;
+        ++heap_[0].seq;
         run.callback(tag);
         return;
     }
@@ -155,30 +150,30 @@ void EventQueue::fire_next() {
 }
 
 void EventQueue::clear() {
-    for (const std::uint32_t si : heap_) {
-        if (slots_[si].run != kNoRun) release_run(slots_[si].run);
-        release_slot(si);
+    for (const HeapEntry& e : heap_) {
+        if (slots_[e.slot].run != kNoRun) release_run(slots_[e.slot].run);
+        release_slot(static_cast<std::uint32_t>(e.slot));
     }
     heap_.clear();
     pending_ = 0;
 }
 
-void EventQueue::sift_up(std::size_t i) {
-    const std::uint32_t moving = heap_[i];
+void EventQueue::sift_up(std::size_t i, TimePoint time, std::uint64_t seq,
+                         std::uint64_t slot) {
+    const HeapEntry moving{time, seq, slot};
     while (i > 0) {
         const std::size_t parent = (i - 1) / 4;
         if (!earlier(moving, heap_[parent])) break;
-        heap_[i] = heap_[parent];
-        slots_[heap_[i]].heap_index = static_cast<std::uint32_t>(i);
+        set_entry(i, heap_[parent]);
         i = parent;
     }
-    heap_[i] = moving;
-    slots_[moving].heap_index = static_cast<std::uint32_t>(i);
+    set_entry(i, moving);
 }
 
-void EventQueue::sift_down(std::size_t i) {
+void EventQueue::sift_down(std::size_t i, TimePoint time, std::uint64_t seq,
+                           std::uint64_t slot) {
+    const HeapEntry moving{time, seq, slot};
     const std::size_t n = heap_.size();
-    const std::uint32_t moving = heap_[i];
     for (;;) {
         const std::size_t first_child = 4 * i + 1;
         if (first_child >= n) break;
@@ -191,25 +186,22 @@ void EventQueue::sift_down(std::size_t i) {
             if (earlier(heap_[c], heap_[best])) best = c;
         }
         if (!earlier(heap_[best], moving)) break;
-        heap_[i] = heap_[best];
-        slots_[heap_[i]].heap_index = static_cast<std::uint32_t>(i);
+        set_entry(i, heap_[best]);
         i = best;
     }
-    heap_[i] = moving;
-    slots_[moving].heap_index = static_cast<std::uint32_t>(i);
+    set_entry(i, moving);
 }
 
 void EventQueue::remove_from_heap(std::size_t i) {
-    const std::size_t last = heap_.size() - 1;
-    const std::uint32_t moved = heap_[last];
+    const HeapEntry moved = heap_.back();
     heap_.pop_back();
-    if (i == last) return;
-    heap_[i] = moved;
-    slots_[moved].heap_index = static_cast<std::uint32_t>(i);
-    // The displaced element may need to move either way; after sift_up the
-    // follow-up sift_down is a single no-op comparison if it already moved.
-    sift_up(i);
-    sift_down(slots_[moved].heap_index);
+    if (i == heap_.size()) return;
+    // The last entry fills the hole, moving whichever way its key says.
+    if (i > 0 && earlier(moved, heap_[(i - 1) / 4])) {
+        sift_up(i, moved.time, moved.seq, moved.slot);
+    } else {
+        sift_down(i, moved.time, moved.seq, moved.slot);
+    }
 }
 
 void EventQueue::release_slot(std::uint32_t si) {

@@ -46,12 +46,15 @@ struct KernelStats {
 
 /// A cancellable priority queue of timed callbacks.
 ///
-/// Implementation: a slot arena plus a 4-ary min-heap of slot indices ordered
-/// by (time, seq). Events at equal times fire in scheduling order (FIFO, via
-/// the monotone seq), making runs deterministic. Each slot carries a
-/// back-pointer into the heap, so cancel() is a real O(log n) removal — no
-/// tombstones accumulate from rescheduled carrier-sense timers — and
-/// pending() is an O(1) generation check. next_time() is O(1) and genuinely
+/// Implementation: a slot arena plus a 4-ary min-heap of keyed entries, each
+/// entry a slot index next to its (time, seq) key. Events at equal times fire
+/// in scheduling order (FIFO, via the monotone seq), making runs
+/// deterministic. A sift compares keys inside the heap array alone and
+/// touches a slot only to update its heap back-pointer, so deep queues (a
+/// 16k-node swarm keeps ~17k events pending) do not load a callback-sized
+/// slot per comparison. The back-pointer makes cancel() a real O(log n)
+/// removal — no tombstones accumulate from rescheduled carrier-sense timers —
+/// and pending() an O(1) generation check. next_time() is O(1) and genuinely
 /// const. Freed slots go on a free list, so a steady-state schedule/fire
 /// cycle performs no allocation at all once the arena has grown to the
 /// high-water mark.
@@ -148,7 +151,7 @@ class EventQueue {
     /// Time of the earliest pending event; TimePoint::max() if empty.
     TimePoint next_time() const {
         if (heap_.empty()) return TimePoint::max();
-        return slots_[heap_[0]].time;
+        return heap_[0].time;
     }
 
     /// Removes the earliest pending event (a run's head element) and
@@ -166,18 +169,28 @@ class EventQueue {
     static constexpr std::uint32_t kNoHeapIndex = 0xffffffffu;
     static constexpr std::uint32_t kNoRun = 0xffffffffu;
 
-    /// A slot's key is (time, seq) of its next event: for a run, the head
-    /// element, whose seq advances by one per fired element.
+    /// One pending event or run; its key lives in its heap entry.
     struct Slot {
-        TimePoint time{};
-        std::uint64_t seq = 0;
         Callback callback;  ///< empty for a run
         std::uint32_t generation = 1;  // never 0, so any issued id is valid()
         std::uint32_t heap_index = kNoHeapIndex;
         std::uint32_t run = kNoRun;  ///< index into runs_, or kNoRun
     };
 
-    /// Elements [head, tags.size()) are pending, with seqs slot.seq onward.
+    /// A pending slot's heap entry. The key is (time, seq) of the slot's next
+    /// event: for a run, the head element, whose seq advances by one per
+    /// fired element.
+    struct HeapEntry {
+        TimePoint time;
+        std::uint64_t seq;
+        /// A slot index in a full word, so an entry has no padding: gcc
+        /// copies a padded entry's last field with a 4-byte store but loads
+        /// it back with an 8-byte one, which misses store forwarding.
+        std::uint64_t slot;
+    };
+
+    /// Elements [head, tags.size()) are pending, with seqs from the slot's
+    /// heap key onward.
     struct Run {
         RunCallback callback;
         std::vector<EventTag> tags;
@@ -185,16 +198,25 @@ class EventQueue {
         std::size_t remaining() const { return tags.size() - head; }
     };
 
-    /// (time, seq) ordering between two slots referenced from the heap.
-    bool earlier(std::uint32_t a, std::uint32_t b) const {
-        const Slot& sa = slots_[a];
-        const Slot& sb = slots_[b];
-        if (sa.time != sb.time) return sa.time < sb.time;
-        return sa.seq < sb.seq;
+    /// (time, seq) ordering between two heap entries.
+    static bool earlier(const HeapEntry& a, const HeapEntry& b) {
+        if (a.time != b.time) return a.time < b.time;
+        return a.seq < b.seq;
     }
 
-    void sift_up(std::size_t i);
-    void sift_down(std::size_t i);
+    /// Fill the hole at heap position `i` with the entry (time, seq, slot),
+    /// first moving the entries it must pass into the hole (toward the root
+    /// for sift_up, toward the leaves for sift_down). The entry arrives in
+    /// registers: a HeapEntry argument goes through the stack, and copying
+    /// it out with a 16-byte load right after its 8-byte field stores misses
+    /// store forwarding, which doubled the cost of a push.
+    void sift_up(std::size_t i, TimePoint time, std::uint64_t seq, std::uint64_t slot);
+    void sift_down(std::size_t i, TimePoint time, std::uint64_t seq, std::uint64_t slot);
+    /// heap_[i] = e, and e's slot learns its new position.
+    void set_entry(std::size_t i, const HeapEntry& e) {
+        heap_[i] = e;
+        slots_[e.slot].heap_index = static_cast<std::uint32_t>(i);
+    }
     void remove_from_heap(std::size_t i);
     void release_slot(std::uint32_t si);
     void release_run(std::uint32_t ri);
@@ -206,9 +228,9 @@ class EventQueue {
 
     std::vector<Slot> slots_;
     /// Parallel to slots_: the checkpoint tag of each slot's event. Kept out
-    /// of Slot so the hot (time, seq, heap_index) comparisons stay dense.
+    /// of Slot, which the fire and cancel paths load.
     std::vector<EventTag> tags_;
-    std::vector<std::uint32_t> heap_;        ///< 4-ary min-heap of slot indices
+    std::vector<HeapEntry> heap_;            ///< 4-ary min-heap of keyed slots
     std::vector<std::uint32_t> free_slots_;  ///< recyclable slot indices (LIFO)
     /// Run storage. A deque, so a run's callback stays put while it fires
     /// even if it schedules further runs; freed runs keep their tag capacity.

@@ -17,10 +17,12 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -36,6 +38,7 @@
 #include "exp/replication.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
+#include "mac/medium.hpp"
 #include "metrics/time_series.hpp"
 #include "net/packet.hpp"
 #include "obs/profile.hpp"
@@ -1096,6 +1099,76 @@ TEST(CheckpointFormat, SwarmRestoreRejectsATagNamingNoNode) {
             runtime_error_of([&] { exp::restore_swarm_checkpoint(patched(blob, at + 4, node)); }),
             "(kind 60, node " + n + ") cannot be rebuilt: swarm node " + n + " does not exist");
     }
+}
+
+/// The radius-cache section restores only a list the cache could have built:
+/// at most its capacity of entries, distinct keys that window_mask can
+/// produce, and each mask the one its key classifies to. Before these checks
+/// an oversized list kept the cache oversized for good, a repeated key left
+/// an LRU node its key map no longer indexed, and a cleared mask bit made
+/// the fanout skip a window cell that can hold in-range receivers, which a
+/// Release build ran to the end.
+TEST(CheckpointFormat, SwarmRestoreRejectsACorruptRadiusCache) {
+    using Entries = std::vector<std::pair<std::uint64_t, std::uint16_t>>;
+    core::SwarmConfig config;
+    config.nodes = 1000;
+    config.seed = 3;
+    config.duration = sim::Duration::seconds(6.0);
+    config.collect_final_positions = true;
+    core::Swarm straight(config);
+    straight.run();
+
+    core::Swarm prefix(config);
+    prefix.run_until(sim::TimePoint::from_seconds(3.0));
+    const std::string blob = exp::save_swarm_checkpoint(prefix);
+    // The section: the cache's stats, then its entries in recency order.
+    const mac::spatial::RadiusCacheStats stats = prefix.result().radius_cache_stats;
+    const std::size_t at = unique_offset(blob, encoded(stats)) + encoded(stats).size();
+    Entries entries;
+    sim::ckpt::Reader section(std::string_view(blob).substr(at));
+    section(entries);
+    ASSERT_EQ(entries.size(), stats.misses - stats.evictions);
+    ASSERT_GE(entries.size(), 2u);
+    const std::size_t end = at + encoded(entries).size();
+    const auto with_entries = [&](const Entries& e) {
+        return blob.substr(0, at) + encoded(e) + blob.substr(end);
+    };
+    std::unique_ptr<core::Swarm> restored = exp::restore_swarm_checkpoint(with_entries(entries));
+    restored->run();
+    EXPECT_EQ(swarm_digest(restored->result()), swarm_digest(straight.result()));
+
+    const auto rejection = [&](const Entries& e) {
+        const std::string what =
+            runtime_error_of([&] { exp::restore_swarm_checkpoint(with_entries(e)); });
+        EXPECT_EQ(what.rfind("checkpoint: radius-cache section rejected (", 0), 0u) << what;
+        EXPECT_TRUE(what.ends_with(") — corrupt blob")) << what;
+        return what;
+    };
+    // One entry past the capacity (a copy of the most recent; the count is
+    // checked first).
+    constexpr std::size_t capacity = mac::Medium::kRadiusCacheCapacity;
+    Entries oversized = entries;
+    oversized.resize(capacity + 1, entries.front());
+    EXPECT_NE(rejection(oversized).find(std::to_string(capacity + 1) +
+                                        " entries exceed the capacity of " +
+                                        std::to_string(capacity)),
+              std::string::npos);
+    // A repeated key.
+    Entries repeated = entries;
+    repeated[1] = repeated[0];
+    EXPECT_NE(rejection(repeated).find("entry 1 repeats an earlier key"), std::string::npos);
+    // A key with a bit set between the cell and quantum fields.
+    Entries unpacked = entries;
+    unpacked[0].first |= 0x10;
+    EXPECT_NE(rejection(unpacked).find("entry 0 is no (cell, quantum) key"), std::string::npos);
+    // A cleared bit: the lowest window cell the mask keeps.
+    Entries pruned = entries;
+    const std::uint16_t mask = pruned.back().second;
+    pruned.back().second = static_cast<std::uint16_t>(mask & (mask - 1));
+    EXPECT_NE(rejection(pruned).find("entry " + std::to_string(entries.size() - 1) +
+                                     " holds mask " + std::to_string(mask & (mask - 1)) +
+                                     " where its key classifies to " + std::to_string(mask)),
+              std::string::npos);
 }
 
 /// A pending fault strike must name a plan event, one of its targets, and a

@@ -2,9 +2,9 @@
 // kernel against the generic one on edge layouts, the settled and drawn
 // verdicts against the exact draw on five channels, the batch path against
 // the unculled sweep over whole swarm runs, the sharded mobility tick at
-// several worker counts, the radius cache against brute force, the
-// allocation-free steady state of the fanout scratch, and the heap a swarm
-// holds per node.
+// several worker counts, the radius cache against brute force and against
+// the list + map LRU it replaced, the allocation-free steady state of the
+// fanout scratch, and the heap a swarm holds per node.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +17,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/swarm.hpp"
@@ -519,6 +523,168 @@ TEST(RadiusCache, ConfigureValidatesGeometry) {
     cache.configure(10.0, 10.0, 64, 1);
     EXPECT_TRUE(cache.handles(10.0));
     EXPECT_FALSE(cache.handles(9.0));
+}
+
+/// The LRU the flat RadiusCache replaced: a std::list in recency order plus a
+/// std::unordered_map from key to list node, keeping the cache's six stats.
+/// It cannot classify, so a miss caches the mask the cache under test
+/// returned, and a later hit must return that mask again.
+class ListLruModel {
+  public:
+    explicit ListLruModel(std::size_t capacity) : capacity_(capacity) {}
+
+    /// One lookup of `key`: true on a hit, which moves the key to the front
+    /// and sets `mask` to the cached one; a miss caches `mask` in front and
+    /// evicts the least recent key past the capacity.
+    bool lookup(std::uint64_t key, std::uint16_t& mask) {
+        ++stats.lookups;
+        if (const auto it = map_.find(key); it != map_.end()) {
+            ++stats.hits;
+            lru_.splice(lru_.begin(), lru_, it->second);
+            mask = it->second->second;
+            return true;
+        }
+        ++stats.misses;
+        lru_.emplace_front(key, mask);
+        map_.emplace(key, lru_.begin());
+        if (map_.size() > capacity_) {
+            ++stats.evictions;
+            map_.erase(lru_.back().first);
+            lru_.pop_back();
+        }
+        return false;
+    }
+    std::vector<std::pair<std::uint64_t, std::uint16_t>> entries() const {
+        return {lru_.begin(), lru_.end()};
+    }
+
+    spatial::RadiusCacheStats stats;
+
+  private:
+    std::size_t capacity_;
+    std::list<std::pair<std::uint64_t, std::uint16_t>> lru_;
+    std::unordered_map<std::uint64_t,
+                       std::list<std::pair<std::uint64_t, std::uint16_t>>::iterator>
+        map_;
+};
+
+void expect_same_stats(const spatial::RadiusCacheStats& a,
+                       const spatial::RadiusCacheStats& b) {
+    EXPECT_EQ(a.lookups, b.lookups);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.cells_pruned, b.cells_pruned);
+    EXPECT_EQ(a.sparse_bypass, b.sparse_bypass);
+}
+
+/// The flat LRU against the list + map it replaced, on a hot/cold stream of
+/// query centres at capacities 1, 8 and 4,096: every hit/miss verdict and
+/// mask, the six stats and the export order agree. A full, evicting cache
+/// then exports into a fresh one (as a checkpoint restore does), and both
+/// run on in lockstep. Swarm runs fill the 4,096-entry cache without
+/// evicting below ~16k nodes, so only this test reaches eviction there.
+TEST(RadiusCache, FlatLruMatchesListAndMapModel) {
+    constexpr double kCell = 128.0;
+    constexpr double kQuantum = kCell / spatial::RadiusCache::kQuantaPerSide;
+    struct Query {
+        std::int64_t cx, cy;
+        int sx, sy;
+        bool sparse;  ///< a tile below the density gate: bypasses the cache
+    };
+    // Cell and quantum, drawn from a wide range of signed cells.
+    std::mt19937_64 rng(2718);
+    const auto random_query = [&rng] {
+        std::uniform_int_distribution<std::int64_t> cell(-300, 300);
+        std::uniform_int_distribution<int> quantum(0, spatial::RadiusCache::kQuantaPerSide - 1);
+        return Query{cell(rng), cell(rng), quantum(rng), quantum(rng), false};
+    };
+    std::vector<Query> hot(4);
+    std::vector<Query> warm(3000);
+    for (Query& q : hot) q = random_query();
+    for (Query& q : warm) q = random_query();
+    // 40% hot, 30% warm, 25% cold (almost always a new key), 5% sparse.
+    const auto next_query = [&] {
+        const double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
+        if (u < 0.40) return hot[rng() % hot.size()];
+        if (u < 0.70) return warm[rng() % warm.size()];
+        Query q = random_query();
+        q.sparse = u >= 0.95;
+        return q;
+    };
+    // One query through `cache`, as CellTree::for_each_in_radius makes it:
+    // a sparse tile bypasses the cache, a dense one looks up the mask of the
+    // quantum holding the centre and prunes the window cells it clears.
+    // Returns the mask (0 for a bypass) and sets `hit`.
+    const auto query = [](spatial::RadiusCache& cache, const Query& q, bool& hit) {
+        hit = false;
+        if (q.sparse) {
+            cache.note_sparse_bypass();
+            return std::uint16_t{0};
+        }
+        const Vec2 center{(static_cast<double>(q.cx) * kCell) + (q.sx + 0.5) * kQuantum,
+                          (static_cast<double>(q.cy) * kCell) + (q.sy + 0.5) * kQuantum};
+        const std::uint64_t hits = cache.stats().hits;
+        const std::uint16_t mask = cache.window_mask(q.cx, q.cy, center);
+        hit = cache.stats().hits > hits;
+        cache.note_cells_pruned(9 - static_cast<unsigned>(std::popcount(mask)));
+        return mask;
+    };
+    // The same query through the model.
+    const auto model_query = [](ListLruModel& model, const Query& q, std::uint16_t mask) {
+        if (q.sparse) {
+            ++model.stats.sparse_bypass;
+            return std::pair{false, std::uint16_t{0}};
+        }
+        const bool hit =
+            model.lookup(spatial::RadiusCache::mask_key(q.cx, q.cy, q.sx, q.sy), mask);
+        model.stats.cells_pruned += 9 - static_cast<unsigned>(std::popcount(mask));
+        return std::pair{hit, mask};
+    };
+
+    for (const std::size_t capacity : {std::size_t{1}, std::size_t{8}, std::size_t{4096}}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        spatial::RadiusCache cache;
+        cache.configure(kCell, 120.0, capacity, 1);
+        ListLruModel model(capacity);
+        for (int step = 0; step < 40'000; ++step) {
+            const Query q = next_query();
+            bool hit = false;
+            const std::uint16_t mask = query(cache, q, hit);
+            const auto [model_hit, model_mask] = model_query(model, q, mask);
+            ASSERT_EQ(hit, model_hit) << "step " << step;
+            ASSERT_EQ(mask, model_mask) << "step " << step;
+            if (step % 4'000 == 0) {
+                ASSERT_EQ(cache.export_entries(), model.entries()) << "step " << step;
+            }
+        }
+        expect_same_stats(cache.stats(), model.stats);
+        ASSERT_EQ(cache.export_entries(), model.entries());
+        ASSERT_EQ(cache.size(), capacity);
+        EXPECT_GT(cache.stats().hits, 0u);
+        EXPECT_GT(cache.stats().evictions, 0u);
+
+        // A restore: the exported list and stats into a fresh cache, then
+        // both caches (and the model) on in lockstep.
+        spatial::RadiusCache restored;
+        restored.configure(kCell, 120.0, capacity, 1);
+        restored.import_entries(cache.export_entries());
+        restored.set_stats(cache.stats());
+        ASSERT_EQ(restored.export_entries(), cache.export_entries());
+        for (int step = 0; step < 10'000; ++step) {
+            const Query q = next_query();
+            bool hit = false;
+            bool restored_hit = false;
+            const std::uint16_t mask = query(cache, q, hit);
+            ASSERT_EQ(query(restored, q, restored_hit), mask) << "step " << step;
+            ASSERT_EQ(restored_hit, hit) << "step " << step;
+            ASSERT_EQ(model_query(model, q, mask).first, hit) << "step " << step;
+        }
+        expect_same_stats(restored.stats(), cache.stats());
+        expect_same_stats(cache.stats(), model.stats);
+        EXPECT_EQ(restored.export_entries(), model.entries());
+        EXPECT_EQ(cache.export_entries(), model.entries());
+    }
 }
 
 // --- allocation-free steady state --------------------------------------------

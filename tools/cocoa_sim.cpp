@@ -142,6 +142,11 @@ void print_swarm(const core::SwarmResult& r, double wall_s, bool quiet) {
             {"index in-cell updates", std::to_string(r.index_stats.in_cell_updates)});
         table.add_row(
             {"index full refreshes", std::to_string(r.index_stats.full_refreshes)});
+        const mac::spatial::RadiusCacheStats& cache = r.radius_cache_stats;
+        table.add_row({"radius-cache lookups", std::to_string(cache.lookups)});
+        table.add_row({"radius-cache hits", std::to_string(cache.hits)});
+        table.add_row({"radius-cache misses", std::to_string(cache.misses)});
+        table.add_row({"radius-cache evictions", std::to_string(cache.evictions)});
         table.print(std::cout);
     }
     // Machine-readable line for tools/check_scaling.py and the CI
